@@ -5,10 +5,15 @@ from quadrature, not simulation. The limsup/liminf statistics scan one full
 multiplicative period of sin(log t) (about 535) plus margin below the
 horizon; a plain second-half window misses the extremes of the oscillating
 examples at every horizon.
+
+Shapes: an integrand is evaluated on an array of times, one array call per
+refinement level of the quadrature; ``triangularize_paths`` factors the
+whole ``[node, path, n, n]`` stack of an ensemble in one QR call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,29 +74,14 @@ def _check_horizon(horizon: float) -> None:
         raise BoundsError("horizon must be positive and finite")
 
 
-def _refine(f, lo, hi, flo, fm, fhi, whole, tol, depth):
-    mid = 0.5 * (lo + hi)
-    flm = f(0.5 * (lo + mid))
-    frm = f(0.5 * (mid + hi))
-    left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fm)
-    right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fhi)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    return (_refine(f, lo, mid, flo, flm, fm, left, 0.5 * tol, depth - 1)
-            + _refine(f, mid, hi, fm, frm, fhi, right, 0.5 * tol, depth - 1))
-
-
-def _adaptive_simpson(f, lo, hi, tol):
-    flo = f(lo)
-    fm = f(0.5 * (lo + hi))
-    fhi = f(hi)
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fm + fhi)
-    return _refine(f, lo, hi, flo, fm, fhi, whole, tol, 48)
-
-
 def _running_average(f, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """(1/t) * integral_0^t f at log-spaced breakpoints.
+
+    ``f`` maps an array of times to an array of values. Each of the
+    ``_SEGMENTS`` segments is integrated by adaptive Simpson (Lyness's
+    acceptance test |L + R - W| <= 15 tol, Richardson correction, tol halved
+    per level, depth at most 48), run level by level: every interval still
+    open at a level is refined in the same call of ``f``.
 
     The integrand may be undefined at t = 0 (log-time coefficients), so the
     head [0, _T_FLOOR] is approximated by f(_T_FLOOR) * _T_FLOOR; the error
@@ -101,11 +91,33 @@ def _running_average(f, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     if horizon <= _T_FLOOR * 4.0:
         raise BoundsError(f"horizon must exceed {_T_FLOOR * 4.0:g}")
     edges = np.geomspace(_T_FLOOR, horizon, _SEGMENTS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    values = f(np.concatenate([edges, 0.5 * (lo + hi)]))
+    flo, fhi, fm = values[:_SEGMENTS], values[1:_SEGMENTS + 1], values[_SEGMENTS + 1:]
+    whole = (hi - lo) / 6.0 * (flo + 4.0 * fm + fhi)
+    segment = np.arange(_SEGMENTS)
+    pieces = np.zeros(_SEGMENTS)
     tol = 1e-8 / _SEGMENTS
-    pieces = np.array([
-        _adaptive_simpson(f, edges[i], edges[i + 1], tol) for i in range(_SEGMENTS)
-    ])
-    totals = f(_T_FLOOR) * _T_FLOOR + np.cumsum(pieces)
+    for depth in range(48, -1, -1):
+        mid = 0.5 * (lo + hi)
+        quarters = f(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)]))
+        flm, frm = np.split(quarters, 2)
+        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fm)
+        right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fhi)
+        err = left + right - whole
+        done = (np.abs(err) <= 15.0 * tol) | (depth == 0)
+        pieces += np.bincount(segment[done], (left + right + err / 15.0)[done],
+                              minlength=_SEGMENTS)
+        keep = ~done
+        if not np.any(keep):
+            break
+        # Every open interval goes on as its left half and its right half.
+        lo, hi, flo, fm, fhi, whole, segment = (
+            np.concatenate([a[keep], b[keep]]) for a, b in
+            ((lo, mid), (mid, hi), (flo, fm), (flm, frm), (fm, fhi), (left, right),
+             (segment, segment)))
+        tol *= 0.5
+    totals = values[0] * _T_FLOOR + np.cumsum(pieces)
     ts = edges[1:]
     return ts, totals / ts
 
@@ -123,61 +135,54 @@ def _extremes(tail_values: np.ndarray) -> tuple[float, float]:
     return hi, lo
 
 
+def _integrand(node: ex.Expr, params: dict):
+    return lambda t: np.broadcast_to(ex.evaluate(node, t, params), t.shape)
+
+
 def diagonal_averages(system: LinearSde, horizon: float) -> DiagonalAverages:
     """Limsup and liminf of the running averages of each a_kk."""
     _check_horizon(horizon)
-    ts = None
-    columns = []
-    for k in range(system.dim):
-        entry = system.drift[k][k]
-        f = lambda t, e=entry: float(ex.evaluate(e, t, system.params))
-        ts, avg = _running_average(f, horizon)
-        columns.append(avg)
-    averages = np.column_stack(columns)
+    runs = [_running_average(_integrand(system.drift[k][k], system.params), horizon)
+            for k in range(system.dim)]
+    ts = runs[0][0]
+    averages = np.column_stack([avg for _, avg in runs])
     mask = ts >= horizon * math.exp(-_TAIL_LOG_WIDTH)
-    bars, unders = [], []
-    for k in range(system.dim):
-        hi, lo = _extremes(averages[mask, k])
-        bars.append(hi)
-        unders.append(lo)
-    return DiagonalAverages(alpha_bar=tuple(bars), alpha_under=tuple(unders),
+    bars, unders = zip(*(_extremes(averages[mask, k]) for k in range(system.dim)))
+    return DiagonalAverages(alpha_bar=bars, alpha_under=unders,
                             ts=ts[mask], averages=averages[mask], horizon=horizon)
 
 
 def lower_bound(system: LinearSde, horizon: float) -> float:
     """(2/n) * (limsup - liminf) of the running average of tr A."""
     _check_horizon(horizon)
-    entries = [system.drift[k][k] for k in range(system.dim)]
-    params = system.params
-
-    def trace(t: float) -> float:
-        return float(sum(ex.evaluate(e, t, params) for e in entries))
-
-    ts, avg = _running_average(trace, horizon)
+    trace = functools.reduce(ex.add, (system.drift[k][k] for k in range(system.dim)))
+    ts, avg = _running_average(_integrand(trace, system.params), horizon)
     hi, lo = _extremes(_tail(ts, avg, horizon))
     return max(0.0, (2.0 / system.dim) * (hi - lo))
+
+
+def _spread_sum(davg: DiagonalAverages) -> float:
+    return 2.0 * float(sum(b - u for b, u in zip(davg.alpha_bar, davg.alpha_under)))
 
 
 def upper_bound(system: LinearSde, horizon: float) -> float:
     """2 * sum of per-row average spreads; triangular systems only."""
     if not system.is_upper_triangular():
         raise BoundsError("upper_bound needs upper-triangular drift and diffusion")
-    davg = diagonal_averages(system, horizon)
-    return 2.0 * float(sum(b - u for b, u in zip(davg.alpha_bar, davg.alpha_under)))
+    return _spread_sum(diagonal_averages(system, horizon))
 
 
 def bounds_report(system: LinearSde, horizon: float) -> dict:
-    """Lower/upper bounds plus per-row averages, JSON-shaped."""
+    """Lower/upper bounds plus per-row averages, JSON-shaped.
+
+    ``lower`` and ``upper`` are exactly what :func:`lower_bound` and
+    :func:`upper_bound` return; ``upper`` is None for non-triangular systems.
+    """
     davg = diagonal_averages(system, horizon)
-    trace_avg = davg.averages.sum(axis=1)
-    hi, lo = _extremes(trace_avg)
-    upper = None
-    if system.is_upper_triangular():
-        upper = 2.0 * float(sum(b - u for b, u in zip(davg.alpha_bar, davg.alpha_under)))
     return {
         "horizon": horizon,
-        "lower": max(0.0, (2.0 / system.dim) * (hi - lo)),
-        "upper": upper,
+        "lower": lower_bound(system, horizon),
+        "upper": _spread_sum(davg) if system.is_upper_triangular() else None,
         "rows": [
             {"alpha_bar": b, "alpha_under": u}
             for b, u in zip(davg.alpha_bar, davg.alpha_under)
@@ -193,22 +198,16 @@ def triangularize_paths(ens: FundamentalEnsemble) -> TriangularizationResult:
     consecutive factors close.
     """
     phi = ens.phi
-    nodes, paths, n, _ = phi.shape
-    s = np.empty_like(phi)
-    x = np.empty_like(phi)
     times = ens.grid.times()
-    for k in range(nodes):
-        for p in range(paths):
-            try:
-                q, r = gram_schmidt_qr(phi[k, p])
-            except RankDeficientError as exc:
-                raise BoundsError(
-                    f"fundamental matrix numerically rank-deficient at node {k} "
-                    f"(t={times[k]:.6g}), path {p}: column {exc.column}"
-                ) from None
-            s[k, p] = q
-            x[k, p] = r
-    eye = np.eye(n)
+    try:
+        s, x = gram_schmidt_qr(phi)
+    except RankDeficientError as exc:
+        node, path = exc.index
+        raise BoundsError(
+            f"fundamental matrix numerically rank-deficient at node {node} "
+            f"(t={times[node]:.6g}), path {path}: column {exc.column}"
+        ) from None
+    eye = np.eye(phi.shape[-1])
     orth = np.linalg.norm(np.einsum("kpij,kpil->kpjl", s, s) - eye, axis=(2, 3))
     lower = np.abs(np.tril(x, -1))
     recon = np.linalg.norm(s @ x - phi, axis=(2, 3))

@@ -70,7 +70,7 @@ from .model import (
     make_projector,
     to_dict,
 )
-from .numerics import NumericsError
+from .numerics import NumericsError, pairwise_mean_std
 from .perturb import (
     NonConvergenceError,
     PerturbError,
@@ -156,6 +156,10 @@ def _common_parser() -> argparse.ArgumentParser:
     return common
 
 
+_START_HELP = ("start time (default 0); the log-time gallery systems perron-ode, "
+               "perron-sde and perron-sde-perturbed need a positive start, e.g. 0.001")
+
+
 def _add_system_flag(parser, required: bool = True) -> None:
     parser.add_argument("--system", required=required, metavar="NAME_OR_FILE",
                         help="gallery name (see `msd example list`) or path to a "
@@ -177,7 +181,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("moments", parents=[common],
                        help="second-moment curve E||Phi(t)||_F^2 of the fundamental matrix")
     _add_system_flag(p)
-    p.add_argument("--t0", type=float, default=0.0, help="start time (default 0)")
+    p.add_argument("--t0", type=float, default=0.0, help=_START_HELP)
     p.add_argument("--t1", type=float, required=True, help="end time")
     p.add_argument("--dt", type=float, default=1e-3, help="step size (default 1e-3)")
     p.add_argument("--method", choices=("ode", "mc"), default="ode",
@@ -197,7 +201,7 @@ def build_parser() -> _Parser:
                    help="probe vectors for the spectrum (default: system dimension)")
     p.add_argument("--tolerance", type=float, default=0.05,
                    help="clustering tolerance for distinct exponents (default 0.05)")
-    p.add_argument("--t-start", type=float, default=0.0, help="start time (default 0)")
+    p.add_argument("--t-start", type=float, default=0.0, help=_START_HELP)
     p.add_argument("--vector", type=_csv_floats, default=None, metavar="X1,X2,...",
                    help="also report this initial vector's exponent")
     p.add_argument("--epsilon", type=float, default=None,
@@ -211,7 +215,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("ode", "mc"), default="ode")
     p.add_argument("--dt", type=float, default=1e-2)
     p.add_argument("--paths", type=int, default=10_000)
-    p.add_argument("--t-start", type=float, default=0.0)
+    p.add_argument("--t-start", type=float, default=0.0, help=_START_HELP)
     p.add_argument("--bound-horizon", type=float, default=1e4,
                    help="averaging horizon for the coefficient bounds (default 1e4)")
 
@@ -238,7 +242,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("triangularize", parents=[common],
                        help="QR-triangularize a simulated flow and check norm invariance")
     _add_system_flag(p)
-    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--t0", type=float, default=0.0, help=_START_HELP)
     p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=1e-2)
     p.add_argument("--paths", type=int, default=4)
@@ -352,11 +356,9 @@ def _cmd_moments(args):
     else:
         grid = TimeGrid.spanning(args.t0, args.t1, args.dt)
         ens = simulate_fundamental(system, grid, args.paths, args.seed)
-        sq = np.sum(ens.phi ** 2, axis=(2, 3))
-        stderrs = (np.std(sq, axis=1, ddof=1) / math.sqrt(args.paths)
-                   if args.paths > 1 else np.zeros(grid.count))
-        curve = MomentCurve(ts=grid.times(), values=np.mean(sq, axis=1),
-                            stderrs=stderrs)
+        means, stds = pairwise_mean_std(np.sum(ens.phi ** 2, axis=(2, 3)))
+        curve = MomentCurve(ts=grid.times(), values=means,
+                            stderrs=stds / math.sqrt(args.paths))
     if (args.format or "csv") == "csv":
         return curve_to_csv(curve), "csv"
     return {"system": args.system, "method": args.method,

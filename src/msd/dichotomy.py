@@ -387,6 +387,8 @@ def similarity_propagate(fit: DichotomyFit, m: float,
 def decoupling_check(ens: FundamentalEnsemble, projector: Projector) -> DecouplingReport:
     """Split the flow into a commuting core and a bounded similarity.
 
+    The ensemble's Phi is a ``[node, path, n, n]`` stack; every Gram matrix
+    comes from one stacked matmul and every root from one stacked call.
     Per node and path: R = blockwise symmetric square root of
     P Phi^T Phi P + Q Phi^T Phi Q, S = Phi R^-1. R commutes with the
     projector by construction, S carries the non-commuting part with
@@ -394,14 +396,10 @@ def decoupling_check(ens: FundamentalEnsemble, projector: Projector) -> Decoupli
     projected dichotomy quantities.
     """
     phi = ens.phi
-    nodes, paths, n, _ = phi.shape
+    nodes, paths = phi.shape[:2]
     p = projector.matrix
     q = projector.complement_matrix
-    r_all = np.empty_like(phi)
-    for k_node in range(nodes):
-        for p_idx in range(paths):
-            gram = phi[k_node, p_idx].T @ phi[k_node, p_idx]
-            r_all[k_node, p_idx] = spd_sqrt_commuting(gram, projector.rank)
+    r_all = spd_sqrt_commuting(np.swapaxes(phi, 2, 3) @ phi, projector.rank)
     # R is symmetric, so S^T = R^-1 Phi^T.
     s_all = np.linalg.solve(r_all, np.swapaxes(phi, 2, 3))
     s_all = np.swapaxes(s_all, 2, 3)

@@ -138,12 +138,6 @@ class FundamentalEnsemble:
     psi: np.ndarray
     increments: np.ndarray
 
-    def phi_at(self, node: int) -> np.ndarray:
-        return self.phi[node]
-
-    def psi_at(self, node: int) -> np.ndarray:
-        return self.psi[node]
-
 
 def _scan_explosion(arr: np.ndarray, which: str, node: int, t: float) -> None:
     peak = np.max(np.abs(arr))
@@ -396,8 +390,7 @@ def mc_second_moment(ens: FundamentalEnsemble, s_node: int, t_node: int,
             prod = (phi_t @ psi_s) @ projector.matrix
     vals = np.sum(prod * prod, axis=(1, 2))
     mean, std = pairwise_mean_std(vals)
-    stderr = 0.0 if ens.paths == 1 else std / math.sqrt(ens.paths)
-    return float(mean), float(stderr)
+    return float(mean), float(std / math.sqrt(ens.paths))
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +522,3 @@ def surface_to_csv(surface: MomentSurface) -> str:
     for s, t, v, e in zip(surface.ss, surface.ts, surface.values, errs):
         lines.append(f"{_fmt(t)},{_fmt(s)},{_fmt(v)},{_fmt(e)}")
     return "\n".join(lines) + "\n"
-
-
-def surface_to_records(surface: MomentSurface) -> list[dict]:
-    errs = surface.stderrs if surface.stderrs is not None else np.zeros_like(surface.values)
-    return [
-        {"s": float(s), "t": float(t), "value": float(v), "stderr": float(e)}
-        for s, t, v, e in zip(surface.ss, surface.ts, surface.values, errs)
-    ]

@@ -406,10 +406,6 @@ def free_names(node: Expr) -> set[str]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def depends_on_t(node: Expr) -> bool:
-    return "t" in free_names(node)
-
-
 def is_zero(node: Expr) -> bool:
     return isinstance(node, Num) and node.value == 0.0
 

@@ -111,13 +111,8 @@ def chi_estimate(system: LinearSde, u0, horizon: float, method: str = "ode",
         nodes = np.unique(np.clip(np.round((cps - t_start) / grid.dt).astype(int), 1, grid.steps))
         node_arr, states = simulate_vectors(system, grid, paths, seed, u0, record_nodes=nodes)
         ts = grid.times()[node_arr]
-        sq = np.sum(states * states, axis=2)
-        means = np.empty(len(ts))
-        errs = np.empty(len(ts))
-        for j in range(len(ts)):
-            m, s = pairwise_mean_std(sq[j])
-            means[j] = m
-            errs[j] = 0.0 if paths == 1 else s / math.sqrt(paths)
+        means, stds = pairwise_mean_std(np.sum(states * states, axis=2))
+        errs = stds / math.sqrt(paths)
         vals = np.log(means / norm0_sq) / ts
         stderr_at = None
 

@@ -8,7 +8,9 @@ per variate; nothing in the pipeline uses rejection sampling, so streams never
 diverge between runs.
 
 Monte Carlo reductions use a fixed-shape pairwise tree so that results are
-bit-identical regardless of how work might be batched.
+bit-identical regardless of how work might be batched. The reductions take
+``(..., m)`` stacks and reduce the last axis; the matrix kernels take
+``(..., n, n)`` stacks. Entry i of a stacked result equals the call on entry i.
 """
 
 from __future__ import annotations
@@ -30,13 +32,15 @@ class NumericsError(ValueError):
 
 
 class RankDeficientError(NumericsError):
-    """QR factorization met a (numerically) dependent column."""
+    """QR met a (numerically) dependent column of the matrix at stack ``index``."""
 
-    def __init__(self, column: int, norm: float):
+    def __init__(self, column: int, norm: float, index: tuple[int, ...] = ()):
+        where = f" of matrix {index}" if index else ""
         super().__init__(
-            f"column {column} is numerically dependent (residual norm {norm:.3e})"
+            f"column {column}{where} is numerically dependent (residual norm {norm:.3e})"
         )
         self.column = column
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -110,36 +114,35 @@ def brownian_batch(seed: int, n_paths: int, dt: float, steps: int) -> np.ndarray
 # Deterministic reductions
 
 
-def pairwise_sum(values: np.ndarray) -> float:
-    """Sum with a fixed binary tree (blocks of 8 at the leaves).
+def pairwise_sum(values: np.ndarray) -> float | np.ndarray:
+    """Sum over the last axis with a fixed binary tree (blocks of 8 at the leaves).
 
-    The tree shape depends only on ``len(values)``, so the result is
-    bit-identical for any batching of the surrounding computation.
+    The tree shape depends only on ``values.shape[-1]``, so the result is
+    bit-identical for any batching of the surrounding computation, and row
+    ``i`` of a stacked call equals the call on row ``i``.
     """
-    x = np.asarray(values, dtype=np.float64).ravel()
-    n = len(x)
-    if n == 0:
-        return 0.0
+    x = np.asarray(values, dtype=np.float64)
+    n = x.shape[-1]
     if n <= 8:
-        total = 0.0
-        for v in x:
-            total += float(v)
-        return total
+        total = np.zeros(x.shape[:-1])
+        for k in range(n):
+            total = total + x[..., k]
+        return total[()]
     half = (n + 1) // 2
-    return pairwise_sum(x[:half]) + pairwise_sum(x[half:])
+    return pairwise_sum(x[..., :half]) + pairwise_sum(x[..., half:])
 
 
-def pairwise_mean_std(values: np.ndarray) -> tuple[float, float]:
-    """Mean and sample standard deviation with pairwise accumulation."""
-    x = np.asarray(values, dtype=np.float64).ravel()
-    n = len(x)
+def pairwise_mean_std(values: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Mean and sample standard deviation over the last axis, pairwise."""
+    x = np.asarray(values, dtype=np.float64)
+    n = x.shape[-1]
     if n == 0:
         raise NumericsError("empty sample")
     mean = pairwise_sum(x) / n
-    if n == 1:
-        return mean, 0.0
-    var = pairwise_sum((x - mean) ** 2) / (n - 1)
-    return mean, float(np.sqrt(var))
+    dev = x - mean[..., None]
+    dev *= dev
+    # One value has zero deviation, so max() only avoids 0 / 0.
+    return mean, np.sqrt(pairwise_sum(dev) / max(n - 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -151,68 +154,78 @@ def check_dim(n: int) -> None:
         raise NumericsError(f"dimension {n} outside [1, {MAX_DIM}]")
 
 
+def _square_stack(m: np.ndarray) -> np.ndarray:
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NumericsError("expected a square matrix or a stack of them")
+    check_dim(a.shape[-1])
+    return a
+
+
 def gram_schmidt_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QR via modified Gram-Schmidt with one re-orthogonalization pass.
 
-    R has a positive diagonal (sign convention that keeps factors continuous
-    along a path of matrices). Raises :class:`RankDeficientError` naming the
-    first numerically dependent column.
+    ``m`` is one matrix or a stack ``(..., n, n)``; every matrix of the
+    stack runs the same sweep over the column index. R has a positive
+    diagonal (sign convention that keeps factors continuous along a path of
+    matrices). Raises :class:`RankDeficientError` naming the first
+    numerically dependent column of the first such matrix.
     """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NumericsError("expected a square matrix")
-    n = a.shape[0]
-    check_dim(n)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        raise RankDeficientError(0, 0.0)
-    q = np.zeros((n, n))
-    r = np.zeros((n, n))
-    for j in range(n):
-        v = a[:, j].copy()
-        # Two orthogonalization sweeps: the second removes the O(eps·cond)
-        # residue the first leaves behind.
-        for _ in range(2):
-            for i in range(j):
-                c = q[:, i] @ v
-                r[i, j] += c
-                v -= c * q[:, i]
-        norm = np.linalg.norm(v)
-        if norm <= 1e-12 * scale:
-            raise RankDeficientError(j, float(norm))
-        r[j, j] = norm
-        q[:, j] = v / norm
+    a = _square_stack(m)
+    n = a.shape[-1]
+    q = np.zeros_like(a)
+    r = np.zeros_like(a)
+    # A dependent column divides by a (near-)zero norm; it is reported below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(n):
+            v = a[..., :, j].copy()
+            # Two orthogonalization sweeps: the second removes the O(eps·cond)
+            # residue the first leaves behind.
+            for _ in range(2):
+                for i in range(j):
+                    c = np.vecdot(q[..., :, i], v)
+                    r[..., i, j] += c
+                    v -= c[..., None] * q[..., :, i]
+            r[..., j, j] = np.sqrt(np.vecdot(v, v))
+            q[..., :, j] = v / r[..., j, j, None]
+    norms = np.diagonal(r, axis1=-2, axis2=-1)
+    bad = np.argwhere(norms <= 1e-12 * np.linalg.norm(a, axis=(-2, -1))[..., None])
+    if len(bad):
+        *index, column = (int(i) for i in bad[0])   # first matrix in C order
+        raise RankDeficientError(column, float(norms[(*index, column)]), tuple(index))
     return q, r
 
 
 def spd_sqrt_commuting(gram: np.ndarray, rank: int) -> np.ndarray:
     """Symmetric PSD square root of P g P + Q g Q computed blockwise.
 
-    ``rank`` is the size of the leading block (the canonical projector
-    diag(Id_rank, 0)); the result commutes with that projector exactly by
-    construction. Raises if ``gram`` is not symmetric or a block is not
-    positive definite.
+    ``gram`` is one matrix or a stack ``(..., n, n)``; each block takes one
+    stacked eigendecomposition. ``rank`` is the size of the leading block
+    (the canonical projector diag(Id_rank, 0)); the result commutes with
+    that projector exactly by construction. Raises if a matrix is not
+    symmetric or a block is not positive definite.
     """
-    g = np.asarray(gram, dtype=np.float64)
-    n = g.shape[0]
-    check_dim(n)
-    if g.shape != (n, n):
-        raise NumericsError("expected a square matrix")
+    g = _square_stack(gram)
+    n = g.shape[-1]
     if not 0 <= rank <= n:
         raise NumericsError(f"rank {rank} outside [0, {n}]")
-    asym = np.linalg.norm(g - g.T)
-    if asym > 1e-10 * max(1.0, np.linalg.norm(g)):
-        raise NumericsError(f"matrix is not symmetric (asymmetry {asym:.3e})")
-    out = np.zeros((n, n))
+    gt = np.swapaxes(g, -1, -2)
+    asym = np.linalg.norm(g - gt, axis=(-2, -1))
+    excess = asym > 1e-10 * np.maximum(1.0, np.linalg.norm(g, axis=(-2, -1)))
+    if np.any(excess):
+        raise NumericsError(
+            f"matrix is not symmetric (asymmetry {asym[excess].flat[0]:.3e})")
+    out = np.zeros_like(g)
     for lo, hi in ((0, rank), (rank, n)):
         if hi == lo:
             continue
-        block = 0.5 * (g[lo:hi, lo:hi] + g[lo:hi, lo:hi].T)
+        block = 0.5 * (g[..., lo:hi, lo:hi] + gt[..., lo:hi, lo:hi])
         w, v = np.linalg.eigh(block)
-        if w[0] <= 0.0:
+        smallest = w[..., 0]
+        if np.any(smallest <= 0.0):
             raise NumericsError(
                 f"projected Gram block [{lo}:{hi}] is not positive definite "
-                f"(smallest eigenvalue {w[0]:.3e})"
+                f"(smallest eigenvalue {smallest[smallest <= 0.0].flat[0]:.3e})"
             )
-        out[lo:hi, lo:hi] = (v * np.sqrt(w)) @ v.T
+        out[..., lo:hi, lo:hi] = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
     return out

@@ -25,7 +25,7 @@ from .dichotomy import DichotomyFit, fit_envelope, dichotomy_surface, fit_to_dic
 from .engines import EXPLOSION_THRESHOLD, FundamentalEnsemble, TimeGrid, simulate_fundamental
 from .lyapunov import regularity_estimate, spectrum
 from .model import LinearSde, ModelError, PerturbationSpec, PerturbedSde, gallery
-from .numerics import brownian_batch
+from .numerics import brownian_batch, pairwise_mean_std
 
 
 class PerturbError(ValueError):
@@ -161,6 +161,9 @@ def check_condition_42(psys: PerturbedSde, sampler_scale: float, trials: int,
         eps = sampler_scale * 10.0 ** rng.uniform(-2.0, -0.7)
         v = u + eps * rng.standard_normal((samples, n))
 
+        # Per-trial sample means stay on np.mean: they steer the search and
+        # are never reported as ensemble moments, and the pairwise tree
+        # would cost one call per mean.
         df = _apply_map(psys.f, params, t, u) - _apply_map(psys.f, params, t, v)
         dh = _apply_map(psys.h, params, t, u) - _apply_map(psys.h, params, t, v)
         lhs = float(np.mean(np.sum(df * df, axis=-1))
@@ -282,11 +285,8 @@ def voc_solve(psys: PerturbedSde, xi0, ens: FundamentalEnsemble,
 # Stability experiment
 
 def _moment_curve(pens: PerturbedEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    sq = np.sum(pens.values ** 2, axis=2)          # [node, path]
-    m = sq.mean(axis=1)
-    se = sq.std(axis=1, ddof=1) / math.sqrt(pens.paths) if pens.paths > 1 \
-        else np.zeros_like(m)
-    return m, se
+    m, sd = pairwise_mean_std(np.sum(pens.values ** 2, axis=2))   # over paths
+    return m, sd / math.sqrt(pens.paths)
 
 
 def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
@@ -421,8 +421,8 @@ def perron_instability(a: float, b: float, lam: float,
     grid = TimeGrid.spanning(1e-4, horizon, dt)
     pens = simulate_perturbed(psys, np.array([1.0, 0.0]), grid, paths, seed)
     v2_sq = pens.values[-1, :, 1] ** 2
-    m = float(np.mean(v2_sq))
-    se = float(np.std(v2_sq, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+    m, sd = pairwise_mean_std(v2_sq)
+    se = sd / math.sqrt(paths)
     chi_mc = math.log(m) / horizon if m > 0 else -math.inf
     chi_mc_stderr = (se / m) / horizon if m > 0 else math.inf
     return PerronReport(a=a, b=b, lam=lam, delta_window=delta_window,

@@ -124,6 +124,33 @@ def test_bounds_report_shape():
     assert bounds_report(rot, 10.0)["upper"] is None
 
 
+def test_running_average_of_periodic_drift_is_exact():
+    # (1/t) * integral_0^t (-1 + sin) = -1 + (1 - cos t)/t. The top
+    # log-spaced segments are about 48 wide at this horizon, which a fixed
+    # 16-point Gauss-Legendre rule misses by about 6e-5.
+    davg = diagonal_averages(LinearSde.from_strings(1, [["-1 + sin(t)"]], [["0"]], {}),
+                             1e3)
+    late = davg.ts > 1.0
+    ts = davg.ts[late]
+    assert ts.size > 100
+    exact = -1.0 + (1.0 - np.cos(ts)) / ts
+    assert np.max(np.abs(davg.averages[late, 0] - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("system", [
+    gallery("perron-sde"),
+    LinearSde.from_strings(2, [[OSCILLATING, "0"], ["0.5", "-1"]],
+                           [["0", "0"], ["0", "0"]], {}),
+], ids=["perron-sde", "non-triangular"])
+def test_bounds_report_is_the_bound_functions(system):
+    rep = bounds_report(system, 1e4)
+    assert rep["lower"] == lower_bound(system, 1e4)
+    if system.is_upper_triangular():
+        assert rep["upper"] == upper_bound(system, 1e4)
+    else:
+        assert rep["upper"] is None
+
+
 # ---------------------------------------------------------------------------
 # pathwise triangularization
 

@@ -209,6 +209,17 @@ class TestLyapunov:
                                "--vector", "1,x")
         assert code == 1
 
+    @pytest.mark.parametrize("system", ["perron-ode", "perron-sde"])
+    def test_log_time_systems_need_a_positive_start(self, capsys, system):
+        code, _, err = run_cli(capsys, "lyapunov", "--system", system)
+        assert code == 1
+        assert err.startswith("error: validation:")
+        assert "log(t)" in err
+        code, out, _ = run_cli(capsys, "lyapunov", "--system", system,
+                               "--t-start", "0.001", "--horizon", "2")
+        assert code == 0
+        validate("lyapunov", json.loads(out))
+
 
 class TestRegularity:
     def test_scalar_report(self, capsys):

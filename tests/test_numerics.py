@@ -76,6 +76,12 @@ def test_pairwise_mean_std():
     assert std == pytest.approx(np.std(x, ddof=1), rel=1e-15)
     with pytest.raises(numerics.NumericsError):
         numerics.pairwise_mean_std(np.array([]))
+    # A stack reduces its last axis; row i is the 1-D call on row i.
+    rows = np.random.default_rng(1).normal(size=(13, 1001))
+    means, stds = numerics.pairwise_mean_std(rows)
+    assert means.shape == stds.shape == (13,)
+    for i, row in enumerate(rows):
+        assert (means[i], stds[i]) == numerics.pairwise_mean_std(row)
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +111,29 @@ def test_qr_invariants_random():
         assert np.linalg.norm(q @ r - m) <= 1e-10 * max(1.0, np.linalg.norm(m))
         assert np.all(np.diag(r) > 0.0)
         assert np.allclose(r, np.triu(r))
+    # A stack factors every matrix with the same bits as one call each.
+    for n in (1, 2, 3, 5):
+        stack = rng.normal(size=(7, 5, n, n))
+        q, r = numerics.gram_schmidt_qr(stack)
+        for idx in np.ndindex(7, 5):
+            q1, r1 = numerics.gram_schmidt_qr(stack[idx])
+            assert np.array_equal(q[idx], q1) and np.array_equal(r[idx], r1)
 
 
 def test_qr_rank_deficiency_names_column():
     m = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(numerics.RankDeficientError) as info:
         numerics.gram_schmidt_qr(m)
+    assert info.value.column == 1
+    assert info.value.index == ()
+    # Inside a stack the error names the first bad matrix in C order, even
+    # when a later one fails at an earlier column.
+    stack = np.tile(np.eye(2), (3, 4, 1, 1))
+    stack[2, 0] = 0.0
+    stack[1, 3] = m
+    with pytest.raises(numerics.RankDeficientError, match=r"matrix \(1, 3\)") as info:
+        numerics.gram_schmidt_qr(stack)
+    assert info.value.index == (1, 3)
     assert info.value.column == 1
 
 
@@ -136,6 +159,12 @@ def test_spd_sqrt_blocks_commute_with_projector():
     assert np.linalg.norm(root @ root - target) <= 1e-10 * np.linalg.norm(target)
     assert np.linalg.norm(p @ root - root @ p) == 0.0
     assert np.allclose(root, root.T)
+    # A stack takes every root with the same bits as one call each.
+    ms = rng.normal(size=(7, 5, n, n))
+    grams = np.swapaxes(ms, -1, -2) @ ms + 0.1 * np.eye(n)
+    roots = numerics.spd_sqrt_commuting(grams, rank=k)
+    for idx in np.ndindex(7, 5):
+        assert np.array_equal(roots[idx], numerics.spd_sqrt_commuting(grams[idx], rank=k))
 
 
 def test_spd_sqrt_full_rank_is_plain_sqrt():
