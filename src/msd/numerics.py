@@ -114,6 +114,19 @@ def brownian_batch(seed: int, n_paths: int, dt: float, steps: int) -> np.ndarray
 # Deterministic reductions
 
 
+def _tree_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 with the fixed tree; leaves add whole rows in order."""
+    if len(x) <= 8:
+        return sum(x, np.zeros(x.shape[1:]))   # 0 + x[0] + x[1] + ..., in order
+    half = (len(x) + 1) // 2
+    return _tree_sum(x[:half]) + _tree_sum(x[half:])
+
+
+def _rows_first(values: np.ndarray) -> np.ndarray:
+    """A C-ordered copy with the reduced (last) axis moved to the front."""
+    return np.array(np.moveaxis(np.asarray(values, dtype=np.float64), -1, 0), order="C")
+
+
 def pairwise_sum(values: np.ndarray) -> float | np.ndarray:
     """Sum over the last axis with a fixed binary tree (blocks of 8 at the leaves).
 
@@ -121,28 +134,20 @@ def pairwise_sum(values: np.ndarray) -> float | np.ndarray:
     bit-identical for any batching of the surrounding computation, and row
     ``i`` of a stacked call equals the call on row ``i``.
     """
-    x = np.asarray(values, dtype=np.float64)
-    n = x.shape[-1]
-    if n <= 8:
-        total = np.zeros(x.shape[:-1])
-        for k in range(n):
-            total = total + x[..., k]
-        return total[()]
-    half = (n + 1) // 2
-    return pairwise_sum(x[..., :half]) + pairwise_sum(x[..., half:])
+    return _tree_sum(_rows_first(values))[()]
 
 
 def pairwise_mean_std(values: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Mean and sample standard deviation over the last axis, pairwise."""
-    x = np.asarray(values, dtype=np.float64)
-    n = x.shape[-1]
+    x = _rows_first(values)
+    n = x.shape[0]
     if n == 0:
         raise NumericsError("empty sample")
-    mean = pairwise_sum(x) / n
-    dev = x - mean[..., None]
-    dev *= dev
+    mean = _tree_sum(x) / n
+    x -= mean           # x is our own copy: the deviations overwrite it
+    x *= x
     # One value has zero deviation, so max() only avoids 0 / 0.
-    return mean, np.sqrt(pairwise_sum(dev) / max(n - 1, 1))
+    return mean[()], np.sqrt(_tree_sum(x) / max(n - 1, 1))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +165,11 @@ def _square_stack(m: np.ndarray) -> np.ndarray:
         raise NumericsError("expected a square matrix or a stack of them")
     check_dim(a.shape[-1])
     return a
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes, each a 1 x n by n x 1 matmul like ``x @ y``."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def gram_schmidt_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,10 +193,10 @@ def gram_schmidt_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # residue the first leaves behind.
             for _ in range(2):
                 for i in range(j):
-                    c = np.vecdot(q[..., :, i], v)
+                    c = _dot(q[..., :, i], v)
                     r[..., i, j] += c
                     v -= c[..., None] * q[..., :, i]
-            r[..., j, j] = np.sqrt(np.vecdot(v, v))
+            r[..., j, j] = np.sqrt(_dot(v, v))
             q[..., :, j] = v / r[..., j, j, None]
     norms = np.diagonal(r, axis1=-2, axis2=-1)
     bad = np.argwhere(norms <= 1e-12 * np.linalg.norm(a, axis=(-2, -1))[..., None])
