@@ -41,12 +41,12 @@ from .dichotomy import (
 from .engines import (
     EngineError,
     ExplosionError,
-    MomentCurve,
     MomentSurface,
     NonPsdError,
     TimeGrid,
     curve_to_csv,
     curve_to_records,
+    mc_moment_curve,
     moment_ode,
     simulate_fundamental,
     surface_to_csv,
@@ -70,7 +70,7 @@ from .model import (
     make_projector,
     to_dict,
 )
-from .numerics import NumericsError, pairwise_mean_std
+from .numerics import NumericsError
 from .perturb import (
     NonConvergenceError,
     PerturbError,
@@ -355,10 +355,7 @@ def _cmd_moments(args):
         curve, _ = moment_ode(system, np.eye(system.dim), args.t0, args.t1, args.dt)
     else:
         grid = TimeGrid.spanning(args.t0, args.t1, args.dt)
-        ens = simulate_fundamental(system, grid, args.paths, args.seed)
-        means, stds = pairwise_mean_std(np.sum(ens.phi ** 2, axis=(2, 3)))
-        curve = MomentCurve(ts=grid.times(), values=means,
-                            stderrs=stds / math.sqrt(args.paths))
+        curve = mc_moment_curve(system, grid, args.paths, args.seed)
     if (args.format or "csv") == "csv":
         return curve_to_csv(curve), "csv"
     return {"system": args.system, "method": args.method,

@@ -24,8 +24,8 @@ from .engines import (
     MomentSurface,
     FundamentalEnsemble,
     TimeGrid,
+    fundamental_at,
     mc_second_moment,
-    simulate_fundamental,
     transition_second_moment,
 )
 from .lyapunov import RegularityEstimate, SpectrumEstimate
@@ -92,17 +92,6 @@ class DecouplingReport:
     max_inverse_excess: float   # ||S^-1||_op^2 minus its projector bound, pathwise
     nodes: int
     paths: int
-
-
-@dataclass(frozen=True)
-class _MatrixView:
-    """Stand-in projector carrying a non-canonical matrix.
-
-    mc_second_moment reads only the .matrix attribute, which lets the
-    unstable sense feed it the complement block.
-    """
-
-    matrix: np.ndarray
 
 
 def pair_grid(s_values, deltas, sense: str = "stable") -> list[tuple[float, float]]:
@@ -172,15 +161,15 @@ def _surface_mc(system, projector, pairs, sense, dt, paths, seed) -> MomentSurfa
     if t_end == t0:
         raise DichotomyError("Monte Carlo surface needs a positive time span")
     grid = TimeGrid.spanning(t0, t_end, dt)
-    ens = simulate_fundamental(system, grid, paths, seed)
-    proj_arg = projector
+    nodes = {x: grid.node_at(x) for x in times}
+    ens = fundamental_at(system, grid, paths, seed, list(nodes.values()))
+    weight = projector
     if projector is not None and sense == "unstable":
-        proj_arg = _MatrixView(projector.complement_matrix)
+        weight = projector.complement_matrix
     values = np.empty(len(pairs))
     stderrs = np.empty(len(pairs))
     for i, (s, t) in enumerate(pairs):
-        values[i], stderrs[i] = mc_second_moment(
-            ens, grid.node_at(s), grid.node_at(t), proj_arg)
+        values[i], stderrs[i] = mc_second_moment(ens, nodes[s], nodes[t], weight)
     ss = np.array([s for s, _ in pairs])
     ts = np.array([t for _, t in pairs])
     return MomentSurface(ss=ss, ts=ts, values=values, stderrs=stderrs, sense=sense)

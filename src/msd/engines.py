@@ -13,6 +13,7 @@ Three routes to the same quantities, used to cross-check each other:
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -20,8 +21,7 @@ import numpy as np
 
 from . import expr as ex
 from .model import LinearSde, Projector, adjoint
-from .numerics import brownian_batch, pairwise_mean_std
-from .numerics import BrownianPath
+from .numerics import BrownianPath, BrownianStreams, brownian_batch, pairwise_mean_std
 
 
 class EngineError(ValueError):
@@ -123,11 +123,12 @@ class MomentSurface:
 
 @dataclass(frozen=True)
 class FundamentalEnsemble:
-    """Phi and its coupled inverse Psi at every node of every path.
+    """Phi and its coupled inverse Psi at the held nodes of every path.
 
-    Arrays are indexed [node, path, row, col]; increments [path, step].
-    The increments are retained so perturbed systems can be driven by the
-    exact same noise.
+    Arrays are indexed [held node, path, row, col]; ``nodes`` lists the grid
+    nodes held, ascending, and None means every node. The increments
+    [path, step] are retained so perturbed systems can be driven by the
+    exact same noise; an ensemble of selected nodes does not keep them.
     """
 
     system: LinearSde
@@ -136,7 +137,19 @@ class FundamentalEnsemble:
     seed: int
     phi: np.ndarray
     psi: np.ndarray
-    increments: np.ndarray
+    increments: np.ndarray | None
+    nodes: np.ndarray | None = None
+
+    def position(self, node: int) -> int:
+        """Index into ``phi`` and ``psi`` of grid node ``node``."""
+        if not 0 <= node <= self.grid.steps:
+            raise EngineError(f"node {node} out of range")
+        if self.nodes is None:
+            return node
+        j = int(np.searchsorted(self.nodes, node))
+        if j == len(self.nodes) or self.nodes[j] != node:
+            raise EngineError(f"node {node} is not held by the ensemble")
+        return j
 
 
 def _scan_explosion(arr: np.ndarray, which: str, node: int, t: float) -> None:
@@ -149,38 +162,117 @@ def _scan_explosion(arr: np.ndarray, which: str, node: int, t: float) -> None:
     raise ExplosionError(which, node, t, path, entry)
 
 
-def simulate_fundamental(system: LinearSde, grid: TimeGrid, paths: int, seed: int) -> FundamentalEnsemble:
-    """Euler-Maruyama for d(Phi) = A Phi dt + G Phi dw and the coupled
-    inverse d(Psi) = Psi(-A + G^2) dt - Psi G dw on the same increments."""
+# Increments are drawn, and coefficients tabulated, for about this many values
+# at a time (32 MB of float64), so an Euler-Maruyama run holds
+# O(paths x (n^2 + CHUNK_VALUES / paths)) numbers whatever its horizon.
+CHUNK_VALUES = 2 ** 22
+
+
+def _requested_nodes(nodes, grid: TimeGrid) -> np.ndarray:
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    if len(nodes) == 0 or nodes[0] < 0 or nodes[-1] > grid.steps:
+        raise EngineError("record nodes out of range")
+    return nodes
+
+
+def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nodes,
+                   x0=None, inverse: bool = False, increments: np.ndarray | None = None):
+    """Euler-Maruyama states at the requested grid nodes, one node at a time.
+
+    Steps the fundamental matrix d(Phi) = A Phi dt + G Phi dw from Phi = Id
+    as a [path, n, n] stack or, given ``x0`` (shape (n,) or (paths, n)), the
+    vector solutions u = Phi x0 as a [path, n] stack. With ``inverse`` the
+    coupled inverse d(Psi) = Psi(-A + G^2) dt - Psi G dw is stepped alongside
+    on the same increments. Yields ``(node, state, psi)`` at each node of
+    ``nodes`` in ascending order (``psi`` None without ``inverse``) after
+    checking them against the explosion threshold, and stops at the last
+    one. A yielded array is never written again, so it may be kept.
+
+    The increments are the per-path streams of :func:`brownian_batch`,
+    drawn a block of steps at a time, or ``increments`` [path, step] if
+    given. The coefficients are tabulated per block too.
+    """
     if paths < 1:
         raise EngineError("need at least one path")
     n = system.dim
-    times = grid.times()
-    a_left = system.drift_at(times[:-1])
-    g_left = system.diffusion_at(times[:-1])
-    b_left = -a_left + g_left @ g_left
-    incr = brownian_batch(seed, paths, grid.dt, grid.steps)
-
-    phi = np.empty((grid.count, paths, n, n))
-    psi = np.empty_like(phi)
+    nodes = _requested_nodes(nodes, grid)
     eye = np.eye(n)
-    phi[0] = eye
-    psi[0] = eye
-    cur_phi = np.tile(eye, (paths, 1, 1))
-    cur_psi = cur_phi.copy()
+    if x0 is None:
+        which = "fundamental matrix"
+        state = np.tile(eye, (paths, 1, 1))
+    else:
+        which = "vector solution"
+        x0 = np.asarray(x0, dtype=float)
+        state = np.tile(x0, (paths, 1)) if x0.ndim == 1 else x0.copy()
+        if state.shape != (paths, n):
+            raise EngineError(f"x0 must have shape ({n},) or ({paths}, {n})")
+    psi = np.tile(eye, (paths, 1, 1)) if inverse else None
+    if increments is None:
+        streams = BrownianStreams(seed, paths, grid.dt)
+    elif increments.shape != (paths, grid.steps):
+        raise EngineError(f"increments must have shape ({paths}, {grid.steps})")
+
     dt = grid.dt
-    for k in range(grid.steps):
-        dw = incr[:, k][:, None, None]
-        cur_phi = cur_phi + dt * (a_left[k] @ cur_phi) + dw * (g_left[k] @ cur_phi)
-        cur_psi = cur_psi + dt * (cur_psi @ b_left[k]) - dw * (cur_psi @ g_left[k])
-        _scan_explosion(cur_phi, "fundamental matrix", k + 1, times[k + 1])
-        _scan_explosion(cur_psi, "coupled inverse", k + 1, times[k + 1])
-        phi[k + 1] = cur_phi
-        psi[k + 1] = cur_psi
+    pos = 0
+    if nodes[0] == 0:
+        yield 0, state, psi
+        pos = 1
+    last = int(nodes[-1])
+    block = max(1, CHUNK_VALUES // (paths + 3 * n * n))
+    for k0 in range(0, last, block):
+        k1 = min(k0 + block, last)
+        times = grid.t0 + dt * np.arange(k0, k1 + 1)
+        a = system.drift_at(times[:-1])
+        g = system.diffusion_at(times[:-1])
+        b = -a + g @ g if inverse else None
+        incr = streams.draw(k1 - k0) if increments is None else increments[:, k0:k1]
+        for i in range(k1 - k0):
+            dw = incr[:, i]
+            # A @ Phi for matrices, u @ A^T for vectors: the two orders differ
+            # in the last bits, and each route keeps its own.
+            if x0 is None:
+                state = state + dt * (a[i] @ state) + dw[:, None, None] * (g[i] @ state)
+            else:
+                state = state + dt * (state @ a[i].T) + dw[:, None] * (state @ g[i].T)
+            if inverse:
+                psi = psi + dt * (psi @ b[i]) - dw[:, None, None] * (psi @ g[i])
+            if nodes[pos] == k0 + i + 1:
+                _scan_explosion(state, which, k0 + i + 1, times[i + 1])
+                if inverse:
+                    _scan_explosion(psi, "coupled inverse", k0 + i + 1, times[i + 1])
+                yield k0 + i + 1, state, psi
+                pos += 1
+
+
+def fundamental_at(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nodes,
+                   increments: np.ndarray | None = None) -> FundamentalEnsemble:
+    """Phi and Psi at the given grid nodes only; see :func:`euler_maruyama`.
+
+    The ensemble keeps ``increments`` when they are given, and none otherwise.
+    """
+    nodes = _requested_nodes(nodes, grid)
+    n = system.dim
+    phi = np.empty((len(nodes), paths, n, n))
+    psi = np.empty_like(phi)
+    states = euler_maruyama(system, grid, paths, seed, nodes, inverse=True,
+                            increments=increments)
+    for j, (_, phi_k, psi_k) in enumerate(states):
+        phi[j] = phi_k
+        psi[j] = psi_k
     return FundamentalEnsemble(
-        system=system, grid=grid, paths=paths, seed=seed,
-        phi=phi, psi=psi, increments=incr,
+        system=system, grid=grid, paths=paths, seed=seed, phi=phi, psi=psi,
+        increments=increments, nodes=None if len(nodes) == grid.count else nodes,
     )
+
+
+def simulate_fundamental(system: LinearSde, grid: TimeGrid, paths: int, seed: int) -> FundamentalEnsemble:
+    """Euler-Maruyama for d(Phi) = A Phi dt + G Phi dw and the coupled
+    inverse d(Psi) = Psi(-A + G^2) dt - Psi G dw on the same increments,
+    kept at every node together with the increments."""
+    if paths < 1:
+        raise EngineError("need at least one path")
+    incr = brownian_batch(seed, paths, grid.dt, grid.steps)
+    return fundamental_at(system, grid, paths, seed, np.arange(grid.count), incr)
 
 
 def simulate_vectors(system: LinearSde, grid: TimeGrid, paths: int, seed: int,
@@ -190,40 +282,31 @@ def simulate_vectors(system: LinearSde, grid: TimeGrid, paths: int, seed: int,
     Returns (nodes, values) with values[j, path] the state at record node j.
     Cheaper than a full ensemble when only a few checkpoints matter.
     """
-    if paths < 1:
-        raise EngineError("need at least one path")
-    n = system.dim
-    if record_nodes is None:
-        record_nodes = np.arange(grid.count)
-    record_nodes = np.asarray(sorted(set(int(k) for k in record_nodes)))
-    if len(record_nodes) == 0 or record_nodes[0] < 0 or record_nodes[-1] > grid.steps:
-        raise EngineError("record nodes out of range")
+    nodes = _requested_nodes(np.arange(grid.count) if record_nodes is None else record_nodes,
+                             grid)
+    out = np.empty((len(nodes), paths, system.dim))
+    for j, (_, u, _) in enumerate(euler_maruyama(system, grid, paths, seed, nodes, x0=x0)):
+        out[j] = u
+    return nodes, out
 
-    times = grid.times()
-    a_left = system.drift_at(times[:-1])
-    g_left = system.diffusion_at(times[:-1])
-    incr = brownian_batch(seed, paths, grid.dt, grid.steps)
 
-    x0 = np.asarray(x0, dtype=float)
-    u = np.tile(x0, (paths, 1)) if x0.ndim == 1 else x0.copy()
-    if u.shape != (paths, n):
-        raise EngineError(f"x0 must have shape ({n},) or ({paths}, {n})")
+def mc_moment_curve(system: LinearSde, grid: TimeGrid, paths: int, seed: int) -> MomentCurve:
+    """Monte Carlo E||Phi(t)||_F^2 at every node, without keeping the ensemble.
 
-    out = np.empty((len(record_nodes), paths, n))
-    pos = 0
-    if record_nodes[0] == 0:
-        out[0] = u
-        pos = 1
-    dt = grid.dt
-    last = record_nodes[-1]
-    for k in range(int(last)):
-        dw = incr[:, k][:, None]
-        u = u + dt * (u @ a_left[k].T) + dw * (u @ g_left[k].T)
-        if pos < len(record_nodes) and record_nodes[pos] == k + 1:
-            _scan_explosion(u, "vector solution", k + 1, times[k + 1])
-            out[pos] = u
-            pos += 1
-    return record_nodes, out
+    Per-path sums of squares are reduced over paths in blocks of nodes, one
+    stacked pairwise_mean_std call per block, so the values equal the
+    reduction of a stored ensemble bit for bit while memory stays bounded.
+    """
+    block = max(1, CHUNK_VALUES // paths)
+    sums = np.empty((min(block, grid.count), paths))
+    means = np.empty(grid.count)
+    stds = np.empty(grid.count)
+    for k, phi, _ in euler_maruyama(system, grid, paths, seed, np.arange(grid.count)):
+        j = k % block
+        sums[j] = np.sum(phi ** 2, axis=(1, 2))
+        if j == block - 1 or k == grid.steps:
+            means[k - j:k + 1], stds[k - j:k + 1] = pairwise_mean_std(sums[:j + 1])
+    return MomentCurve(ts=grid.times(), values=means, stderrs=stds / math.sqrt(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -360,34 +443,36 @@ def transition_second_moment(system: LinearSde, s: float, t: float,
 
 
 def mc_second_moment(ens: FundamentalEnsemble, s_node: int, t_node: int,
-                     projector: Projector | None = None,
+                     projector: Projector | np.ndarray | None = None,
                      inverse_side: str = "right") -> tuple[float, float]:
     """Monte Carlo E||.||_F^2 from a stored ensemble.
 
-    inverse_side "right": ||Phi(t) P Psi(s)||, the sandwiched dichotomy
-    quantity; "left": ||Phi(t) Psi(s) P||, projector applied at time s;
-    "none": ||Phi(t) P||, no inverse factor.
+    ``projector`` is a Projector, whose matrix P is applied, or the matrix
+    to apply itself (such as a complement Id - P). inverse_side "right":
+    ||Phi(t) P Psi(s)||, the sandwiched dichotomy quantity; "left":
+    ||Phi(t) Psi(s) P||, projector applied at time s; "none": ||Phi(t) P||,
+    no inverse factor.
     """
     if inverse_side not in ("none", "left", "right"):
         raise EngineError(f"unknown inverse_side '{inverse_side}'")
-    for node in (s_node, t_node):
-        if not 0 <= node <= ens.grid.steps:
-            raise EngineError(f"node {node} out of range")
+    s_pos = ens.position(s_node)
+    t_pos = ens.position(t_node)
     n = ens.system.dim
     if projector is None and s_node == t_node and inverse_side != "none":
         # Phi(t) Phi^-1(t) = Id analytically; skip the integrator drift.
         return float(n), 0.0
-    phi_t = ens.phi[t_node]
+    p = projector.matrix if isinstance(projector, Projector) else projector
+    phi_t = ens.phi[t_pos]
     if inverse_side == "none":
-        prod = phi_t if projector is None else phi_t @ projector.matrix
+        prod = phi_t if p is None else phi_t @ p
     else:
-        psi_s = ens.psi[s_node]
-        if projector is None:
+        psi_s = ens.psi[s_pos]
+        if p is None:
             prod = phi_t @ psi_s
         elif inverse_side == "right":
-            prod = (phi_t @ projector.matrix) @ psi_s
+            prod = (phi_t @ p) @ psi_s
         else:
-            prod = (phi_t @ psi_s) @ projector.matrix
+            prod = (phi_t @ psi_s) @ p
     vals = np.sum(prod * prod, axis=(1, 2))
     mean, std = pairwise_mean_std(vals)
     return float(mean), float(std / math.sqrt(ens.paths))
@@ -501,11 +586,14 @@ def _fmt(x: float) -> str:
 
 
 def curve_to_csv(curve: MomentCurve) -> str:
-    lines = ["t,value,stderr"]
+    # Rows go into one buffer; a list of row strings would add about twice
+    # the size of the text.
+    out = io.StringIO()
+    out.write("t,value,stderr\n")
     errs = curve.stderrs if curve.stderrs is not None else np.zeros_like(curve.values)
     for t, v, e in zip(curve.ts, curve.values, errs):
-        lines.append(f"{_fmt(t)},{_fmt(v)},{_fmt(e)}")
-    return "\n".join(lines) + "\n"
+        out.write(f"{_fmt(t)},{_fmt(v)},{_fmt(e)}\n")
+    return out.getvalue()
 
 
 def curve_to_records(curve: MomentCurve) -> list[dict]:

@@ -55,12 +55,15 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def normals(stream: RngStream, count: int) -> np.ndarray:
-    """``count`` standard normals via inverse CDF on the counter stream."""
-    gen = stream.generator()
+def _normals(gen: np.random.Generator, count: int) -> np.ndarray:
     bits = gen.integers(0, 2**53, size=count, dtype=np.uint64)
     u = (bits.astype(np.float64) + 0.5) * _U53
     return ndtri(u)
+
+
+def normals(stream: RngStream, count: int) -> np.ndarray:
+    """``count`` standard normals via inverse CDF on the counter stream."""
+    return _normals(stream.generator(), count)
 
 
 @dataclass(frozen=True)
@@ -99,15 +102,34 @@ def brownian(t0: float, dt: float, steps: int, stream: RngStream) -> BrownianPat
     return BrownianPath(t0, dt, normals(stream, steps) * np.sqrt(dt))
 
 
+class BrownianStreams:
+    """Increments of paths 0..n_paths-1, drawn in consecutive blocks of steps.
+
+    Path m reads ``RngStream(seed, m)`` from its start and keeps its generator
+    between blocks, so blocks laid side by side are bit-identical to
+    :func:`brownian_batch` for the same total step count, whatever the block
+    sizes. (Re-creating a generator and skipping ahead with
+    ``Philox.advance`` gives the same numbers, but creating one costs about
+    as much as drawing a thousand values.)
+    """
+
+    def __init__(self, seed: int, n_paths: int, dt: float):
+        if dt <= 0.0:
+            raise NumericsError("dt must be positive")
+        self._generators = [RngStream(seed, m).generator() for m in range(n_paths)]
+        self._root = np.sqrt(dt)
+
+    def draw(self, steps: int) -> np.ndarray:
+        """The next ``steps`` increments of every path; shape (n_paths, steps)."""
+        out = np.empty((len(self._generators), steps))
+        for m, gen in enumerate(self._generators):
+            out[m] = _normals(gen, steps) * self._root
+        return out
+
+
 def brownian_batch(seed: int, n_paths: int, dt: float, steps: int) -> np.ndarray:
     """Increments for paths 0..n_paths-1, one stream per path; shape (n_paths, steps)."""
-    if dt <= 0.0:
-        raise NumericsError("dt must be positive")
-    out = np.empty((n_paths, steps))
-    root = np.sqrt(dt)
-    for m in range(n_paths):
-        out[m] = normals(RngStream(seed, m), steps) * root
-    return out
+    return BrownianStreams(seed, n_paths, dt).draw(steps)
 
 
 # ---------------------------------------------------------------------------

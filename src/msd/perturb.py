@@ -22,7 +22,7 @@ from scipy.special import logsumexp
 
 from . import expr as ex
 from .dichotomy import DichotomyFit, fit_envelope, dichotomy_surface, fit_to_dict
-from .engines import EXPLOSION_THRESHOLD, FundamentalEnsemble, TimeGrid, simulate_fundamental
+from .engines import CHUNK_VALUES, EXPLOSION_THRESHOLD, FundamentalEnsemble, TimeGrid
 from .lyapunov import regularity_estimate, spectrum
 from .model import LinearSde, ModelError, PerturbationSpec, PerturbedSde, gallery
 from .numerics import brownian_batch, pairwise_mean_std
@@ -92,6 +92,7 @@ class StabilityReport:
     ts: np.ndarray
     moments: np.ndarray
     stderrs: np.ndarray
+    escaped: int              # paths frozen at the explosion threshold
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,7 @@ class PerronReport:
     chi_mc: float
     chi_mc_stderr: float
     mc_horizon: float
+    escaped: int              # Monte Carlo paths frozen at the explosion threshold
 
 
 def _apply_map(spec: PerturbationSpec, params: dict, t, u: np.ndarray) -> np.ndarray:
@@ -285,7 +287,18 @@ def voc_solve(psys: PerturbedSde, xi0, ens: FundamentalEnsemble,
 # Stability experiment
 
 def _moment_curve(pens: PerturbedEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    m, sd = pairwise_mean_std(np.sum(pens.values ** 2, axis=2))   # over paths
+    """Mean of ||u||^2 over paths and its standard error at every node.
+
+    Squares and reductions run over blocks of at most CHUNK_VALUES values,
+    so no temporary the size of the whole ensemble is made.
+    """
+    nodes = len(pens.values)
+    m = np.empty(nodes)
+    sd = np.empty(nodes)
+    block = max(1, CHUNK_VALUES // pens.values[0].size)
+    for lo in range(0, nodes, block):
+        x = pens.values[lo:lo + block]
+        m[lo:lo + block], sd[lo:lo + block] = pairwise_mean_std(np.sum(x ** 2, axis=2))
     return m, sd / math.sqrt(pens.paths)
 
 
@@ -356,7 +369,7 @@ def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
                            hypothesis_ok=hypothesis_ok, note=note,
                            k_tilde=k_tilde, tail_slope=tail_slope,
                            verdict=verdict, ts=ts, moments=moments,
-                           stderrs=stderrs)
+                           stderrs=stderrs, escaped=pens.escaped)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +441,8 @@ def perron_instability(a: float, b: float, lam: float,
     return PerronReport(a=a, b=b, lam=lam, delta_window=delta_window,
                         growth_bound=growth_bound, t_star=t_star,
                         chi_deterministic=chi_det, chi_mc=chi_mc,
-                        chi_mc_stderr=chi_mc_stderr, mc_horizon=horizon)
+                        chi_mc_stderr=chi_mc_stderr, mc_horizon=horizon,
+                        escaped=pens.escaped)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +460,7 @@ def stability_to_dict(rep: StabilityReport) -> dict:
             "spectral_margin": rep.spectral_margin,
             "hypothesis_ok": rep.hypothesis_ok, "note": rep.note,
             "k_tilde": rep.k_tilde, "tail_slope": rep.tail_slope,
-            "verdict": rep.verdict}
+            "verdict": rep.verdict, "escaped": rep.escaped}
 
 
 def perron_to_dict(rep: PerronReport) -> dict:
@@ -454,4 +468,4 @@ def perron_to_dict(rep: PerronReport) -> dict:
             "delta_window": rep.delta_window, "growth_bound": rep.growth_bound,
             "t_star": rep.t_star, "chi_deterministic": rep.chi_deterministic,
             "chi_mc": rep.chi_mc, "chi_mc_stderr": rep.chi_mc_stderr,
-            "mc_horizon": rep.mc_horizon}
+            "mc_horizon": rep.mc_horizon, "escaped": rep.escaped}

@@ -9,12 +9,15 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from msd import engines
 from msd.cli import build_parser, dispatch
+from msd.engines import ExplosionError, TimeGrid, simulate_fundamental
 from msd.model import GALLERY_NAMES, from_dict, gallery, to_dict
 
 E_GBM = math.exp(-1.75)
@@ -160,6 +163,25 @@ class TestMoments:
         assert final["stderr"] > 0.0
         assert abs(final["value"] - math.exp(-1.75 * 0.5)) < 3.0 * final["stderr"]
 
+    def test_mc_memory_does_not_grow_with_horizon(self, monkeypatch, tmp_path):
+        # 2^16-value blocks fill at about 320 nodes with 200 paths, so both
+        # runs hold full blocks; what grows is the printed table (about
+        # 0.2 KB per row, 1.17x here). A stored ensemble grows by about 8 KB
+        # per node at these sizes (3.9x).
+        monkeypatch.setattr(engines, "CHUNK_VALUES", 2 ** 16)
+        peaks = []
+        for t1 in ("0.5", "2.0"):
+            tracemalloc.start()
+            try:
+                code = dispatch(["moments", "--system", "gbm", "--method", "mc",
+                                 "--t1", t1, "--dt", "0.001", "--paths", "200",
+                                 "--output", str(tmp_path / "curve.csv")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] <= 1.25 * peaks[0]
+
     def test_system_file_loading(self, capsys, tmp_path):
         path = tmp_path / "system.json"
         path.write_text(json.dumps(to_dict(gallery("gbm"))), encoding="utf-8")
@@ -297,6 +319,21 @@ class TestPerturb:
         assert payload["verdict"] == "PASS"
         assert payload["envelope_margin"] < 0.0
 
+    # Frozen paths sit near 1e150, so the spread of their squares overflows.
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_stability_reports_escaped_paths(self, capsys):
+        # A drift perturbation of 100 u1 makes every path pass the explosion
+        # threshold within the horizon; they are frozen and counted.
+        code, out, _ = run_cli(capsys, "perturb", "--system", "gbm",
+                               "--mode", "stability", "--perturbation", "expr",
+                               "--f-entries", "100*u1", "--horizon", "5",
+                               "--paths", "20")
+        assert code == 0
+        payload = json.loads(out)
+        validate("perturb", payload)
+        assert payload["escaped"] == 20
+        assert payload["verdict"] == "FAIL"
+
     def test_condition_requires_scale(self, capsys):
         code, _, err = run_cli(capsys, "perturb", "--system", "gbm",
                                "--mode", "condition")
@@ -325,6 +362,7 @@ class TestPerron:
         assert code == 0
         payload = json.loads(out)
         validate("perron", payload)
+        assert payload["escaped"] == 0
         assert payload["growth_bound"] == pytest.approx(0.0702149845559818, rel=1e-12)
         assert payload["chi_deterministic"] > payload["growth_bound"]
 
@@ -362,6 +400,21 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: numeric:")
         assert len(err.strip().splitlines()) == 1
+
+    def test_inverse_blow_up_does_not_stop_mc_moments(self, capsys, tmp_path):
+        # A strong contraction: Phi shrinks by 0.9 per step while its inverse
+        # passes 1e150 near t = 3.6. The moment curve never needs the inverse.
+        path = tmp_path / "cold.json"
+        path.write_text(json.dumps({"dim": 1, "params": {}, "A": [["-100"]],
+                                    "G": [["0"]]}), encoding="utf-8")
+        with pytest.raises(ExplosionError, match="coupled inverse"):
+            simulate_fundamental(from_dict(json.loads(path.read_text())),
+                                 TimeGrid.spanning(0.0, 4.0, 1e-3), 2, 0)
+        code, out, err = run_cli(capsys, "moments", "--system", str(path),
+                                 "--t1", "4", "--dt", "0.001", "--method", "mc",
+                                 "--paths", "2")
+        assert code == 0, err
+        assert last_csv_value(out) == 0.0
 
     def test_validation_error_is_machine_parsable(self, capsys):
         code, _, err = run_cli(capsys, "perron", "--a", "1", "--b", "2",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from msd import engines
 from msd.engines import (
     EngineError,
     ExplosionError,
@@ -13,6 +14,8 @@ from msd.engines import (
     closed_scalar,
     curve_to_csv,
     curve_to_records,
+    fundamental_at,
+    mc_moment_curve,
     mc_second_moment,
     moment_ode,
     simulate_fundamental,
@@ -22,7 +25,7 @@ from msd.engines import (
     triangular_fundamental,
 )
 from msd.model import LinearSde, gallery, make_projector
-from msd.numerics import BrownianPath, RngStream, brownian
+from msd.numerics import BrownianPath, RngStream, brownian, pairwise_mean_std
 
 E2M1 = 0.17377394345044514  # exp(-1.75), scalar second moment at t=1
 
@@ -276,6 +279,82 @@ def test_transition_rejects_coupled_projector():
 
 
 # ---------------------------------------------------------------------------
+# Streaming Euler-Maruyama kernel
+
+
+@pytest.mark.parametrize("chunk", [1, 100, None])
+def test_kernel_results_do_not_depend_on_the_block_size(monkeypatch, chunk):
+    # CHUNK_VALUES 1 steps one node per block, 100 gives ragged 6-step
+    # blocks, None keeps the default (one block here). The held ensemble
+    # draws its own increments block by block; the full one takes them from
+    # brownian_batch.
+    sys_ = gallery("perron-sde")
+    grid = TimeGrid.spanning(1.0, 1.5, 1e-2)
+    ens = simulate_fundamental(sys_, grid, paths=3, seed=4)
+    x0 = np.array([0.6, -0.8])
+    ref_nodes, ref_vals = simulate_vectors(sys_, grid, 3, 4, x0, record_nodes=[13, 50])
+    if chunk is not None:
+        monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+    again = simulate_fundamental(sys_, grid, paths=3, seed=4)
+    assert np.array_equal(again.phi, ens.phi) and np.array_equal(again.psi, ens.psi)
+    held = fundamental_at(sys_, grid, 3, 4, [50, 7, 0, 13, 7])
+    assert held.increments is None and list(held.nodes) == [0, 7, 13, 50]
+    assert np.array_equal(held.phi, ens.phi[held.nodes])
+    assert np.array_equal(held.psi, ens.psi[held.nodes])
+    nodes, vals = simulate_vectors(sys_, grid, 3, 4, x0, record_nodes=[13, 50])
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(vals, ref_vals)
+
+
+def test_held_ensemble_serves_only_its_nodes():
+    grid = TimeGrid.spanning(0.0, 1.0, 1e-2)
+    full = simulate_fundamental(gallery("diag-2x2"), grid, paths=50, seed=8)
+    held = fundamental_at(gallery("diag-2x2"), grid, 50, 8, [20, 90])
+    p = make_projector(2, 1)
+    assert mc_second_moment(held, 20, 90, p) == mc_second_moment(full, 20, 90, p)
+    # The complement matrix is applied as given.
+    assert (mc_second_moment(held, 90, 20, p.complement_matrix)
+            == mc_second_moment(full, 90, 20, p.complement_matrix))
+    with pytest.raises(EngineError, match="not held"):
+        mc_second_moment(held, 0, 90)
+    with pytest.raises(EngineError, match="out of range"):
+        mc_second_moment(held, 20, 101)
+
+
+@pytest.mark.parametrize("chunk", [40, None])
+def test_streamed_moments_equal_ensemble_reduction(monkeypatch, chunk):
+    # CHUNK_VALUES 40 reduces 8 paths in blocks of 5 nodes (51 nodes: the
+    # last block has one) and steps 2 nodes per draw block.
+    sys_ = gallery("triangular-2x2")
+    grid = TimeGrid.spanning(0.0, 0.5, 1e-2)
+    ens = simulate_fundamental(sys_, grid, paths=8, seed=6)
+    means, stds = pairwise_mean_std(np.sum(ens.phi ** 2, axis=(2, 3)))
+    if chunk is not None:
+        monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+    curve = mc_moment_curve(sys_, grid, 8, 6)
+    assert np.array_equal(curve.ts, grid.times())
+    assert np.array_equal(curve.values, means)
+    assert np.array_equal(curve.stderrs, stds / math.sqrt(8))
+
+
+def test_em_weak_order_on_gbm():
+    # For dX = a X dt + g X dw the Euler-Maruyama chain has
+    # E X_N^2 = prod_k ((1 + a h)^2 + g^2 h) exactly; its gap to the true
+    # exp((2a + g^2) T) halves with h (weak order one; Kloeden & Platen 1992).
+    a, g = -1.0, 0.5
+    exact = math.exp(2.0 * a + g * g)
+    em = {h: ((1.0 + a * h) ** 2 + g * g * h) ** round(1.0 / h) for h in (0.1, 0.05, 0.025)}
+    assert 1.8 <= (exact - em[0.1]) / (exact - em[0.05]) <= 2.2
+    assert 1.8 <= (exact - em[0.05]) / (exact - em[0.025]) <= 2.2
+    for h in (0.1, 0.05):
+        curve = mc_moment_curve(gallery("gbm"), TimeGrid.spanning(0.0, 1.0, h), 40_000, seed=12)
+        value, err = curve.values[-1], curve.stderrs[-1]
+        assert abs(value - em[h]) <= 6.0 * err
+        if h == 0.1:
+            # The sample resolves the coarse step's bias: 5.6 stderr here.
+            assert exact - value > 3.0 * err
+
+
+# ---------------------------------------------------------------------------
 # mc_second_moment
 
 
@@ -301,6 +380,7 @@ def test_mc_block_projector_matches_ode():
     oracle = transition_second_moment(sys_, 0.5, 1.0, p)
     value, err = mc_second_moment(ens, grid.node_at(0.5), grid.node_at(1.0), p)
     assert abs(value - oracle) <= 3.0 * err + 2e-3
+    assert mc_second_moment(ens, grid.node_at(0.5), grid.node_at(1.0), p.matrix) == (value, err)
 
 
 def test_mc_inverse_side_none():

@@ -55,6 +55,17 @@ def test_brownian_batch_matches_single_streams():
         assert np.array_equal(batch[m], single.increments)
 
 
+@pytest.mark.parametrize("block", [1, 7, 333])
+def test_brownian_streams_blocks_equal_batch(block):
+    batch = numerics.brownian_batch(seed=3, n_paths=5, dt=0.01, steps=1000)
+    streams = numerics.BrownianStreams(seed=3, n_paths=5, dt=0.01)
+    sizes = [block] * (1000 // block) + ([1000 % block] if 1000 % block else [])
+    drawn = np.concatenate([streams.draw(m) for m in sizes], axis=1)
+    assert np.array_equal(drawn, batch)
+    with pytest.raises(numerics.NumericsError):
+        numerics.BrownianStreams(seed=3, n_paths=5, dt=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Reductions
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from msd import perturb
 from msd.engines import TimeGrid, simulate_fundamental
 from msd.model import LinearSde, ModelError, PerturbationSpec, PerturbedSde, gallery
 from msd.perturb import (
@@ -23,6 +24,7 @@ from msd.perturb import (
     stability_to_dict,
     voc_solve,
 )
+from msd.numerics import pairwise_mean_std
 
 # Analytic growth lower bound at (a, b, lambda) = (1.05, 1, 1) with a 0.01
 # window, and the deterministic second-component exponent from log-space
@@ -247,6 +249,21 @@ class TestStabilityExperiment:
         assert rep.ts.shape == rep.moments.shape == rep.stderrs.shape
         assert np.all(rep.moments >= 0.0)
         assert rep.moments[0] == pytest.approx(1e-4, rel=1e-12)
+        assert rep.escaped == 0 and stability_to_dict(rep)["escaped"] == 0
+
+    @pytest.mark.parametrize("chunk", [30, None])
+    def test_moment_curve_blocks_equal_whole_reduction(self, monkeypatch, chunk):
+        # CHUNK_VALUES 30 squares 5 paths x 2 components 3 nodes at a time
+        # (101 nodes: the last block has two).
+        grid = TimeGrid.spanning(0.0, 1.0, 1e-2)
+        pens = simulate_perturbed(_zero_perturbation(gallery("diag-2x2")),
+                                  np.array([0.3, -0.7]), grid, paths=5, seed=3)
+        m, sd = pairwise_mean_std(np.sum(pens.values ** 2, axis=2))
+        if chunk is not None:
+            monkeypatch.setattr(perturb, "CHUNK_VALUES", chunk)
+        moments, stderrs = perturb._moment_curve(pens)
+        assert np.array_equal(moments, m)
+        assert np.array_equal(stderrs, sd / math.sqrt(5))
 
     def test_zero_perturbation_k_tilde_near_fit_constant(self):
         base = LinearSde.from_strings(1, [["-1"]], [["0.2"]])
