@@ -420,7 +420,7 @@ def _cmd_regularity(args):
         "method": args.method,
         "regularity": {
             "gamma_upper_estimate": reg.gamma_upper_estimate,
-            "kind": reg.kind,
+            "kind": "upper",
             "per_pair_max": [float(v) for v in reg.per_pair_max],
         },
         "bounds": bounds_report(system, args.bound_horizon),

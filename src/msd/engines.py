@@ -75,10 +75,6 @@ class TimeGrid:
     def steps(self) -> int:
         return self.count - 1
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.steps * self.dt
-
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.count)
 
@@ -104,10 +100,6 @@ class MomentCurve:
     ts: np.ndarray
     values: np.ndarray
     stderrs: np.ndarray | None = None
-
-    @property
-    def exact(self) -> bool:
-        return self.stderrs is None
 
 
 @dataclass(frozen=True)
@@ -168,7 +160,10 @@ def _scan_explosion(arr: np.ndarray, which: str, node: int, t: float) -> None:
 CHUNK_VALUES = 2 ** 22
 
 
-def _requested_nodes(nodes, grid: TimeGrid) -> np.ndarray:
+def _requested_nodes(nodes, grid: TimeGrid, paths: int) -> np.ndarray:
+    """Sorted distinct nodes, checked with the path count before any allocation."""
+    if paths < 1:
+        raise EngineError("need at least one path")
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     if len(nodes) == 0 or nodes[0] < 0 or nodes[-1] > grid.steps:
         raise EngineError("record nodes out of range")
@@ -180,8 +175,8 @@ def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
     """Euler-Maruyama states at the requested grid nodes, one node at a time.
 
     Steps the fundamental matrix d(Phi) = A Phi dt + G Phi dw from Phi = Id
-    as a [path, n, n] stack or, given ``x0`` (shape (n,) or (paths, n)), the
-    vector solutions u = Phi x0 as a [path, n] stack. With ``inverse`` the
+    as a [path, n, n] stack or, given ``x0`` of shape (n,), the vector
+    solutions u = Phi x0 as a [path, n] stack. With ``inverse`` the
     coupled inverse d(Psi) = Psi(-A + G^2) dt - Psi G dw is stepped alongside
     on the same increments. Yields ``(node, state, psi)`` at each node of
     ``nodes`` in ascending order (``psi`` None without ``inverse``) after
@@ -192,10 +187,8 @@ def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
     drawn a block of steps at a time, or ``increments`` [path, step] if
     given. The coefficients are tabulated per block too.
     """
-    if paths < 1:
-        raise EngineError("need at least one path")
     n = system.dim
-    nodes = _requested_nodes(nodes, grid)
+    nodes = _requested_nodes(nodes, grid, paths)
     eye = np.eye(n)
     if x0 is None:
         which = "fundamental matrix"
@@ -203,9 +196,9 @@ def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
     else:
         which = "vector solution"
         x0 = np.asarray(x0, dtype=float)
-        state = np.tile(x0, (paths, 1)) if x0.ndim == 1 else x0.copy()
-        if state.shape != (paths, n):
-            raise EngineError(f"x0 must have shape ({n},) or ({paths}, {n})")
+        if x0.shape != (n,):
+            raise EngineError(f"x0 must have shape ({n},)")
+        state = np.tile(x0, (paths, 1))
     psi = np.tile(eye, (paths, 1, 1)) if inverse else None
     if increments is None:
         streams = BrownianStreams(seed, paths, grid.dt)
@@ -250,7 +243,7 @@ def fundamental_at(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
 
     The ensemble keeps ``increments`` when they are given, and none otherwise.
     """
-    nodes = _requested_nodes(nodes, grid)
+    nodes = _requested_nodes(nodes, grid, paths)
     n = system.dim
     phi = np.empty((len(nodes), paths, n, n))
     psi = np.empty_like(phi)
@@ -269,10 +262,9 @@ def simulate_fundamental(system: LinearSde, grid: TimeGrid, paths: int, seed: in
     """Euler-Maruyama for d(Phi) = A Phi dt + G Phi dw and the coupled
     inverse d(Psi) = Psi(-A + G^2) dt - Psi G dw on the same increments,
     kept at every node together with the increments."""
-    if paths < 1:
-        raise EngineError("need at least one path")
+    nodes = _requested_nodes(np.arange(grid.count), grid, paths)
     incr = brownian_batch(seed, paths, grid.dt, grid.steps)
-    return fundamental_at(system, grid, paths, seed, np.arange(grid.count), incr)
+    return fundamental_at(system, grid, paths, seed, nodes, incr)
 
 
 def simulate_vectors(system: LinearSde, grid: TimeGrid, paths: int, seed: int,
@@ -283,7 +275,7 @@ def simulate_vectors(system: LinearSde, grid: TimeGrid, paths: int, seed: int,
     Cheaper than a full ensemble when only a few checkpoints matter.
     """
     nodes = _requested_nodes(np.arange(grid.count) if record_nodes is None else record_nodes,
-                             grid)
+                             grid, paths)
     out = np.empty((len(nodes), paths, system.dim))
     for j, (_, u, _) in enumerate(euler_maruyama(system, grid, paths, seed, nodes, x0=x0)):
         out[j] = u
@@ -297,11 +289,12 @@ def mc_moment_curve(system: LinearSde, grid: TimeGrid, paths: int, seed: int) ->
     stacked pairwise_mean_std call per block, so the values equal the
     reduction of a stored ensemble bit for bit while memory stays bounded.
     """
+    nodes = _requested_nodes(np.arange(grid.count), grid, paths)
     block = max(1, CHUNK_VALUES // paths)
     sums = np.empty((min(block, grid.count), paths))
     means = np.empty(grid.count)
     stds = np.empty(grid.count)
-    for k, phi, _ in euler_maruyama(system, grid, paths, seed, np.arange(grid.count)):
+    for k, phi, _ in euler_maruyama(system, grid, paths, seed, nodes):
         j = k % block
         sums[j] = np.sum(phi ** 2, axis=(1, 2))
         if j == block - 1 or k == grid.steps:
@@ -332,8 +325,8 @@ def _moment_loop(system: LinearSde, p0, t_from: float, t_to: float, dt: float,
     if t_to <= t_from:
         raise EngineError("need t_to > t_from")
 
-    steps = max(1, math.ceil((t_to - t_from) / dt - 1e-12))
-    h = (t_to - t_from) / steps
+    grid = TimeGrid.spanning(t_from, t_to, dt)
+    steps, h = grid.steps, grid.dt
     stage_times = t_from + (h / 2.0) * np.arange(2 * steps + 1)
     a_all = system.drift_at(stage_times)
     g_all = system.diffusion_at(stage_times)
@@ -388,7 +381,7 @@ def _moment_loop(system: LinearSde, p0, t_from: float, t_to: float, dt: float,
                     p = (evecs * np.maximum(evals, 0.0)) @ evecs.T
             elif w < -1e-9 * max(1.0, abs(tr)):
                 raise NonPsdError(t_here, float(w), float(tr))
-    return t_from + h * np.arange(steps + 1), values, p
+    return grid.times(), values, p
 
 
 def moment_ode(system: LinearSde, p0, t_from: float, t_to: float,
@@ -443,36 +436,21 @@ def transition_second_moment(system: LinearSde, s: float, t: float,
 
 
 def mc_second_moment(ens: FundamentalEnsemble, s_node: int, t_node: int,
-                     projector: Projector | np.ndarray | None = None,
-                     inverse_side: str = "right") -> tuple[float, float]:
-    """Monte Carlo E||.||_F^2 from a stored ensemble.
+                     projector: Projector | np.ndarray | None = None) -> tuple[float, float]:
+    """Monte Carlo E||Phi(t) P Psi(s)||_F^2 from a stored ensemble.
 
     ``projector`` is a Projector, whose matrix P is applied, or the matrix
-    to apply itself (such as a complement Id - P). inverse_side "right":
-    ||Phi(t) P Psi(s)||, the sandwiched dichotomy quantity; "left":
-    ||Phi(t) Psi(s) P||, projector applied at time s; "none": ||Phi(t) P||,
-    no inverse factor.
+    to apply itself (such as a complement Id - P); None applies no P.
     """
-    if inverse_side not in ("none", "left", "right"):
-        raise EngineError(f"unknown inverse_side '{inverse_side}'")
     s_pos = ens.position(s_node)
     t_pos = ens.position(t_node)
-    n = ens.system.dim
-    if projector is None and s_node == t_node and inverse_side != "none":
+    if projector is None and s_node == t_node:
         # Phi(t) Phi^-1(t) = Id analytically; skip the integrator drift.
-        return float(n), 0.0
+        return float(ens.system.dim), 0.0
     p = projector.matrix if isinstance(projector, Projector) else projector
     phi_t = ens.phi[t_pos]
-    if inverse_side == "none":
-        prod = phi_t if p is None else phi_t @ p
-    else:
-        psi_s = ens.psi[s_pos]
-        if p is None:
-            prod = phi_t @ psi_s
-        elif inverse_side == "right":
-            prod = (phi_t @ p) @ psi_s
-        else:
-            prod = (phi_t @ psi_s) @ p
+    psi_s = ens.psi[s_pos]
+    prod = phi_t @ psi_s if p is None else (phi_t @ p) @ psi_s
     vals = np.sum(prod * prod, axis=(1, 2))
     mean, std = pairwise_mean_std(vals)
     return float(mean), float(std / math.sqrt(ens.paths))

@@ -36,11 +36,6 @@ class LyapunovEstimate:
     stderr: float | None    # propagated at the argmax checkpoint; None = exact
     window: tuple[float, float]
 
-    @property
-    def tail_values(self) -> list[tuple[float, float]]:
-        lo, hi = self.window
-        return [(float(t), float(v)) for t, v in zip(self.ts, self.values) if lo <= t <= hi]
-
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
@@ -71,17 +66,15 @@ class RegularityEstimate:
     gamma_upper_estimate: float
     per_pair_max: tuple[float, ...]
     per_pair_sums: tuple[tuple[float, ...], ...]
-    kind: str = "upper"
 
 
-def _checkpoints(t_start: float, horizon: float, count: int) -> np.ndarray:
-    lo = t_start + (horizon - t_start) * 1e-3
-    return np.geomspace(lo, horizon, count)
+# Checkpoints per estimate, log-spaced from a thousandth of the span to the horizon.
+_CHECKPOINTS = 128
 
 
 def chi_estimate(system: LinearSde, u0, horizon: float, method: str = "ode",
                  dt: float = 1e-2, paths: int = 10_000, seed: int = 0,
-                 t_start: float = 0.0, checkpoints: int = 128) -> LyapunovEstimate:
+                 t_start: float = 0.0) -> LyapunovEstimate:
     """Finite-horizon estimate of the second-moment exponent of u0."""
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (system.dim,):
@@ -94,27 +87,21 @@ def chi_estimate(system: LinearSde, u0, horizon: float, method: str = "ode",
     if method not in ("ode", "mc"):
         raise LyapunovError(f"unknown method '{method}'")
 
-    cps = _checkpoints(t_start, horizon, checkpoints)
-
+    # Log-spaced checkpoints, snapped to the nodes of the grid both routes use.
+    cps = np.geomspace(t_start + (horizon - t_start) * 1e-3, horizon, _CHECKPOINTS)
+    grid = TimeGrid.spanning(t_start, horizon, dt)
+    nodes = np.unique(np.clip(np.round((cps - t_start) / grid.dt).astype(int), 1, grid.steps))
+    ts = grid.times()[nodes]
     if method == "ode":
         # Log-scale route: values arrive as log(trace/trace0), immune to
         # overflow on strongly growing (adjoint) systems.
         curve = moment_log_trace(system, np.outer(u0, u0), t_start, horizon, dt=dt)
-        step = curve.ts[1] - curve.ts[0]
-        idx = np.unique(np.clip(np.round((cps - t_start) / step).astype(int), 1, len(curve.ts) - 1))
-        ts = curve.ts[idx]
-        vals = curve.values[idx] / ts
-        stderr_at = None
-        errs = None
+        vals = curve.values[nodes] / ts
     else:
-        grid = TimeGrid.spanning(t_start, horizon, dt)
-        nodes = np.unique(np.clip(np.round((cps - t_start) / grid.dt).astype(int), 1, grid.steps))
-        node_arr, states = simulate_vectors(system, grid, paths, seed, u0, record_nodes=nodes)
-        ts = grid.times()[node_arr]
+        _, states = simulate_vectors(system, grid, paths, seed, u0, record_nodes=nodes)
         means, stds = pairwise_mean_std(np.sum(states * states, axis=2))
         errs = stds / math.sqrt(paths)
         vals = np.log(means / norm0_sq) / ts
-        stderr_at = None
 
     window = (horizon / 2.0, horizon)
     mask = ts >= window[0]
@@ -122,11 +109,9 @@ def chi_estimate(system: LinearSde, u0, horizon: float, method: str = "ode",
         raise LyapunovError("no checkpoints in the tail window")
     tail_idx = np.flatnonzero(mask)
     best = tail_idx[int(np.argmax(vals[mask]))]
-    chi = float(vals[best])
-    if method == "mc":
-        stderr_at = float(errs[best] / means[best] / ts[best])
-    return LyapunovEstimate(chi=chi, ts=ts, values=vals, method=method,
-                            stderr=stderr_at, window=window)
+    stderr = None if method == "ode" else float(errs[best] / means[best] / ts[best])
+    return LyapunovEstimate(chi=float(vals[best]), ts=ts, values=vals, method=method,
+                            stderr=stderr, window=window)
 
 
 def spectrum(system: LinearSde, horizon: float, trials: int, method: str = "ode",
@@ -181,6 +166,18 @@ def _check_dual(basis: np.ndarray, dual_basis: np.ndarray, n: int) -> tuple[np.n
     return b, d
 
 
+def _dual_chis(system: LinearSde, tilde: LinearSde, b: np.ndarray, d: np.ndarray,
+               seed: int, **estimate) -> tuple[np.ndarray, np.ndarray]:
+    """chi(u_i) on seed + 2i and chi_adj(v_i) on seed + 2i + 1 for the columns
+    of a dual basis pair; ``estimate`` holds chi_estimate's other arguments."""
+    n = system.dim
+    chis = np.array([chi_estimate(system, b[:, i], seed=seed + 2 * i, **estimate).chi
+                     for i in range(n)])
+    chis_adj = np.array([chi_estimate(tilde, d[:, i], seed=seed + 2 * i + 1, **estimate).chi
+                         for i in range(n)])
+    return chis, chis_adj
+
+
 def duality_defect(system: LinearSde, basis, dual_basis, horizon: float,
                    method: str = "ode", dt: float = 1e-2, paths: int = 10_000,
                    seed: int = 0, t_start: float = 0.0,
@@ -194,17 +191,8 @@ def duality_defect(system: LinearSde, basis, dual_basis, horizon: float,
     """
     n = system.dim
     b, d = _check_dual(basis, dual_basis, n)
-    tilde = adjoint(system)
-    chis = np.array([
-        chi_estimate(system, b[:, i], horizon, method=method, dt=dt, paths=paths,
-                     seed=seed + 2 * i, t_start=t_start).chi
-        for i in range(n)
-    ])
-    chis_adj = np.array([
-        chi_estimate(tilde, d[:, i], horizon, method=method, dt=dt, paths=paths,
-                     seed=seed + 2 * i + 1, t_start=t_start).chi
-        for i in range(n)
-    ])
+    chis, chis_adj = _dual_chis(system, adjoint(system), b, d, seed, horizon=horizon,
+                                method=method, dt=dt, paths=paths, t_start=t_start)
     sums = chis + chis_adj
     worst = float(np.min(sums))
     if worst < -0.05:
@@ -233,16 +221,11 @@ def regularity_estimate(system: LinearSde, candidate_bases, horizon: float,
     per_pair_max = []
     for pair_idx, (basis, dual_basis) in enumerate(candidate_bases):
         b, d = _check_dual(basis, dual_basis, n)
-        sums = []
-        for i in range(n):
-            c = chi_estimate(system, b[:, i], horizon, method=method, dt=dt,
-                             paths=paths, seed=seed + 977 * pair_idx + 2 * i,
-                             t_start=t_start).chi
-            ct = chi_estimate(tilde, d[:, i], horizon, method=method, dt=dt,
-                              paths=paths, seed=seed + 977 * pair_idx + 2 * i + 1,
-                              t_start=t_start).chi
-            sums.append(c + ct)
-        per_pair_sums.append(tuple(sums))
+        chis, chis_adj = _dual_chis(system, tilde, b, d, seed + 977 * pair_idx,
+                                    horizon=horizon, method=method, dt=dt, paths=paths,
+                                    t_start=t_start)
+        sums = tuple(float(x) for x in chis + chis_adj)
+        per_pair_sums.append(sums)
         per_pair_max.append(max(sums))
     gamma = float(min(per_pair_max))
     return RegularityEstimate(

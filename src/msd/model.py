@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .numerics import MAX_DIM, check_dim
+from .numerics import check_dim
 
 
 class ModelError(ValueError):
@@ -27,6 +27,10 @@ class ModelError(ValueError):
 
 
 Matrix = tuple[tuple[ex.Expr, ...], ...]
+
+# Times at which a below-diagonal entry that is not structurally zero must
+# evaluate to exactly zero for the system to count as upper triangular.
+_TRIANGULAR_SAMPLES = np.geomspace(0.05, 100.0, 7)
 
 
 @dataclass(frozen=True)
@@ -145,17 +149,15 @@ class LinearSde:
                         return False
         return True
 
-    def is_upper_triangular(self, sample_times=None) -> bool:
+    def is_upper_triangular(self) -> bool:
         """Strictly-below-diagonal entries are zero (structural or sampled exact)."""
-        if sample_times is None:
-            sample_times = np.geomspace(0.05, 100.0, 7)
         for matrix in (self.drift, self.diffusion):
             for i in range(self.dim):
                 for j in range(i):
                     entry = matrix[i][j]
                     if ex.is_zero(entry):
                         continue
-                    values = ex.evaluate(entry, np.asarray(sample_times), self.params)
+                    values = ex.evaluate(entry, _TRIANGULAR_SAMPLES, self.params)
                     if np.any(np.asarray(values) != 0.0):
                         return False
         return True
@@ -332,48 +334,6 @@ def gallery(name: str, **overrides):
         )
         return sys_.with_params(**overrides)
     raise ModelError(f"unknown gallery system '{name}' (known: {', '.join(GALLERY_NAMES)})")
-
-
-# ---------------------------------------------------------------------------
-# Advisory growth check
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    max_logplus_drift: float
-    max_logplus_diffusion: float
-    drift_trend: float
-    diffusion_trend: float
-    flag: str  # "consistent" | "growth-violation"
-
-
-def validate_growth(system: LinearSde, horizon: float = 1e4, samples: int = 200) -> GrowthReport:
-    """Advisory check that coefficient norms are not trending upward.
-
-    Samples ||A(t)||_F and ||G(t)||_F on a log-spaced grid and compares the
-    mean of log+ over the last third against the first third. A positive
-    trend flags a violation of the bounded-coefficient assumption as
-    literally written; bounded oscillation is reported "consistent".
-    """
-    ts = np.geomspace(0.01, horizon, samples)
-    a_norms = np.linalg.norm(system.drift_at(ts), axis=(1, 2))
-    g_norms = np.linalg.norm(system.diffusion_at(ts), axis=(1, 2))
-    logplus_a = np.log(np.maximum(1.0, a_norms))
-    logplus_g = np.log(np.maximum(1.0, g_norms))
-    third = samples // 3
-
-    def trend(values):
-        return float(np.mean(values[-third:]) - np.mean(values[:third]))
-
-    ta, tg = trend(logplus_a), trend(logplus_g)
-    flag = "consistent" if max(ta, tg) <= 0.2 else "growth-violation"
-    return GrowthReport(
-        max_logplus_drift=float(np.max(logplus_a)),
-        max_logplus_diffusion=float(np.max(logplus_g)),
-        drift_trend=ta,
-        diffusion_trend=tg,
-        flag=flag,
-    )
 
 
 # ---------------------------------------------------------------------------

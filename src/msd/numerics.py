@@ -3,13 +3,15 @@
 Randomness is counter-based: a stream is identified by ``(seed, stream_index)``
 and is reproducible in isolation, so path m of a simulation always sees the
 same increments no matter how many other paths run or in what order. Normal
-variates come from the inverse CDF applied to fixed-width uniforms, one draw
-per variate; nothing in the pipeline uses rejection sampling, so streams never
-diverge between runs.
+variates of the Brownian increments come from the inverse CDF applied to
+fixed-width uniforms, one draw per variate, never from rejection sampling, so
+path streams never diverge between runs. (Draws that drive no path, such as
+random probe directions and the smallness falsifier's samples, use the
+generator's own samplers, ``standard_normal`` among them.)
 
 Monte Carlo reductions use a fixed-shape pairwise tree so that results are
-bit-identical regardless of how work might be batched. The reductions take
-``(..., m)`` stacks and reduce the last axis; the matrix kernels take
+bit-identical regardless of how work might be batched. The reduction takes
+``(..., m)`` stacks and reduces the last axis; the matrix kernels take
 ``(..., n, n)`` stacks. Entry i of a stacked result equals the call on entry i.
 """
 
@@ -85,13 +87,6 @@ class BrownianPath:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.steps + 1)
 
-    def cumulative(self) -> np.ndarray:
-        """w(t_k) - w(t0) at every node, starting at 0."""
-        out = np.empty(self.steps + 1)
-        out[0] = 0.0
-        np.cumsum(self.increments, out=out[1:])
-        return out
-
 
 def brownian(t0: float, dt: float, steps: int, stream: RngStream) -> BrownianPath:
     """Sample a Brownian path on ``steps`` uniform increments of size ``dt``."""
@@ -149,18 +144,12 @@ def _rows_first(values: np.ndarray) -> np.ndarray:
     return np.array(np.moveaxis(np.asarray(values, dtype=np.float64), -1, 0), order="C")
 
 
-def pairwise_sum(values: np.ndarray) -> float | np.ndarray:
-    """Sum over the last axis with a fixed binary tree (blocks of 8 at the leaves).
-
-    The tree shape depends only on ``values.shape[-1]``, so the result is
-    bit-identical for any batching of the surrounding computation, and row
-    ``i`` of a stacked call equals the call on row ``i``.
-    """
-    return _tree_sum(_rows_first(values))[()]
-
-
 def pairwise_mean_std(values: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Mean and sample standard deviation over the last axis, pairwise."""
+    """Mean and sample standard deviation over the last axis, pairwise.
+
+    Both sums use a fixed binary tree (blocks of 8 at the leaves) whose shape
+    depends only on ``values.shape[-1]``.
+    """
     x = _rows_first(values)
     n = x.shape[0]
     if n == 0:

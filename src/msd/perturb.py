@@ -25,7 +25,7 @@ from .dichotomy import DichotomyFit, fit_envelope, dichotomy_surface, fit_to_dic
 from .engines import CHUNK_VALUES, EXPLOSION_THRESHOLD, FundamentalEnsemble, TimeGrid
 from .lyapunov import regularity_estimate, spectrum
 from .model import LinearSde, ModelError, PerturbationSpec, PerturbedSde, gallery
-from .numerics import brownian_batch, pairwise_mean_std
+from .numerics import RngStream, brownian_batch, pairwise_mean_std
 
 
 class PerturbError(ValueError):
@@ -150,7 +150,10 @@ def check_condition_42(psys: PerturbedSde, sampler_scale: float, trials: int,
         raise PerturbError("sampler scale must be positive")
     n = psys.base.dim
     params = psys.base.params
-    rng = np.random.default_rng(seed)
+    # A counter stream accepts any integer seed. Index 20 000 stays clear of
+    # the spectrum's probe streams (10 000 + j) and of the path streams of
+    # ensembles below 20 000 paths.
+    rng = RngStream(seed, 20_000).generator()
     max_ratio = -1.0
     worst: dict = {}
     violations: list[dict] = []

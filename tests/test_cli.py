@@ -334,6 +334,13 @@ class TestPerturb:
         assert payload["escaped"] == 20
         assert payload["verdict"] == "FAIL"
 
+    def test_condition_accepts_negative_seed(self, capsys):
+        code, out, _ = run_cli(capsys, "perturb", "--system", "gbm",
+                               "--mode", "condition", "--scale", "0.3",
+                               "--trials", "100", "--samples", "512", "--seed", "-1")
+        assert code == 0
+        validate("perturb", json.loads(out))
+
     def test_condition_requires_scale(self, capsys):
         code, _, err = run_cli(capsys, "perturb", "--system", "gbm",
                                "--mode", "condition")
@@ -376,6 +383,11 @@ class TestSelftest:
         assert payload["status"] == "ok"
         assert all(check["pass"] for check in payload["checks"])
         assert len(payload["checks"]) >= 8
+
+    def test_negative_seed(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest", "--seed", "-1")
+        assert code == 0
+        assert json.loads(out)["status"] == "ok"
 
     def test_byte_identical_across_thread_counts(self, capsys):
         _, first, _ = run_cli(capsys, "selftest", "--seed", "42", "--threads", "1")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from msd import engines
+from msd.dichotomy import dichotomy_surface
 from msd.engines import (
     EngineError,
     ExplosionError,
@@ -188,6 +189,26 @@ def test_vectors_record_subset():
     assert np.all(vals[0] == 2.0)
     with pytest.raises(EngineError, match="out of range"):
         simulate_vectors(sys_, grid, 2, 9, np.array([1.0]), record_nodes=[200])
+    with pytest.raises(EngineError, match=r"shape \(1,\)"):
+        simulate_vectors(sys_, grid, 2, 9, np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("paths", [0, -1])
+@pytest.mark.parametrize("entry", ["mc_moment_curve", "fundamental_at", "simulate_vectors",
+                                   "simulate_fundamental", "dichotomy_surface"])
+def test_path_count_checked_before_allocation(entry, paths):
+    sys_ = gallery("gbm")
+    grid = TimeGrid(0.0, 0.1, 11)
+    calls = {
+        "mc_moment_curve": lambda: mc_moment_curve(sys_, grid, paths, 1),
+        "fundamental_at": lambda: fundamental_at(sys_, grid, paths, 1, [0, 10]),
+        "simulate_vectors": lambda: simulate_vectors(sys_, grid, paths, 1, np.array([1.0])),
+        "simulate_fundamental": lambda: simulate_fundamental(sys_, grid, paths, 1),
+        "dichotomy_surface": lambda: dichotomy_surface(sys_, None, [(0.0, 0.5)], method="mc",
+                                                       dt=0.1, paths=paths),
+    }
+    with pytest.raises(EngineError, match="at least one path"):
+        calls[entry]()
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +219,7 @@ def test_moment_scalar_oracle():
     curve, final = moment_ode(gallery("gbm"), np.array([[1.0]]), 0.0, 1.0, dt=1e-3)
     assert final[0, 0] == pytest.approx(E2M1, rel=1e-8)
     assert curve.values[0] == 1.0
-    assert curve.exact
+    assert curve.stderrs is None
 
 
 def test_moment_zero_system_constant():
@@ -384,9 +405,10 @@ def test_mc_block_projector_matches_ode():
 
 
 def test_mc_inverse_side_none():
+    # From s = 0 the inverse factor is Psi(0) = Id, so this is E||Phi(t)||^2.
     ens = simulate_fundamental(gallery("gbm"), TimeGrid.spanning(0.0, 1.0, 1e-3),
                                paths=4000, seed=42)
-    value, err = mc_second_moment(ens, 0, 1000, inverse_side="none")
+    value, err = mc_second_moment(ens, 0, 1000)
     assert abs(value - E2M1) <= 3.0 * err
 
 
@@ -394,8 +416,6 @@ def test_mc_validation():
     ens = simulate_fundamental(gallery("gbm"), TimeGrid(0.0, 0.1, 3), paths=2, seed=1)
     with pytest.raises(EngineError, match="out of range"):
         mc_second_moment(ens, 0, 5)
-    with pytest.raises(EngineError, match="inverse_side"):
-        mc_second_moment(ens, 0, 1, inverse_side="middle")
 
 
 # ---------------------------------------------------------------------------

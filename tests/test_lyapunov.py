@@ -25,7 +25,8 @@ def test_chi_gbm_ode():
     assert est.chi == pytest.approx(-1.75, abs=1e-6)
     assert est.method == "ode" and est.stderr is None
     assert est.window == (25.0, 50.0)
-    assert all(t >= 25.0 for t, _ in est.tail_values)
+    tail = (est.ts >= est.window[0]) & (est.ts <= est.window[1])
+    assert np.any(tail) and est.chi == np.max(est.values[tail])
 
 
 def test_chi_zero_system_exact():
@@ -155,7 +156,7 @@ def test_duality_sums_nonnegative_ode(name, t_start, horizon):
 def test_regularity_gbm():
     est = regularity_estimate(gallery("gbm"), [(np.eye(1), np.eye(1))], horizon=40.0)
     assert est.gamma_upper_estimate == pytest.approx(1.0, abs=0.02)
-    assert est.kind == "upper"
+    assert est.per_pair_max == (est.gamma_upper_estimate,)
 
 
 def test_regularity_deterministic_diagonal():

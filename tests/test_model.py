@@ -16,7 +16,6 @@ from msd.model import (
     gallery,
     make_projector,
     to_dict,
-    validate_growth,
 )
 
 
@@ -151,14 +150,6 @@ def test_upper_triangular_detection():
     assert almost.is_upper_triangular()  # samples to exact zero
     lower = LinearSde.from_strings(2, [["-1", "0"], ["0.001*t", "-2"]], GALLERY_STRINGS["perron-ode"]["G"])
     assert not lower.is_upper_triangular()
-
-
-def test_growth_check_flags_linear_drift():
-    assert validate_growth(gallery("gbm")).flag == "consistent"
-    assert validate_growth(gallery("perron-ode")).flag == "consistent"
-    rep = validate_growth(LinearSde.from_strings(1, [["t"]], [["0"]]))
-    assert rep.flag == "growth-violation"
-    assert rep.drift_trend > 1.0
 
 
 def test_json_round_trip():
