@@ -89,6 +89,8 @@ class TimeGrid:
         """Grid from t0 to (at least) t1 whose dt divides the span exactly."""
         if t1 <= t0:
             raise EngineError("need t1 > t0")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise EngineError(f"dt must be positive and finite, got {dt!r}")
         steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
         return cls(t0=t0, dt=(t1 - t0) / steps, count=steps + 1)
 
@@ -170,18 +172,35 @@ def _requested_nodes(nodes, grid: TimeGrid, paths: int) -> np.ndarray:
     return nodes
 
 
+def _em_update(x: np.ndarray, drift: np.ndarray, noise: np.ndarray, dt: float,
+               dw: np.ndarray) -> np.ndarray:
+    """(x + dt * drift) + dw * noise, computed in place in ``drift`` and ``noise``."""
+    drift *= dt
+    drift += x
+    noise *= dw
+    drift += noise
+    return drift
+
+
 def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nodes,
                    x0=None, inverse: bool = False, increments: np.ndarray | None = None):
     """Euler-Maruyama states at the requested grid nodes, one node at a time.
 
     Steps the fundamental matrix d(Phi) = A Phi dt + G Phi dw from Phi = Id
-    as a [path, n, n] stack or, given ``x0`` of shape (n,), the vector
-    solutions u = Phi x0 as a [path, n] stack. With ``inverse`` the
-    coupled inverse d(Psi) = Psi(-A + G^2) dt - Psi G dw is stepped alongside
-    on the same increments. Yields ``(node, state, psi)`` at each node of
-    ``nodes`` in ascending order (``psi`` None without ``inverse``) after
-    checking them against the explosion threshold, and stops at the last
-    one. A yielded array is never written again, so it may be kept.
+    or, given ``x0`` of shape (n,), the vector solutions u = Phi x0 as a
+    [path, n] stack. With ``inverse`` the coupled inverse
+    d(Psi) = Psi(-A + G^2) dt - Psi G dw is stepped alongside on the same
+    increments. Yields ``(node, state, psi)`` at each node of ``nodes`` in
+    ascending order (``psi`` None without ``inverse``) after checking them
+    against the explosion threshold, and stops at the last one. Matrices
+    are yielded as C-ordered [path, row, col] stacks; a yielded array is
+    never written again, so it may be kept.
+
+    Phi is stepped paths-last, as [row, col, path], so that A Phi and G Phi
+    for all paths are each one (n, n) @ (n, n * paths) product, and Psi
+    steps through one (paths * n, n) @ (n, n) product per factor. The tests
+    check every entry bit for bit against the per-path products A @ Phi and
+    Psi @ B of a stacked reference.
 
     The increments are the per-path streams of :func:`brownian_batch`,
     drawn a block of steps at a time, or ``increments`` [path, step] if
@@ -189,26 +208,28 @@ def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
     """
     n = system.dim
     nodes = _requested_nodes(nodes, grid, paths)
-    eye = np.eye(n)
     if x0 is None:
         which = "fundamental matrix"
-        state = np.tile(eye, (paths, 1, 1))
+        state = np.repeat(np.eye(n)[:, :, None], paths, axis=2)
     else:
         which = "vector solution"
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (n,):
             raise EngineError(f"x0 must have shape ({n},)")
         state = np.tile(x0, (paths, 1))
-    psi = np.tile(eye, (paths, 1, 1)) if inverse else None
+    psi = np.tile(np.eye(n), (paths, 1, 1)) if inverse else None
     if increments is None:
         streams = BrownianStreams(seed, paths, grid.dt)
     elif increments.shape != (paths, grid.steps):
         raise EngineError(f"increments must have shape ({paths}, {grid.steps})")
 
+    def paths_first(x: np.ndarray) -> np.ndarray:
+        return x if x0 is not None else np.ascontiguousarray(x.transpose(2, 0, 1))
+
     dt = grid.dt
     pos = 0
     if nodes[0] == 0:
-        yield 0, state, psi
+        yield 0, paths_first(state), psi
         pos = 1
     last = int(nodes[-1])
     block = max(1, CHUNK_VALUES // (paths + 3 * n * n))
@@ -224,16 +245,22 @@ def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
             # A @ Phi for matrices, u @ A^T for vectors: the two orders differ
             # in the last bits, and each route keeps its own.
             if x0 is None:
-                state = state + dt * (a[i] @ state) + dw[:, None, None] * (g[i] @ state)
+                flat = state.reshape(n, n * paths)
+                state = _em_update(state, (a[i] @ flat).reshape(state.shape),
+                                   (g[i] @ flat).reshape(state.shape), dt, dw)
             else:
-                state = state + dt * (state @ a[i].T) + dw[:, None] * (state @ g[i].T)
+                state = _em_update(state, state @ a[i].T, state @ g[i].T, dt, dw[:, None])
             if inverse:
-                psi = psi + dt * (psi @ b[i]) - dw[:, None, None] * (psi @ g[i])
+                rows = psi.reshape(paths * n, n)
+                # x - dw * y and x + (-dw) * y round alike.
+                psi = _em_update(psi, (rows @ b[i]).reshape(psi.shape),
+                                 (rows @ g[i]).reshape(psi.shape), dt, -dw[:, None, None])
             if nodes[pos] == k0 + i + 1:
-                _scan_explosion(state, which, k0 + i + 1, times[i + 1])
+                out = paths_first(state)
+                _scan_explosion(out, which, k0 + i + 1, times[i + 1])
                 if inverse:
                     _scan_explosion(psi, "coupled inverse", k0 + i + 1, times[i + 1])
-                yield k0 + i + 1, state, psi
+                yield k0 + i + 1, out, psi
                 pos += 1
 
 
@@ -294,11 +321,16 @@ def mc_moment_curve(system: LinearSde, grid: TimeGrid, paths: int, seed: int) ->
     sums = np.empty((min(block, grid.count), paths))
     means = np.empty(grid.count)
     stds = np.empty(grid.count)
+    start = 0                   # first node not reduced yet
     for k, phi, _ in euler_maruyama(system, grid, paths, seed, nodes):
-        j = k % block
-        sums[j] = np.sum(phi ** 2, axis=(1, 2))
-        if j == block - 1 or k == grid.steps:
-            means[k - j:k + 1], stds[k - j:k + 1] = pairwise_mean_std(sums[:j + 1])
+        sums[k - start] = np.sum(phi ** 2, axis=(1, 2))
+        if k - start == block - 1:
+            means[start:k + 1], stds[start:k + 1] = pairwise_mean_std(sums)
+            start = k + 1
+    # The last block is reduced once the kernel, and its increments, are gone.
+    if start < grid.count:
+        rest = slice(start, grid.count)
+        means[rest], stds[rest] = pairwise_mean_std(sums[:grid.count - start])
     return MomentCurve(ts=grid.times(), values=means, stderrs=stds / math.sqrt(paths))
 
 

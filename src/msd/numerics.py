@@ -2,7 +2,10 @@
 
 Randomness is counter-based: a stream is identified by ``(seed, stream_index)``
 and is reproducible in isolation, so path m of a simulation always sees the
-same increments no matter how many other paths run or in what order. Normal
+same increments no matter how many other paths run or in what order. Value j
+of a stream is a pure function of its key and j (Philox; Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so a batch of
+streams is drawn from one bit generator re-keyed per stream. Normal
 variates of the Brownian increments come from the inverse CDF applied to
 fixed-width uniforms, one draw per variate, never from rejection sampling, so
 path streams never diverge between runs. (Draws that drive no path, such as
@@ -100,25 +103,51 @@ def brownian(t0: float, dt: float, steps: int, stream: RngStream) -> BrownianPat
 class BrownianStreams:
     """Increments of paths 0..n_paths-1, drawn in consecutive blocks of steps.
 
-    Path m reads ``RngStream(seed, m)`` from its start and keeps its generator
-    between blocks, so blocks laid side by side are bit-identical to
-    :func:`brownian_batch` for the same total step count, whatever the block
-    sizes. (Re-creating a generator and skipping ahead with
-    ``Philox.advance`` gives the same numbers, but creating one costs about
-    as much as drawing a thousand values.)
+    Path m reads ``RngStream(seed, m)`` from its start, so blocks laid side
+    by side are bit-identical to :func:`normals` on each path's stream,
+    whatever the block sizes. Every path has drawn the same number of
+    values, which fixes the Philox counter of all of them; so no per-path
+    state is kept, and each block re-keys one bit generator per path at
+    that counter.
     """
 
     def __init__(self, seed: int, n_paths: int, dt: float):
         if dt <= 0.0:
             raise NumericsError("dt must be positive")
-        self._generators = [RngStream(seed, m).generator() for m in range(n_paths)]
+        self._seed = seed % 2**64
+        self._paths = n_paths
         self._root = np.sqrt(dt)
+        self._drawn = 0          # values drawn so far on every path
+        self._bits = np.random.Philox(key=0)   # re-keyed for every path
 
     def draw(self, steps: int) -> np.ndarray:
         """The next ``steps`` increments of every path; shape (n_paths, steps)."""
-        out = np.empty((len(self._generators), steps))
-        for m, gen in enumerate(self._generators):
-            out[m] = _normals(gen, steps) * self._root
+        # Philox makes 4 values per counter step and steps the counter before
+        # it fills its buffer, so value j comes from counter j // 4 + 1:
+        # start one counter back with an empty buffer and drop the values
+        # of the current counter that were drawn already.
+        block, skip = divmod(self._drawn, 4)
+        key = np.array([self._seed, 0], dtype=np.uint64)
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": np.array([block, 0, 0, 0], dtype=np.uint64),
+                           "key": key},
+                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        # Generator.integers(0, 2**53) maps a raw value r to r >> 11 (Lemire's
+        # method never rejects on a power-of-two range); the rest of
+        # _normals' arithmetic runs in place on the one output buffer.
+        out = np.empty((self._paths, steps))
+        for m in range(self._paths):
+            key[1] = m
+            self._bits.state = state
+            raw = self._bits.random_raw(skip + steps)
+            raw >>= np.uint64(11)
+            out[m] = raw[skip:]
+        self._drawn += steps
+        out += 0.5
+        out *= _U53
+        ndtri(out, out=out)
+        out *= self._root
         return out
 
 

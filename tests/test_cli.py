@@ -297,6 +297,13 @@ class TestTriangularize:
         assert payload["invariance"]["max_trace_gap"] == 0.0
 
 
+    @pytest.mark.parametrize("dt", ["0", "-0.5"])
+    def test_step_must_be_positive(self, capsys, dt):
+        code, out, err = run_cli(capsys, "triangularize", "--system", "gbm", "--dt", dt)
+        assert code == 1 and out == ""
+        assert err.startswith("error: validation:") and "dt must be positive" in err
+
+
 class TestPerturb:
     def test_condition_mode(self, capsys):
         code, out, _ = run_cli(capsys, "perturb", "--system", "gbm",
@@ -374,6 +381,14 @@ class TestPerron:
         assert payload["chi_deterministic"] > payload["growth_bound"]
 
 
+    @pytest.mark.parametrize("dt", ["0", "-0.5"])
+    def test_step_must_be_positive(self, capsys, dt):
+        code, out, err = run_cli(capsys, "perron", "--a", "1.05", "--b", "1",
+                                 "--lambda", "1", "--dt", dt)
+        assert code == 1 and out == ""
+        assert err.startswith("error: validation:") and "dt must be positive" in err
+
+
 class TestSelftest:
     def test_all_checks_pass(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--seed", "42")
@@ -392,6 +407,19 @@ class TestSelftest:
     def test_byte_identical_across_thread_counts(self, capsys):
         _, first, _ = run_cli(capsys, "selftest", "--seed", "42", "--threads", "1")
         _, second, _ = run_cli(capsys, "selftest", "--seed", "42", "--threads", "8")
+        assert first == second
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--system", "perron-sde", "--method", "mc", "--t0", "0.001",
+         "--t1", "0.101", "--paths", "300"],
+        ["fit", "--system", "triangular-2x2", "--rank", "1", "--method", "mc",
+         "--s-values", "0,0.5", "--deltas", "0,0.25,0.5", "--paths", "100",
+         "--format", "json"],
+    ], ids=["moments", "fit"])
+    def test_mc_kernels_byte_identical_across_thread_counts(self, capsys, argv):
+        code, first, _ = run_cli(capsys, *argv, "--seed", "3", "--threads", "1")
+        assert code == 0
+        _, second, _ = run_cli(capsys, *argv, "--seed", "3", "--threads", "8")
         assert first == second
 
     def test_byte_identical_with_env_threads(self, capsys, monkeypatch):

@@ -26,7 +26,7 @@ from msd.engines import (
     triangular_fundamental,
 )
 from msd.model import LinearSde, gallery, make_projector
-from msd.numerics import BrownianPath, RngStream, brownian, pairwise_mean_std
+from msd.numerics import BrownianPath, RngStream, brownian, brownian_batch, pairwise_mean_std
 
 E2M1 = 0.17377394345044514  # exp(-1.75), scalar second moment at t=1
 
@@ -81,6 +81,12 @@ def test_grid_basics():
         TimeGrid(0.0, -0.1, 10)
     with pytest.raises(EngineError):
         TimeGrid(0.0, 0.1, 1)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.5, math.inf, math.nan])
+def test_spanning_rejects_a_step_that_is_not_positive_and_finite(dt):
+    with pytest.raises(EngineError, match="dt must be positive and finite"):
+        TimeGrid.spanning(0.0, 1.0, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +249,12 @@ def test_moment_matches_scalar_closed_form(a, b):
     assert final[0, 0] == pytest.approx(math.exp(2 * a + b * b), rel=1e-8)
 
 
+def test_moment_ode_rejects_negative_step():
+    # A negative step once ran gbm to t = 1 in one RK4 step (0.2788).
+    with pytest.raises(EngineError, match="dt must be positive"):
+        moment_ode(gallery("gbm"), np.eye(1), 0.0, 1.0, dt=-0.1)
+
+
 def test_moment_input_validation():
     sys_ = gallery("diag-2x2")
     with pytest.raises(EngineError, match="symmetric"):
@@ -324,6 +336,84 @@ def test_kernel_results_do_not_depend_on_the_block_size(monkeypatch, chunk):
     assert np.array_equal(held.psi, ens.psi[held.nodes])
     nodes, vals = simulate_vectors(sys_, grid, 3, 4, x0, record_nodes=[13, 50])
     assert np.array_equal(nodes, ref_nodes) and np.array_equal(vals, ref_vals)
+
+
+def _random_system(n, rng, scale=1.0, shift=0.0):
+    """Time-dependent coefficients c0 + c1 * sin(t), c0 and c1 normal times
+    ``scale`` (halved in G), plus ``shift`` on the diagonal of A."""
+    def entries(size, diagonal):
+        return [[f"{size * rng.normal():.17g} + {size * rng.normal():.17g} * sin(t)"
+                 + (f" + {diagonal}" if i == j else "") for j in range(n)] for i in range(n)]
+
+    return LinearSde.from_strings(n, entries(scale, shift), entries(0.5 * scale, 0.0))
+
+
+def _reference_em(system, grid, incr, x0):
+    """Euler-Maruyama with the per-path stacked products a @ Phi, g @ Phi,
+    psi @ b and psi @ g, every node kept, and the first entry beyond the
+    explosion threshold (Phi before Psi at each node) or None."""
+    paths, n = incr.shape[0], system.dim
+    a = system.drift_at(grid.times()[:-1])
+    g = system.diffusion_at(grid.times()[:-1])
+    b = -a + g @ g
+    phi = np.tile(np.eye(n), (paths, 1, 1))
+    psi = phi.copy()
+    u = np.tile(x0, (paths, 1))
+    out = {"phi": [phi], "psi": [psi], "u": [u]}
+    with np.errstate(all="ignore"):
+        for k in range(grid.steps):
+            dw = incr[:, k]
+            phi = phi + grid.dt * (a[k] @ phi) + dw[:, None, None] * (g[k] @ phi)
+            psi = psi + grid.dt * (psi @ b[k]) - dw[:, None, None] * (psi @ g[k])
+            u = u + grid.dt * (u @ a[k].T) + dw[:, None] * (u @ g[k].T)
+            for which, arr in (("fundamental matrix", phi), ("coupled inverse", psi)):
+                bad = np.argwhere(~np.isfinite(arr) | (np.abs(arr) > engines.EXPLOSION_THRESHOLD))
+                if len(bad):
+                    return out, (which, k + 1, int(bad[0][0]), tuple(int(i) for i in bad[0][1:]))
+            out["phi"].append(phi)
+            out["psi"].append(psi)
+            out["u"].append(u)
+    return {key: np.stack(val) for key, val in out.items()}, None
+
+
+@pytest.mark.parametrize("chunk", [40, None])
+@pytest.mark.parametrize("paths", [1, 7, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_kernel_equals_stacked_reference_bitwise(monkeypatch, n, paths, chunk):
+    # The kernel steps Phi paths-last, one GEMM per product for all paths;
+    # every entry must still be the per-path stacked product's value.
+    if chunk is not None:
+        monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+    rng = np.random.default_rng(100 * n + paths)
+    sys_ = _random_system(n, rng)
+    grid = TimeGrid(0.0, 0.01, 41)
+    x0 = rng.normal(size=n)
+    ref, blown = _reference_em(sys_, grid, brownian_batch(9, paths, grid.dt, grid.steps), x0)
+    assert blown is None
+    ens = fundamental_at(sys_, grid, paths, 9, np.arange(grid.count))
+    assert np.array_equal(ens.phi, ref["phi"]) and np.array_equal(ens.psi, ref["psi"])
+    assert ens.phi.flags.c_contiguous
+    _, vals = simulate_vectors(sys_, grid, paths, 9, x0)
+    assert np.array_equal(vals, ref["u"])
+    curve = mc_moment_curve(sys_, grid, paths, 9)
+    means, _ = pairwise_mean_std(np.sum(ref["phi"] ** 2, axis=(2, 3)))
+    assert np.array_equal(curve.values, means)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("which, scale, shift", [("coupled inverse", 30.0, 0.0),
+                                                 ("fundamental matrix", 1.0, 60.0)])
+def test_kernel_explosion_names_the_reference_entry(n, which, scale, shift):
+    rng = np.random.default_rng(n)
+    sys_ = _random_system(n, rng, scale, shift)
+    grid = TimeGrid(0.0, 0.01, 1001)
+    _, blown = _reference_em(sys_, grid, brownian_batch(3, 20, grid.dt, grid.steps),
+                             np.ones(n))
+    assert blown is not None and blown[0] == which
+    with pytest.raises(ExplosionError) as info:
+        fundamental_at(sys_, grid, 20, 3, np.arange(grid.count))
+    err = info.value
+    assert (err.which, err.node, err.path, err.entry) == blown
 
 
 def test_held_ensemble_serves_only_its_nodes():

@@ -1,5 +1,7 @@
 """RNG streams, Brownian sampling, reductions, and matrix kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,22 +47,60 @@ def test_brownian_rejects_bad_grid():
         numerics.brownian(0.0, 0.1, 0, RngStream(1, 0))
 
 
+SEEDS = [0, 5, -5, 2**63 + 7]
+
+
+def _oracle(seed, n_paths, dt, steps):
+    """Per-path increments from each stream's own Generator."""
+    return np.stack([numerics.normals(RngStream(seed, m), steps) * np.sqrt(dt)
+                     for m in range(n_paths)])
+
+
 def test_brownian_batch_matches_single_streams():
-    batch = numerics.brownian_batch(seed=5, n_paths=4, dt=0.5, steps=16)
-    for m in range(4):
-        single = numerics.brownian(0.0, 0.5, 16, RngStream(5, m))
-        assert np.array_equal(batch[m], single.increments)
+    for seed in SEEDS:
+        batch = numerics.brownian_batch(seed=seed, n_paths=4, dt=0.5, steps=1003)
+        assert np.array_equal(batch, _oracle(seed, 4, 0.5, 1003))
+        for m in range(4):
+            single = numerics.brownian(0.0, 0.5, 1003, RngStream(seed, m))
+            assert np.array_equal(batch[m], single.increments)
 
 
 @pytest.mark.parametrize("block", [1, 7, 333])
 def test_brownian_streams_blocks_equal_batch(block):
-    batch = numerics.brownian_batch(seed=3, n_paths=5, dt=0.01, steps=1000)
-    streams = numerics.BrownianStreams(seed=3, n_paths=5, dt=0.01)
-    sizes = [block] * (1000 // block) + ([1000 % block] if 1000 % block else [])
-    drawn = np.concatenate([streams.draw(m) for m in sizes], axis=1)
-    assert np.array_equal(drawn, batch)
+    # 1003 steps: blocks end at every position within Philox's 4-value counter.
+    sizes = [block] * (1003 // block) + ([1003 % block] if 1003 % block else [])
+    for seed in SEEDS:
+        streams = numerics.BrownianStreams(seed=seed, n_paths=5, dt=0.01)
+        drawn = np.concatenate([streams.draw(m) for m in sizes], axis=1)
+        assert np.array_equal(drawn, _oracle(seed, 5, 0.01, 1003))
+        assert np.array_equal(drawn, numerics.brownian_batch(seed, 5, 0.01, 1003))
     with pytest.raises(numerics.NumericsError):
         numerics.BrownianStreams(seed=3, n_paths=5, dt=0.0)
+
+
+@pytest.mark.parametrize("key", [[0, 0], [5, 3], [2**64 - 5, 17]])
+def test_bounded_integers_are_shifted_raw_values(key):
+    # BrownianStreams reads raw Philox output where _normals asks the
+    # Generator for integers in [0, 2^53); Lemire's method never rejects on
+    # that range and returns raw >> 11.
+    key = np.array(key, dtype=np.uint64)
+    bounded = np.random.Generator(np.random.Philox(key=key)).integers(
+        0, 2**53, size=1003, dtype=np.uint64)
+    raw = np.random.Philox(key=key).random_raw(1003)
+    assert np.array_equal(bounded, raw >> np.uint64(11))
+
+
+def test_brownian_streams_memory():
+    tracemalloc.start()
+    try:
+        numerics.BrownianStreams(1, 10**5, 0.01)
+        assert tracemalloc.get_traced_memory()[1] < 10e6
+        streams = numerics.BrownianStreams(1, 10**4, 0.01)
+        tracemalloc.reset_peak()
+        block = streams.draw(50)
+        assert tracemalloc.get_traced_memory()[1] <= 1.25 * block.nbytes
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
