@@ -226,14 +226,14 @@ def fit_envelope(surface: MomentSurface, sense: str | None = None,
         alpha_max = _consecutive_slopes(ss, deltas, v, sign=-1.0)
         if not (alpha_max > 0.0 and math.isfinite(alpha_max)):
             alpha_max = 1.0
-    if alpha_max <= 0.0:
-        raise DichotomyError("alpha_max must be positive")
+    if not 0.0 < alpha_max < math.inf:
+        raise DichotomyError("alpha_max must be positive and finite")
     if beta_max is None:
         beta_max = _consecutive_slopes(deltas, ss, v, sign=1.0)
         if not (beta_max > 0.0 and math.isfinite(beta_max)):
             beta_max = 0.0
-    if beta_max < 0.0:
-        raise DichotomyError("beta_max must be nonnegative")
+    if not 0.0 <= beta_max < math.inf:
+        raise DichotomyError("beta_max must be nonnegative and finite")
 
     alphas = alpha_max * np.arange(1, lattice + 1) / lattice
     betas = (beta_max * np.arange(lattice + 1) / lattice
@@ -322,8 +322,8 @@ def predicted_exponent(spectrum_est: SpectrumEstimate, epsilon: float,
     values are kept on the report since the formula's max-vs-min reading is
     debatable. Contraction mode needs an all-negative spectrum.
     """
-    if epsilon < 0.0:
-        raise DichotomyError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < math.inf:
+        raise DichotomyError("epsilon must be nonnegative and finite")
     values = spectrum_est.values
     split = spectrum_est.split_index
     gamma = None

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import expr as ex
 from .model import LinearSde, Projector, adjoint
-from .numerics import BrownianPath, BrownianStreams, brownian_batch, pairwise_mean_std
+from .numerics import (BrownianPath, BrownianStreams, _mean_std_in_place, brownian_batch,
+                       pairwise_mean_std)
 
 
 class EngineError(ValueError):
@@ -87,6 +88,8 @@ class TimeGrid:
     @classmethod
     def spanning(cls, t0: float, t1: float, dt: float) -> "TimeGrid":
         """Grid from t0 to (at least) t1 whose dt divides the span exactly."""
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise EngineError(f"time bounds must be finite, got {t0!r} and {t1!r}")
         if t1 <= t0:
             raise EngineError("need t1 > t0")
         if not (math.isfinite(dt) and dt > 0.0):
@@ -174,12 +177,16 @@ def _requested_nodes(nodes, grid: TimeGrid, paths: int) -> np.ndarray:
 
 def _em_update(x: np.ndarray, drift: np.ndarray, noise: np.ndarray, dt: float,
                dw: np.ndarray) -> np.ndarray:
-    """(x + dt * drift) + dw * noise, computed in place in ``drift`` and ``noise``."""
-    drift *= dt
-    drift += x
-    noise *= dw
-    drift += noise
-    return drift
+    """(x + dt * drift @ x) + dw * noise @ x for a paths-last state x: each
+    product is one GEMM over all paths, and the update runs in place in them."""
+    flat = x.reshape(len(x), -1)
+    out = (drift @ flat).reshape(x.shape)
+    noisy = (noise @ flat).reshape(x.shape)
+    out *= dt
+    out += x
+    noisy *= dw
+    out += noisy
+    return out
 
 
 def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nodes,
@@ -187,20 +194,18 @@ def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
     """Euler-Maruyama states at the requested grid nodes, one node at a time.
 
     Steps the fundamental matrix d(Phi) = A Phi dt + G Phi dw from Phi = Id
-    or, given ``x0`` of shape (n,), the vector solutions u = Phi x0 as a
-    [path, n] stack. With ``inverse`` the coupled inverse
-    d(Psi) = Psi(-A + G^2) dt - Psi G dw is stepped alongside on the same
-    increments. Yields ``(node, state, psi)`` at each node of ``nodes`` in
-    ascending order (``psi`` None without ``inverse``) after checking them
-    against the explosion threshold, and stops at the last one. Matrices
-    are yielded as C-ordered [path, row, col] stacks; a yielded array is
-    never written again, so it may be kept.
+    or, given ``x0`` of shape (n,), the vector solutions u = Phi x0. With
+    ``inverse`` the coupled inverse d(Psi) = Psi(-A + G^2) dt - Psi G dw is
+    stepped alongside on the same increments. Yields ``(node, state, psi)``
+    at each node of ``nodes`` in ascending order (``psi`` None without
+    ``inverse``), checked against the explosion threshold, as C-ordered
+    [path, n] or [path, row, col] copies that may be kept.
 
-    Phi is stepped paths-last, as [row, col, path], so that A Phi and G Phi
-    for all paths are each one (n, n) @ (n, n * paths) product, and Psi
-    steps through one (paths * n, n) @ (n, n) product per factor. The tests
-    check every entry bit for bit against the per-path products A @ Phi and
-    Psi @ B of a stacked reference.
+    Every state is held paths-last: Phi as [row, col, path], vectors as
+    [row, path], and Psi as Psi^T, [col, row, path], stepped as
+    Psi^T + dt B^T Psi^T - dw G^T Psi^T with B = -A + G^2. So every product
+    is one (n, n) @ (n, n * paths) GEMM; the tests check each entry bit for
+    bit against the per-path A @ Phi, Psi @ B and u @ A^T.
 
     The increments are the per-path streams of :func:`brownian_batch`,
     drawn a block of steps at a time, or ``increments`` [path, step] if
@@ -209,59 +214,52 @@ def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
     n = system.dim
     nodes = _requested_nodes(nodes, grid, paths)
     if x0 is None:
-        which = "fundamental matrix"
+        which, order = "fundamental matrix", (2, 0, 1)
         state = np.repeat(np.eye(n)[:, :, None], paths, axis=2)
     else:
-        which = "vector solution"
+        which, order = "vector solution", (1, 0)
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (n,):
             raise EngineError(f"x0 must have shape ({n},)")
-        state = np.tile(x0, (paths, 1))
-    psi = np.tile(np.eye(n), (paths, 1, 1)) if inverse else None
+        state = np.repeat(x0[:, None], paths, axis=1)
+    psi_t = np.repeat(np.eye(n)[:, :, None], paths, axis=2) if inverse else None
     if increments is None:
         streams = BrownianStreams(seed, paths, grid.dt)
     elif increments.shape != (paths, grid.steps):
         raise EngineError(f"increments must have shape ({paths}, {grid.steps})")
 
-    def paths_first(x: np.ndarray) -> np.ndarray:
-        return x if x0 is not None else np.ascontiguousarray(x.transpose(2, 0, 1))
+    def held(k: int):
+        out = np.ascontiguousarray(state.transpose(order))
+        _scan_explosion(out, which, k, grid.t0 + dt * k)
+        psi = np.ascontiguousarray(psi_t.transpose(2, 1, 0)) if inverse else None
+        if inverse:
+            _scan_explosion(psi, "coupled inverse", k, grid.t0 + dt * k)
+        return k, out, psi
 
     dt = grid.dt
-    pos = 0
-    if nodes[0] == 0:
-        yield 0, paths_first(state), psi
-        pos = 1
+    pos = int(nodes[0] == 0)
+    if pos:
+        yield held(0)
     last = int(nodes[-1])
     block = max(1, CHUNK_VALUES // (paths + 3 * n * n))
     for k0 in range(0, last, block):
         k1 = min(k0 + block, last)
-        times = grid.t0 + dt * np.arange(k0, k1 + 1)
-        a = system.drift_at(times[:-1])
-        g = system.diffusion_at(times[:-1])
-        b = -a + g @ g if inverse else None
+        times = grid.t0 + dt * np.arange(k0, k1)
+        a = system.drift_at(times)
+        g = system.diffusion_at(times)
+        if inverse:
+            b_t = np.ascontiguousarray(np.swapaxes(-a + g @ g, 1, 2))
+            g_t = np.ascontiguousarray(np.swapaxes(g, 1, 2))
         incr = streams.draw(k1 - k0) if increments is None else increments[:, k0:k1]
         for i in range(k1 - k0):
-            dw = incr[:, i]
-            # A @ Phi for matrices, u @ A^T for vectors: the two orders differ
-            # in the last bits, and each route keeps its own.
-            if x0 is None:
-                flat = state.reshape(n, n * paths)
-                state = _em_update(state, (a[i] @ flat).reshape(state.shape),
-                                   (g[i] @ flat).reshape(state.shape), dt, dw)
-            else:
-                state = _em_update(state, state @ a[i].T, state @ g[i].T, dt, dw[:, None])
+            state = _em_update(state, a[i], g[i], dt, incr[:, i])
             if inverse:
-                rows = psi.reshape(paths * n, n)
                 # x - dw * y and x + (-dw) * y round alike.
-                psi = _em_update(psi, (rows @ b[i]).reshape(psi.shape),
-                                 (rows @ g[i]).reshape(psi.shape), dt, -dw[:, None, None])
+                psi_t = _em_update(psi_t, b_t[i], g_t[i], dt, -incr[:, i])
             if nodes[pos] == k0 + i + 1:
-                out = paths_first(state)
-                _scan_explosion(out, which, k0 + i + 1, times[i + 1])
-                if inverse:
-                    _scan_explosion(psi, "coupled inverse", k0 + i + 1, times[i + 1])
-                yield k0 + i + 1, out, psi
+                yield held(k0 + i + 1)
                 pos += 1
+        del incr                # freed before the next block is drawn
 
 
 def fundamental_at(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nodes,
@@ -312,25 +310,26 @@ def simulate_vectors(system: LinearSde, grid: TimeGrid, paths: int, seed: int,
 def mc_moment_curve(system: LinearSde, grid: TimeGrid, paths: int, seed: int) -> MomentCurve:
     """Monte Carlo E||Phi(t)||_F^2 at every node, without keeping the ensemble.
 
-    Per-path sums of squares are reduced over paths in blocks of nodes, one
-    stacked pairwise_mean_std call per block, so the values equal the
-    reduction of a stored ensemble bit for bit while memory stays bounded.
+    Per-path sums of squares are held rows-first, [path, node], for a block
+    of nodes and reduced over paths in place, one stacked pairwise reduction
+    per block, so the values equal the reduction of a stored ensemble bit
+    for bit while memory stays bounded.
     """
     nodes = _requested_nodes(np.arange(grid.count), grid, paths)
     block = max(1, CHUNK_VALUES // paths)
-    sums = np.empty((min(block, grid.count), paths))
+    sums = np.empty((paths, min(block, grid.count)))
     means = np.empty(grid.count)
     stds = np.empty(grid.count)
     start = 0                   # first node not reduced yet
     for k, phi, _ in euler_maruyama(system, grid, paths, seed, nodes):
-        sums[k - start] = np.sum(phi ** 2, axis=(1, 2))
+        sums[:, k - start] = np.sum(phi ** 2, axis=(1, 2))
         if k - start == block - 1:
-            means[start:k + 1], stds[start:k + 1] = pairwise_mean_std(sums)
+            means[start:k + 1], stds[start:k + 1] = _mean_std_in_place(sums)
             start = k + 1
     # The last block is reduced once the kernel, and its increments, are gone.
     if start < grid.count:
         rest = slice(start, grid.count)
-        means[rest], stds[rest] = pairwise_mean_std(sums[:grid.count - start])
+        means[rest], stds[rest] = _mean_std_in_place(sums[:, :grid.count - start])
     return MomentCurve(ts=grid.times(), values=means, stderrs=stds / math.sqrt(paths))
 
 
@@ -343,8 +342,16 @@ def _moment_rhs(a: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return ap + ap.T + g @ p @ g.T
 
 
-def _moment_loop(system: LinearSde, p0, t_from: float, t_to: float, dt: float,
-                 log_scale: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# The carried moment matrix is rescaled by an exact power of two whenever its
+# trace leaves [2^-332, 2^332] (about 1e-100 to 1e100), so no RK4 stage can
+# overflow or underflow however far the true trace runs.
+_TRACE_LOW, _TRACE_HIGH = 2.0 ** -332, 2.0 ** 332
+
+
+def _moment_loop(system: LinearSde, p0, t_from: float, t_to: float,
+                 dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """RK4 for M' = A M + M A^T + G M G^T with M carried as m * 2^e: returns
+    the grid times, trace m and e at every node, and the final m."""
     p = np.array(p0, dtype=float)
     n = system.dim
     if p.shape != (n, n):
@@ -352,10 +359,16 @@ def _moment_loop(system: LinearSde, p0, t_from: float, t_to: float, dt: float,
     if np.linalg.norm(p - p.T) > 1e-12 * (1.0 + np.linalg.norm(p)):
         raise EngineError("initial moment matrix must be symmetric")
     w0 = np.linalg.eigvalsh((p + p.T) / 2.0)[0]
-    if w0 < -1e-9 * max(1.0, abs(np.trace(p))):
-        raise NonPsdError(t_from, float(w0), float(np.trace(p)))
+    tr0 = np.trace(p)
+    if w0 < -1e-9 * max(1.0, abs(tr0)):
+        raise NonPsdError(t_from, float(w0), float(tr0))
     if t_to <= t_from:
         raise EngineError("need t_to > t_from")
+    # Rank-deficient starts (such as u u^T) pick up O((h*lambda)^5) negative
+    # wobble per step; between checks that stays well under 1e-6 of trace, so
+    # anything bigger is a real defect, and what is left is clamped away.
+    singular = w0 <= 1e-12 * tr0
+    tolerance = 1e-6 if singular else 1e-9
 
     grid = TimeGrid.spanning(t_from, t_to, dt)
     steps, h = grid.steps, grid.dt
@@ -364,56 +377,39 @@ def _moment_loop(system: LinearSde, p0, t_from: float, t_to: float, dt: float,
     g_all = system.diffusion_at(stage_times)
 
     p = (p + p.T) / 2.0
-    if log_scale:
-        # Relative to the initial trace; lets exponents far beyond float
-        # range be tracked through periodic renormalization.
-        tr0 = np.trace(p)
-        if tr0 <= 0.0:
-            raise EngineError("log-scale route needs a positive initial trace")
-        p = p / tr0
-    log_acc = 0.0
-    values = np.empty(steps + 1)
-    values[0] = 0.0 if log_scale else np.trace(p)
-    for k in range(steps):
-        a0, g0 = a_all[2 * k], g_all[2 * k]
-        am, gm = a_all[2 * k + 1], g_all[2 * k + 1]
-        a1, g1 = a_all[2 * k + 2], g_all[2 * k + 2]
-        k1 = _moment_rhs(a0, g0, p)
-        k2 = _moment_rhs(am, gm, p + (h / 2.0) * k1)
-        k3 = _moment_rhs(am, gm, p + (h / 2.0) * k2)
-        k4 = _moment_rhs(a1, g1, p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        p = (p + p.T) / 2.0
+    traces = np.empty(steps + 1)
+    exps = np.empty(steps + 1, dtype=np.int64)
+    e = 0
+    for k in range(steps + 1):
+        t_here = t_from + k * h
+        if k:
+            a, g = a_all[2 * k - 2:2 * k + 1], g_all[2 * k - 2:2 * k + 1]
+            k1 = _moment_rhs(a[0], g[0], p)
+            k2 = _moment_rhs(a[1], g[1], p + (h / 2.0) * k1)
+            k3 = _moment_rhs(a[1], g[1], p + (h / 2.0) * k2)
+            k4 = _moment_rhs(a[2], g[2], p + h * k3)
+            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            p = (p + p.T) / 2.0
         tr = np.trace(p)
-        if log_scale:
-            if not (0.0 < tr < np.inf):
-                raise EngineError(
-                    f"moment integration diverged at t={t_from + (k + 1) * h:.6g}"
-                )
-            if tr > 1e100 or tr < 1e-100:
-                log_acc += math.log(tr)
-                p = p / tr
+        if not _TRACE_LOW <= tr <= _TRACE_HIGH:
+            if not math.isfinite(tr):
+                raise EngineError(f"moment integration diverged at t={t_here:.6g}")
+            if tr > 0.0:
+                shift = math.frexp(tr)[1]
+                p = np.ldexp(p, -shift)
+                e += shift
                 tr = np.trace(p)
-            values[k + 1] = log_acc + math.log(tr)
-        else:
-            values[k + 1] = tr
-        if (k + 1) % 25 == 0 or k == steps - 1:
-            t_here = t_from + (k + 1) * h
+        traces[k], exps[k] = tr, e
+        if k and (k % 25 == 0 or k == steps):
             if not np.all(np.isfinite(p)):
                 raise EngineError(f"moment integration diverged at t={t_here:.6g}")
             w = np.linalg.eigvalsh(p)[0]
-            if log_scale:
-                # Rank-deficient starts pick up O((h*lambda)^5) negative
-                # wobble per step; between checks that stays well under
-                # 1e-6 of trace, so anything bigger is a real defect.
-                if w < -1e-6 * max(1.0, abs(tr)):
-                    raise NonPsdError(t_here, float(w), float(tr))
-                if w < 0.0:
-                    evals, evecs = np.linalg.eigh(p)
-                    p = (evecs * np.maximum(evals, 0.0)) @ evecs.T
-            elif w < -1e-9 * max(1.0, abs(tr)):
+            if w < -tolerance * max(1.0, abs(tr)):
                 raise NonPsdError(t_here, float(w), float(tr))
-    return grid.times(), values, p
+            if singular and w < 0.0:
+                evals, evecs = np.linalg.eigh(p)
+                p = (evecs * np.maximum(evals, 0.0)) @ evecs.T
+    return grid.times(), traces, exps, p
 
 
 def moment_ode(system: LinearSde, p0, t_from: float, t_to: float,
@@ -422,19 +418,32 @@ def moment_ode(system: LinearSde, p0, t_from: float, t_to: float,
 
     Returns the trace curve on the internal grid and the final matrix.
     """
-    ts, traces, p = _moment_loop(system, p0, t_from, t_to, dt, log_scale=False)
-    return MomentCurve(ts=ts, values=traces), p
+    ts, traces, exps, p = _moment_loop(system, p0, t_from, t_to, dt)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(traces, exps)
+    fits = np.isfinite(values)
+    if not fits.all():
+        raise EngineError(f"moment integration diverged at t={ts[np.argmin(fits)]:.6g}")
+    return MomentCurve(ts=ts, values=values), np.ldexp(p, exps[-1])
 
 
 def moment_log_trace(system: LinearSde, p0, t_from: float, t_to: float,
                      dt: float = 1e-3) -> MomentCurve:
     """Like moment_ode but returns log(trace M(t) / trace M(t_from)).
 
-    The matrix is renormalized whenever its trace leaves [1e-100, 1e100],
-    so exponents of order hundreds per unit time stay representable.
+    M is rescaled by an exact power of two whenever its trace leaves
+    [2^-332, 2^332], so exponents of order hundreds per unit time stay
+    representable and the rescaling adds no rounding of its own.
     """
-    ts, logs, _ = _moment_loop(system, p0, t_from, t_to, dt, log_scale=True)
-    return MomentCurve(ts=ts, values=logs)
+    ts, traces, exps, _ = _moment_loop(system, p0, t_from, t_to, dt)
+    if traces[0] <= 0.0:
+        raise EngineError("log-scale route needs a positive initial trace")
+    positive = traces > 0.0
+    if not positive.all():
+        raise EngineError(f"moment integration diverged at t={ts[np.argmin(positive)]:.6g}")
+    # math.log, not np.log: NumPy's vector loop rounds some values differently.
+    logs = np.fromiter(map(math.log, traces / traces[0]), float, len(traces))
+    return MomentCurve(ts=ts, values=logs + (exps - exps[0]) * math.log(2.0))
 
 
 def transition_second_moment(system: LinearSde, s: float, t: float,
@@ -585,6 +594,25 @@ def triangular_fundamental(system: LinearSde, path: BrownianPath) -> tuple[np.nd
             inner = np.exp(lam[i][:-1]) * ((c_v - gii * d_v) * dt + d_v * dw)
             ut[:, i, j] = np.exp(-lam[i]) * np.concatenate([[0.0], np.cumsum(inner)])
     return u, ut
+
+
+def constant_moment(system: LinearSde, p0, t: float) -> np.ndarray:
+    """Exact E[u u^T] a time ``t`` after M(0) = p0, for constant coefficients.
+
+    M' = A M + M A^T + G M G^T is linear in M, so on row-major vec M it is
+    vec M(t) = expm(t L) vec M(0) with L = A (x) I + I (x) A + G (x) G. It
+    shares no code with the RK4 engine, which it exists to check.
+    """
+    for matrix in (system.drift, system.diffusion):
+        if any("t" in ex.free_names(entry) for row in matrix for entry in row):
+            raise EngineError("the exact moment oracle needs coefficients constant in t")
+    # Imported here: msd's start-up does not load scipy.linalg otherwise.
+    from scipy.linalg import expm
+
+    n = system.dim
+    a, g, eye = system.drift_at(0.0), system.diffusion_at(0.0), np.eye(n)
+    lop = np.kron(a, eye) + np.kron(eye, a) + np.kron(g, g)
+    return (expm(t * lop) @ np.asarray(p0, dtype=float).reshape(n * n)).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

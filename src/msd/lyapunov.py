@@ -80,16 +80,16 @@ def chi_estimate(system: LinearSde, u0, horizon: float, method: str = "ode",
     if u0.shape != (system.dim,):
         raise LyapunovError(f"u0 must be a vector of length {system.dim}")
     norm0_sq = float(u0 @ u0)
-    if norm0_sq == 0.0:
-        raise LyapunovError("initial vector must be nonzero")
+    if not 0.0 < norm0_sq < math.inf:
+        raise LyapunovError("initial vector must be nonzero and finite")
     if horizon <= t_start:
         raise LyapunovError("horizon must exceed the start time")
     if method not in ("ode", "mc"):
         raise LyapunovError(f"unknown method '{method}'")
 
     # Log-spaced checkpoints, snapped to the nodes of the grid both routes use.
-    cps = np.geomspace(t_start + (horizon - t_start) * 1e-3, horizon, _CHECKPOINTS)
     grid = TimeGrid.spanning(t_start, horizon, dt)
+    cps = np.geomspace(t_start + (horizon - t_start) * 1e-3, horizon, _CHECKPOINTS)
     nodes = np.unique(np.clip(np.round((cps - t_start) / grid.dt).astype(int), 1, grid.steps))
     ts = grid.times()[nodes]
     if method == "ode":
@@ -124,6 +124,8 @@ def spectrum(system: LinearSde, horizon: float, trials: int, method: str = "ode"
     canonical members only, so they always sum to n.
     """
     n = system.dim
+    if not tolerance >= 0.0:
+        raise LyapunovError("tolerance must be nonnegative")
     if trials < n:
         raise LyapunovError(f"need at least {n} trials to cover the canonical basis")
     probes = [np.eye(n)[:, i] for i in range(n)]

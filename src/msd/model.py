@@ -14,6 +14,7 @@ constant systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,11 +213,14 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.kind not in ("power_clipped", "expr", "zero"):
             raise ModelError(f"unknown perturbation kind '{self.kind}'")
+        # Written so that NaN fails every check.
         if self.kind == "power_clipped":
-            if self.power < 2.0:
-                raise ModelError("power_clipped exponent must be >= 2")
-            if self.clip <= 0.0:
-                raise ModelError("clip radius must be positive")
+            if not math.isfinite(self.coef):
+                raise ModelError("power_clipped coefficient must be finite")
+            if not 2.0 <= self.power < math.inf:
+                raise ModelError("power_clipped exponent must be >= 2 and finite")
+            if not 0.0 < self.clip < math.inf:
+                raise ModelError("clip radius must be positive and finite")
 
     @classmethod
     def zero(cls) -> "PerturbationSpec":
@@ -249,10 +253,10 @@ class PerturbedSde:
     q: float
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise ModelError("declared constant c must be positive")
-        if self.q <= 1.0:
-            raise ModelError("declared exponent q must exceed 1")
+        if not 0.0 < self.c < math.inf:
+            raise ModelError("declared constant c must be positive and finite")
+        if not 1.0 < self.q < math.inf:
+            raise ModelError("declared exponent q must exceed 1 and be finite")
         for spec in (self.f, self.h):
             if spec.kind == "expr":
                 if len(spec.entries) != self.base.dim:

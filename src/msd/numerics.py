@@ -179,12 +179,16 @@ def pairwise_mean_std(values: np.ndarray) -> tuple[float | np.ndarray, float | n
     Both sums use a fixed binary tree (blocks of 8 at the leaves) whose shape
     depends only on ``values.shape[-1]``.
     """
-    x = _rows_first(values)
+    return _mean_std_in_place(_rows_first(values))
+
+
+def _mean_std_in_place(x: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """:func:`pairwise_mean_std` over axis 0 of ``x``, whose values it overwrites."""
     n = x.shape[0]
     if n == 0:
         raise NumericsError("empty sample")
     mean = _tree_sum(x) / n
-    x -= mean           # x is our own copy: the deviations overwrite it
+    x -= mean           # the deviations overwrite the values
     x *= x
     # One value has zero deviation, so max() only avoids 0 / 0.
     return mean[()], np.sqrt(_tree_sum(x) / max(n - 1, 1))[()]

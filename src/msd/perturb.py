@@ -146,8 +146,8 @@ def check_condition_42(psys: PerturbedSde, sampler_scale: float, trials: int,
     """
     if trials < 100:
         raise PerturbError("need at least 100 trials for a meaningful sweep")
-    if sampler_scale <= 0.0:
-        raise PerturbError("sampler scale must be positive")
+    if not 0.0 < sampler_scale < math.inf:
+        raise PerturbError("sampler scale must be positive and finite")
     n = psys.base.dim
     params = psys.base.params
     # A counter stream accepts any integer seed. Index 20 000 stays clear of

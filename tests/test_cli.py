@@ -166,7 +166,7 @@ class TestMoments:
     def test_mc_memory_does_not_grow_with_horizon(self, monkeypatch, tmp_path):
         # 2^16-value blocks fill at about 320 nodes with 200 paths, so both
         # runs hold full blocks; what grows is the printed table (about
-        # 0.2 KB per row, 1.17x here). A stored ensemble grows by about 8 KB
+        # 0.2 KB per row, 1.09x here). A stored ensemble grows by about 8 KB
         # per node at these sizes (3.9x).
         monkeypatch.setattr(engines, "CHUNK_VALUES", 2 ** 16)
         peaks = []
@@ -460,6 +460,44 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "perron", "--a", "1", "--b", "2",
                                "--lambda", "1")
         assert code == 1
+        assert err.startswith("error: validation: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["lyapunov", "--system", "gbm", "--horizon", "nan"],
+        ["lyapunov", "--system", "gbm", "--horizon", "inf"],
+        ["lyapunov", "--system", "gbm", "--t-start", "nan", "--horizon", "2"],
+        ["moments", "--system", "gbm", "--t1", "inf"],
+        ["regularity", "--system", "gbm", "--horizon", "nan"],
+        ["fit", "--system", "gbm", "--s-values", "0", "--deltas", "0,nan"],
+        ["fit", "--system", "gbm", "--s-values", "nan", "--deltas", "0,1"],
+        ["perturb", "--system", "gbm", "--mode", "stability", "--horizon", "nan"],
+        ["perron", "--a", "1.05", "--b", "1", "--lambda", "1", "--horizon", "nan"],
+        ["triangularize", "--system", "gbm", "--t1", "nan"],
+    ])
+    def test_non_finite_time_bound_is_a_validation_error(self, capsys, argv):
+        # Each of these once ended in a traceback from math.ceil in the grid.
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: validation: time bounds must be finite")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["perturb", "--mode", "condition", "--scale", "nan"],
+        *(["perturb", "--mode", "condition", "--scale", "0.5", flag, "nan"]
+          for flag in ("--c", "--q", "--coef", "--power", "--clip")),
+        ["fit", "--s-values", "0,1", "--deltas", "0,1,2", "--alpha-max", "nan"],
+        ["fit", "--s-values", "0,1", "--deltas", "0,1,2", "--beta-max", "nan"],
+        ["lyapunov", "--epsilon", "nan"],
+        ["lyapunov", "--tolerance", "nan"],
+        ["lyapunov", "--vector", "nan"],
+    ])
+    def test_nan_parameter_is_a_validation_error(self, capsys, flags):
+        # NaN once passed checks written as `x <= 0`: condition mode then
+        # compared nothing and printed "consistent": true, fit printed a
+        # bare NaN, lyapunov printed NaN forecasts, and a NaN vector was
+        # reported as a divergence or an explosion.
+        code, out, err = run_cli(capsys, flags[0], "--system", "gbm", *flags[1:])
+        assert code == 1 and out == ""
         assert err.startswith("error: validation: ")
 
 
