@@ -24,9 +24,10 @@ from .engines import (
     MomentSurface,
     FundamentalEnsemble,
     TimeGrid,
+    _CoupledProjector,
+    _moment_rows,
     fundamental_at,
     mc_second_moment,
-    transition_second_moment,
 )
 from .lyapunov import RegularityEstimate, SpectrumEstimate
 from .model import LinearSde, Projector
@@ -132,30 +133,22 @@ def dichotomy_surface(system: LinearSde, projector: Projector | None, pairs,
     if has_fwd and has_bwd:
         raise DichotomyError("pairs mix senses; split into t >= s and t <= s surfaces")
     sense = "unstable" if has_bwd else "stable"
-    n = system.dim
-    rank = n if projector is None else projector.rank
 
-    if method == "mc":
-        return _surface_mc(system, projector, pairs, sense, dt, paths, seed)
-    if method == "auto":
-        conformal = (projector is None or rank in (0, n)
-                     or system.is_block_diagonal(rank))
-        if not conformal:
-            return _surface_mc(system, projector, pairs, sense, dt, paths, seed)
-
-    values = np.empty(len(pairs))
-    for i, (s, t) in enumerate(pairs):
-        if t == s and sense == "unstable" and projector is not None:
-            # Equal-time anchor of the complement block.
-            values[i] = float(n - rank)
-        else:
-            values[i] = transition_second_moment(system, s, t, projector, dt=dt)
-    ss = np.array([s for s, _ in pairs])
-    ts = np.array([t for _, t in pairs])
-    return MomentSurface(ss=ss, ts=ts, values=values, stderrs=None, sense=sense)
+    values = stderrs = None
+    if method != "mc":
+        try:
+            values = _moment_rows(system, projector, pairs, sense, dt)
+        except _CoupledProjector:
+            if method == "ode":
+                raise
+    if values is None:
+        values, stderrs = _surface_mc(system, projector, pairs, sense, dt, paths, seed)
+    ss, ts = np.array(pairs).T
+    return MomentSurface(ss=ss, ts=ts, values=values, stderrs=stderrs, sense=sense)
 
 
-def _surface_mc(system, projector, pairs, sense, dt, paths, seed) -> MomentSurface:
+def _surface_mc(system, projector, pairs, sense, dt, paths, seed):
+    """Monte Carlo values and standard errors over the pairs."""
     times = sorted({x for p in pairs for x in p})
     t0, t_end = times[0], times[-1]
     if t_end == t0:
@@ -163,16 +156,9 @@ def _surface_mc(system, projector, pairs, sense, dt, paths, seed) -> MomentSurfa
     grid = TimeGrid.spanning(t0, t_end, dt)
     nodes = {x: grid.node_at(x) for x in times}
     ens = fundamental_at(system, grid, paths, seed, list(nodes.values()))
-    weight = projector
-    if projector is not None and sense == "unstable":
-        weight = projector.complement_matrix
-    values = np.empty(len(pairs))
-    stderrs = np.empty(len(pairs))
-    for i, (s, t) in enumerate(pairs):
-        values[i], stderrs[i] = mc_second_moment(ens, nodes[s], nodes[t], weight)
-    ss = np.array([s for s, _ in pairs])
-    ts = np.array([t for _, t in pairs])
-    return MomentSurface(ss=ss, ts=ts, values=values, stderrs=stderrs, sense=sense)
+    weight = (projector.complement_matrix if projector is not None and sense == "unstable"
+              else projector)
+    return np.array([mc_second_moment(ens, nodes[s], nodes[t], weight) for s, t in pairs]).T
 
 
 def _consecutive_slopes(keys, xs, values, sign: float) -> float:

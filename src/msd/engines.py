@@ -57,6 +57,9 @@ class NonPsdError(EngineError):
 
 EXPLOSION_THRESHOLD = 1e150
 
+# No grid has more steps than this; no command needs more than 10^4 by default.
+_MAX_STEPS = 10 ** 7
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -71,6 +74,9 @@ class TimeGrid:
             raise EngineError("dt must be positive")
         if self.count < 2:
             raise EngineError("grid needs at least 2 nodes")
+        if self.count - 1 > _MAX_STEPS:
+            raise EngineError(f"grid needs more than {_MAX_STEPS:.0e} steps; "
+                              "use a larger dt")
 
     @property
     def steps(self) -> int:
@@ -94,7 +100,9 @@ class TimeGrid:
             raise EngineError("need t1 > t0")
         if not (math.isfinite(dt) and dt > 0.0):
             raise EngineError(f"dt must be positive and finite, got {dt!r}")
-        steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
+        # Capped so that a span over a tiny dt, even an infinite ratio,
+        # reaches the step limit of the grid as a finite count.
+        steps = max(1, math.ceil(min((t1 - t0) / dt, _MAX_STEPS + 1.0) - 1e-12))
         return cls(t0=t0, dt=(t1 - t0) / steps, count=steps + 1)
 
 
@@ -372,9 +380,9 @@ def _moment_loop(system: LinearSde, p0, t_from: float, t_to: float,
 
     grid = TimeGrid.spanning(t_from, t_to, dt)
     steps, h = grid.steps, grid.dt
-    stage_times = t_from + (h / 2.0) * np.arange(2 * steps + 1)
-    a_all = system.drift_at(stage_times)
-    g_all = system.diffusion_at(stage_times)
+    # A and G at the stage times t_from + j h / 2 are tabulated for a block
+    # of steps at a time, 4 n^2 values per step.
+    block = max(1, CHUNK_VALUES // (4 * n * n))
 
     p = (p + p.T) / 2.0
     traces = np.empty(steps + 1)
@@ -383,7 +391,13 @@ def _moment_loop(system: LinearSde, p0, t_from: float, t_to: float,
     for k in range(steps + 1):
         t_here = t_from + k * h
         if k:
-            a, g = a_all[2 * k - 2:2 * k + 1], g_all[2 * k - 2:2 * k + 1]
+            i = 2 * ((k - 1) % block)
+            if i == 0:
+                last = min(k - 1 + block, steps)
+                stage_times = t_from + (h / 2.0) * np.arange(2 * k - 2, 2 * last + 1)
+                a_all = system.drift_at(stage_times)
+                g_all = system.diffusion_at(stage_times)
+            a, g = a_all[i:i + 3], g_all[i:i + 3]
             k1 = _moment_rhs(a[0], g[0], p)
             k2 = _moment_rhs(a[1], g[1], p + (h / 2.0) * k1)
             k3 = _moment_rhs(a[1], g[1], p + (h / 2.0) * k2)
@@ -446,34 +460,52 @@ def moment_log_trace(system: LinearSde, p0, t_from: float, t_to: float,
     return MomentCurve(ts=ts, values=logs + (exps - exps[0]) * math.log(2.0))
 
 
-def transition_second_moment(system: LinearSde, s: float, t: float,
-                             projector: Projector | None = None,
-                             dt: float = 1e-3) -> float:
-    """E||Phi(t) P Phi^-1(s)||_F^2 for the canonical projector, ODE route.
+class _CoupledProjector(EngineError):
+    """The projector couples the system's blocks, so no moment ODE applies."""
 
-    t >= s uses P itself; t < s uses the complement Id - P (the unstable
-    sense). No projector means the full identity either way. A projector of
-    intermediate rank requires the system to be block-diagonal conformal
-    with it, because only then does P commute with the flow and the quantity
-    reduce to a one-sided moment ODE; otherwise use mc_second_moment.
+
+def _moment_rows(system: LinearSde, projector: Projector | None, pairs, sense: str,
+                 dt: float) -> np.ndarray:
+    """E||Phi(t) P Phi^-1(s)||_F^2 at (s, t) pairs of one sense, ODE route.
+
+    The stable sense runs the system from s, starting at P (Id without a
+    projector); the unstable sense runs the adjoint, whose flow is the
+    transpose, from t to s, starting at Id - P. Pairs with one start form a
+    row, one chained pass: it restarts at each end from that end's matrix,
+    and the end reads its trace.
     """
     n = system.dim
     rank = n if projector is None else projector.rank
-    if projector is not None and 0 < rank < n and not system.is_block_diagonal(rank):
-        raise EngineError(
-            "projector couples the blocks on this system; use Monte Carlo "
-            "(mc_second_moment) instead"
-        )
-    if t == s:
-        return float(rank)
-    if t > s:
-        p0 = np.eye(n) if projector is None else projector.matrix
-        _, final = moment_ode(system, p0, s, t, dt=dt)
-        return float(np.trace(final))
-    # t < s: transposing gives the adjoint flow running forward from t to s.
-    q0 = np.eye(n) if projector is None else projector.complement_matrix
-    _, final = moment_ode(adjoint(system), q0, t, s, dt=dt)
-    return float(np.trace(final))
+    if not system.is_block_diagonal(rank):
+        raise _CoupledProjector("projector couples the blocks on this system; use "
+                                "Monte Carlo (mc_second_moment) instead")
+    flow, spans = system, pairs
+    if sense == "unstable":
+        flow, spans = adjoint(system), [(t, s) for s, t in pairs]
+    p0 = (np.eye(n) if projector is None else projector.matrix if sense == "stable"
+          else projector.complement_matrix)
+    rows: dict[float, list] = {}
+    for i, (start, end) in enumerate(spans):
+        rows.setdefault(start, []).append((end, i))
+    values = np.empty(len(pairs))
+    for start, ends in rows.items():
+        here, p = start, p0
+        for end, i in sorted(ends):
+            if end != here:
+                _, p = moment_ode(flow, p, here, end, dt=dt)
+                here = end
+            values[i] = np.trace(p)
+    return values
+
+
+def transition_second_moment(system: LinearSde, s: float, t: float,
+                             projector: Projector | None = None,
+                             dt: float = 1e-3) -> float:
+    """E||Phi(t) P Phi^-1(s)||_F^2 for the canonical projector, ODE route;
+    t < s measures the complement Id - P. A projector of intermediate rank
+    must be conformal with the system's blocks, else use mc_second_moment."""
+    sense = "stable" if t >= s else "unstable"
+    return float(_moment_rows(system, projector, [(s, t)], sense, dt)[0])
 
 
 def mc_second_moment(ens: FundamentalEnsemble, s_node: int, t_node: int,

@@ -62,20 +62,33 @@ def make_projector(dim: int, rank: int) -> Projector:
 
 
 def _parse_matrix(dim: int, rows, what: str) -> Matrix:
-    if len(rows) != dim or any(len(row) != dim for row in rows):
-        raise ModelError(f"{what} must be {dim}x{dim}")
+    if (not isinstance(rows, (list, tuple)) or len(rows) != dim
+            or any(not isinstance(row, (list, tuple)) or len(row) != dim for row in rows)):
+        raise ModelError(f"{what} must be {dim}x{dim}, given as a list of rows")
     out = []
     for row in rows:
         parsed = []
         for entry in row:
             if isinstance(entry, str):
                 parsed.append(ex.parse(entry))
-            elif isinstance(entry, (int, float)):
-                parsed.append(ex.Num(float(entry)))
-            else:
+            elif isinstance(entry, ex.Expr):
                 parsed.append(entry)
+            else:
+                parsed.append(ex.Num(_finite_number(entry, f"{what} entry")))
         out.append(tuple(parsed))
     return tuple(out)
+
+
+def _finite_number(value, what: str) -> float:
+    """float(value) for a number or a numeric string; a bool, any other
+    type and a non-finite value raise ModelError naming ``what``."""
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ModelError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -355,9 +368,16 @@ def to_dict(system: LinearSde) -> dict:
 
 def from_dict(data: dict) -> LinearSde:
     try:
-        dim = int(data["dim"])
+        dim = _finite_number(data["dim"], "dim")
         drift = data["A"]
         diffusion = data["G"]
+        params = data.get("params", {})
     except (KeyError, TypeError) as exc:
         raise ModelError(f"system object needs dim/A/G: {exc}") from None
-    return LinearSde.from_strings(dim, drift, diffusion, data.get("params", {}))
+    if dim != int(dim):
+        raise ModelError(f"dim must be an integer, got {data['dim']!r}")
+    if not isinstance(params, dict):
+        raise ModelError(f"params must map names to numbers, got {params!r}")
+    params = {name: _finite_number(value, f"parameter '{name}'")
+              for name, value in params.items()}
+    return LinearSde.from_strings(int(dim), drift, diffusion, params)

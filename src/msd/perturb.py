@@ -238,9 +238,14 @@ def simulate_perturbed(psys: PerturbedSde, xi0, grid: TimeGrid, paths: int,
                              xi0=xi0, values=values, escape_times=escape)
 
 
+# Picard iteration stops once no entry of the solution moves by more than
+# _PICARD_TOL in a sweep, and gives up after _PICARD_SWEEPS sweeps.
+_PICARD_TOL = 1e-8
+_PICARD_SWEEPS = 50
+
+
 def voc_solve(psys: PerturbedSde, xi0, ens: FundamentalEnsemble,
-              path_index: int = 0, tol: float = 1e-8,
-              max_iterations: int = 50) -> VocSolution:
+              path_index: int = 0) -> VocSolution:
     """Picard iteration on the variation-of-constants form for one path.
 
     u(t) = Phi(t) [xi0 + int Psi h(u) dw + int Psi (f(u) - G h(u)) dtau],
@@ -266,7 +271,7 @@ def voc_solve(psys: PerturbedSde, xi0, ens: FundamentalEnsemble,
     # phi @ xi0: the correction below is then exactly zero.
     linear = phi @ xi0
     u = linear
-    for sweep in range(1, max_iterations + 1):
+    for sweep in range(1, _PICARD_SWEEPS + 1):
         f_val = _apply_map(psys.f, params, times[:-1], u[:-1])
         h_val = _apply_map(psys.h, params, times[:-1], u[:-1])
         gh = np.einsum("kij,kj->ki", g_left, h_val)
@@ -279,10 +284,10 @@ def voc_solve(psys: PerturbedSde, xi0, ens: FundamentalEnsemble,
         if not math.isfinite(delta):
             raise NonConvergenceError(
                 f"Picard iteration diverged at sweep {sweep} (non-finite update)")
-        if delta <= tol:
+        if delta <= _PICARD_TOL:
             return VocSolution(values=u, iterations=sweep, delta=delta)
     raise NonConvergenceError(
-        f"Picard iteration did not converge in {max_iterations} sweeps; "
+        f"Picard iteration did not converge in {_PICARD_SWEEPS} sweeps; "
         f"last delta {delta:.3e}")
 
 

@@ -481,6 +481,40 @@ class TestExitCodes:
         assert err.startswith("error: validation: time bounds must be finite")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--system", "gbm", "--t1", "1", "--dt", "1e-300"],
+        ["moments", "--system", "gbm", "--t1", "1", "--dt", "1e-300",
+         "--method", "mc", "--paths", "2"],
+        ["lyapunov", "--system", "gbm", "--horizon", "1", "--dt", "1e-300"],
+        ["perron", "--a", "1.05", "--b", "1", "--lambda", "1", "--dt", "1e-300"],
+    ])
+    def test_a_grid_beyond_the_step_limit_is_a_validation_error(self, capsys, argv):
+        # These once ended in a traceback from np.arange.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: validation: grid needs more than 1e+07 steps")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("change", [
+        {"dim": "abc"},
+        {"A": 5},
+        {"A": [[None]]},
+        {"params": [1]},
+        {"params": {"a": "x"}},
+        {"dim": 1.7},
+        {"G": [[True]]},
+    ])
+    def test_malformed_system_file_is_a_validation_error(self, capsys, tmp_path, change):
+        # The first five once raised ValueError, TypeError or AttributeError;
+        # dim 1.7 ran as dimension 1 and an entry true as 1.
+        path = tmp_path / "system.json"
+        good = {"dim": 1, "params": {"a": -1.0}, "A": [["a"]], "G": [["0.5"]]}
+        path.write_text(json.dumps({**good, **change}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "moments", "--system", str(path), "--t1", "0.01")
+        assert code == 1 and out == ""
+        assert err.startswith("error: validation: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("flags", [
         ["perturb", "--mode", "condition", "--scale", "nan"],
         *(["perturb", "--mode", "condition", "--scale", "0.5", flag, "nan"]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from msd import engines
 from msd.dichotomy import (
     DichotomyError,
     decoupling_check,
@@ -16,9 +17,16 @@ from msd.dichotomy import (
     similarity_propagate,
     uniform_witness,
 )
-from msd.engines import EngineError, MomentSurface, TimeGrid, simulate_fundamental
+from msd.engines import (
+    EngineError,
+    MomentSurface,
+    TimeGrid,
+    moment_ode,
+    simulate_fundamental,
+    transition_second_moment,
+)
 from msd.lyapunov import SpectrumEstimate, spectrum
-from msd.model import LinearSde, gallery, make_projector
+from msd.model import LinearSde, adjoint, gallery, make_projector
 
 A_PERRON, B_PERRON = 1.05, 1.0
 S_WITNESS = 4.810477380965351      # exp(pi/2), where sin(log s) = +1
@@ -126,6 +134,50 @@ class TestSurface:
         assert surf.values[0] == 1.0
         assert surf.stderrs[0] == 0.0
         assert np.all(surf.values > 0)
+
+    def test_a_row_integrates_its_longest_gap_once(self, monkeypatch):
+        # Ends at gaps 0, 0.5, 1, 2 and 4 from one start: one chained pass of
+        # 4 / dt steps, where a pass per pair took 7.5 / dt.
+        steps = []
+
+        def counting(*args, **kwargs):
+            curve, final = moment_ode(*args, **kwargs)
+            steps.append(len(curve.ts) - 1)
+            return curve, final
+
+        monkeypatch.setattr(engines, "moment_ode", counting)
+        dichotomy_surface(gallery("gbm"), None, pair_grid([0.3], [0.0, 0.5, 1.0, 2.0, 4.0]),
+                          dt=1e-2)
+        assert sum(steps) == 400
+
+    @pytest.mark.parametrize("name, rank, pairs", [
+        ("perron-sde", 1, pair_grid([1.0, 2.5], [0.0, 0.5, 1.0, 2.0, 4.0])),
+        # Unstable sense: the rows are the pairs that share t.
+        ("diag-2x2", 1, [(1.0, 0.2), (1.7, 0.2), (0.2, 0.2), (2.5, 0.2),
+                         (1.5, 0.6), (2.5, 0.6)]),
+        ("gbm", None, pair_grid([0.0, 1.0], [0.0, 0.25, 1.5, 3.0])),
+        # Ends that are not multiples of dt.
+        ("perron-sde", None, pair_grid([1.0], [0.0, 0.3337, 0.77071, 1.2345, 2.01])),
+    ])
+    def test_chained_rows_match_a_pass_per_pair(self, name, rank, pairs):
+        system = gallery(name)
+        proj = None if rank is None else make_projector(system.dim, rank)
+        surf = dichotomy_surface(system, proj, pairs, method="ode", dt=1e-3)
+        stable = surf.sense == "stable"
+        p0 = (np.eye(system.dim) if proj is None
+              else proj.matrix if stable else proj.complement_matrix)
+        flow = system if stable else adjoint(system)
+        nearest = {}
+        for (s, t), value in zip(pairs, surf.values):
+            start, end = (s, t) if stable else (t, s)
+            want = np.trace(p0)
+            if end != start:
+                want = np.trace(moment_ode(flow, p0, start, end, dt=1e-3)[1])
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+            nearest[start] = min(nearest.get(start, (end, s, t, value)), (end, s, t, value))
+        # The first end of every row is the pass transition_second_moment makes.
+        for _, s, t, value in nearest.values():
+            assert value == transition_second_moment(system, s, t, proj, dt=1e-3)
 
     def test_pair_grid_shapes_and_validation(self):
         fwd = pair_grid([0.0, 1.0], [0.0, 0.5], "stable")

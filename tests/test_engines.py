@@ -92,6 +92,14 @@ def test_spanning_rejects_a_step_that_is_not_positive_and_finite(dt):
         TimeGrid.spanning(0.0, 1.0, dt)
 
 
+@pytest.mark.parametrize("dt", [1e-300, 5e-324, 0.99e-7])
+def test_grid_refuses_more_than_ten_million_steps(dt):
+    # Refused before anything is allocated; 5e-324 makes the step ratio inf.
+    with pytest.raises(EngineError, match="more than 1e\\+07 steps"):
+        TimeGrid.spanning(0.0, 1.0, dt)
+    assert TimeGrid.spanning(0.0, 1.0, 1e-7).steps == 10 ** 7
+
+
 # ---------------------------------------------------------------------------
 # simulate_fundamental
 
@@ -333,6 +341,38 @@ def test_moment_log_trace_rescales_by_powers_of_two_exactly():
         moment_ode(sys_, np.eye(1), 0.0, 2.0, dt=1e-3)
 
 
+@pytest.mark.parametrize("chunk", [40, 112])
+def test_rk4_coefficients_are_tabulated_in_blocks(monkeypatch, chunk):
+    # CHUNK_VALUES 40 holds 2 steps' stage coefficients on a 2x2 system, 112
+    # holds 7, so blocks end inside the run; the results stay bit for bit.
+    sys_ = gallery("perron-sde")
+    v = np.array([0.6, 0.8])
+    ref_curve, ref_final = moment_ode(sys_, np.eye(2), 0.5, 1.7, dt=1e-2)
+    ref_log = moment_log_trace(sys_, np.outer(v, v), 0.5, 1.7, dt=1e-2)
+    monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+    curve, final = moment_ode(sys_, np.eye(2), 0.5, 1.7, dt=1e-2)
+    assert np.array_equal(curve.values, ref_curve.values)
+    assert np.array_equal(final, ref_final)
+    log = moment_log_trace(sys_, np.outer(v, v), 0.5, 1.7, dt=1e-2)
+    assert np.array_equal(log.values, ref_log.values)
+
+
+def test_rk4_memory_does_not_hold_every_stage_coefficient(monkeypatch):
+    # 10^4 steps on a 2x2 system: 0.44 MB peak with 2^12-value coefficient
+    # blocks, 1.84 MB when A and G were tabulated at all 2 * 10^4 + 1 stage
+    # times up front (32 n^2 bytes per step).
+    monkeypatch.setattr(engines, "CHUNK_VALUES", 2 ** 12)
+    sys_ = gallery("perron-sde")
+    moment_ode(sys_, np.eye(2), 1.0, 1.01, dt=1e-3)        # warm up
+    tracemalloc.start()
+    try:
+        moment_ode(sys_, np.eye(2), 1.0, 2.0, dt=1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0e6
+
+
 # ---------------------------------------------------------------------------
 # transition_second_moment
 
@@ -546,6 +586,31 @@ def test_em_weak_order_on_gbm():
         if h == 0.1:
             # The sample resolves the coarse step's bias: 5.6 stderr here.
             assert exact - value > 3.0 * err
+
+
+def test_em_weak_order_on_a_coupled_system():
+    # The Euler-Maruyama chain's mean second moment follows
+    # M <- (I + hA) M (I + hA)^T + h G M G^T exactly; its gap to the exact
+    # oracle halves with h (2.46, 2.22, 2.11 measured), and the sample sits
+    # on the recursion (-0.13 and -0.79 stderr), far from the oracle (104
+    # and 74 stderr).
+    a, g = COUPLED.drift_at(0.0), COUPLED.diffusion_at(0.0)
+    exact = np.trace(constant_moment(COUPLED, np.eye(2), 1.0))
+
+    def em(h):
+        m, step = np.eye(2), np.eye(2) + h * a
+        for _ in range(round(1.0 / h)):
+            m = step @ m @ step.T + h * g @ m @ g.T
+        return np.trace(m)
+
+    gaps = [em(h) - exact for h in (0.1, 0.05, 0.025, 0.0125)]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 1.9 <= coarse / fine <= 2.6
+    for h in (0.1, 0.05):
+        curve = mc_moment_curve(COUPLED, TimeGrid.spanning(0.0, 1.0, h), 40_000, seed=3)
+        value, err = curve.values[-1], curve.stderrs[-1]
+        assert abs(value - em(h)) <= 4.0 * err
+        assert abs(value - exact) > 50.0 * err
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,21 @@ def _diag_system(*entries, g=0.0):
     return LinearSde.from_strings(n, a, gm)
 
 
+def test_chi_of_a_coupled_constant_system_is_an_eigenvalue_of_the_moment_operator():
+    # For constant A and G, vec M(t) = expm(t L) vec M(0) with
+    # L = A (x) I + I (x) A + G (x) G, and M stays symmetric, so the
+    # second-moment exponents are real parts of the eigenvalues of L on
+    # symmetric matrices: here -1.0875 is the largest (-1.0917 measured).
+    sys_ = LinearSde.from_strings(2, [["-1", "3"], ["-2", "-0.5"]],
+                                  [["0.3", "0.8"], ["-0.4", "0.2"]])
+    a, g, eye = sys_.drift_at(0.0), sys_.diffusion_at(0.0), np.eye(2)
+    lop = np.kron(a, eye) + np.kron(eye, a) + np.kron(g, g)
+    sym = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    on_symmetric = np.linalg.lstsq(sym, lop @ sym, rcond=None)[0]
+    top = max(np.linalg.eigvals(on_symmetric).real)
+    assert top == pytest.approx(-1.0875, abs=1e-4)
+    assert chi_estimate(sys_, [1.0, 0.0], horizon=50.0).chi == pytest.approx(top, abs=0.02)
+
 def test_chi_gbm_ode():
     est = chi_estimate(gallery("gbm"), [1.0], horizon=50.0)
     assert est.chi == pytest.approx(-1.75, abs=1e-6)

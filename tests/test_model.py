@@ -167,6 +167,15 @@ def test_from_dict_accepts_spaced_variants():
         from_dict({"dim": 1, "A": [["1"]]})
 
 
+def test_from_dict_keeps_loading_numbers_written_as_strings_or_floats():
+    # Only malformed values are refused: a dim of 2.0 or "2", numeric
+    # entries and numeric parameter strings all load as before.
+    loaded = from_dict({"dim": "2", "A": [[-1, "a"], [0.0, "-2"]],
+                        "G": [["0", "0"], ["0", "0"]], "params": {"a": "1.5"}})
+    assert loaded.dim == 2 and loaded.params == {"a": 1.5}
+    assert loaded.drift_at(0.0).tolist() == [[-1.0, 1.5], [0.0, -2.0]]
+    assert from_dict({"dim": 1.0, "A": [["-1"]], "G": [["0"]]}).dim == 1
+
 def test_perturbation_validation():
     base = gallery("diag-2x2")
     with pytest.raises(ModelError, match="q must exceed 1"):
