@@ -33,6 +33,9 @@ class BoundsError(ValueError):
 _TAIL_LOG_WIDTH = 2.0 * math.pi + 0.5
 _SEGMENTS = 512
 _T_FLOOR = 1e-8
+# Most open intervals one refinement level may hold: a horizon whose segments
+# cannot meet the tolerance fails in seconds instead of exhausting memory.
+_MAX_INTERVALS = 2 ** 20
 # Row statistics closer than this (relative) collapse to a shared value, so
 # constant coefficients report a spread of exactly zero.
 _COLLAPSE = 64.0 * np.finfo(float).eps
@@ -81,7 +84,8 @@ def _running_average(f, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     ``_SEGMENTS`` segments is integrated by adaptive Simpson (Lyness's
     acceptance test |L + R - W| <= 15 tol, Richardson correction, tol halved
     per level, depth at most 48), run level by level: every interval still
-    open at a level is refined in the same call of ``f``.
+    open at a level is refined in the same call of ``f``. A level that would
+    hold more than ``_MAX_INTERVALS`` intervals raises :class:`BoundsError`.
 
     The integrand may be undefined at t = 0 (log-time coefficients), so the
     head [0, _T_FLOOR] is approximated by f(_T_FLOOR) * _T_FLOOR; the error
@@ -111,6 +115,10 @@ def _running_average(f, horizon: float) -> tuple[np.ndarray, np.ndarray]:
         keep = ~done
         if not np.any(keep):
             break
+        if 2 * np.count_nonzero(keep) > _MAX_INTERVALS:
+            raise BoundsError(
+                f"quadrature needs more than {_MAX_INTERVALS} intervals at one "
+                f"refinement level up to horizon {horizon:g}; use a shorter horizon")
         # Every open interval goes on as its left half and its right half.
         lo, hi, flo, fm, fhi, whole, segment = (
             np.concatenate([a[keep], b[keep]]) for a, b in

@@ -430,7 +430,6 @@ def _cmd_regularity(args):
 def _cmd_fit(args):
     _require(args.dt > 0.0, "--dt must be positive")
     _require(args.paths >= 1, "--paths must be at least 1")
-    _require(args.lattice >= 2, "--lattice needs at least 2 points")
     system = _base_of(_load_system(args.system))
     pairs = pair_grid(args.s_values, args.deltas, args.sense)
     projector = make_projector(system.dim, args.rank) if args.rank is not None else None
@@ -647,6 +646,8 @@ def dispatch(argv=None) -> int:
         if args.format == "csv" and args.command in _JSON_ONLY:
             raise CliError(f"`{args.command}` emits JSON only")
         payload, kind = _HANDLERS[args.command](args)
+        _emit(payload if kind == "csv"
+              else json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
     except _NUMERIC_ERRORS as err:
         sys.stderr.write(f"error: numeric: {err}\n")
         return 2
@@ -656,10 +657,6 @@ def dispatch(argv=None) -> int:
     except _VALIDATION_ERRORS as err:
         sys.stderr.write(f"error: validation: {err}\n")
         return 1
-    if kind == "csv":
-        _emit(payload, args.output)
-    else:
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
     if args.command == "selftest" and payload["status"] != "ok":
         sys.stderr.write("error: numeric: selftest found failing checks\n")
         return 2

@@ -181,6 +181,11 @@ def _consecutive_slopes(keys, xs, values, sign: float) -> float:
     return best
 
 
+# Largest lattice fit_envelope accepts: its search scans lattice + 1 betas
+# for each of lattice alphas, so its time grows as lattice^2.
+_MAX_LATTICE = 10_000
+
+
 def fit_envelope(surface: MomentSurface, sense: str | None = None,
                  rank: int | None = None, alpha_max: float | None = None,
                  beta_max: float | None = None, lattice: int = 200) -> DichotomyFit:
@@ -196,6 +201,8 @@ def fit_envelope(surface: MomentSurface, sense: str | None = None,
     sense = surface.sense if sense is None else sense
     if sense not in ("stable", "unstable", "contraction"):
         raise DichotomyError(f"unknown sense '{sense}'")
+    if not 2 <= lattice <= _MAX_LATTICE:
+        raise DichotomyError(f"lattice must be between 2 and {_MAX_LATTICE}, got {lattice}")
     v = np.asarray(surface.values, dtype=float)
     ss = np.asarray(surface.ss, dtype=float)
     ts = np.asarray(surface.ts, dtype=float)

@@ -157,11 +157,15 @@ class FundamentalEnsemble:
         return j
 
 
+def _beyond_threshold(x: np.ndarray) -> np.ndarray:
+    """Where ``x`` has exploded: beyond the threshold, infinite or NaN."""
+    return ~(np.abs(x) <= EXPLOSION_THRESHOLD)
+
+
 def _scan_explosion(arr: np.ndarray, which: str, node: int, t: float) -> None:
-    peak = np.max(np.abs(arr))
-    if np.isfinite(peak) and peak <= EXPLOSION_THRESHOLD:
+    bad = _beyond_threshold(arr)
+    if not bad.any():
         return
-    bad = ~np.isfinite(arr) | (np.abs(arr) > EXPLOSION_THRESHOLD)
     where = np.argwhere(bad)[0]
     path, entry = int(where[0]), tuple(int(i) for i in where[1:])
     raise ExplosionError(which, node, t, path, entry)
@@ -315,30 +319,38 @@ def simulate_vectors(system: LinearSde, grid: TimeGrid, paths: int, seed: int,
     return nodes, out
 
 
-def mc_moment_curve(system: LinearSde, grid: TimeGrid, paths: int, seed: int) -> MomentCurve:
-    """Monte Carlo E||Phi(t)||_F^2 at every node, without keeping the ensemble.
+def _mean_squares(states, count: int, paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over paths of each path's sum of squares, and its standard error,
+    for each of ``count`` states [path, ...] taken from ``states`` in turn.
 
-    Per-path sums of squares are held rows-first, [path, node], for a block
-    of nodes and reduced over paths in place, one stacked pairwise reduction
-    per block, so the values equal the reduction of a stored ensemble bit
-    for bit while memory stays bounded.
+    The per-path sums are held rows-first, [path, node], for a block of
+    nodes and reduced over paths in place, one stacked pairwise reduction
+    per block, so each value equals :func:`pairwise_mean_std` of the stored
+    sums bit for bit while memory stays bounded.
     """
-    nodes = _requested_nodes(np.arange(grid.count), grid, paths)
     block = max(1, CHUNK_VALUES // paths)
-    sums = np.empty((paths, min(block, grid.count)))
-    means = np.empty(grid.count)
-    stds = np.empty(grid.count)
+    sums = np.empty((paths, min(block, count)))
+    means = np.empty(count)
+    stds = np.empty(count)
     start = 0                   # first node not reduced yet
-    for k, phi, _ in euler_maruyama(system, grid, paths, seed, nodes):
-        sums[:, k - start] = np.sum(phi ** 2, axis=(1, 2))
+    for k, x in enumerate(states):
+        sums[:, k - start] = np.sum(x * x, axis=tuple(range(1, x.ndim)))
         if k - start == block - 1:
             means[start:k + 1], stds[start:k + 1] = _mean_std_in_place(sums)
             start = k + 1
-    # The last block is reduced once the kernel, and its increments, are gone.
-    if start < grid.count:
-        rest = slice(start, grid.count)
-        means[rest], stds[rest] = _mean_std_in_place(sums[:, :grid.count - start])
-    return MomentCurve(ts=grid.times(), values=means, stderrs=stds / math.sqrt(paths))
+    # The last block is reduced once ``states`` is exhausted: a kernel behind
+    # it has freed its increments by then.
+    if start < count:
+        means[start:], stds[start:] = _mean_std_in_place(sums[:, :count - start])
+    return means, stds / math.sqrt(paths)
+
+
+def mc_moment_curve(system: LinearSde, grid: TimeGrid, paths: int, seed: int) -> MomentCurve:
+    """Monte Carlo E||Phi(t)||_F^2 at every node, without keeping the ensemble."""
+    nodes = _requested_nodes(np.arange(grid.count), grid, paths)
+    states = (phi for _, phi, _ in euler_maruyama(system, grid, paths, seed, nodes))
+    means, stderrs = _mean_squares(states, grid.count, paths)
+    return MomentCurve(ts=grid.times(), values=means, stderrs=stderrs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import TimeGrid, moment_log_trace, simulate_fundamental, simulate_vectors
+from .engines import (TimeGrid, _mean_squares, moment_log_trace, simulate_fundamental,
+                      simulate_vectors)
 from .model import LinearSde, adjoint
-from .numerics import RngStream, pairwise_mean_std
+from .numerics import RngStream
 
 
 class LyapunovError(ValueError):
@@ -99,8 +100,7 @@ def chi_estimate(system: LinearSde, u0, horizon: float, method: str = "ode",
         vals = curve.values[nodes] / ts
     else:
         _, states = simulate_vectors(system, grid, paths, seed, u0, record_nodes=nodes)
-        means, stds = pairwise_mean_std(np.sum(states * states, axis=2))
-        errs = stds / math.sqrt(paths)
+        means, errs = _mean_squares(states, len(nodes), paths)
         vals = np.log(means / norm0_sq) / ts
 
     window = (horizon / 2.0, horizon)

@@ -22,10 +22,10 @@ from scipy.special import logsumexp
 
 from . import expr as ex
 from .dichotomy import DichotomyFit, fit_envelope, dichotomy_surface, fit_to_dict
-from .engines import CHUNK_VALUES, EXPLOSION_THRESHOLD, FundamentalEnsemble, TimeGrid
+from .engines import FundamentalEnsemble, TimeGrid, _beyond_threshold, _mean_squares
 from .lyapunov import regularity_estimate, spectrum
 from .model import LinearSde, ModelError, PerturbationSpec, PerturbedSde, gallery
-from .numerics import RngStream, brownian_batch, pairwise_mean_std
+from .numerics import RngStream, brownian_batch
 
 
 class PerturbError(ValueError):
@@ -143,6 +143,8 @@ def check_condition_42(psys: PerturbedSde, sampler_scale: float, trials: int,
     over them would reject everything and certify nothing. Mismatched
     growth degrees still show up, at small scale when the map is flatter
     than the declared q allows and at large scale when it grows faster.
+    A trial whose ratio is not finite, because its moments overflow or
+    underflow float64, raises :class:`PerturbError`.
     """
     if trials < 100:
         raise PerturbError("need at least 100 trials for a meaningful sweep")
@@ -168,16 +170,22 @@ def check_condition_42(psys: PerturbedSde, sampler_scale: float, trials: int,
 
         # Per-trial sample means stay on np.mean: they steer the search and
         # are never reported as ensemble moments, and the pairwise tree
-        # would cost one call per mean.
-        df = _apply_map(psys.f, params, t, u) - _apply_map(psys.f, params, t, v)
-        dh = _apply_map(psys.h, params, t, u) - _apply_map(psys.h, params, t, v)
-        lhs = float(np.mean(np.sum(df * df, axis=-1))
-                    + np.mean(np.sum(dh * dh, axis=-1)))
-        gap = float(np.mean(np.sum((u - v) ** 2, axis=-1)))
-        size = float(np.mean(np.sum(u * u, axis=-1))
-                     + np.mean(np.sum(v * v, axis=-1)))
-        core = gap * size ** psys.q
-        ratio = 0.0 if lhs == 0.0 else lhs / (psys.c * core)
+        # would cost one call per mean. The ratio is formed in float64, so
+        # overflow and division give inf or NaN, checked below.
+        with np.errstate(all="ignore"):
+            df = _apply_map(psys.f, params, t, u) - _apply_map(psys.f, params, t, v)
+            dh = _apply_map(psys.h, params, t, u) - _apply_map(psys.h, params, t, v)
+            lhs = (np.mean(np.sum(df * df, axis=-1))
+                   + np.mean(np.sum(dh * dh, axis=-1)))
+            gap = np.mean(np.sum((u - v) ** 2, axis=-1))
+            size = (np.mean(np.sum(u * u, axis=-1))
+                    + np.mean(np.sum(v * v, axis=-1)))
+            core = gap * size ** psys.q
+            ratio = 0.0 if lhs == 0.0 else float(lhs / (psys.c * core))
+        if not math.isfinite(ratio):
+            raise PerturbError(
+                f"falsifier trial {trial} at scale {sampler_scale:g} has a ratio of "
+                f"{ratio}: its moments leave the float64 range")
         record = {"trial": trial, "ratio": ratio, "t": t, "eps": eps,
                   "width": width, "offset": float(np.linalg.norm(mu))}
         if ratio > max_ratio:
@@ -218,22 +226,15 @@ def simulate_perturbed(psys: PerturbedSde, xi0, grid: TimeGrid, paths: int,
 
     values = np.empty((grid.count, paths, n))
     values[0] = xi0
-    cur = np.tile(xi0, (paths, 1))
-    escape = np.full(paths, np.nan)
-    alive = np.ones(paths, dtype=bool)
+    escape = np.full(paths, np.nan)     # NaN while a path is alive
     dt = grid.dt
     for k in range(grid.steps):
-        t = times[k]
+        t, cur = times[k], values[k]
         drift = cur @ a_left[k].T + _apply_map(psys.f, params, t, cur)
         noise = cur @ g_left[k].T + _apply_map(psys.h, params, t, cur)
         nxt = cur + drift * dt + noise * incr[:, k][:, None]
-        bad = alive & (~np.all(np.isfinite(nxt), axis=1)
-                       | (np.max(np.abs(nxt), axis=1) > EXPLOSION_THRESHOLD))
-        if np.any(bad):
-            escape[bad] = times[k + 1]
-            alive &= ~bad
-        cur = np.where(alive[:, None], nxt, cur)
-        values[k + 1] = cur
+        escape[np.isnan(escape) & np.any(_beyond_threshold(nxt), axis=1)] = times[k + 1]
+        values[k + 1] = np.where(np.isnan(escape)[:, None], nxt, cur)
     return PerturbedEnsemble(system=psys, grid=grid, paths=paths, seed=seed,
                              xi0=xi0, values=values, escape_times=escape)
 
@@ -294,22 +295,6 @@ def voc_solve(psys: PerturbedSde, xi0, ens: FundamentalEnsemble,
 # ---------------------------------------------------------------------------
 # Stability experiment
 
-def _moment_curve(pens: PerturbedEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of ||u||^2 over paths and its standard error at every node.
-
-    Squares and reductions run over blocks of at most CHUNK_VALUES values,
-    so no temporary the size of the whole ensemble is made.
-    """
-    nodes = len(pens.values)
-    m = np.empty(nodes)
-    sd = np.empty(nodes)
-    block = max(1, CHUNK_VALUES // pens.values[0].size)
-    for lo in range(0, nodes, block):
-        x = pens.values[lo:lo + block]
-        m[lo:lo + block], sd[lo:lo + block] = pairwise_mean_std(np.sum(x ** 2, axis=2))
-    return m, sd / math.sqrt(pens.paths)
-
-
 def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
                          paths: int, seed: int, dt: float = 1e-3,
                          t0: float = 1e-3, fit_pairs=None,
@@ -358,7 +343,7 @@ def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
     grid = TimeGrid.spanning(t0, t0 + horizon, dt)
     pens = simulate_perturbed(psys, xi0, grid, paths, seed)
     ts = grid.times()
-    moments, stderrs = _moment_curve(pens)
+    moments, stderrs = _mean_squares(pens.values, grid.count, paths)
 
     rel = ts - t0
     k_tilde = float(np.max(moments * np.exp(fit.alpha * rel)))
@@ -441,9 +426,7 @@ def perron_instability(a: float, b: float, lam: float,
     psys = gallery("perron-sde-perturbed", a=a, b=b, **{"lambda": lam})
     grid = TimeGrid.spanning(1e-4, horizon, dt)
     pens = simulate_perturbed(psys, np.array([1.0, 0.0]), grid, paths, seed)
-    v2_sq = pens.values[-1, :, 1] ** 2
-    m, sd = pairwise_mean_std(v2_sq)
-    se = sd / math.sqrt(paths)
+    (m,), (se,) = _mean_squares([pens.values[-1, :, 1:]], 1, paths)
     chi_mc = math.log(m) / horizon if m > 0 else -math.inf
     chi_mc_stderr = (se / m) / horizon if m > 0 else math.inf
     return PerronReport(a=a, b=b, lam=lam, delta_window=delta_window,

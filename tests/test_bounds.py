@@ -6,6 +6,8 @@ extremes are 0 and -2. Constant coefficients must report zero spread
 exactly.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,17 @@ def test_horizon_validation():
         diagonal_averages(gallery("gbm"), 0.0)
     with pytest.raises(BoundsError):
         lower_bound(gallery("gbm"), -1.0)
+
+
+def test_quadrature_refuses_a_level_beyond_its_interval_budget():
+    # The absolute tolerance cannot be met on the segments of this drift at
+    # horizon 1e4: the refinement once ran 24 s into a MemoryError at 2.5 GB.
+    fast = LinearSde.from_strings(1, [["-1 + sin(10*t)"]], [["0"]], {})
+    start = time.perf_counter()
+    with pytest.raises(BoundsError, match="more than 1048576 intervals"):
+        lower_bound(fast, 1e4)
+    assert time.perf_counter() - start < 10.0
+    assert np.isfinite(lower_bound(fast, 1e3))      # within the budget at 1e3
 
 
 # ---------------------------------------------------------------------------

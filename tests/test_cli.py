@@ -515,6 +515,47 @@ class TestExitCodes:
         assert err.startswith("error: validation: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("lattice", ["1", "10001", "1000000000"])
+    def test_a_lattice_outside_its_range_is_a_validation_error(self, capsys, lattice):
+        # A lattice of 10^9 once allocated 7.45 GiB of alpha values: an OOM kill.
+        code, out, err = run_cli(capsys, "fit", "--system", "gbm", "--s-values", "0,1",
+                                 "--deltas", "0,1", "--lattice", lattice)
+        assert code == 1 and out == ""
+        assert err == f"error: validation: lattice must be between 2 and 10000, got {lattice}\n"
+
+    def test_quadrature_beyond_its_budget_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps({"dim": 1, "A": [["-1 + sin(10*t)"]], "G": [["0"]]}),
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "regularity", "--system", str(path),
+                                 "--horizon", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: validation: quadrature needs more than")
+        assert len(err.splitlines()) == 1
+
+    # A warning would be an error here, so stderr holds only what dispatch writes.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags, expected", [
+        (["--scale", "1e80"], None),
+        (["--scale", "1e300"], "ratio of nan"),
+        (["--scale", "1e-170", "--perturbation", "expr", "--f-entries", "sqrt(abs(u1))"],
+         "ratio of inf"),
+    ])
+    def test_falsifier_at_extreme_scales(self, capsys, flags, expected):
+        # These once ended in an OverflowError traceback from size ** q, in
+        # "consistent": true with RuntimeWarnings (every ratio NaN), and in a
+        # ZeroDivisionError traceback (the gap underflows to 0).
+        code, out, err = run_cli(capsys, "perturb", "--system", "gbm", "--mode", "condition",
+                                 "--trials", "100", *flags)
+        if expected is None:
+            # The core overflows to inf, so every ratio is 0.
+            assert code == 0 and err == ""
+            assert json.loads(out)["max_ratio"] == 0.0
+        else:
+            assert code == 1 and out == ""
+            assert err.startswith("error: validation: falsifier trial 0 at scale")
+            assert expected in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("flags", [
         ["perturb", "--mode", "condition", "--scale", "nan"],
         *(["perturb", "--mode", "condition", "--scale", "0.5", flag, "nan"]
@@ -545,6 +586,17 @@ class TestOutputFile:
         _, direct, _ = run_cli(capsys, "moments", "--system", "gbm", "--t1", "0.1",
                                "--dt", "0.01")
         assert target.read_text(encoding="utf-8") == direct
+
+
+    @pytest.mark.parametrize("target", ["missing/surface.csv", "."])
+    def test_unwritable_output_is_a_validation_error(self, capsys, tmp_path, target):
+        # A missing directory once ended in a FileNotFoundError traceback.
+        code, out, err = run_cli(capsys, "fit", "--system", "gbm", "--s-values", "0,1",
+                                 "--deltas", "0,1,2", "--format", "csv",
+                                 "--output", str(tmp_path / target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: validation: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestEntryPoint:

@@ -235,6 +235,14 @@ class TestFitEnvelope:
             fit_envelope(_surface([(0.0, 0.0), (0.0, 1.0), (0.0, 2.0)],
                                   [1.0, 0.0, 0.5]))
 
+    @pytest.mark.parametrize("lattice", [0, 1, 10_001])
+    def test_lattice_outside_its_range_rejected(self, lattice):
+        # Lattice 0 once ended in an IndexError, and a lattice of 10^9
+        # allocated 7.45 GiB of alpha values.
+        pairs = [(0.0, 0.0), (0.0, 1.0), (0.0, 2.0)]
+        with pytest.raises(DichotomyError, match="lattice must be between 2 and 10000"):
+            fit_envelope(_surface(pairs, [1.0, 0.5, 0.25]), lattice=lattice)
+
     def test_sense_mismatch_rejected(self):
         pairs = [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)]
         with pytest.raises(DichotomyError, match="disagree"):

@@ -553,6 +553,20 @@ def test_streamed_moments_equal_ensemble_reduction(monkeypatch, chunk):
     assert np.array_equal(curve.stderrs, stds / math.sqrt(8))
 
 
+def test_mean_squares_of_one_node_is_the_pairwise_reduction():
+    # A [path, 1] state sums to its single entry, so the one-node call
+    # reduces the 1-D squares exactly.
+    x = np.random.default_rng(4).normal(size=(1001, 1)) * 1e3
+    mean, std = pairwise_mean_std(x[:, 0] ** 2)
+    means, stderrs = engines._mean_squares([x], 1, 1001)
+    assert means[0] == mean and stderrs[0] == std / math.sqrt(1001)
+
+
+def test_beyond_threshold_counts_non_finite_values_as_exploded():
+    x = np.array([0.0, 1e150, np.nextafter(1e150, np.inf), np.inf, -np.inf, np.nan])
+    assert engines._beyond_threshold(x).tolist() == [False, False, True, True, True, True]
+
+
 def test_moment_curve_reduces_its_node_blocks_in_place(monkeypatch):
     # CHUNK_VALUES 2^16 and 200 paths: node blocks of 327 nodes, draw blocks
     # of 309 steps, 1201 nodes. Peaks measured: 1.70 MB when the reducer

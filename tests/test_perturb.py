@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from msd import perturb
+from msd import engines, perturb
 from msd.engines import TimeGrid, simulate_fundamental
 from msd.model import LinearSde, ModelError, PerturbationSpec, PerturbedSde, gallery
 from msd.perturb import (
@@ -253,15 +253,15 @@ class TestStabilityExperiment:
 
     @pytest.mark.parametrize("chunk", [30, None])
     def test_moment_curve_blocks_equal_whole_reduction(self, monkeypatch, chunk):
-        # CHUNK_VALUES 30 squares 5 paths x 2 components 3 nodes at a time
-        # (101 nodes: the last block has two).
+        # CHUNK_VALUES 30 holds the sums of 5 paths for 6 nodes at a time
+        # (101 nodes: the last block has five).
         grid = TimeGrid.spanning(0.0, 1.0, 1e-2)
         pens = simulate_perturbed(_zero_perturbation(gallery("diag-2x2")),
                                   np.array([0.3, -0.7]), grid, paths=5, seed=3)
         m, sd = pairwise_mean_std(np.sum(pens.values ** 2, axis=2))
         if chunk is not None:
-            monkeypatch.setattr(perturb, "CHUNK_VALUES", chunk)
-        moments, stderrs = perturb._moment_curve(pens)
+            monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+        moments, stderrs = engines._mean_squares(pens.values, grid.count, 5)
         assert np.array_equal(moments, m)
         assert np.array_equal(stderrs, sd / math.sqrt(5))
 
