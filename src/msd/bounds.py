@@ -13,7 +13,6 @@ whole ``[node, path, n, n]`` stack of an ensemble in one QR call.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +35,9 @@ _T_FLOOR = 1e-8
 # Most open intervals one refinement level may hold: a horizon whose segments
 # cannot meet the tolerance fails in seconds instead of exhausting memory.
 _MAX_INTERVALS = 2 ** 20
-# Row statistics closer than this (relative) collapse to a shared value, so
-# constant coefficients report a spread of exactly zero.
+# Relative rounding allowance. Row statistics closer than this collapse to a
+# shared value, so constant coefficients report a spread of exactly zero; the
+# quadrature takes errors below it (times |f| and width) as converged.
 _COLLAPSE = 64.0 * np.finfo(float).eps
 
 
@@ -87,6 +87,12 @@ def _running_average(f, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     open at a level is refined in the same call of ``f``. A level that would
     hold more than ``_MAX_INTERVALS`` intervals raises :class:`BoundsError`.
 
+    Rounding in ``f`` leaves about eps * |f| * w of noise in L + R - W on an
+    interval of width w, which halves with w just as tol does, so the test
+    uses tol or ``_COLLAPSE`` * S * w, whichever is larger, with S the largest
+    |f| at the segment's three top-level points; otherwise a long segment,
+    or one where the terms of ``f`` cancel near a root, never converges.
+
     The integrand may be undefined at t = 0 (log-time coefficients), so the
     head [0, _T_FLOOR] is approximated by f(_T_FLOOR) * _T_FLOOR; the error
     is below 1e-7 for bounded coefficients and vanishes after division by
@@ -99,6 +105,7 @@ def _running_average(f, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     values = f(np.concatenate([edges, 0.5 * (lo + hi)]))
     flo, fhi, fm = values[:_SEGMENTS], values[1:_SEGMENTS + 1], values[_SEGMENTS + 1:]
     whole = (hi - lo) / 6.0 * (flo + 4.0 * fm + fhi)
+    noise = _COLLAPSE * np.maximum.reduce([np.abs(flo), np.abs(fm), np.abs(fhi)])
     segment = np.arange(_SEGMENTS)
     pieces = np.zeros(_SEGMENTS)
     tol = 1e-8 / _SEGMENTS
@@ -109,7 +116,8 @@ def _running_average(f, horizon: float) -> tuple[np.ndarray, np.ndarray]:
         left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fm)
         right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fhi)
         err = left + right - whole
-        done = (np.abs(err) <= 15.0 * tol) | (depth == 0)
+        floor = noise[segment] * (hi - lo)
+        done = (np.abs(err) <= 15.0 * np.maximum(tol, floor)) | (depth == 0)
         pieces += np.bincount(segment[done], (left + right + err / 15.0)[done],
                               minlength=_SEGMENTS)
         keep = ~done
@@ -128,10 +136,6 @@ def _running_average(f, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     totals = values[0] * _T_FLOOR + np.cumsum(pieces)
     ts = edges[1:]
     return ts, totals / ts
-
-
-def _tail(ts: np.ndarray, values: np.ndarray, horizon: float) -> np.ndarray:
-    return values[ts >= horizon * math.exp(-_TAIL_LOG_WIDTH)]
 
 
 def _extremes(tail_values: np.ndarray) -> tuple[float, float]:
@@ -160,13 +164,15 @@ def diagonal_averages(system: LinearSde, horizon: float) -> DiagonalAverages:
                             ts=ts[mask], averages=averages[mask], horizon=horizon)
 
 
+def _trace_spread(davg: DiagonalAverages) -> float:
+    # tr A = sum of a_kk, so its running average is the row sum of theirs.
+    hi, lo = _extremes(davg.averages.sum(axis=1))
+    return max(0.0, (2.0 / davg.averages.shape[1]) * (hi - lo))
+
+
 def lower_bound(system: LinearSde, horizon: float) -> float:
     """(2/n) * (limsup - liminf) of the running average of tr A."""
-    _check_horizon(horizon)
-    trace = functools.reduce(ex.add, (system.drift[k][k] for k in range(system.dim)))
-    ts, avg = _running_average(_integrand(trace, system.params), horizon)
-    hi, lo = _extremes(_tail(ts, avg, horizon))
-    return max(0.0, (2.0 / system.dim) * (hi - lo))
+    return _trace_spread(diagonal_averages(system, horizon))
 
 
 def _spread_sum(davg: DiagonalAverages) -> float:
@@ -189,7 +195,7 @@ def bounds_report(system: LinearSde, horizon: float) -> dict:
     davg = diagonal_averages(system, horizon)
     return {
         "horizon": horizon,
-        "lower": lower_bound(system, horizon),
+        "lower": _trace_spread(davg),
         "upper": _spread_sum(davg) if system.is_upper_triangular() else None,
         "rows": [
             {"alpha_bar": b, "alpha_under": u}

@@ -393,8 +393,7 @@ def _cmd_lyapunov(args):
             "window": [float(chi.window[0]), float(chi.window[1])],
         }
     if args.epsilon is not None:
-        mode = "contraction" if est.split_index == len(est.values) else "dichotomy"
-        pred = predicted_exponent(est, args.epsilon, mode=mode)
+        pred = predicted_exponent(est, args.epsilon)
         payload["predicted"] = {
             "alpha": pred.alpha,
             "stable_rate": pred.stable_rate,

@@ -53,7 +53,7 @@ class DichotomyFit:
     k: float
     alpha: float
     beta: float
-    sense: str                 # "stable" | "unstable" | "contraction"
+    sense: str                 # the surface's: "stable" | "unstable"
     residual_max: float        # worst value / envelope ratio, <= 1 + 1e-9
     tight_points: tuple[tuple[float, float], ...]
     uniform: bool              # beta below 1e-6
@@ -186,9 +186,9 @@ def _consecutive_slopes(keys, xs, values, sign: float) -> float:
 _MAX_LATTICE = 10_000
 
 
-def fit_envelope(surface: MomentSurface, sense: str | None = None,
-                 rank: int | None = None, alpha_max: float | None = None,
-                 beta_max: float | None = None, lattice: int = 200) -> DichotomyFit:
+def fit_envelope(surface: MomentSurface, rank: int | None = None,
+                 alpha_max: float | None = None, beta_max: float | None = None,
+                 lattice: int = 200) -> DichotomyFit:
     """Lattice-search (K, alpha, beta) with K analytic per candidate.
 
     Objective: log K + 0.01 beta - 0.02 alpha, ties resolved toward the
@@ -198,9 +198,7 @@ def fit_envelope(surface: MomentSurface, sense: str | None = None,
     over long spans should pass explicit tops so the lattice step stays
     commensurate with the structure being resolved.
     """
-    sense = surface.sense if sense is None else sense
-    if sense not in ("stable", "unstable", "contraction"):
-        raise DichotomyError(f"unknown sense '{sense}'")
+    sense = surface.sense
     if not 2 <= lattice <= _MAX_LATTICE:
         raise DichotomyError(f"lattice must be between 2 and {_MAX_LATTICE}, got {lattice}")
     v = np.asarray(surface.values, dtype=float)
@@ -210,7 +208,7 @@ def fit_envelope(surface: MomentSurface, sense: str | None = None,
         raise DichotomyError("need at least 3 surface points to fit")
     if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
         raise DichotomyError("surface values must be positive and finite")
-    deltas = ts - ss if sense in ("stable", "contraction") else ss - ts
+    deltas = ts - ss if sense == "stable" else ss - ts
     if np.any(deltas < 0.0):
         raise DichotomyError(f"pairs disagree with sense '{sense}'")
     logs = np.log(v)
@@ -305,15 +303,15 @@ def uniform_witness(surface: MomentSurface,
 
 
 def predicted_exponent(spectrum_est: SpectrumEstimate, epsilon: float,
-                       mode: str = "dichotomy",
                        regularity: RegularityEstimate | float | None = None
                        ) -> PredictedExponent:
     """Forecast the envelope rate from estimated exponents.
 
-    Dichotomy mode uses the printed two-branch formula
-    max(-(chi_k + eps), chi_{k+1} + eps) across the sign split; both branch
-    values are kept on the report since the formula's max-vs-min reading is
-    debatable. Contraction mode needs an all-negative spectrum.
+    An all-negative spectrum forecasts a contraction at rate -(chi_n + eps).
+    Any other spectrum forecasts a dichotomy by the printed two-branch
+    formula max(-(chi_k + eps), chi_{k+1} + eps) across the sign split, and
+    needs at least one negative exponent; both branch values are kept on the
+    report since the formula's max-vs-min reading is debatable.
     """
     if not 0.0 <= epsilon < math.inf:
         raise DichotomyError("epsilon must be nonnegative and finite")
@@ -324,24 +322,17 @@ def predicted_exponent(spectrum_est: SpectrumEstimate, epsilon: float,
         gamma = float(getattr(regularity, "gamma_upper_estimate", regularity))
     beta = None if gamma is None else gamma + 2.0 * epsilon
 
-    if mode == "contraction":
-        if split != len(values):
-            raise DichotomyError("contraction mode needs an all-negative spectrum")
+    if split == len(values):
         rate = -(values[-1] + epsilon)
         return PredictedExponent(alpha=rate, stable_rate=rate, unstable_rate=None,
-                                 beta=beta, mode=mode, epsilon=epsilon)
-    if mode != "dichotomy":
-        raise DichotomyError(f"unknown mode '{mode}'")
+                                 beta=beta, mode="contraction", epsilon=epsilon)
     if split < 1:
         raise DichotomyError("dichotomy mode needs at least one negative exponent")
-    if split >= len(values):
-        raise DichotomyError("dichotomy mode needs a nonnegative exponent; "
-                             "use contraction mode")
     stable_rate = -(values[split - 1] + epsilon)
     unstable_rate = values[split] + epsilon
     return PredictedExponent(alpha=max(stable_rate, unstable_rate),
                              stable_rate=stable_rate, unstable_rate=unstable_rate,
-                             beta=beta, mode=mode, epsilon=epsilon)
+                             beta=beta, mode="dichotomy", epsilon=epsilon)
 
 
 def similarity_propagate(fit: DichotomyFit, m: float,
@@ -393,12 +384,13 @@ def decoupling_check(ens: FundamentalEnsemble, projector: Projector) -> Decoupli
         return np.swapaxes(np.linalg.solve(np.swapaxes(mat, 2, 3),
                                            np.swapaxes(prod, 2, 3)), 2, 3)
 
-    gap = np.linalg.norm(_sandwich(s_all, p) - _sandwich(phi, p), axis=(2, 3))
+    phi_p = _sandwich(phi, p)
+    gap = np.linalg.norm(_sandwich(s_all, p) - phi_p, axis=(2, 3))
 
     sv_s = np.linalg.svd(s_all, compute_uv=False)
     s_norm_sq = sv_s[..., 0] ** 2
     inv_norm_sq = 1.0 / sv_s[..., -1] ** 2
-    bound = (np.linalg.svd(_sandwich(phi, p), compute_uv=False)[..., 0] ** 2
+    bound = (np.linalg.svd(phi_p, compute_uv=False)[..., 0] ** 2
              + np.linalg.svd(_sandwich(phi, q), compute_uv=False)[..., 0] ** 2)
     return DecouplingReport(
         max_commutator=float(commut.max()),

@@ -139,7 +139,6 @@ class FundamentalEnsemble:
     system: LinearSde
     grid: TimeGrid
     paths: int
-    seed: int
     phi: np.ndarray
     psi: np.ndarray
     increments: np.ndarray | None
@@ -290,7 +289,7 @@ def fundamental_at(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
         phi[j] = phi_k
         psi[j] = psi_k
     return FundamentalEnsemble(
-        system=system, grid=grid, paths=paths, seed=seed, phi=phi, psi=psi,
+        system=system, grid=grid, paths=paths, phi=phi, psi=psi,
         increments=increments, nodes=None if len(nodes) == grid.count else nodes,
     )
 

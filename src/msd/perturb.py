@@ -58,11 +58,8 @@ class PerturbedEnsemble:
     region (NaN where it never did).
     """
 
-    system: PerturbedSde
     grid: TimeGrid
     paths: int
-    seed: int
-    xi0: np.ndarray
     values: np.ndarray
     escape_times: np.ndarray
 
@@ -235,8 +232,7 @@ def simulate_perturbed(psys: PerturbedSde, xi0, grid: TimeGrid, paths: int,
         nxt = cur + drift * dt + noise * incr[:, k][:, None]
         escape[np.isnan(escape) & np.any(_beyond_threshold(nxt), axis=1)] = times[k + 1]
         values[k + 1] = np.where(np.isnan(escape)[:, None], nxt, cur)
-    return PerturbedEnsemble(system=psys, grid=grid, paths=paths, seed=seed,
-                             xi0=xi0, values=values, escape_times=escape)
+    return PerturbedEnsemble(grid=grid, paths=paths, values=values, escape_times=escape)
 
 
 # Picard iteration stops once no entry of the solution moves by more than
@@ -325,7 +321,7 @@ def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
                       for d in (0.0, span / 4, span / 2)]
     fit = fit_envelope(
         dichotomy_surface(base, None, fit_pairs, dt=fit_dt or dt),
-        sense="contraction", alpha_max=alpha_max, beta_max=beta_max)
+        alpha_max=alpha_max, beta_max=beta_max)
     envelope_margin = -psys.q * fit.alpha + fit.beta
 
     est = spectrum(base, horizon=min(20.0, max(10.0, horizon)), trials=n,

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from msd import bounds
 from msd.bounds import (
     BoundsError,
     bounds_report,
@@ -103,8 +104,13 @@ def test_lower_bound_constant_is_exactly_zero():
     assert lower_bound(sys_, 100.0) == 0.0
 
 
-def test_lower_bound_oscillating_scalar():
-    assert lower_bound(_scalar_oscillating(), 1e6) == pytest.approx(4.0, abs=0.2)
+@pytest.mark.parametrize("horizon", [1e6, 3e7, 1e9])
+def test_lower_bound_oscillating_scalar(horizon):
+    # From 3e7 on, the rounding noise of the top segments once exceeded the
+    # absolute tolerance, and the refinement ran into its interval budget.
+    start = time.perf_counter()
+    assert lower_bound(_scalar_oscillating(), horizon) == pytest.approx(4.0, abs=0.2)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_lower_bound_perron_sde_trace_cancels():
@@ -148,6 +154,23 @@ def test_running_average_of_periodic_drift_is_exact():
     assert ts.size > 100
     exact = -1.0 + (1.0 - np.cos(ts)) / ts
     assert np.max(np.abs(davg.averages[late, 0] - exact)) <= 1e-12
+
+
+def test_trace_average_is_the_sum_of_the_diagonal_ones(monkeypatch):
+    # One quadrature per diagonal entry; the trace gets none of its own.
+    calls = []
+    run = bounds._running_average
+
+    def counted(f, horizon):
+        calls.append(horizon)
+        return run(f, horizon)
+
+    monkeypatch.setattr(bounds, "_running_average", counted)
+    bounds_report(gallery("perron-sde"), 1e3)
+    assert len(calls) == 2
+    calls.clear()
+    lower_bound(_scalar_oscillating(), 1e3)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("system", [
@@ -196,8 +219,8 @@ def test_triangularize_reports_rank_deficiency_location():
     grid = TimeGrid(0.0, 0.1, 5)
     phi = np.tile(np.eye(2), (5, 2, 1, 1))
     phi[3, 1] = [[1.0, 2.0], [2.0, 4.0]]
-    ens = FundamentalEnsemble(system=sys_, grid=grid, paths=2, seed=0,
-                              phi=phi, psi=phi.copy(), increments=np.zeros((2, 4)))
+    ens = FundamentalEnsemble(system=sys_, grid=grid, paths=2, phi=phi, psi=phi.copy(),
+                              increments=np.zeros((2, 4)))
     with pytest.raises(BoundsError, match=r"node 3.*path 1"):
         triangularize_paths(ens)
 

@@ -246,7 +246,7 @@ class TestFitEnvelope:
     def test_sense_mismatch_rejected(self):
         pairs = [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)]
         with pytest.raises(DichotomyError, match="disagree"):
-            fit_envelope(_surface(pairs, [1.0, 0.5, 0.25]), sense="unstable")
+            fit_envelope(_surface(pairs, [1.0, 0.5, 0.25], sense="unstable"))
 
     def test_perron_drift_only_fit(self):
         # Stable block of the oscillating system with diffusion zeroed.
@@ -333,8 +333,7 @@ class TestPredictedExponent:
         assert pe.beta is None
 
     def test_contraction_rate(self):
-        pe = predicted_exponent(self._estimate([-1.75], 1), 0.05,
-                                mode="contraction")
+        pe = predicted_exponent(self._estimate([-1.75], 1), 0.05)
         assert float(pe) == pytest.approx(1.70)
         assert pe.unstable_rate is None
 
@@ -346,13 +345,6 @@ class TestPredictedExponent:
     def test_all_nonnegative_spectrum_rejected(self):
         with pytest.raises(DichotomyError, match="negative"):
             predicted_exponent(self._estimate([0.5, 1.0], 0), 0.1)
-
-    def test_all_negative_needs_contraction_mode(self):
-        with pytest.raises(DichotomyError, match="contraction"):
-            predicted_exponent(self._estimate([-2.0, -1.0], 2), 0.1)
-        with pytest.raises(DichotomyError, match="all-negative"):
-            predicted_exponent(self._estimate([-2.0, 1.0], 1), 0.1,
-                               mode="contraction")
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(DichotomyError, match="epsilon"):
