@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .model import LinearSde, Projector, adjoint
+from .model import LinearSde, PerturbationSpec, PerturbedSde, Projector, adjoint
 from .numerics import (BrownianPath, BrownianStreams, _mean_std_in_place, brownian_batch,
                        pairwise_mean_std)
 
@@ -70,8 +70,10 @@ class TimeGrid:
     count: int
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise EngineError("dt must be positive")
+        if not math.isfinite(self.t0):
+            raise EngineError(f"t0 must be finite, got {self.t0!r}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise EngineError(f"dt must be positive and finite, got {self.dt!r}")
         if self.count < 2:
             raise EngineError("grid needs at least 2 nodes")
         if self.count - 1 > _MAX_STEPS:
@@ -186,13 +188,36 @@ def _requested_nodes(nodes, grid: TimeGrid, paths: int) -> np.ndarray:
     return nodes
 
 
+def _apply_map(spec: PerturbationSpec, params: dict, t, u: np.ndarray) -> np.ndarray:
+    """Evaluate one perturbation map; u is [..., n], t scalar or [...]."""
+    if spec.kind == "zero":
+        return np.zeros_like(u)
+    if spec.kind == "power_clipped":
+        norms = np.linalg.norm(u, axis=-1, keepdims=True)
+        return spec.coef * u * np.minimum(norms, spec.clip) ** (spec.power - 1.0)
+    env = dict(params)
+    env["t"] = t
+    for i in range(u.shape[-1]):
+        env[f"u{i + 1}"] = u[..., i]
+    cols = [np.broadcast_to(np.asarray(ex.evaluate_env(e, env), dtype=float),
+                            u.shape[:-1]) for e in spec.entries]
+    return np.stack(cols, axis=-1)
+
+
 def _em_update(x: np.ndarray, drift: np.ndarray, noise: np.ndarray, dt: float,
-               dw: np.ndarray) -> np.ndarray:
-    """(x + dt * drift @ x) + dw * noise @ x for a paths-last state x: each
-    product is one GEMM over all paths, and the update runs in place in them."""
+               dw: np.ndarray, f: np.ndarray | None = None,
+               h: np.ndarray | None = None) -> np.ndarray:
+    """(x + dt * (drift @ x + f)) + dw * (noise @ x + h) for a paths-last
+    state x, with f and h the perturbation maps' values shaped like x, or
+    None for a linear system: each product is one GEMM over all paths, and
+    the update runs in place in them."""
     flat = x.reshape(len(x), -1)
     out = (drift @ flat).reshape(x.shape)
     noisy = (noise @ flat).reshape(x.shape)
+    if f is not None:
+        out += f
+    if h is not None:
+        noisy += h
     out *= dt
     out += x
     noisy *= dw
@@ -200,8 +225,9 @@ def _em_update(x: np.ndarray, drift: np.ndarray, noise: np.ndarray, dt: float,
     return out
 
 
-def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nodes,
-                   x0=None, inverse: bool = False, increments: np.ndarray | None = None):
+def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int, seed: int,
+                   nodes, x0=None, inverse: bool = False,
+                   increments: np.ndarray | None = None):
     """Euler-Maruyama states at the requested grid nodes, one node at a time.
 
     Steps the fundamental matrix d(Phi) = A Phi dt + G Phi dw from Phi = Id
@@ -212,16 +238,32 @@ def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
     ``inverse``), checked against the explosion threshold, as C-ordered
     [path, n] or [path, row, col] copies that may be kept.
 
+    A :class:`PerturbedSde` steps the vector solutions of
+    du = (A u + f(t, u)) dt + (G u + h(t, u)) dw from ``x0``; it needs
+    ``x0`` and takes no ``inverse``. A path whose next state has an entry
+    beyond the explosion threshold (or not finite) is frozen at its last
+    state instead, and the time of that next node is its escape time. Such
+    a run yields, in the place of ``psi``, the escape times [path] (NaN
+    while a path is alive): one array, updated in place as paths freeze.
+    Its states are not checked against the threshold.
+
     Every state is held paths-last: Phi as [row, col, path], vectors as
     [row, path], and Psi as Psi^T, [col, row, path], stepped as
     Psi^T + dt B^T Psi^T - dw G^T Psi^T with B = -A + G^2. So every product
     is one (n, n) @ (n, n * paths) GEMM; the tests check each entry bit for
-    bit against the per-path A @ Phi, Psi @ B and u @ A^T.
+    bit against the per-path A @ Phi, Psi @ B and u @ A^T, and the
+    perturbed route against a paths-first loop over u @ A^T + f(t, u).
 
     The increments are the per-path streams of :func:`brownian_batch`,
     drawn a block of steps at a time, or ``increments`` [path, step] if
     given. The coefficients are tabulated per block too.
     """
+    psys = system if isinstance(system, PerturbedSde) else None
+    if psys is not None:
+        if x0 is None or inverse:
+            raise EngineError("a perturbed system steps vector solutions from x0, "
+                              "without the coupled inverse")
+        system = psys.base
     n = system.dim
     nodes = _requested_nodes(nodes, grid, paths)
     if x0 is None:
@@ -234,6 +276,7 @@ def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
             raise EngineError(f"x0 must have shape ({n},)")
         state = np.repeat(x0[:, None], paths, axis=1)
     psi_t = np.repeat(np.eye(n)[:, :, None], paths, axis=2) if inverse else None
+    escape = np.full(paths, np.nan) if psys is not None else None
     if increments is None:
         streams = BrownianStreams(seed, paths, grid.dt)
     elif increments.shape != (paths, grid.steps):
@@ -241,6 +284,8 @@ def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
 
     def held(k: int):
         out = np.ascontiguousarray(state.transpose(order))
+        if psys is not None:
+            return k, out, escape
         _scan_explosion(out, which, k, grid.t0 + dt * k)
         psi = np.ascontiguousarray(psi_t.transpose(2, 1, 0)) if inverse else None
         if inverse:
@@ -263,7 +308,17 @@ def euler_maruyama(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
             g_t = np.ascontiguousarray(np.swapaxes(g, 1, 2))
         incr = streams.draw(k1 - k0) if increments is None else increments[:, k0:k1]
         for i in range(k1 - k0):
-            state = _em_update(state, a[i], g[i], dt, incr[:, i])
+            if psys is None:
+                state = _em_update(state, a[i], g[i], dt, incr[:, i])
+            else:
+                # The maps take C-ordered states [path, n].
+                u = np.ascontiguousarray(state.T)
+                nxt = _em_update(state, a[i], g[i], dt, incr[:, i],
+                                 _apply_map(psys.f, system.params, times[i], u).T,
+                                 _apply_map(psys.h, system.params, times[i], u).T)
+                t_next = grid.t0 + dt * (k0 + i + 1)
+                escape[np.isnan(escape) & np.any(_beyond_threshold(nxt), axis=0)] = t_next
+                state = np.where(np.isnan(escape), nxt, state)
             if inverse:
                 # x - dw * y and x + (-dw) * y round alike.
                 psi_t = _em_update(psi_t, b_t[i], g_t[i], dt, -incr[:, i])

@@ -20,6 +20,7 @@ bit-identical regardless of how work might be batched. The reduction takes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,10 +92,16 @@ class BrownianPath:
         return self.t0 + self.dt * np.arange(self.steps + 1)
 
 
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise NumericsError(f"dt must be positive and finite, got {dt!r}")
+
+
 def brownian(t0: float, dt: float, steps: int, stream: RngStream) -> BrownianPath:
     """Sample a Brownian path on ``steps`` uniform increments of size ``dt``."""
-    if dt <= 0.0:
-        raise NumericsError("dt must be positive")
+    if not math.isfinite(t0):
+        raise NumericsError(f"t0 must be finite, got {t0!r}")
+    _check_dt(dt)
     if steps < 1:
         raise NumericsError("need at least one step")
     return BrownianPath(t0, dt, normals(stream, steps) * np.sqrt(dt))
@@ -112,8 +119,7 @@ class BrownianStreams:
     """
 
     def __init__(self, seed: int, n_paths: int, dt: float):
-        if dt <= 0.0:
-            raise NumericsError("dt must be positive")
+        _check_dt(dt)
         self._seed = seed % 2**64
         self._paths = n_paths
         self._root = np.sqrt(dt)

@@ -6,25 +6,27 @@ here draws seeded Gaussian-mixture ensembles and hunts for a violating
 distribution; a clean sweep is reported as consistency, never as proof.
 
 Two perturbed solvers are kept deliberately independent: direct
-Euler-Maruyama on the nonlinear system, and Picard iteration on the
-variation-of-constants form driven by a fundamental ensemble's retained
-increments. Their pathwise agreement is a cross-engine check, so neither is
-ever expressed through the other.
+Euler-Maruyama on the nonlinear system, which runs through the shared
+kernel :func:`msd.engines.euler_maruyama` like every other Monte Carlo
+route, and Picard iteration on the variation-of-constants form driven by a
+fundamental ensemble's retained increments. Their pathwise agreement is a
+cross-engine check, so neither is ever expressed through the other.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from . import expr as ex
 from .dichotomy import DichotomyFit, fit_envelope, dichotomy_surface, fit_to_dict
-from .engines import FundamentalEnsemble, TimeGrid, _beyond_threshold, _mean_squares
+from .engines import (FundamentalEnsemble, TimeGrid, _apply_map, _mean_squares,
+                      euler_maruyama)
 from .lyapunov import regularity_estimate, spectrum
-from .model import LinearSde, ModelError, PerturbationSpec, PerturbedSde, gallery
+from .model import PerturbedSde, gallery
 from .numerics import RngStream, brownian_batch
 
 
@@ -107,22 +109,6 @@ class PerronReport:
     escaped: int              # Monte Carlo paths frozen at the explosion threshold
 
 
-def _apply_map(spec: PerturbationSpec, params: dict, t, u: np.ndarray) -> np.ndarray:
-    """Evaluate one perturbation map; u is [..., n], t scalar or [...]."""
-    if spec.kind == "zero":
-        return np.zeros_like(u)
-    if spec.kind == "power_clipped":
-        norms = np.linalg.norm(u, axis=-1, keepdims=True)
-        return spec.coef * u * np.minimum(norms, spec.clip) ** (spec.power - 1.0)
-    env = dict(params)
-    env["t"] = t
-    for i in range(u.shape[-1]):
-        env[f"u{i + 1}"] = u[..., i]
-    cols = [np.broadcast_to(np.asarray(ex.evaluate_env(e, env), dtype=float),
-                            u.shape[:-1]) for e in spec.entries]
-    return np.stack(cols, axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Smallness condition falsifier
 
@@ -200,12 +186,13 @@ def check_condition_42(psys: PerturbedSde, sampler_scale: float, trials: int,
 
 def simulate_perturbed(psys: PerturbedSde, xi0, grid: TimeGrid, paths: int,
                        seed: int) -> PerturbedEnsemble:
-    """Left-point Euler-Maruyama for the nonlinear system.
+    """Left-point Euler-Maruyama for the nonlinear system, every node kept.
 
-    Increments come from the same per-path streams as the fundamental
-    ensemble, so a zero perturbation reproduces Phi(t) xi0 path by path.
-    Paths that leave the explosion threshold are frozen and timestamped
-    rather than aborting the run; unstable experiments need the survivors.
+    Steps through :func:`msd.engines.euler_maruyama` on increments from
+    the same per-path streams as the fundamental ensemble, so a zero
+    perturbation reproduces Phi(t) xi0 path by path. Paths that leave the
+    explosion threshold are frozen and timestamped rather than aborting the
+    run; unstable experiments need the survivors.
     """
     if paths < 1:
         raise PerturbError("need at least one path")
@@ -215,23 +202,11 @@ def simulate_perturbed(psys: PerturbedSde, xi0, grid: TimeGrid, paths: int,
         raise PerturbError(f"initial condition must have {n} components")
     if not np.all(np.isfinite(xi0)):
         raise PerturbError("initial condition must be finite")
-    params = psys.base.params
-    times = grid.times()
-    a_left = psys.base.drift_at(times[:-1])
-    g_left = psys.base.diffusion_at(times[:-1])
     incr = brownian_batch(seed, paths, grid.dt, grid.steps)
-
     values = np.empty((grid.count, paths, n))
-    values[0] = xi0
-    escape = np.full(paths, np.nan)     # NaN while a path is alive
-    dt = grid.dt
-    for k in range(grid.steps):
-        t, cur = times[k], values[k]
-        drift = cur @ a_left[k].T + _apply_map(psys.f, params, t, cur)
-        noise = cur @ g_left[k].T + _apply_map(psys.h, params, t, cur)
-        nxt = cur + drift * dt + noise * incr[:, k][:, None]
-        escape[np.isnan(escape) & np.any(_beyond_threshold(nxt), axis=1)] = times[k + 1]
-        values[k + 1] = np.where(np.isnan(escape)[:, None], nxt, cur)
+    for k, u, escape in euler_maruyama(psys, grid, paths, seed, np.arange(grid.count),
+                                       x0=xi0, increments=incr):
+        values[k] = u
     return PerturbedEnsemble(grid=grid, paths=paths, values=values, escape_times=escape)
 
 
@@ -252,6 +227,12 @@ def voc_solve(psys: PerturbedSde, xi0, ens: FundamentalEnsemble,
     """
     if psys.base.dim != ens.system.dim:
         raise PerturbError("ensemble dimension does not match the system")
+    if ens.increments is None:
+        raise PerturbError("the ensemble keeps no increments; simulate it with "
+                           "simulate_fundamental or pass fundamental_at its increments")
+    if ens.nodes is not None:
+        raise PerturbError(f"the ensemble holds {len(ens.nodes)} of the grid's "
+                           f"{ens.grid.count} nodes; Picard iteration needs every node")
     if not 0 <= path_index < ens.paths:
         raise PerturbError(f"path index {path_index} outside 0..{ens.paths - 1}")
     n = psys.base.dim
@@ -291,6 +272,18 @@ def voc_solve(psys: PerturbedSde, xi0, ens: FundamentalEnsemble,
 # ---------------------------------------------------------------------------
 # Stability experiment
 
+def _streamed_moments(psys: PerturbedSde, xi0: np.ndarray, grid: TimeGrid, paths: int,
+                      seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """E||u(t)||^2 and its standard error at every node, and the number of
+    escaped paths, reduced as the paths are stepped: no node is kept, and
+    the increments are drawn a block at a time."""
+    states = euler_maruyama(psys, grid, paths, seed, np.arange(grid.count), x0=xi0)
+    _, first, escape = next(states)     # updated in place as paths freeze
+    moments, stderrs = _mean_squares(itertools.chain([first], (u for _, u, _ in states)),
+                                     grid.count, paths)
+    return moments, stderrs, int(np.sum(np.isfinite(escape)))
+
+
 def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
                          paths: int, seed: int, dt: float = 1e-3,
                          t0: float = 1e-3, fit_pairs=None,
@@ -309,8 +302,10 @@ def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
     initial-time dependence only across the oscillation scale, so callers
     certifying those should pass fit_pairs spanning it.
     """
-    if delta <= 0.0:
-        raise PerturbError("initial radius delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise PerturbError(f"initial radius delta must be positive and finite, got {delta!r}")
+    if paths < 1:
+        raise PerturbError("need at least one path")
     base = psys.base
     n = base.dim
     if fit_pairs is None:
@@ -337,9 +332,8 @@ def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
     xi0 = np.zeros(n)
     xi0[0] = delta
     grid = TimeGrid.spanning(t0, t0 + horizon, dt)
-    pens = simulate_perturbed(psys, xi0, grid, paths, seed)
+    moments, stderrs, escaped = _streamed_moments(psys, xi0, grid, paths, seed)
     ts = grid.times()
-    moments, stderrs = _mean_squares(pens.values, grid.count, paths)
 
     rel = ts - t0
     k_tilde = float(np.max(moments * np.exp(fit.alpha * rel)))
@@ -351,14 +345,14 @@ def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
         if np.sum(pos) >= 2 else math.nan
     verdict = None
     if hypothesis_ok:
-        healthy = pens.escaped == 0 and np.all(np.isfinite(moments))
+        healthy = escaped == 0 and np.all(np.isfinite(moments))
         verdict = "PASS" if (envelope_ok and healthy) else "FAIL"
     return StabilityReport(fit=fit, q=psys.q, envelope_margin=envelope_margin,
                            spectral_margin=spectral_margin,
                            hypothesis_ok=hypothesis_ok, note=note,
                            k_tilde=k_tilde, tail_slope=tail_slope,
                            verdict=verdict, ts=ts, moments=moments,
-                           stderrs=stderrs, escaped=pens.escaped)
+                           stderrs=stderrs, escaped=escaped)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,18 @@ def test_spanning_rejects_a_step_that_is_not_positive_and_finite(dt):
         TimeGrid.spanning(0.0, 1.0, dt)
 
 
+@pytest.mark.parametrize("t0, dt, match", [
+    (0.0, math.nan, "dt must be positive and finite"),
+    (0.0, math.inf, "dt must be positive and finite"),
+    (0.0, 0.0, "dt must be positive and finite"),
+    (math.nan, 0.1, "t0 must be finite"),
+    (-math.inf, 0.1, "t0 must be finite"),
+])
+def test_grid_rejects_a_start_or_step_that_is_not_finite(t0, dt, match):
+    with pytest.raises(EngineError, match=match):
+        TimeGrid(t0, dt, 10)
+
+
 @pytest.mark.parametrize("dt", [1e-300, 5e-324, 0.99e-7])
 def test_grid_refuses_more_than_ten_million_steps(dt):
     # Refused before anything is allocated; 5e-324 makes the step ratio inf.

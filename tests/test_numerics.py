@@ -47,6 +47,22 @@ def test_brownian_rejects_bad_grid():
         numerics.brownian(0.0, 0.1, 0, RngStream(1, 0))
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.5, float("inf"), float("nan")])
+def test_brownian_sampling_needs_a_positive_finite_step(dt):
+    with pytest.raises(numerics.NumericsError, match="dt must be positive and finite"):
+        numerics.brownian(0.0, dt, 10, RngStream(1, 0))
+    with pytest.raises(numerics.NumericsError, match="dt must be positive and finite"):
+        numerics.BrownianStreams(seed=1, n_paths=2, dt=dt)
+    with pytest.raises(numerics.NumericsError, match="dt must be positive and finite"):
+        numerics.brownian_batch(1, 2, dt, 10)
+
+
+@pytest.mark.parametrize("t0", [float("inf"), float("-inf"), float("nan")])
+def test_brownian_path_needs_a_finite_start(t0):
+    with pytest.raises(numerics.NumericsError, match="t0 must be finite"):
+        numerics.brownian(t0, 0.1, 10, RngStream(1, 0))
+
+
 SEEDS = [0, 5, -5, 2**63 + 7]
 
 

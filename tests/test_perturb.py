@@ -6,12 +6,14 @@ against probe runs and sit several noise widths away from their thresholds.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from msd import engines, perturb
-from msd.engines import TimeGrid, simulate_fundamental
+from msd.engines import (EngineError, TimeGrid, euler_maruyama, fundamental_at,
+                         simulate_fundamental, simulate_vectors)
 from msd.model import LinearSde, ModelError, PerturbationSpec, PerturbedSde, gallery
 from msd.perturb import (
     PerturbError,
@@ -24,7 +26,7 @@ from msd.perturb import (
     stability_to_dict,
     voc_solve,
 )
-from msd.numerics import pairwise_mean_std
+from msd.numerics import brownian_batch, pairwise_mean_std
 
 # Analytic growth lower bound at (a, b, lambda) = (1.05, 1, 1) with a 0.01
 # window, and the deterministic second-component exponent from log-space
@@ -42,6 +44,58 @@ def _cubic_clipped(base=None):
 def _zero_perturbation(base):
     return PerturbedSde(base, PerturbationSpec.zero(), PerturbationSpec.zero(),
                         c=1.0, q=2.0)
+
+
+def _reference_perturbed(psys, xi0, grid, incr):
+    """The paths-first Euler-Maruyama loop simulate_perturbed once ran on its
+    own: every node stored, a path frozen at its last state (and its escape
+    time set) once its next state is beyond the explosion threshold."""
+    paths, n = incr.shape[0], psys.base.dim
+    params = psys.base.params
+    times = grid.times()
+    a_left = psys.base.drift_at(times[:-1])
+    g_left = psys.base.diffusion_at(times[:-1])
+    values = np.empty((grid.count, paths, n))
+    values[0] = xi0
+    escape = np.full(paths, np.nan)
+    dt = grid.dt
+    for k in range(grid.steps):
+        t, cur = times[k], values[k]
+        drift = cur @ a_left[k].T + engines._apply_map(psys.f, params, t, cur)
+        noise = cur @ g_left[k].T + engines._apply_map(psys.h, params, t, cur)
+        nxt = cur + drift * dt + noise * incr[:, k][:, None]
+        escape[np.isnan(escape) & np.any(engines._beyond_threshold(nxt), axis=1)] = times[k + 1]
+        values[k + 1] = np.where(np.isnan(escape)[:, None], nxt, cur)
+    return values, escape
+
+
+def _random_perturbed(n, kind, rng):
+    """Coefficients c0 + c1 sin(t) and random maps: time-dependent products
+    of the components, or clipped powers."""
+    def num(scale=1.0):
+        return f"{scale * rng.normal():.17g}"
+
+    base = LinearSde.from_strings(
+        n, [[f"{num()} + {num()} * sin(t)" for _ in range(n)] for _ in range(n)],
+        [[f"{num(0.5)} + {num(0.5)} * cos(t)" for _ in range(n)] for _ in range(n)])
+    if kind == "power_clipped":
+        f = PerturbationSpec.power_clipped(float(rng.normal()), 3.0, 1.5)
+        h = PerturbationSpec.power_clipped(float(0.5 * rng.normal()), 2.0, 1.0)
+    else:
+        comp = [f"u{i}" for i in rng.integers(1, n + 1, size=3 * n)]
+        f = PerturbationSpec.exprs([f"{num(0.3)} * sin(t) * {comp[i]} * {comp[n + i]}"
+                                    f" - {abs(rng.normal()):.17g} * u{i + 1}^3"
+                                    for i in range(n)])
+        h = PerturbationSpec.exprs([f"{num(0.3)} * cos(3 * t) * {comp[2 * n + i]} * u{i + 1}"
+                                    for i in range(n)])
+    return PerturbedSde(base, f, h, c=1.0, q=2.0)
+
+
+def _escaping():
+    """The system of TestSimulatePerturbed.test_explosion_recorded_not_fatal."""
+    base = LinearSde.from_strings(1, [["2"]], [["0"]])
+    return PerturbedSde(base, PerturbationSpec.power_clipped(10.0, 3.0, 1e6),
+                        PerturbationSpec.zero(), c=1.0, q=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +212,58 @@ class TestSimulatePerturbed:
         assert second_moment > 0.0
         assert pens.escaped == 0
 
+    @pytest.mark.parametrize("chunk", [40, None])
+    @pytest.mark.parametrize("paths", [1, 7, 300])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["expr", "power_clipped"])
+    def test_kernel_equals_the_paths_first_loop_bitwise(self, monkeypatch, kind, n, paths,
+                                                        chunk):
+        # CHUNK_VALUES 40 steps and draws one to a dozen nodes per block.
+        if chunk is not None:
+            monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+        rng = np.random.default_rng(1000 * n + paths)
+        psys = _random_perturbed(n, kind, rng)
+        grid = TimeGrid(0.1, 0.01, 41)
+        xi0 = rng.normal(size=n)
+        ref, ref_escape = _reference_perturbed(
+            psys, xi0, grid, brownian_batch(9, paths, grid.dt, grid.steps))
+        assert np.all(np.isfinite(ref)) and np.any(ref[-1] != ref[0])
+        pens = simulate_perturbed(psys, xi0, grid, paths, 9)
+        assert np.array_equal(pens.values, ref)
+        assert np.array_equal(pens.escape_times, ref_escape, equal_nan=True)
+        streamed = list(euler_maruyama(psys, grid, paths, 9, np.arange(grid.count), x0=xi0))
+        assert np.array_equal(np.stack([u for _, u, _ in streamed]), ref)
+        assert np.array_equal(streamed[-1][2], ref_escape, equal_nan=True)
+
+    @pytest.mark.parametrize("chunk", [40, None])
+    def test_escapes_equal_the_paths_first_loop_bitwise(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+        grid = TimeGrid.spanning(0.0, 1.0, 1e-4)
+        ref, ref_escape = _reference_perturbed(_escaping(), np.array([1.0]), grid,
+                                               brownian_batch(0, 4, grid.dt, grid.steps))
+        assert np.all(np.isfinite(ref_escape))
+        pens = simulate_perturbed(_escaping(), np.array([1.0]), grid, paths=4, seed=0)
+        assert np.array_equal(pens.values, ref)
+        assert np.array_equal(pens.escape_times, ref_escape)
+
+    @pytest.mark.parametrize("name", ["triangular-2x2", "perron-sde"])
+    def test_zero_perturbation_equals_the_linear_kernel_bitwise(self, name):
+        base = gallery(name)
+        grid = TimeGrid.spanning(1.0, 2.0, 1e-2)
+        xi0 = np.array([0.3, -0.7])
+        pens = simulate_perturbed(_zero_perturbation(base), xi0, grid, paths=16, seed=42)
+        _, linear = simulate_vectors(base, grid, 16, 42, xi0)
+        assert np.array_equal(pens.values, linear)
+
+    def test_kernel_steps_a_perturbed_system_only_as_vectors(self):
+        grid = TimeGrid.spanning(0.0, 0.1, 1e-2)
+        with pytest.raises(EngineError, match="perturbed system"):
+            next(euler_maruyama(_cubic_clipped(), grid, 2, 0, [0, 10]))
+        with pytest.raises(EngineError, match="perturbed system"):
+            next(euler_maruyama(_cubic_clipped(), grid, 2, 0, [0, 10], x0=np.ones(1),
+                                inverse=True))
+
     def test_initial_condition_validation(self):
         grid = TimeGrid.spanning(0.0, 0.1, 1e-2)
         with pytest.raises(PerturbError, match="components"):
@@ -221,6 +327,20 @@ class TestVocSolve:
         ens = simulate_fundamental(big.base, grid, paths=2, seed=9)
         with pytest.raises(PerturbError, match="did not converge"):
             voc_solve(big, np.array([5.0]), ens)
+
+    def test_ensemble_needs_increments_and_every_node(self):
+        base = gallery("triangular-2x2")
+        grid = TimeGrid.spanning(0.0, 0.5, 1e-2)
+        psys, xi0 = _zero_perturbation(base), np.array([1.0, 0.0])
+        drawn = fundamental_at(base, grid, 3, 0, np.arange(grid.count))
+        with pytest.raises(PerturbError, match="keeps no increments"):
+            voc_solve(psys, xi0, drawn)
+        incr = brownian_batch(0, 3, grid.dt, grid.steps)
+        some = fundamental_at(base, grid, 3, 0, [0, 10, 50], increments=incr)
+        with pytest.raises(PerturbError, match="holds 3 of the grid's 51 nodes"):
+            voc_solve(psys, xi0, some)
+        whole = fundamental_at(base, grid, 3, 0, np.arange(grid.count), increments=incr)
+        assert voc_solve(psys, xi0, whole).iterations == 1
 
     def test_input_validation(self):
         grid = TimeGrid.spanning(0.0, 0.5, 1e-2)
@@ -293,6 +413,56 @@ class TestStabilityExperiment:
         with pytest.raises(PerturbError, match="positive"):
             stability_experiment(_cubic_clipped(), delta=0.0, horizon=1.0,
                                  paths=10, seed=0)
+
+    @pytest.mark.parametrize("delta, paths, match", [
+        (math.nan, 10, "delta must be positive and finite"),
+        (math.inf, 10, "delta must be positive and finite"),
+        (-0.5, 10, "delta must be positive and finite"),
+        (0.01, 0, "at least one path"),
+    ])
+    def test_inputs_rejected_before_the_fit(self, monkeypatch, delta, paths, match):
+        def reached(*args, **kwargs):
+            raise AssertionError("the fit ran before the inputs were checked")
+
+        monkeypatch.setattr(perturb, "dichotomy_surface", reached)
+        with pytest.raises(PerturbError, match=match):
+            stability_experiment(_cubic_clipped(), delta=delta, horizon=1.0,
+                                 paths=paths, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("chunk", [40, None])
+    @pytest.mark.parametrize("psys, xi0", [(_cubic_clipped(), [0.5]),
+                                           (gallery("perron-sde-perturbed"), [1.0, 0.0]),
+                                           (_escaping(), [1.0])])
+    def test_streamed_moments_equal_the_stored_reduction(self, monkeypatch, chunk, psys,
+                                                         xi0):
+        # CHUNK_VALUES 40 reduces 8 paths five nodes at a time.
+        grid = TimeGrid.spanning(1e-3, 0.201, 1e-3)
+        pens = simulate_perturbed(psys, np.array(xi0), grid, 8, 4)
+        means, stderrs = engines._mean_squares(pens.values, grid.count, 8)
+        if chunk is not None:
+            monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+        moments, errs, escaped = perturb._streamed_moments(psys, np.array(xi0), grid, 8, 4)
+        assert np.array_equal(moments, means) and np.array_equal(errs, stderrs)
+        assert escaped == pens.escaped
+
+    def test_streamed_moments_memory_does_not_grow_with_the_horizon(self, monkeypatch):
+        # CHUNK_VALUES 2^15 and 100 paths: about 0.5 MB of increment and sum
+        # blocks. Kept nodes and increments would take 1.6 MB at 1000 steps
+        # and 6.4 MB at 4000.
+        monkeypatch.setattr(engines, "CHUNK_VALUES", 2 ** 15)
+        psys, xi0 = _cubic_clipped(), np.array([0.5])
+
+        def peak(steps: int) -> int:
+            tracemalloc.start()
+            try:
+                perturb._streamed_moments(psys, xi0, TimeGrid(1e-3, 1e-3, steps + 1), 100, 5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)        # warm up
+        assert peak(4000) <= 1.25 * peak(1000)
 
     def test_report_serializes(self, cubic_stability):
         payload = stability_to_dict(cubic_stability)
