@@ -188,20 +188,46 @@ def _requested_nodes(nodes, grid: TimeGrid, paths: int) -> np.ndarray:
     return nodes
 
 
-def _apply_map(spec: PerturbationSpec, params: dict, t, u: np.ndarray) -> np.ndarray:
-    """Evaluate one perturbation map; u is [..., n], t scalar or [...]."""
+def _compile_map(spec: PerturbationSpec, params: dict):
+    """One perturbation map, compiled once for rows-first states; None for
+    the zero map.
+
+    The result is a function ``(t, u, out)`` that writes the map's values at
+    the state rows ``u`` [n, ...] (``t`` a scalar or shaped like a row) into
+    ``out``, shaped like ``u``, and returns it. An ``expr`` entry is compiled
+    by :mod:`msd.expr` with ``t`` and ``u1..un`` free and the parameters
+    folded in. A value that overflows is returned, not raised: the caller
+    decides what a non-finite value means and sets ``np.errstate``. The other
+    domain errors (log, sqrt, division, power) still raise.
+    """
     if spec.kind == "zero":
-        return np.zeros_like(u)
+        return None
     if spec.kind == "power_clipped":
-        norms = np.linalg.norm(u, axis=-1, keepdims=True)
-        return spec.coef * u * np.minimum(norms, spec.clip) ** (spec.power - 1.0)
-    env = dict(params)
-    env["t"] = t
-    for i in range(u.shape[-1]):
-        env[f"u{i + 1}"] = u[..., i]
-    cols = [np.broadcast_to(np.asarray(ex.evaluate_env(e, env), dtype=float),
-                            u.shape[:-1]) for e in spec.entries]
-    return np.stack(cols, axis=-1)
+        exponent = spec.power - 1.0
+
+        def power_clipped(t, u, out):
+            # The Euclidean norm over the components, as np.linalg.norm forms it.
+            norms = np.sqrt(np.add.reduce(u * u, axis=0))
+            return np.multiply(spec.coef * u, np.minimum(norms, spec.clip) ** exponent,
+                               out=out)
+        return power_clipped
+    free = ("t", *(f"u{j + 1}" for j in range(len(spec.entries))))
+    entries = [ex._compile(e, params, free, finite=False) for e in spec.entries]
+
+    def expressions(t, u, out):
+        for j, entry in enumerate(entries):
+            out[j] = entry(t, u)
+        return out
+    return expressions
+
+
+def _map_values(fmap, t, u: np.ndarray) -> np.ndarray:
+    """A compiled map's values at the paths-first states u [path, n], as a
+    C-ordered [path, n] array; zeros for the zero map (``fmap`` None)."""
+    out = np.zeros(u.shape)
+    if fmap is not None:
+        fmap(t, u.T, out.T)
+    return out
 
 
 def _em_update(x: np.ndarray, drift: np.ndarray, noise: np.ndarray, dt: float,
@@ -240,12 +266,16 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
 
     A :class:`PerturbedSde` steps the vector solutions of
     du = (A u + f(t, u)) dt + (G u + h(t, u)) dw from ``x0``; it needs
-    ``x0`` and takes no ``inverse``. A path whose next state has an entry
-    beyond the explosion threshold (or not finite) is frozen at its last
-    state instead, and the time of that next node is its escape time. Such
-    a run yields, in the place of ``psi``, the escape times [path] (NaN
-    while a path is alive): one array, updated in place as paths freeze.
-    Its states are not checked against the threshold.
+    ``x0`` and takes no ``inverse``. Each map is compiled once per run
+    (:func:`_compile_map`) and evaluated on the state rows [row, path] into
+    a buffer kept for the run; a zero map adds nothing. A path whose next
+    state has an entry beyond the explosion threshold (or not finite, as
+    when its map overflows) is frozen at its last state instead, and the
+    time of that next node is its escape time; until a path first escapes,
+    the next state is taken whole. Such a run yields, in the place of
+    ``psi``, the escape times [path] (NaN while a path is alive): one array,
+    updated in place as paths freeze. Its states are not checked against
+    the threshold.
 
     Every state is held paths-last: Phi as [row, col, path], vectors as
     [row, path], and Psi as Psi^T, [col, row, path], stepped as
@@ -276,7 +306,12 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
             raise EngineError(f"x0 must have shape ({n},)")
         state = np.repeat(x0[:, None], paths, axis=1)
     psi_t = np.repeat(np.eye(n)[:, :, None], paths, axis=2) if inverse else None
-    escape = np.full(paths, np.nan) if psys is not None else None
+    if psys is not None:
+        escape = np.full(paths, np.nan)
+        all_alive = True
+        fmap = _compile_map(psys.f, system.params)
+        hmap = _compile_map(psys.h, system.params)
+        fval, hval = np.empty_like(state), np.empty_like(state)
     if increments is None:
         streams = BrownianStreams(seed, paths, grid.dt)
     elif increments.shape != (paths, grid.steps):
@@ -311,14 +346,20 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
             if psys is None:
                 state = _em_update(state, a[i], g[i], dt, incr[:, i])
             else:
-                # The maps take C-ordered states [path, n].
-                u = np.ascontiguousarray(state.T)
-                nxt = _em_update(state, a[i], g[i], dt, incr[:, i],
-                                 _apply_map(psys.f, system.params, times[i], u).T,
-                                 _apply_map(psys.h, system.params, times[i], u).T)
-                t_next = grid.t0 + dt * (k0 + i + 1)
-                escape[np.isnan(escape) & np.any(_beyond_threshold(nxt), axis=0)] = t_next
-                state = np.where(np.isnan(escape), nxt, state)
+                # Overflow on a path that is about to escape is not reported:
+                # the freeze rule below handles its non-finite values.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    f = fmap and fmap(times[i], state, fval)
+                    h = hmap and hmap(times[i], state, hval)
+                    nxt = _em_update(state, a[i], g[i], dt, incr[:, i], f, h)
+                beyond = _beyond_threshold(nxt)
+                if all_alive and not beyond.any():
+                    state = nxt
+                else:
+                    all_alive = False
+                    t_next = grid.t0 + dt * (k0 + i + 1)
+                    escape[np.isnan(escape) & np.any(beyond, axis=0)] = t_next
+                    state = np.where(np.isnan(escape), nxt, state)
             if inverse:
                 # x - dw * y and x + (-dw) * y round alike.
                 psi_t = _em_update(psi_t, b_t[i], g_t[i], dt, -incr[:, i])

@@ -18,11 +18,18 @@ Evaluation is vectorized: ``t`` (or any bound name) may be a numpy array.
 Domain violations (log of a nonpositive value, sqrt of a negative, division
 by zero, fractional power of a negative base, overflow to non-finite) raise
 :class:`DomainError` naming the offending subexpression.
+
+Every evaluation compiles the tree into a closure over numpy ufuncs, with
+the parameters folded into the subtrees that do not depend on ``t`` or the
+state. A caller that evaluates one tree many times, such as a stepper that
+applies a perturbation map at each step, compiles it once with the private
+``_compile`` and calls the closure.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,7 +324,13 @@ def serialize(node: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation. A tree is compiled into a function of (t, u) in which the free
+# names are ``t`` and the state components ``u<k>`` = ``u[k - 1]``. Every
+# subtree free of them is folded with the parameters when the tree is
+# compiled, and a folded exponent decides there which checks on the base can
+# fire. A fold that fails becomes a function that fails when called, so each
+# node still makes the ufunc calls and checks of a left-to-right walk of the
+# tree, and raises the same error at the same point of it.
 
 
 def _check_finite(node: Expr, value):
@@ -326,66 +339,176 @@ def _check_finite(node: Expr, value):
     return value
 
 
-def _eval(node: Expr, env: dict) -> float | np.ndarray:
+class _Const:
+    """A folded subtree's value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _fold(op, *values):
+    try:
+        return _Const(op(*values))
+    except ExprError:
+        return lambda t, u: op(*values)
+
+
+def _unary(op, arg):
+    if isinstance(arg, _Const):
+        return _fold(op, arg.value)
+    return lambda t, u: op(arg(t, u))
+
+
+def _binary(op, lhs, rhs):
+    if isinstance(lhs, _Const):
+        a = lhs.value
+        if isinstance(rhs, _Const):
+            return _fold(op, a, rhs.value)
+        return lambda t, u: op(a, rhs(t, u))
+    if isinstance(rhs, _Const):
+        b = rhs.value
+        return lambda t, u: op(lhs(t, u), b)
+    return lambda t, u: op(lhs(t, u), rhs(t, u))
+
+
+def _checked(node: Expr, ufunc, finite: bool, quiet: bool = False):
+    """``ufunc`` followed by the node's non-finite check, under
+    ``np.errstate(all="ignore")`` when ``quiet``; without ``finite``, the
+    bare ufunc."""
+    if not finite:
+        return ufunc
+    if not quiet:
+        return lambda *args: _check_finite(node, ufunc(*args))
+
+    def call(*args):
+        with np.errstate(all="ignore"):
+            return _check_finite(node, ufunc(*args))
+    return call
+
+
+def _call_op(node: Call, finite: bool):
+    func, ufunc = node.func, _checked(node, FUNCTIONS[node.func], finite, quiet=True)
+
+    def call(x):
+        if func == "log" and np.any(np.asarray(x) <= 0.0):
+            raise DomainError(node, "log of a nonpositive value")
+        if func == "sqrt" and np.any(np.asarray(x) < 0.0):
+            raise DomainError(node, "sqrt of a negative value")
+        return ufunc(x)
+    return call
+
+
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+def _arithmetic_op(node: Bin, finite: bool):
+    ufunc = _checked(node, _ARITHMETIC[node.op], finite)
+    if node.op != "/":
+        return ufunc
+
+    def divide(a, b):
+        if np.any(np.asarray(b) == 0.0):
+            raise DomainError(node, "division by zero")
+        return ufunc(a, b)
+    return divide
+
+
+def _power_op(node: Bin, finite: bool):
+    power = _checked(node, np.power, finite, quiet=True)
+
+    def checked(a, b):
+        a_arr = np.asarray(a, dtype=float)
+        b_arr = np.asarray(b, dtype=float)
+        if np.any(a_arr < 0.0) and np.any(b_arr != np.floor(b_arr)):
+            raise DomainError(node, "fractional power of a negative base")
+        if np.any((a_arr == 0.0) & (b_arr < 0.0)):
+            raise DomainError(node, "zero raised to a negative power")
+        return power(a, b)
+    return checked
+
+
+def _fixed_power_op(node: Bin, b, finite: bool):
+    """a -> a^b for a folded scalar exponent b, with only the base checks
+    that b lets fire."""
+    power = _checked(node, np.power, finite, quiet=True)
+    b_arr = np.asarray(b, dtype=float)
+    fractional = bool(b_arr != np.floor(b_arr))
+    negative = bool(b_arr < 0.0)
+    if not (fractional or negative):
+        return lambda a: power(a, b)
+
+    def checked(a):
+        a_arr = np.asarray(a, dtype=float)
+        if fractional and np.any(a_arr < 0.0):
+            raise DomainError(node, "fractional power of a negative base")
+        if negative and np.any(a_arr == 0.0):
+            raise DomainError(node, "zero raised to a negative power")
+        return power(a, b)
+    return checked
+
+
+def _code(node: Expr, params: dict, free: frozenset, finite: bool):
+    """The subtree folded to a :class:`_Const`, or a function of (t, u)."""
     match node:
         case Num(value):
-            return value
+            return _Const(value)
         case Name(ident):
-            try:
-                return env[ident]
-            except KeyError:
-                raise UnboundNameError(ident) from None
-        case Call(func, arg):
-            x = _eval(arg, env)
-            if func == "log" and np.any(np.asarray(x) <= 0.0):
-                raise DomainError(node, "log of a nonpositive value")
-            if func == "sqrt" and np.any(np.asarray(x) < 0.0):
-                raise DomainError(node, "sqrt of a negative value")
-            with np.errstate(all="ignore"):
-                return _check_finite(node, FUNCTIONS[func](x))
+            if ident == "t" and ident in free:
+                return lambda t, u: t
+            if ident in free:
+                k = int(ident[1:]) - 1
+                return lambda t, u: u[k]
+            if ident in params:
+                return _Const(params[ident])
+
+            def unbound(t, u):
+                raise UnboundNameError(ident)
+            return unbound
+        case Call(_, arg):
+            return _unary(_call_op(node, finite), _code(arg, params, free, finite))
         case Neg(arg):
-            return -_eval(arg, env)
+            return _unary(operator.neg, _code(arg, params, free, finite))
         case Bin(op, lhs, rhs):
-            a = _eval(lhs, env)
-            b = _eval(rhs, env)
-            if op == "+":
-                return _check_finite(node, np.add(a, b))
-            if op == "-":
-                return _check_finite(node, np.subtract(a, b))
-            if op == "*":
-                return _check_finite(node, np.multiply(a, b))
-            if op == "/":
-                if np.any(np.asarray(b) == 0.0):
-                    raise DomainError(node, "division by zero")
-                return _check_finite(node, np.divide(a, b))
+            lhs = _code(lhs, params, free, finite)
+            rhs = _code(rhs, params, free, finite)
+            if op == "^" and isinstance(rhs, _Const) and np.ndim(rhs.value) == 0:
+                return _unary(_fixed_power_op(node, rhs.value, finite), lhs)
             if op == "^":
-                a_arr = np.asarray(a, dtype=float)
-                b_arr = np.asarray(b, dtype=float)
-                if np.any(a_arr < 0.0) and np.any(b_arr != np.floor(b_arr)):
-                    raise DomainError(node, "fractional power of a negative base")
-                if np.any((a_arr == 0.0) & (b_arr < 0.0)):
-                    raise DomainError(node, "zero raised to a negative power")
-                with np.errstate(all="ignore"):
-                    return _check_finite(node, np.power(a, b))
+                return _binary(_power_op(node, finite), lhs, rhs)
+            return _binary(_arithmetic_op(node, finite), lhs, rhs)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _compile(node: Expr, params: dict, free=("t",), finite: bool = True):
+    """``node`` as a function ``(t, u) -> value``.
+
+    ``free`` lists the names left unbound: ``"t"`` binds the argument ``t``
+    and ``"u<k>"`` binds ``u[k - 1]``; every other name takes its value from
+    ``params``. With ``finite`` off, a non-finite result is returned rather
+    than raised as a :class:`DomainError` (the other domain checks stay), and
+    no node sets ``np.errstate``: the caller chooses what overflow reports.
+    """
+    code = _code(node, params, frozenset(free), finite)
+    if isinstance(code, _Const):
+        value = code.value
+        return lambda t, u: value
+    return code
+
+
+def _as_result(out) -> float | np.ndarray:
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def evaluate(node: Expr, t, params: dict | None = None) -> float | np.ndarray:
     """Evaluate at time ``t`` (scalar or array) with ``params`` bound."""
-    env = dict(params) if params else {}
-    env["t"] = t
-    out = _eval(node, env)
-    if isinstance(out, np.ndarray):
-        return out
-    return float(out)
+    return _as_result(_compile(node, params or {})(t, ()))
 
 
 def evaluate_env(node: Expr, env: dict) -> float | np.ndarray:
     """Evaluate with an explicit environment (for state-dependent formulas)."""
-    out = _eval(node, env)
-    if isinstance(out, np.ndarray):
-        return out
-    return float(out)
+    return _as_result(_compile(node, env, free=())(None, ()))
 
 
 # ---------------------------------------------------------------------------

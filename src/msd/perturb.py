@@ -23,8 +23,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dichotomy import DichotomyFit, fit_envelope, dichotomy_surface, fit_to_dict
-from .engines import (FundamentalEnsemble, TimeGrid, _apply_map, _mean_squares,
-                      euler_maruyama)
+from .engines import (FundamentalEnsemble, TimeGrid, _compile_map, _map_values,
+                      _mean_squares, euler_maruyama)
 from .lyapunov import regularity_estimate, spectrum
 from .model import PerturbedSde, gallery
 from .numerics import RngStream, brownian_batch
@@ -135,6 +135,9 @@ def check_condition_42(psys: PerturbedSde, sampler_scale: float, trials: int,
         raise PerturbError("sampler scale must be positive and finite")
     n = psys.base.dim
     params = psys.base.params
+    # A zero map adds no term: its 0.0 would leave the non-negative sum alone.
+    maps = [m for m in (_compile_map(psys.f, params), _compile_map(psys.h, params))
+            if m is not None]
     # A counter stream accepts any integer seed. Index 20 000 stays clear of
     # the spectrum's probe streams (10 000 + j) and of the path streams of
     # ensembles below 20 000 paths.
@@ -156,10 +159,10 @@ def check_condition_42(psys: PerturbedSde, sampler_scale: float, trials: int,
         # would cost one call per mean. The ratio is formed in float64, so
         # overflow and division give inf or NaN, checked below.
         with np.errstate(all="ignore"):
-            df = _apply_map(psys.f, params, t, u) - _apply_map(psys.f, params, t, v)
-            dh = _apply_map(psys.h, params, t, u) - _apply_map(psys.h, params, t, v)
-            lhs = (np.mean(np.sum(df * df, axis=-1))
-                   + np.mean(np.sum(dh * dh, axis=-1)))
+            lhs = 0.0
+            for fmap in maps:
+                diff = _map_values(fmap, t, u) - _map_values(fmap, t, v)
+                lhs += np.mean(np.sum(diff * diff, axis=-1))
             gap = np.mean(np.sum((u - v) ** 2, axis=-1))
             size = (np.mean(np.sum(u * u, axis=-1))
                     + np.mean(np.sum(v * v, axis=-1)))
@@ -249,9 +252,12 @@ def voc_solve(psys: PerturbedSde, xi0, ens: FundamentalEnsemble,
     # phi @ xi0: the correction below is then exactly zero.
     linear = phi @ xi0
     u = linear
+    fmap, hmap = _compile_map(psys.f, params), _compile_map(psys.h, params)
     for sweep in range(1, _PICARD_SWEEPS + 1):
-        f_val = _apply_map(psys.f, params, times[:-1], u[:-1])
-        h_val = _apply_map(psys.h, params, times[:-1], u[:-1])
+        # A map that overflows gives a non-finite update, reported below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_val = _map_values(fmap, times[:-1], u[:-1])
+            h_val = _map_values(hmap, times[:-1], u[:-1])
         gh = np.einsum("kij,kj->ki", g_left, h_val)
         steps = (np.einsum("kij,kj->ki", psi[:-1], h_val) * dw[:, None]
                  + np.einsum("kij,kj->ki", psi[:-1], f_val - gh) * dt)

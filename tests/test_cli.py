@@ -341,6 +341,21 @@ class TestPerturb:
         assert payload["escaped"] == 20
         assert payload["verdict"] == "FAIL"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_stability_freezes_paths_whose_map_overflows(self, capsys):
+        # A state between about 1e103 and 1e150 is inside the explosion
+        # threshold but its cube is not finite: the path freezes and is
+        # counted instead of the run ending in "non-finite result".
+        code, out, err = run_cli(capsys, "perturb", "--system", "gbm",
+                                 "--mode", "stability", "--perturbation", "expr",
+                                 "--f-entries", "10*u1^3", "--delta", "1",
+                                 "--paths", "4", "--horizon", "1", "--seed", "1")
+        assert code == 0, err
+        payload = json.loads(out)
+        validate("perturb", payload)
+        assert payload["escaped"] >= 1
+        assert payload["verdict"] == "FAIL"
+
     def test_condition_accepts_negative_seed(self, capsys):
         code, out, _ = run_cli(capsys, "perturb", "--system", "gbm",
                                "--mode", "condition", "--scale", "0.3",

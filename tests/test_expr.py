@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from msd import expr
 from msd.expr import Bin, Call, Name, Neg, Num
+from tree_walk import walk
 
 
 def ev(text, t=1.0, **params):
@@ -222,6 +223,130 @@ def test_agrees_with_python_eval_on_random_trees():
         ours = expr.evaluate(tree, env["t"], {"p": env["p"], "q": env["q"]})
         assert ours == pytest.approx(reference, rel=1e-14, abs=1e-12), source
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against the frozen tree walk: the same bits, and the
+# same error at the same node.
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate(), None
+    except expr.ExprError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_same(ours, reference, source):
+    (value, error), (ref_value, ref_error) = ours, reference
+    assert error == ref_error, source
+    if error is None:
+        value, ref_value = np.asarray(value), np.asarray(ref_value, dtype=float)
+        assert value.shape == ref_value.shape, source
+        assert value.tobytes() == ref_value.tobytes(), source
+
+
+def _wild_tree(rng, depth):
+    """Unguarded trees over t, parameters and state names: domain errors,
+    folded parameter subtrees and constant exponents all occur."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.35:
+            return Num(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 1e200]))
+        return Name(rng.choice(["t", "p", "q", "u1", "u2", "u1", "u2"]))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Neg(_wild_tree(rng, depth - 1))
+    if kind == 1:
+        return Call(rng.choice(sorted(expr.FUNCTIONS)), _wild_tree(rng, depth - 1))
+    if kind == 2:
+        exponent = rng.choice([Num(rng.choice([2.0, 3.0, 0.5, 1.5])), Name("p"),
+                               Neg(Num(2.0)), Neg(Name("q")),
+                               Bin("+", Name("p"), Num(1.0)), _wild_tree(rng, depth - 1)])
+        return Bin("^", _wild_tree(rng, depth - 1), exponent)
+    return Bin(rng.choice("+-*/"), _wild_tree(rng, depth - 1), _wild_tree(rng, depth - 1))
+
+
+def _state_rows(rng):
+    rows = rng.choice([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0], size=(2, 5))
+    if rng.random() < 0.5:
+        rows = np.abs(rows) + 0.25          # every base positive
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_compiled_equals_the_tree_walk_on_random_trees():
+    rng = random.Random(20261018)
+    nprng = np.random.default_rng(20261018)
+    errors = 0
+    for _ in range(4000):
+        tree = _random_tree(rng, depth=4) if rng.random() < 0.3 else _wild_tree(rng, 4)
+        source = expr.serialize(tree)
+        t = rng.choice([rng.uniform(0.1, 10.0), np.linspace(0.1, 3.0, 5)])
+        params = {"p": rng.choice([2.0, -1.0, 0.5, rng.uniform(-3.0, 3.0)]),
+                  "q": rng.choice([1.0, 3.0, rng.uniform(-3.0, 3.0)])}
+        rows = _state_rows(nprng)
+        env = {**params, "t": t, "u1": rows[0], "u2": rows[1]}
+        reference = _outcome(lambda: walk(tree, env))
+        errors += reference[1] is not None
+        _assert_same(_outcome(lambda: expr.evaluate_env(tree, env)), reference, source)
+        if "u1" not in source and "u2" not in source:
+            _assert_same(_outcome(lambda: expr.evaluate(tree, t, params)), reference, source)
+        compiled = expr._compile(tree, params, ("t", "u1", "u2"))
+        _assert_same(_outcome(lambda: compiled(t, rows)), reference, source)
+        # Without the finite check a run that did not overflow is unchanged.
+        loose = expr._compile(tree, params, ("t", "u1", "u2"), finite=False)
+        with np.errstate(all="ignore"):
+            outcome = _outcome(lambda: loose(t, rows))
+        if reference[1] is None or "non-finite" not in reference[1][1]:
+            _assert_same(outcome, reference, source)
+        else:
+            assert outcome[1] is None or "non-finite" not in outcome[1][1], source
+    assert 400 < errors < 3600
+
+
+@pytest.mark.parametrize("text", ["u1^(p + 1)", "u1^p", "u1^-p", "u1^(p - q)", "(u1*q)^(p/2)",
+                                  "t^(p*q)", "(p - 1)^u1", "u1^(p^q)", "u1^(log(q) - 1)"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 0.5, -2.0, -0.5, 0.0])
+def test_folded_exponents_keep_the_walks_checks(text, p):
+    # The exponent folds to a constant, so the base checks it cannot trigger
+    # are dropped when the tree is compiled; those it can still fire alike.
+    tree = expr.parse(text)
+    params = {"p": p, "q": 3.0}
+    compiled = expr._compile(tree, params, ("t", "u1"))
+    for u1 in ([1.5, 0.25, 2.0], [-1.5, 0.25, 2.0], [0.0, 0.25, 2.0], [-1.5, 0.0, 2.0]):
+        rows = np.array([u1])
+        reference = _outcome(lambda: walk(tree, {**params, "t": 1.5, "u1": rows[0]}))
+        _assert_same(_outcome(lambda: compiled(1.5, rows)), reference, f"{text} at {u1}")
+
+
+def test_errors_are_raised_where_the_walk_meets_them():
+    # The right-hand subtree folds (and fails) when the tree is compiled, but
+    # the walk fails in the left one first.
+    tree = expr.parse("log(t - 5) + sqrt(0 - p)")
+    with pytest.raises(expr.DomainError, match="log of a nonpositive value"):
+        expr.evaluate(tree, 1.0, {"p": 1.0})
+    with pytest.raises(expr.DomainError, match="sqrt of a negative value"):
+        expr.evaluate(tree, 6.0, {"p": 1.0})
+    with pytest.raises(expr.UnboundNameError, match="'p'"):
+        expr.evaluate(expr.parse("p + t/0"), 1.0)
+    with pytest.raises(expr.DomainError, match="division by zero"):
+        expr.evaluate(expr.parse("t/0 + p"), 1.0)
+
+
+def test_a_compiled_tree_folds_its_parameters_once(monkeypatch):
+    calls = []
+    original = np.add
+
+    def counted(a, b, *args, **kwargs):
+        calls.append(np.ndim(a) + np.ndim(b))
+        return original(a, b, *args, **kwargs)
+
+    monkeypatch.setitem(expr._ARITHMETIC, "+", counted)
+    compiled = expr._compile(expr.parse("u1^(lambda + 1)"), {"lambda": 1.0}, ("t", "u1"))
+    rows = np.array([[0.5, -2.0, 3.0]])
+    for _ in range(5):
+        assert np.array_equal(compiled(0.0, rows), rows[0] ** 2.0)
+    assert calls == [0]
 
 
 def test_vectorized_matches_scalar():

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msd import engines, perturb
+from msd import engines, expr, perturb
 from msd.engines import (EngineError, TimeGrid, euler_maruyama, fundamental_at,
                          simulate_fundamental, simulate_vectors)
 from msd.model import LinearSde, ModelError, PerturbationSpec, PerturbedSde, gallery
@@ -27,6 +27,7 @@ from msd.perturb import (
     voc_solve,
 )
 from msd.numerics import brownian_batch, pairwise_mean_std
+from tree_walk import apply_map
 
 # Analytic growth lower bound at (a, b, lambda) = (1.05, 1, 1) with a 0.01
 # window, and the deterministic second-component exponent from log-space
@@ -48,8 +49,9 @@ def _zero_perturbation(base):
 
 def _reference_perturbed(psys, xi0, grid, incr):
     """The paths-first Euler-Maruyama loop simulate_perturbed once ran on its
-    own: every node stored, a path frozen at its last state (and its escape
-    time set) once its next state is beyond the explosion threshold."""
+    own, with the maps evaluated by the frozen tree walk: every node stored,
+    a path frozen at its last state (and its escape time set) once its next
+    state is beyond the explosion threshold."""
     paths, n = incr.shape[0], psys.base.dim
     params = psys.base.params
     times = grid.times()
@@ -61,8 +63,8 @@ def _reference_perturbed(psys, xi0, grid, incr):
     dt = grid.dt
     for k in range(grid.steps):
         t, cur = times[k], values[k]
-        drift = cur @ a_left[k].T + engines._apply_map(psys.f, params, t, cur)
-        noise = cur @ g_left[k].T + engines._apply_map(psys.h, params, t, cur)
+        drift = cur @ a_left[k].T + apply_map(psys.f, params, t, cur)
+        noise = cur @ g_left[k].T + apply_map(psys.h, params, t, cur)
         nxt = cur + drift * dt + noise * incr[:, k][:, None]
         escape[np.isnan(escape) & np.any(engines._beyond_threshold(nxt), axis=1)] = times[k + 1]
         values[k + 1] = np.where(np.isnan(escape)[:, None], nxt, cur)
@@ -246,6 +248,59 @@ class TestSimulatePerturbed:
         pens = simulate_perturbed(_escaping(), np.array([1.0]), grid, paths=4, seed=0)
         assert np.array_equal(pens.values, ref)
         assert np.array_equal(pens.escape_times, ref_escape)
+
+    @pytest.mark.parametrize("steps", [(0,), (19,), (39,), (0, 19, 39), (19, 19, 20)])
+    @pytest.mark.parametrize("kind", ["expr", "power_clipped"])
+    def test_escapes_at_any_step_equal_the_paths_first_loop_bitwise(self, monkeypatch, kind,
+                                                                    steps):
+        # With CHUNK_VALUES 150 a block holds 8 steps of 6 paths of a 2-d
+        # system. An increment of 1e160 takes a path past the threshold at
+        # the first step, inside the third block or at the last step; from
+        # then on every path steps through the freeze rule.
+        monkeypatch.setattr(engines, "CHUNK_VALUES", 150)
+        rng = np.random.default_rng(77)
+        psys = _random_perturbed(2, kind, rng)
+        grid = TimeGrid(0.1, 0.01, 41)
+        xi0 = rng.normal(size=2)
+        incr = brownian_batch(9, 6, grid.dt, grid.steps)
+        for path, step in enumerate(steps):
+            incr[2 * path % 6, step] = 1e160
+        ref, ref_escape = _reference_perturbed(psys, xi0, grid, incr)
+        times = grid.times()
+        assert sorted(ref_escape[np.isfinite(ref_escape)]) == sorted(
+            times[np.array(steps) + 1])
+        streamed = list(euler_maruyama(psys, grid, 6, 0, np.arange(grid.count), x0=xi0,
+                                       increments=incr))
+        assert np.array_equal(np.stack([u for _, u, _ in streamed]), ref)
+        assert np.array_equal(streamed[-1][2], ref_escape, equal_nan=True)
+
+    def test_each_map_is_compiled_once_per_run(self, monkeypatch):
+        psys = _random_perturbed(2, "expr", np.random.default_rng(5))
+        entries = psys.f.entries + psys.h.entries
+        calls = {"maps": 0, "entries": 0}
+        compile_map, compile_tree = engines._compile_map, expr._compile
+
+        def count_map(*args, **kwargs):
+            calls["maps"] += 1
+            return compile_map(*args, **kwargs)
+
+        def count_tree(node, *args, **kwargs):
+            calls["entries"] += any(node is e for e in entries)
+            return compile_tree(node, *args, **kwargs)
+
+        monkeypatch.setattr(engines, "_compile_map", count_map)
+        monkeypatch.setattr(perturb, "_compile_map", count_map)
+        monkeypatch.setattr(expr, "_compile", count_tree)
+        grid, xi0 = TimeGrid(0.1, 0.01, 201), np.array([0.3, -0.2])
+        simulate_perturbed(psys, xi0, grid, 3, 0)
+        assert calls == {"maps": 2, "entries": 4}
+        perturb._streamed_moments(psys, xi0, grid, 3, 0)
+        assert calls == {"maps": 4, "entries": 8}
+        check_condition_42(psys, 0.3, trials=100)
+        assert calls == {"maps": 6, "entries": 12}
+        ens = simulate_fundamental(psys.base, grid, 1, 0)
+        voc_solve(psys, xi0, ens)
+        assert calls == {"maps": 8, "entries": 16}
 
     @pytest.mark.parametrize("name", ["triangular-2x2", "perron-sde"])
     def test_zero_perturbation_equals_the_linear_kernel_bitwise(self, name):
