@@ -14,10 +14,12 @@ a single ``error: <kind>: <message>`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,25 +33,24 @@ from .bounds import (
 )
 from .dichotomy import (
     DichotomyError,
+    DichotomyFit,
     dichotomy_surface,
     fit_envelope,
-    fit_to_dict,
     pair_grid,
     predicted_exponent,
     uniform_witness,
 )
 from .engines import (
+    DivergenceError,
     EngineError,
     ExplosionError,
+    MomentCurve,
     MomentSurface,
     NonPsdError,
     TimeGrid,
-    curve_to_csv,
-    curve_to_records,
     mc_moment_curve,
     moment_ode,
     simulate_fundamental,
-    surface_to_csv,
 )
 from .expr import ExprError
 from .lyapunov import (
@@ -74,19 +75,18 @@ from .numerics import NumericsError
 from .perturb import (
     NonConvergenceError,
     PerturbError,
+    PerronReport,
+    StabilityReport,
     check_condition_42,
-    condition_to_dict,
     perron_instability,
-    perron_to_dict,
     stability_experiment,
-    stability_to_dict,
     voc_solve,
 )
 
 __all__ = ["build_parser", "dispatch", "main"]
 
 # Numeric failures first: they subclass the validation errors below.
-_NUMERIC_ERRORS = (ExplosionError, NonPsdError, NonConvergenceError)
+_NUMERIC_ERRORS = (ExplosionError, NonPsdError, DivergenceError, NonConvergenceError)
 _VALIDATION_ERRORS = (
     ModelError,
     EngineError,
@@ -335,6 +335,76 @@ def _system_to_dict(system) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Report writers: the library returns dataclasses, and only these turn them
+# into output. A report whose fields are its payload goes through asdict;
+# one that is cut down or renamed is written out here.
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _curve_to_csv(curve: MomentCurve) -> str:
+    # Rows go into one buffer; a list of row strings would add about twice
+    # the size of the text.
+    out = io.StringIO()
+    out.write("t,value,stderr\n")
+    errs = curve.stderrs if curve.stderrs is not None else np.zeros_like(curve.values)
+    for t, v, e in zip(curve.ts, curve.values, errs):
+        out.write(f"{_fmt(t)},{_fmt(v)},{_fmt(e)}\n")
+    return out.getvalue()
+
+
+def _curve_to_records(curve: MomentCurve) -> list[dict]:
+    errs = curve.stderrs if curve.stderrs is not None else np.zeros_like(curve.values)
+    return [
+        {"t": float(t), "value": float(v), "stderr": float(e)}
+        for t, v, e in zip(curve.ts, curve.values, errs)
+    ]
+
+
+def _surface_to_csv(surface: MomentSurface) -> str:
+    lines = ["t,s,value,stderr"]
+    errs = surface.stderrs if surface.stderrs is not None else np.zeros_like(surface.values)
+    for s, t, v, e in zip(surface.ss, surface.ts, surface.values, errs):
+        lines.append(f"{_fmt(t)},{_fmt(s)},{_fmt(v)},{_fmt(e)}")
+    return "\n".join(lines) + "\n"
+
+
+def _fit_to_dict(fit: DichotomyFit) -> dict:
+    return {
+        "rank": fit.rank,
+        "K": fit.k,
+        "alpha": fit.alpha,
+        "beta": fit.beta,
+        "residual_max": fit.residual_max,
+        "tight_points": [[s, t] for s, t in fit.tight_points],
+        "uniform": fit.uniform,
+    }
+
+
+def _stability_to_dict(rep: StabilityReport) -> dict:
+    return {"fit": _fit_to_dict(rep.fit), "q": rep.q,
+            "envelope_margin": rep.envelope_margin,
+            "spectral_margin": rep.spectral_margin,
+            "hypothesis_ok": rep.hypothesis_ok, "note": rep.note,
+            "k_tilde": rep.k_tilde, "tail_slope": rep.tail_slope,
+            "verdict": rep.verdict, "escaped": rep.escaped}
+
+
+def _perron_to_dict(rep: PerronReport) -> dict:
+    payload = asdict(rep)
+    payload["lambda"] = payload.pop("lam")
+    return payload
+
+
+def _json_default(value):
+    """The JSON form of a NumPy array in a payload: a list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+# ---------------------------------------------------------------------------
 # Subcommand handlers; each returns (payload, format) where format is
 # "json" for a dict payload or "csv" for pre-rendered text.
 
@@ -357,9 +427,9 @@ def _cmd_moments(args):
         grid = TimeGrid.spanning(args.t0, args.t1, args.dt)
         curve = mc_moment_curve(system, grid, args.paths, args.seed)
     if (args.format or "csv") == "csv":
-        return curve_to_csv(curve), "csv"
+        return _curve_to_csv(curve), "csv"
     return {"system": args.system, "method": args.method,
-            "points": curve_to_records(curve)}, "json"
+            "points": _curve_to_records(curve)}, "json"
 
 
 def _cmd_lyapunov(args):
@@ -374,13 +444,7 @@ def _cmd_lyapunov(args):
         "system": args.system,
         "horizon": args.horizon,
         "method": args.method,
-        "spectrum": {
-            "values": [float(v) for v in est.values],
-            "multiplicities": [int(m) for m in est.multiplicities],
-            "split_index": est.split_index,
-            "tolerance": est.tolerance,
-            "per_vector": [float(v) for v in est.per_vector],
-        },
+        "spectrum": asdict(est),
     }
     if args.vector is not None:
         chi = chi_estimate(system, np.asarray(args.vector), args.horizon,
@@ -393,15 +457,7 @@ def _cmd_lyapunov(args):
             "window": [float(chi.window[0]), float(chi.window[1])],
         }
     if args.epsilon is not None:
-        pred = predicted_exponent(est, args.epsilon)
-        payload["predicted"] = {
-            "alpha": pred.alpha,
-            "stable_rate": pred.stable_rate,
-            "unstable_rate": pred.unstable_rate,
-            "beta": pred.beta,
-            "mode": pred.mode,
-            "epsilon": pred.epsilon,
-        }
+        payload["predicted"] = asdict(predicted_exponent(est, args.epsilon))
     return payload, "json"
 
 
@@ -435,24 +491,17 @@ def _cmd_fit(args):
     surface = dichotomy_surface(system, projector, pairs, method=args.method,
                                 dt=args.dt, paths=args.paths, seed=args.seed)
     if args.format == "csv":
-        return surface_to_csv(surface), "csv"
+        return _surface_to_csv(surface), "csv"
     fit = fit_envelope(surface, rank=args.rank, alpha_max=args.alpha_max,
                        beta_max=args.beta_max, lattice=args.lattice)
     witness = None
     if np.unique(np.asarray(surface.ss)).size >= 2:
-        wit = uniform_witness(surface, fit)
-        witness = {
-            "s_values": [float(s) for s in wit.s_values],
-            "k_u": [float(k) for k in wit.k_u],
-            "ratio": wit.ratio,
-            "flag": wit.flag,
-            "alpha": wit.alpha,
-        }
+        witness = asdict(uniform_witness(surface, fit))
     return {
         "system": args.system,
         "sense": args.sense,
         "pairs": len(pairs),
-        "fit": fit_to_dict(fit),
+        "fit": _fit_to_dict(fit),
         "witness": witness,
     }, "json"
 
@@ -505,14 +554,11 @@ def _cmd_perturb(args):
             raise CliError("condition mode needs --scale")
         report = check_condition_42(psys, args.scale, args.trials,
                                     seed=args.seed, samples=args.samples)
-        payload = {"mode": "condition", "system": args.system}
-        payload.update(condition_to_dict(report))
-        return payload, "json"
+        return {"mode": "condition", "system": args.system, **asdict(report)}, "json"
     report = stability_experiment(psys, args.delta, args.horizon, args.paths,
                                   args.seed, dt=args.dt)
-    payload = {"mode": "stability", "system": args.system}
-    payload.update(stability_to_dict(report))
-    return payload, "json"
+    return {"mode": "stability", "system": args.system,
+            **_stability_to_dict(report)}, "json"
 
 
 def _cmd_perron(args):
@@ -520,7 +566,7 @@ def _cmd_perron(args):
                                 delta_window=args.delta_window,
                                 horizon=args.horizon, paths=args.paths,
                                 seed=args.seed, dt=args.dt)
-    return perron_to_dict(report), "json"
+    return _perron_to_dict(report), "json"
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +692,8 @@ def dispatch(argv=None) -> int:
             raise CliError(f"`{args.command}` emits JSON only")
         payload, kind = _HANDLERS[args.command](args)
         _emit(payload if kind == "csv"
-              else json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
+              else json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n",
+              args.output)
     except _NUMERIC_ERRORS as err:
         sys.stderr.write(f"error: numeric: {err}\n")
         return 2

@@ -24,7 +24,6 @@ from .engines import (
     MomentSurface,
     FundamentalEnsemble,
     TimeGrid,
-    _CoupledProjector,
     _moment_rows,
     fundamental_at,
     mc_second_moment,
@@ -80,9 +79,6 @@ class PredictedExponent:
     mode: str
     epsilon: float
 
-    def __float__(self) -> float:
-        return self.alpha
-
 
 @dataclass(frozen=True)
 class DecouplingReport:
@@ -134,14 +130,13 @@ def dichotomy_surface(system: LinearSde, projector: Projector | None, pairs,
         raise DichotomyError("pairs mix senses; split into t >= s and t <= s surfaces")
     sense = "unstable" if has_bwd else "stable"
 
-    values = stderrs = None
-    if method != "mc":
-        try:
-            values = _moment_rows(system, projector, pairs, sense, dt)
-        except _CoupledProjector:
-            if method == "ode":
-                raise
-    if values is None:
+    if method == "auto":
+        conformal = projector is None or system.is_block_diagonal(projector.rank)
+        method = "ode" if conformal else "mc"
+    stderrs = None
+    if method == "ode":
+        values = _moment_rows(system, projector, pairs, sense, dt)
+    else:
         values, stderrs = _surface_mc(system, projector, pairs, sense, dt, paths, seed)
     ss, ts = np.array(pairs).T
     return MomentSurface(ss=ss, ts=ts, values=values, stderrs=stderrs, sense=sense)
@@ -261,18 +256,6 @@ def fit_envelope(surface: MomentSurface, rank: int | None = None,
         residual_max=residual_max, tight_points=tight,
         uniform=beta < _UNIFORM_BETA, beta_below_alpha=beta < alpha,
     )
-
-
-def fit_to_dict(fit: DichotomyFit) -> dict:
-    return {
-        "rank": fit.rank,
-        "K": fit.k,
-        "alpha": fit.alpha,
-        "beta": fit.beta,
-        "residual_max": fit.residual_max,
-        "tight_points": [[s, t] for s, t in fit.tight_points],
-        "uniform": fit.uniform,
-    }
 
 
 def uniform_witness(surface: MomentSurface,

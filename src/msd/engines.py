@@ -13,7 +13,6 @@ Three routes to the same quantities, used to cross-check each other:
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -55,10 +54,28 @@ class NonPsdError(EngineError):
         )
 
 
+class DivergenceError(EngineError):
+    """The moment integration left the float64 range: a numeric failure."""
+
+
 EXPLOSION_THRESHOLD = 1e150
 
 # No grid has more steps than this; no command needs more than 10^4 by default.
 _MAX_STEPS = 10 ** 7
+
+# No stored ensemble, and no run's per-path state, holds more bytes than this
+# (1 GiB of float64): a larger one is refused before it is allocated, since
+# past it a desk machine ends the run with a MemoryError traceback or an OOM
+# kill. The largest the tests and the benchmark store is 0.72 GB: Phi and Psi
+# of a 2x2 system at 10^4 paths and 1001 nodes, plus the increments.
+_MAX_STORE_BYTES = 2 ** 30
+
+
+def _check_store(values: int, what: str) -> None:
+    """Refuse ``values`` float64 numbers beyond the store limit."""
+    if 8 * values > _MAX_STORE_BYTES:
+        raise EngineError(f"{what} would take {8 * values / 2 ** 30:.3g} GiB, more than "
+                          f"the {_MAX_STORE_BYTES / 2 ** 30:g} GiB limit")
 
 
 @dataclass(frozen=True)
@@ -296,6 +313,9 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
         system = psys.base
     n = system.dim
     nodes = _requested_nodes(nodes, grid, paths)
+    # The state, Psi^T and the map buffers, each of one state's size per path.
+    _check_store(paths * (n if x0 is not None else n * n)
+                 * (1 + inverse + 2 * (psys is not None)), "the per-path state")
     if x0 is None:
         which, order = "fundamental matrix", (2, 0, 1)
         state = np.repeat(np.eye(n)[:, :, None], paths, axis=2)
@@ -377,6 +397,7 @@ def fundamental_at(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
     """
     nodes = _requested_nodes(nodes, grid, paths)
     n = system.dim
+    _check_store(2 * len(nodes) * paths * n * n, "the ensemble of Phi and Psi")
     phi = np.empty((len(nodes), paths, n, n))
     psi = np.empty_like(phi)
     states = euler_maruyama(system, grid, paths, seed, nodes, inverse=True,
@@ -395,6 +416,8 @@ def simulate_fundamental(system: LinearSde, grid: TimeGrid, paths: int, seed: in
     inverse d(Psi) = Psi(-A + G^2) dt - Psi G dw on the same increments,
     kept at every node together with the increments."""
     nodes = _requested_nodes(np.arange(grid.count), grid, paths)
+    _check_store(paths * (2 * grid.count * system.dim ** 2 + grid.steps),
+                 "the ensemble of Phi and Psi")
     incr = brownian_batch(seed, paths, grid.dt, grid.steps)
     return fundamental_at(system, grid, paths, seed, nodes, incr)
 
@@ -408,6 +431,7 @@ def simulate_vectors(system: LinearSde, grid: TimeGrid, paths: int, seed: int,
     """
     nodes = _requested_nodes(np.arange(grid.count) if record_nodes is None else record_nodes,
                              grid, paths)
+    _check_store(len(nodes) * paths * system.dim, "the recorded vector solutions")
     out = np.empty((len(nodes), paths, system.dim))
     for j, (_, u, _) in enumerate(euler_maruyama(system, grid, paths, seed, nodes, x0=x0)):
         out[j] = u
@@ -424,6 +448,7 @@ def _mean_squares(states, count: int, paths: int) -> tuple[np.ndarray, np.ndarra
     sums bit for bit while memory stays bounded.
     """
     block = max(1, CHUNK_VALUES // paths)
+    _check_store(paths * min(block, count), "the per-path sums")
     sums = np.empty((paths, min(block, count)))
     means = np.empty(count)
     stds = np.empty(count)
@@ -514,7 +539,7 @@ def _moment_loop(system: LinearSde, p0, t_from: float, t_to: float,
         tr = np.trace(p)
         if not _TRACE_LOW <= tr <= _TRACE_HIGH:
             if not math.isfinite(tr):
-                raise EngineError(f"moment integration diverged at t={t_here:.6g}")
+                raise DivergenceError(f"moment integration diverged at t={t_here:.6g}")
             if tr > 0.0:
                 shift = math.frexp(tr)[1]
                 p = np.ldexp(p, -shift)
@@ -523,7 +548,7 @@ def _moment_loop(system: LinearSde, p0, t_from: float, t_to: float,
         traces[k], exps[k] = tr, e
         if k and (k % 25 == 0 or k == steps):
             if not np.all(np.isfinite(p)):
-                raise EngineError(f"moment integration diverged at t={t_here:.6g}")
+                raise DivergenceError(f"moment integration diverged at t={t_here:.6g}")
             w = np.linalg.eigvalsh(p)[0]
             if w < -tolerance * max(1.0, abs(tr)):
                 raise NonPsdError(t_here, float(w), float(tr))
@@ -544,7 +569,7 @@ def moment_ode(system: LinearSde, p0, t_from: float, t_to: float,
         values = np.ldexp(traces, exps)
     fits = np.isfinite(values)
     if not fits.all():
-        raise EngineError(f"moment integration diverged at t={ts[np.argmin(fits)]:.6g}")
+        raise DivergenceError(f"moment integration diverged at t={ts[np.argmin(fits)]:.6g}")
     return MomentCurve(ts=ts, values=values), np.ldexp(p, exps[-1])
 
 
@@ -561,14 +586,10 @@ def moment_log_trace(system: LinearSde, p0, t_from: float, t_to: float,
         raise EngineError("log-scale route needs a positive initial trace")
     positive = traces > 0.0
     if not positive.all():
-        raise EngineError(f"moment integration diverged at t={ts[np.argmin(positive)]:.6g}")
+        raise DivergenceError(f"moment integration diverged at t={ts[np.argmin(positive)]:.6g}")
     # math.log, not np.log: NumPy's vector loop rounds some values differently.
     logs = np.fromiter(map(math.log, traces / traces[0]), float, len(traces))
     return MomentCurve(ts=ts, values=logs + (exps - exps[0]) * math.log(2.0))
-
-
-class _CoupledProjector(EngineError):
-    """The projector couples the system's blocks, so no moment ODE applies."""
 
 
 def _moment_rows(system: LinearSde, projector: Projector | None, pairs, sense: str,
@@ -584,8 +605,8 @@ def _moment_rows(system: LinearSde, projector: Projector | None, pairs, sense: s
     n = system.dim
     rank = n if projector is None else projector.rank
     if not system.is_block_diagonal(rank):
-        raise _CoupledProjector("projector couples the blocks on this system; use "
-                                "Monte Carlo (mc_second_moment) instead")
+        raise EngineError("projector couples the blocks on this system; use "
+                          "Monte Carlo (mc_second_moment) instead")
     flow, spans = system, pairs
     if sense == "unstable":
         flow, spans = adjoint(system), [(t, s) for s, t in pairs]
@@ -752,38 +773,3 @@ def constant_moment(system: LinearSde, p0, t: float) -> np.ndarray:
     a, g, eye = system.drift_at(0.0), system.diffusion_at(0.0), np.eye(n)
     lop = np.kron(a, eye) + np.kron(eye, a) + np.kron(g, g)
     return (expm(t * lop) @ np.asarray(p0, dtype=float).reshape(n * n)).reshape(n, n)
-
-
-# ---------------------------------------------------------------------------
-# Serialization helpers
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def curve_to_csv(curve: MomentCurve) -> str:
-    # Rows go into one buffer; a list of row strings would add about twice
-    # the size of the text.
-    out = io.StringIO()
-    out.write("t,value,stderr\n")
-    errs = curve.stderrs if curve.stderrs is not None else np.zeros_like(curve.values)
-    for t, v, e in zip(curve.ts, curve.values, errs):
-        out.write(f"{_fmt(t)},{_fmt(v)},{_fmt(e)}\n")
-    return out.getvalue()
-
-
-def curve_to_records(curve: MomentCurve) -> list[dict]:
-    errs = curve.stderrs if curve.stderrs is not None else np.zeros_like(curve.values)
-    return [
-        {"t": float(t), "value": float(v), "stderr": float(e)}
-        for t, v, e in zip(curve.ts, curve.values, errs)
-    ]
-
-
-def surface_to_csv(surface: MomentSurface) -> str:
-    lines = ["t,s,value,stderr"]
-    errs = surface.stderrs if surface.stderrs is not None else np.zeros_like(surface.values)
-    for s, t, v, e in zip(surface.ss, surface.ts, surface.values, errs):
-        lines.append(f"{_fmt(t)},{_fmt(s)},{_fmt(v)},{_fmt(e)}")
-    return "\n".join(lines) + "\n"

@@ -72,6 +72,10 @@ class RegularityEstimate:
 # Checkpoints per estimate, log-spaced from a thousandth of the span to the horizon.
 _CHECKPOINTS = 128
 
+# Random probe j reads stream _PROBE_STREAMS + j. Path m of a Monte Carlo run
+# reads stream m, and the store limit keeps every run far below 2^62 paths.
+_PROBE_STREAMS = 2 ** 62
+
 
 def chi_estimate(system: LinearSde, u0, horizon: float, method: str = "ode",
                  dt: float = 1e-2, paths: int = 10_000, seed: int = 0,
@@ -130,7 +134,7 @@ def spectrum(system: LinearSde, horizon: float, trials: int, method: str = "ode"
         raise LyapunovError(f"need at least {n} trials to cover the canonical basis")
     probes = [np.eye(n)[:, i] for i in range(n)]
     for j in range(trials - n):
-        gen = RngStream(seed, 10_000 + j).generator()
+        gen = RngStream(seed, _PROBE_STREAMS + j).generator()
         v = gen.standard_normal(n)
         while np.linalg.norm(v) < 1e-6:
             v = gen.standard_normal(n)

@@ -188,6 +188,9 @@ def pairwise_mean_std(values: np.ndarray) -> tuple[float | np.ndarray, float | n
     return _mean_std_in_place(_rows_first(values))
 
 
+_HUGE_DEVIATION = 2.0 ** 480
+
+
 def _mean_std_in_place(x: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     """:func:`pairwise_mean_std` over axis 0 of ``x``, whose values it overwrites."""
     n = x.shape[0]
@@ -195,9 +198,18 @@ def _mean_std_in_place(x: np.ndarray) -> tuple[float | np.ndarray, float | np.nd
         raise NumericsError("empty sample")
     mean = _tree_sum(x) / n
     x -= mean           # the deviations overwrite the values
+    # A deviation beyond 2^480 (a frozen path's sum of squares reaches 1e300)
+    # could overflow once squared and summed: its column is scaled by a power
+    # of two first and its root scaled back, exactly. Other columns keep their
+    # bits.
+    shift = 0
+    if x.size and max(x.max(), -x.min()) > _HUGE_DEVIATION:
+        peak = np.max(np.abs(x), axis=0)
+        shift = np.where(peak > _HUGE_DEVIATION, np.frexp(peak)[1], 0)
+        np.ldexp(x, -shift, out=x)
     x *= x
     # One value has zero deviation, so max() only avoids 0 / 0.
-    return mean[()], np.sqrt(_tree_sum(x) / max(n - 1, 1))[()]
+    return mean[()], np.ldexp(np.sqrt(_tree_sum(x) / max(n - 1, 1)), shift)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .dichotomy import DichotomyFit, fit_envelope, dichotomy_surface, fit_to_dict
-from .engines import (FundamentalEnsemble, TimeGrid, _compile_map, _map_values,
+from .dichotomy import DichotomyFit, fit_envelope, dichotomy_surface
+from .engines import (FundamentalEnsemble, TimeGrid, _check_store, _compile_map, _map_values,
                       _mean_squares, euler_maruyama)
 from .lyapunov import regularity_estimate, spectrum
 from .model import PerturbedSde, gallery
@@ -139,7 +139,7 @@ def check_condition_42(psys: PerturbedSde, sampler_scale: float, trials: int,
     maps = [m for m in (_compile_map(psys.f, params), _compile_map(psys.h, params))
             if m is not None]
     # A counter stream accepts any integer seed. Index 20 000 stays clear of
-    # the spectrum's probe streams (10 000 + j) and of the path streams of
+    # the spectrum's probe streams (from 2^62) and of the path streams of
     # ensembles below 20 000 paths.
     rng = RngStream(seed, 20_000).generator()
     max_ratio = -1.0
@@ -205,6 +205,7 @@ def simulate_perturbed(psys: PerturbedSde, xi0, grid: TimeGrid, paths: int,
         raise PerturbError(f"initial condition must have {n} components")
     if not np.all(np.isfinite(xi0)):
         raise PerturbError("initial condition must be finite")
+    _check_store(paths * (grid.count * n + grid.steps), "the perturbed paths")
     incr = brownian_batch(seed, paths, grid.dt, grid.steps)
     values = np.empty((grid.count, paths, n))
     for k, u, escape in euler_maruyama(psys, grid, paths, seed, np.arange(grid.count),
@@ -430,29 +431,3 @@ def perron_instability(a: float, b: float, lam: float,
                         chi_deterministic=chi_det, chi_mc=chi_mc,
                         chi_mc_stderr=chi_mc_stderr, mc_horizon=horizon,
                         escaped=pens.escaped)
-
-
-# ---------------------------------------------------------------------------
-# JSON shapes
-
-def condition_to_dict(rep: Condition42Report) -> dict:
-    return {"max_ratio": rep.max_ratio, "consistent": rep.consistent,
-            "trials": rep.trials, "scale": rep.scale, "worst": rep.worst,
-            "violations": list(rep.violations)}
-
-
-def stability_to_dict(rep: StabilityReport) -> dict:
-    return {"fit": fit_to_dict(rep.fit), "q": rep.q,
-            "envelope_margin": rep.envelope_margin,
-            "spectral_margin": rep.spectral_margin,
-            "hypothesis_ok": rep.hypothesis_ok, "note": rep.note,
-            "k_tilde": rep.k_tilde, "tail_slope": rep.tail_slope,
-            "verdict": rep.verdict, "escaped": rep.escaped}
-
-
-def perron_to_dict(rep: PerronReport) -> dict:
-    return {"a": rep.a, "b": rep.b, "lambda": rep.lam,
-            "delta_window": rep.delta_window, "growth_bound": rep.growth_bound,
-            "t_star": rep.t_star, "chi_deterministic": rep.chi_deterministic,
-            "chi_mc": rep.chi_mc, "chi_mc_stderr": rep.chi_mc_stderr,
-            "mc_horizon": rep.mc_horizon, "escaped": rep.escaped}

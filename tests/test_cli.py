@@ -13,11 +13,14 @@ import tracemalloc
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
-from msd import engines
+from msd import cli, engines
 from msd.cli import build_parser, dispatch
-from msd.engines import ExplosionError, TimeGrid, simulate_fundamental
+from msd.dichotomy import fit_envelope, pair_grid
+from msd.engines import (ExplosionError, MomentCurve, MomentSurface, TimeGrid,
+                         simulate_fundamental)
 from msd.model import GALLERY_NAMES, from_dict, gallery, to_dict
 
 E_GBM = math.exp(-1.75)
@@ -326,8 +329,6 @@ class TestPerturb:
         assert payload["verdict"] == "PASS"
         assert payload["envelope_margin"] < 0.0
 
-    # Frozen paths sit near 1e150, so the spread of their squares overflows.
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_stability_reports_escaped_paths(self, capsys):
         # A drift perturbation of 100 u1 makes every path pass the explosion
         # threshold within the horizon; they are frozen and counted.
@@ -341,7 +342,9 @@ class TestPerturb:
         assert payload["escaped"] == 20
         assert payload["verdict"] == "FAIL"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    # Frozen paths sit near 1e150, so the spread of their squares would
+    # overflow; a warning would be an error here.
+    @pytest.mark.filterwarnings("error")
     def test_stability_freezes_paths_whose_map_overflows(self, capsys):
         # A state between about 1e103 and 1e150 is inside the explosion
         # threshold but its cube is not finite: the path freezes and is
@@ -350,7 +353,7 @@ class TestPerturb:
                                  "--mode", "stability", "--perturbation", "expr",
                                  "--f-entries", "10*u1^3", "--delta", "1",
                                  "--paths", "4", "--horizon", "1", "--seed", "1")
-        assert code == 0, err
+        assert code == 0 and err == "", err
         payload = json.loads(out)
         validate("perturb", payload)
         assert payload["escaped"] >= 1
@@ -455,6 +458,32 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: numeric:")
         assert len(err.strip().splitlines()) == 1
+
+    def test_diverging_moment_ode_exits_2(self, capsys, tmp_path):
+        # M' = 800 M leaves float64 near t = 0.889: a numeric failure, which
+        # was once reported as bad input with exit 1.
+        path = tmp_path / "hot.json"
+        path.write_text(json.dumps({"dim": 1, "params": {}, "A": [["400"]],
+                                    "G": [["0"]]}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "moments", "--system", str(path), "--t1", "1")
+        assert code == 2 and out == ""
+        assert err == "error: numeric: moment integration diverged at t=0.889\n"
+
+    @pytest.mark.parametrize("argv, what", [
+        (["triangularize", "--system", "gbm", "--t1", "10", "--paths", "10000000"],
+         "the ensemble of Phi and Psi"),
+        (["moments", "--system", "gbm", "--t1", "0.1", "--dt", "0.01", "--method", "mc",
+          "--paths", "1000000000"], "the per-path sums"),
+        (["perron", "--a", "1.05", "--b", "1", "--lambda", "1", "--horizon", "1",
+          "--paths", "100000000"], "the perturbed paths"),
+    ])
+    def test_a_store_beyond_the_limit_is_a_validation_error(self, capsys, argv, what):
+        # Refused before anything is allocated, where a MemoryError traceback
+        # or an OOM kill would end the run.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: validation: {what} would take ")
+        assert err.endswith(" GiB, more than the 1 GiB limit\n")
 
     def test_inverse_blow_up_does_not_stop_mc_moments(self, capsys, tmp_path):
         # A strong contraction: Phi shrinks by 0.9 per step while its inverse
@@ -589,6 +618,40 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, flags[0], "--system", "gbm", *flags[1:])
         assert code == 1 and out == ""
         assert err.startswith("error: validation: ")
+
+
+class TestReportWriters:
+    def test_curve_csv_and_records(self):
+        curve = MomentCurve(ts=np.array([0.0, 0.5]), values=np.array([1.0, 2.0]))
+        lines = cli._curve_to_csv(curve).strip().split("\n")
+        assert lines[0] == "t,value,stderr"
+        assert lines[1] == "0,1,0"
+        assert cli._curve_to_records(curve)[1] == {"t": 0.5, "value": 2.0, "stderr": 0.0}
+
+    def test_surface_csv_header(self):
+        surf = MomentSurface(ss=np.array([0.0]), ts=np.array([1.0]), values=np.array([3.0]),
+                             stderrs=np.array([0.1]), sense="stable")
+        lines = cli._surface_to_csv(surf).strip().split("\n")
+        assert lines[0] == "t,s,value,stderr"
+        assert lines[1].startswith("1,0,3,")
+
+    def test_fit_to_dict_shape(self):
+        pairs = pair_grid([0.001, 1.0], [0.0, 1.0, 2.0])
+        ss, ts = np.array(pairs).T
+        surf = MomentSurface(ss=ss, ts=ts, values=np.exp(-(ts - ss)), stderrs=None,
+                             sense="stable")
+        fit = fit_envelope(surf)
+        data = cli._fit_to_dict(fit)
+        assert set(data) == {"rank", "K", "alpha", "beta", "residual_max",
+                             "tight_points", "uniform"}
+        assert data["K"] == fit.k
+        assert data["tight_points"] == [[s, t] for s, t in fit.tight_points]
+
+    def test_arrays_in_a_payload_become_lists(self):
+        assert json.loads(json.dumps({"x": np.array([0.5, 2.0])},
+                                     default=cli._json_default)) == {"x": [0.5, 2.0]}
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            json.dumps({"x": {1}}, default=cli._json_default)
 
 
 class TestOutputFile:

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from msd import engines
+from msd import dichotomy, engines
 from msd.dichotomy import (
     DichotomyError,
     decoupling_check,
     dichotomy_surface,
     fit_envelope,
-    fit_to_dict,
     pair_grid,
     predicted_exponent,
     similarity_propagate,
@@ -134,6 +133,15 @@ class TestSurface:
         assert surf.values[0] == 1.0
         assert surf.stderrs[0] == 0.0
         assert np.all(surf.values > 0)
+
+    def test_auto_picks_its_route_before_any_work(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("a coupling projector entered the moment ODE route")
+
+        monkeypatch.setattr(dichotomy, "_moment_rows", reached)
+        surf = dichotomy_surface(_coupled_2x2(), make_projector(2, 1),
+                                 [(0.0, 0.0), (0.0, 0.25)], paths=10, seed=7)
+        assert surf.stderrs is not None
 
     def test_a_row_integrates_its_longest_gap_once(self, monkeypatch):
         # Ends at gaps 0, 0.5, 1, 2 and 4 from one start: one chained pass of
@@ -266,17 +274,6 @@ class TestFitEnvelope:
         assert fit.residual_max <= 1.0 + 1e-9
         assert not fit.beta_below_alpha
 
-    def test_fit_to_dict_shape(self):
-        pairs = pair_grid([0.001, 1.0], [0.0, 1.0, 2.0])
-        ss = np.array([s for s, _ in pairs])
-        ts = np.array([t for _, t in pairs])
-        fit = fit_envelope(_surface(pairs, np.exp(-(ts - ss))))
-        data = fit_to_dict(fit)
-        assert set(data) == {"rank", "K", "alpha", "beta", "residual_max",
-                             "tight_points", "uniform"}
-        assert data["K"] == fit.k
-        assert data["tight_points"] == [[s, t] for s, t in fit.tight_points]
-
 
 class TestUniformWitness:
     def test_synthetic_uniform_flag(self):
@@ -327,14 +324,14 @@ class TestPredictedExponent:
 
     def test_two_branch_max(self):
         pe = predicted_exponent(self._estimate([-3.0, 1.0], 1), 0.1)
-        assert float(pe) == pytest.approx(2.9)
+        assert pe.alpha == pytest.approx(2.9)
         assert pe.stable_rate == pytest.approx(2.9)
         assert pe.unstable_rate == pytest.approx(1.1)
         assert pe.beta is None
 
     def test_contraction_rate(self):
         pe = predicted_exponent(self._estimate([-1.75], 1), 0.05)
-        assert float(pe) == pytest.approx(1.70)
+        assert pe.alpha == pytest.approx(1.70)
         assert pe.unstable_rate is None
 
     def test_regularity_supplies_beta(self):
@@ -429,19 +426,19 @@ class TestBlockSystemPrediction:
         est = spectrum(system, horizon=50.0, trials=3)
         assert est.split_index == 2
         pe = predicted_exponent(est, 0.1)
-        assert float(pe) == pytest.approx(2.1, abs=1e-3)
+        assert pe.alpha == pytest.approx(2.1, abs=1e-3)
 
         proj = make_projector(3, 2)
         stable = fit_envelope(dichotomy_surface(
             system, proj, pair_grid([0.0, 1.0], [0.0, 0.5, 1.0, 2.0, 4.0]),
             dt=1e-2))
-        assert stable.alpha >= float(pe) - 0.2
+        assert stable.alpha >= pe.alpha - 0.2
         assert stable.rank == 2
 
         unstable = fit_envelope(dichotomy_surface(
             system, proj,
             pair_grid([4.0, 5.0], [0.0, 0.5, 1.0, 2.0, 4.0], "unstable"),
             dt=1e-2))
-        assert unstable.alpha >= float(pe) - 0.2
+        assert unstable.alpha >= pe.alpha - 0.2
         assert unstable.k == pytest.approx(1.0, abs=1e-6)
         assert unstable.rank == 1

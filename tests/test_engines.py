@@ -4,19 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msd import engines
+from msd import engines, perturb
 from msd.dichotomy import dichotomy_surface
 from msd.engines import (
+    DivergenceError,
     EngineError,
     ExplosionError,
-    MomentCurve,
-    MomentSurface,
     NonPsdError,
+    euler_maruyama,
     TimeGrid,
     closed_scalar,
     constant_moment,
-    curve_to_csv,
-    curve_to_records,
     fundamental_at,
     mc_moment_curve,
     mc_second_moment,
@@ -24,11 +22,10 @@ from msd.engines import (
     moment_ode,
     simulate_fundamental,
     simulate_vectors,
-    surface_to_csv,
     transition_second_moment,
     triangular_fundamental,
 )
-from msd.model import LinearSde, gallery, make_projector
+from msd.model import LinearSde, PerturbationSpec, PerturbedSde, gallery, make_projector
 from msd.numerics import BrownianPath, RngStream, brownian, brownian_batch, pairwise_mean_std
 
 E2M1 = 0.17377394345044514  # exp(-1.75), scalar second moment at t=1
@@ -350,6 +347,9 @@ def test_moment_log_trace_rescales_by_powers_of_two_exactly():
     assert curve.values[-1] == pytest.approx(exact, rel=1e-12)
     # The linear view cannot hold that trace in float64.
     with pytest.raises(EngineError, match="moment integration diverged at t="):
+        moment_ode(sys_, np.eye(1), 0.0, 2.0, dt=1e-3)
+    # A numeric failure, not bad input.
+    with pytest.raises(DivergenceError):
         moment_ode(sys_, np.eye(1), 0.0, 2.0, dt=1e-3)
 
 
@@ -793,22 +793,43 @@ def test_engine_agreement_on_grid(name):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# store limit
 
 
-def test_curve_csv_and_records():
-    curve = MomentCurve(ts=np.array([0.0, 0.5]), values=np.array([1.0, 2.0]))
-    text = curve_to_csv(curve)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,value,stderr"
-    assert lines[1] == "0,1,0"
-    recs = curve_to_records(curve)
-    assert recs[1] == {"t": 0.5, "value": 2.0, "stderr": 0.0}
+def test_store_limit_admits_exactly_its_bytes():
+    engines._check_store(engines._MAX_STORE_BYTES // 8, "a store")
+    with pytest.raises(EngineError, match="a store would take 1 GiB, more than the 1 GiB limit"):
+        engines._check_store(engines._MAX_STORE_BYTES // 8 + 1, "a store")
 
 
-def test_surface_csv_header():
-    surf = MomentSurface(ss=np.array([0.0]), ts=np.array([1.0]), values=np.array([3.0]),
-                         stderrs=np.array([0.1]), sense="stable")
-    lines = surface_to_csv(surf).strip().split("\n")
-    assert lines[0] == "t,s,value,stderr"
-    assert lines[1].startswith("1,0,3,")
+_GRID = TimeGrid(0.0, 0.01, 11)
+_CUBIC = PerturbedSde(gallery("gbm"), PerturbationSpec.power_clipped(1.0, 3.0, 1.0),
+                      PerturbationSpec.zero(), c=9.0, q=2.0)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: simulate_fundamental(gallery("gbm"), _GRID, 10 ** 8, 0),
+     "the ensemble of Phi and Psi"),
+    (lambda: fundamental_at(gallery("triangular-2x2"), _GRID, 10 ** 8, 0, [0, 10]),
+     "the ensemble of Phi and Psi"),
+    (lambda: simulate_vectors(gallery("gbm"), _GRID, 10 ** 9, 0, [1.0]),
+     "the recorded vector solutions"),
+    (lambda: perturb.simulate_perturbed(_CUBIC, [0.5], _GRID, 10 ** 8, 0),
+     "the perturbed paths"),
+    (lambda: mc_moment_curve(gallery("gbm"), _GRID, 10 ** 9, 0), "the per-path sums"),
+    # One value per path, the least any run holds.
+    (lambda: next(euler_maruyama(gallery("gbm"), _GRID, 2 ** 28, 0, [10], x0=[1.0])),
+     "the per-path state"),
+    (lambda: next(euler_maruyama(_CUBIC, _GRID, 2 ** 26, 0, [10], x0=[1.0])),
+     "the per-path state"),
+])
+def test_stores_beyond_the_limit_are_refused_before_allocation(call, what):
+    tracemalloc.start()
+    try:
+        with pytest.raises(EngineError, match=f"^{what} would take .* GiB, more than the "
+                                              "1 GiB limit$"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from msd import lyapunov
+from msd.engines import EngineError, TimeGrid, euler_maruyama
 from msd.lyapunov import (
     LyapunovError,
     chi_estimate,
@@ -119,6 +121,26 @@ def test_spectrum_zero_three_dim():
     assert est.values[0] == pytest.approx(0.0, abs=1e-9)
     assert sum(est.multiplicities) == 3
     assert est.split_index == 0
+
+
+def test_probe_streams_are_disjoint_from_path_streams(monkeypatch):
+    # Probe i's Monte Carlo run reads the path streams (seed + 31 i, m),
+    # m < paths; random probe j reads (seed, first + j). A run with as many
+    # paths as the first probe index, one value per path, is refused before
+    # anything is allocated, so no path stream reaches a probe stream.
+    keys, stream = [], lyapunov.RngStream
+
+    def recorded(seed, index):
+        keys.append((seed, index))
+        return stream(seed, index)
+
+    monkeypatch.setattr(lyapunov, "RngStream", recorded)
+    spectrum(_diag_system(-1, -2), horizon=1.0, trials=5, method="mc", paths=20, seed=3)
+    monkeypatch.undo()
+    assert [seed for seed, _ in keys] == [3, 3, 3]
+    first = min(index for _, index in keys)
+    with pytest.raises(EngineError, match="limit"):
+        next(euler_maruyama(gallery("gbm"), TimeGrid(0.0, 0.1, 2), first, 3, [1], x0=[1.0]))
 
 
 def test_spectrum_requires_enough_trials():

@@ -144,6 +144,22 @@ def test_pairwise_mean_std():
         assert (means[i], stds[i]) == numerics.pairwise_mean_std(row)
 
 
+@pytest.mark.filterwarnings("error")
+def test_pairwise_std_of_values_near_1e300_is_finite():
+    # Frozen paths' sums of squares reach about 1e300; their deviations
+    # squared would overflow. Their row is scaled by a power of two, exactly.
+    x = np.array([1e300, 3e300, 2e300, 4e300, 0.5e300])
+    mean, std = numerics.pairwise_mean_std(x)
+    assert mean == pytest.approx(2.1e300, rel=1e-15)
+    assert std == np.ldexp(numerics.pairwise_mean_std(np.ldexp(x, -1000))[1], 1000)
+    assert std == pytest.approx(np.std(x / 1e300, ddof=1) * 1e300, rel=1e-14)
+    # Rows of small deviations keep their bits beside it.
+    rows = np.vstack([x, [1.0, 2.0, 3.0, 4.0, 0.5]])
+    means, stds = numerics.pairwise_mean_std(rows)
+    assert (means[0], stds[0]) == (mean, std)
+    assert (means[1], stds[1]) == numerics.pairwise_mean_std(rows[1])
+
+
 # ---------------------------------------------------------------------------
 # QR
 

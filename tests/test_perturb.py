@@ -7,23 +7,21 @@ against probe runs and sit several noise widths away from their thresholds.
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from msd import engines, expr, perturb
+from msd import cli, engines, expr, perturb
 from msd.engines import (EngineError, TimeGrid, euler_maruyama, fundamental_at,
                          simulate_fundamental, simulate_vectors)
 from msd.model import LinearSde, ModelError, PerturbationSpec, PerturbedSde, gallery
 from msd.perturb import (
     PerturbError,
     check_condition_42,
-    condition_to_dict,
     perron_instability,
-    perron_to_dict,
     simulate_perturbed,
     stability_experiment,
-    stability_to_dict,
     voc_solve,
 )
 from msd.numerics import brownian_batch, pairwise_mean_std
@@ -171,7 +169,8 @@ class TestCondition42:
 
     def test_report_serializes(self):
         rep = check_condition_42(_cubic_clipped(), 0.3, trials=100, seed=0)
-        json.dumps(condition_to_dict(rep))
+        # The condition payload is the report's fields, as the CLI writes it.
+        json.dumps(asdict(rep))
 
 
 class TestSimulatePerturbed:
@@ -424,7 +423,7 @@ class TestStabilityExperiment:
         assert rep.ts.shape == rep.moments.shape == rep.stderrs.shape
         assert np.all(rep.moments >= 0.0)
         assert rep.moments[0] == pytest.approx(1e-4, rel=1e-12)
-        assert rep.escaped == 0 and stability_to_dict(rep)["escaped"] == 0
+        assert rep.escaped == 0 and cli._stability_to_dict(rep)["escaped"] == 0
 
     @pytest.mark.parametrize("chunk", [30, None])
     def test_moment_curve_blocks_equal_whole_reduction(self, monkeypatch, chunk):
@@ -484,7 +483,6 @@ class TestStabilityExperiment:
             stability_experiment(_cubic_clipped(), delta=delta, horizon=1.0,
                                  paths=paths, seed=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("chunk", [40, None])
     @pytest.mark.parametrize("psys, xi0", [(_cubic_clipped(), [0.5]),
                                            (gallery("perron-sde-perturbed"), [1.0, 0.0]),
@@ -520,7 +518,7 @@ class TestStabilityExperiment:
         assert peak(4000) <= 1.25 * peak(1000)
 
     def test_report_serializes(self, cubic_stability):
-        payload = stability_to_dict(cubic_stability)
+        payload = cli._stability_to_dict(cubic_stability)
         json.dumps(payload)
         assert payload["verdict"] == "PASS"
 
@@ -567,6 +565,7 @@ class TestPerronInstability:
             perron_instability(1.05, 1.0, 1.0, delta_window=1.0)
 
     def test_report_serializes(self, perron_report):
-        payload = perron_to_dict(perron_report)
+        payload = cli._perron_to_dict(perron_report)
         json.dumps(payload)
         assert payload["growth_bound"] == perron_report.growth_bound
+        assert payload["lambda"] == perron_report.lam and "lam" not in payload

@@ -47,3 +47,23 @@ def test_summary_follows_the_better_direction():
     assert (row["better"], row["worse"]) == (0, 2)
     assert row["worse_by"] == pytest.approx(0.175)
     assert row["verdict"] == "worse beyond bound"
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, _PATH.parent / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_output_digest_reads_every_readme_command_once():
+    from msd.cli import build_parser
+
+    commands = _load_tool("output_digest").readme_commands()
+    assert ["example", "list"] in commands
+    assert ["lyapunov", "--system", "gbm", "--vector", "1", "--epsilon", "0.05"] in commands
+    # The fit example appears twice in the README and once among the extras.
+    assert sum(argv[0] == "fit" for argv in commands) == 2
+    assert len(commands) == len({tuple(argv) for argv in commands})
+    for argv in commands:
+        build_parser().parse_args(argv)
