@@ -21,11 +21,16 @@ import numpy as np
 from . import expr as ex
 from .engines import FundamentalEnsemble
 from .model import LinearSde
-from .numerics import RankDeficientError, gram_schmidt_qr
+from .numerics import MsdError, NumericFailure, RankDeficientError, gram_schmidt_qr
 
 
-class BoundsError(ValueError):
+class BoundsError(MsdError):
     """Precondition failure in a bound computation or triangularization."""
+
+
+class _RankDeficientFlowError(BoundsError, NumericFailure):
+    """Float64 lost a column of a simulated fundamental matrix, which is
+    invertible on valid input: a numeric failure."""
 
 
 # Window width in log time; covers e^(2 pi) with margin.
@@ -217,7 +222,7 @@ def triangularize_paths(ens: FundamentalEnsemble) -> TriangularizationResult:
         s, x = gram_schmidt_qr(phi)
     except RankDeficientError as exc:
         node, path = exc.index
-        raise BoundsError(
+        raise _RankDeficientFlowError(
             f"fundamental matrix numerically rank-deficient at node {node} "
             f"(t={times[node]:.6g}), path {path}: column {exc.column}"
         ) from None

@@ -7,8 +7,11 @@ sorted keys, so identical invocations produce byte-identical output.
 
 Exit codes: 0 on success, 1 for validation problems (bad flags, bad
 system files, parameter windows violated), 2 for numeric failures
-(explosions, iterations that ran out of budget). Errors are reported as
-a single ``error: <kind>: <message>`` line on stderr.
+(explosions, diverging integrations, lost rank, iterations that ran out of
+budget). Errors are reported as a single ``error: <kind>: <message>`` line
+on stderr; the class of an error picks its kind, numeric for a
+:class:`~msd.numerics.NumericFailure` and validation for any other
+:class:`~msd.numerics.MsdError`.
 """
 
 from __future__ import annotations
@@ -23,16 +26,13 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import expr as ex
 from .bounds import (
-    BoundsError,
     bounds_report,
     lower_bound,
     triangularize_paths,
     unitary_invariance_check,
 )
 from .dichotomy import (
-    DichotomyError,
     DichotomyFit,
     dichotomy_surface,
     fit_envelope,
@@ -41,20 +41,14 @@ from .dichotomy import (
     uniform_witness,
 )
 from .engines import (
-    DivergenceError,
-    EngineError,
-    ExplosionError,
     MomentCurve,
     MomentSurface,
-    NonPsdError,
     TimeGrid,
     mc_moment_curve,
     moment_ode,
     simulate_fundamental,
 )
-from .expr import ExprError
 from .lyapunov import (
-    LyapunovError,
     chi_estimate,
     duality_defect,
     regularity_estimate,
@@ -63,7 +57,6 @@ from .lyapunov import (
 from .model import (
     GALLERY_NAMES,
     LinearSde,
-    ModelError,
     PerturbationSpec,
     PerturbedSde,
     from_dict,
@@ -71,10 +64,8 @@ from .model import (
     make_projector,
     to_dict,
 )
-from .numerics import NumericsError
+from .numerics import MsdError, NumericFailure
 from .perturb import (
-    NonConvergenceError,
-    PerturbError,
     PerronReport,
     StabilityReport,
     check_condition_42,
@@ -85,23 +76,8 @@ from .perturb import (
 
 __all__ = ["build_parser", "dispatch", "main"]
 
-# Numeric failures first: they subclass the validation errors below.
-_NUMERIC_ERRORS = (ExplosionError, NonPsdError, DivergenceError, NonConvergenceError)
-_VALIDATION_ERRORS = (
-    ModelError,
-    EngineError,
-    LyapunovError,
-    BoundsError,
-    DichotomyError,
-    PerturbError,
-    NumericsError,
-    ExprError,
-    OSError,
-    json.JSONDecodeError,
-)
 
-
-class CliError(ValueError):
+class CliError(MsdError):
     """Flag combination that argparse alone cannot reject."""
 
 
@@ -163,7 +139,7 @@ _START_HELP = ("start time (default 0); the log-time gallery systems perron-ode,
 def _add_system_flag(parser, required: bool = True) -> None:
     parser.add_argument("--system", required=required, metavar="NAME_OR_FILE",
                         help="gallery name (see `msd example list`) or path to a "
-                             "system JSON file with keys dim/params/A/G")
+                             "system JSON file in the `example show` format")
 
 
 def build_parser() -> _Parser:
@@ -309,29 +285,17 @@ def _load_system(spec: str):
         return gallery(spec)
     if os.path.exists(spec):
         with open(spec, encoding="utf-8") as handle:
-            return from_dict(json.load(handle))
-    raise ModelError(f"unknown system '{spec}': not a gallery name "
-                     f"({', '.join(GALLERY_NAMES)}) and not a readable file")
+            try:
+                data = json.load(handle)
+            except UnicodeDecodeError as exc:
+                raise CliError(f"system file is not UTF-8 text: {exc}") from None
+        return from_dict(data)
+    raise CliError(f"unknown system '{spec}': not a gallery name "
+                   f"({', '.join(GALLERY_NAMES)}) and not a readable file")
 
 
 def _base_of(system) -> LinearSde:
     return system.base if isinstance(system, PerturbedSde) else system
-
-
-def _spec_to_dict(spec: PerturbationSpec) -> dict:
-    if spec.kind == "power_clipped":
-        return {"kind": spec.kind, "coef": spec.coef, "power": spec.power,
-                "clip": spec.clip}
-    if spec.kind == "expr":
-        return {"kind": spec.kind, "entries": [ex.serialize(e) for e in spec.entries]}
-    return {"kind": spec.kind}
-
-
-def _system_to_dict(system) -> dict:
-    if isinstance(system, PerturbedSde):
-        return {"base": to_dict(system.base), "c": system.c, "q": system.q,
-                "f": _spec_to_dict(system.f), "h": _spec_to_dict(system.h)}
-    return to_dict(system)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +377,7 @@ def _cmd_example(args):
         return {"systems": list(GALLERY_NAMES)}, "json"
     if not args.system:
         raise CliError("`example show` needs --system")
-    return _system_to_dict(_load_system(args.system)), "json"
+    return to_dict(_load_system(args.system)), "json"
 
 
 def _cmd_moments(args):
@@ -694,13 +658,10 @@ def dispatch(argv=None) -> int:
         _emit(payload if kind == "csv"
               else json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n",
               args.output)
-    except _NUMERIC_ERRORS as err:
+    except NumericFailure as err:
         sys.stderr.write(f"error: numeric: {err}\n")
         return 2
-    except CliError as err:
-        sys.stderr.write(f"error: validation: {err}\n")
-        return 1
-    except _VALIDATION_ERRORS as err:
+    except (MsdError, OSError, json.JSONDecodeError) as err:
         sys.stderr.write(f"error: validation: {err}\n")
         return 1
     if args.command == "selftest" and payload["status"] != "ok":

@@ -30,10 +30,10 @@ from .engines import (
 )
 from .lyapunov import RegularityEstimate, SpectrumEstimate
 from .model import LinearSde, Projector
-from .numerics import spd_sqrt_commuting
+from .numerics import MsdError, spd_sqrt_commuting
 
 
-class DichotomyError(ValueError):
+class DichotomyError(MsdError):
     """Invalid surface, fit precondition failure, or sense mismatch."""
 
 

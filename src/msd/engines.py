@@ -20,15 +20,15 @@ import numpy as np
 
 from . import expr as ex
 from .model import LinearSde, PerturbationSpec, PerturbedSde, Projector, adjoint
-from .numerics import (BrownianPath, BrownianStreams, _mean_std_in_place, brownian_batch,
-                       pairwise_mean_std)
+from .numerics import (BrownianPath, BrownianStreams, MsdError, NumericFailure,
+                       _mean_std_in_place, brownian_batch, pairwise_mean_std)
 
 
-class EngineError(ValueError):
+class EngineError(MsdError):
     """Engine precondition or runtime failure."""
 
 
-class ExplosionError(EngineError):
+class ExplosionError(EngineError, NumericFailure):
     """A simulated entry left the representable range."""
 
     def __init__(self, which: str, node: int, t: float, path: int, entry: tuple):
@@ -42,7 +42,7 @@ class ExplosionError(EngineError):
         )
 
 
-class NonPsdError(EngineError):
+class NonPsdError(EngineError, NumericFailure):
     """Moment matrix lost positive semidefiniteness."""
 
     def __init__(self, t: float, eigenvalue: float, trace: float):
@@ -54,7 +54,7 @@ class NonPsdError(EngineError):
         )
 
 
-class DivergenceError(EngineError):
+class DivergenceError(EngineError, NumericFailure):
     """The moment integration left the float64 range: a numeric failure."""
 
 
@@ -268,6 +268,17 @@ def _em_update(x: np.ndarray, drift: np.ndarray, noise: np.ndarray, dt: float,
     return out
 
 
+def _check_state(system: LinearSde | PerturbedSde, paths: int, vector: bool,
+                 inverse: bool = False) -> None:
+    """Refuse the per-path state :func:`euler_maruyama` would hold beyond the
+    store limit: the state (vectors or matrices), Psi^T, and a perturbed
+    system's two map buffers, each of one state's size per path."""
+    perturbed = isinstance(system, PerturbedSde)
+    n = (system.base if perturbed else system).dim
+    _check_store(paths * (n if vector else n * n) * (1 + inverse + 2 * perturbed),
+                 "the per-path state")
+
+
 def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int, seed: int,
                    nodes, x0=None, inverse: bool = False,
                    increments: np.ndarray | None = None):
@@ -306,16 +317,14 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
     given. The coefficients are tabulated per block too.
     """
     psys = system if isinstance(system, PerturbedSde) else None
+    if psys is not None and (x0 is None or inverse):
+        raise EngineError("a perturbed system steps vector solutions from x0, "
+                          "without the coupled inverse")
+    nodes = _requested_nodes(nodes, grid, paths)
+    _check_state(system, paths, x0 is not None, inverse)
     if psys is not None:
-        if x0 is None or inverse:
-            raise EngineError("a perturbed system steps vector solutions from x0, "
-                              "without the coupled inverse")
         system = psys.base
     n = system.dim
-    nodes = _requested_nodes(nodes, grid, paths)
-    # The state, Psi^T and the map buffers, each of one state's size per path.
-    _check_store(paths * (n if x0 is not None else n * n)
-                 * (1 + inverse + 2 * (psys is not None)), "the per-path state")
     if x0 is None:
         which, order = "fundamental matrix", (2, 0, 1)
         state = np.repeat(np.eye(n)[:, :, None], paths, axis=2)

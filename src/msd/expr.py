@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import MsdError
+
 FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -52,7 +54,7 @@ _PREC_POW = 4
 _PREC_ATOM = 5
 
 
-class ExprError(ValueError):
+class ExprError(MsdError):
     """Base class for expression failures."""
 
 
@@ -117,6 +119,9 @@ Expr = Num | Name | Call | Neg | Bin
 
 
 _SYMBOLS = set("+-*/^()")
+# Number literals take ASCII digits only: str.isdigit also accepts digits such
+# as superscripts, which float() rejects.
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -133,21 +138,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("sym", c, i))
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             if i < n and text[i] in "eE":
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j < n and text[j].isdigit():
+                if j < n and text[j] in _DIGITS:
                     i = j
-                    while i < n and text[i].isdigit():
+                    while i < n and text[i] in _DIGITS:
                         i += 1
                 else:
                     raise ParseError("malformed exponent in number", i)
@@ -233,7 +238,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, offset = self.advance()
         if kind == "num":
-            return Num(float(value))
+            number = float(value)
+            if math.isinf(number):
+                raise ParseError("number literal overflows float64", offset)
+            return Num(number)
         if kind == "name":
             nxt_kind, nxt_value, _ = self.peek()
             if nxt_kind == "sym" and nxt_value == "(":

@@ -21,10 +21,10 @@ import numpy as np
 from .engines import (TimeGrid, _mean_squares, moment_log_trace, simulate_fundamental,
                       simulate_vectors)
 from .model import LinearSde, adjoint
-from .numerics import RngStream
+from .numerics import MsdError, RngStream
 
 
-class LyapunovError(ValueError):
+class LyapunovError(MsdError):
     """Estimation precondition failure or violated sanity bound."""
 
 

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .numerics import check_dim
+from .numerics import MsdError, check_dim
 
 
-class ModelError(ValueError):
+class ModelError(MsdError):
     """Invalid model construction or use."""
 
 
@@ -65,18 +65,16 @@ def _parse_matrix(dim: int, rows, what: str) -> Matrix:
     if (not isinstance(rows, (list, tuple)) or len(rows) != dim
             or any(not isinstance(row, (list, tuple)) or len(row) != dim for row in rows)):
         raise ModelError(f"{what} must be {dim}x{dim}, given as a list of rows")
-    out = []
-    for row in rows:
-        parsed = []
-        for entry in row:
-            if isinstance(entry, str):
-                parsed.append(ex.parse(entry))
-            elif isinstance(entry, ex.Expr):
-                parsed.append(entry)
-            else:
-                parsed.append(ex.Num(_finite_number(entry, f"{what} entry")))
-        out.append(tuple(parsed))
-    return tuple(out)
+    return tuple(tuple(_parse_entry(entry, f"{what} entry") for entry in row) for row in rows)
+
+
+def _parse_entry(entry, what: str) -> ex.Expr:
+    """An expression from its source text, an expression, or a finite number."""
+    if isinstance(entry, str):
+        return ex.parse(entry)
+    if isinstance(entry, ex.Expr):
+        return entry
+    return ex.Num(_finite_number(entry, what))
 
 
 def _finite_number(value, what: str) -> float:
@@ -357,7 +355,20 @@ def gallery(name: str, **overrides):
 # JSON interchange
 
 
-def to_dict(system: LinearSde) -> dict:
+def _spec_to_dict(spec: PerturbationSpec) -> dict:
+    if spec.kind == "power_clipped":
+        return {"kind": spec.kind, "coef": spec.coef, "power": spec.power,
+                "clip": spec.clip}
+    if spec.kind == "expr":
+        return {"kind": spec.kind, "entries": [ex.serialize(e) for e in spec.entries]}
+    return {"kind": spec.kind}
+
+
+def to_dict(system: LinearSde | PerturbedSde) -> dict:
+    """The JSON object of a linear or perturbed system (``system.schema.json``)."""
+    if isinstance(system, PerturbedSde):
+        return {"base": to_dict(system.base), "c": system.c, "q": system.q,
+                "f": _spec_to_dict(system.f), "h": _spec_to_dict(system.h)}
     return {
         "dim": system.dim,
         "params": {k: float(v) for k, v in sorted(system.params.items())},
@@ -366,7 +377,7 @@ def to_dict(system: LinearSde) -> dict:
     }
 
 
-def from_dict(data: dict) -> LinearSde:
+def _linear_from_dict(data) -> LinearSde:
     try:
         dim = _finite_number(data["dim"], "dim")
         drift = data["A"]
@@ -381,3 +392,33 @@ def from_dict(data: dict) -> LinearSde:
     params = {name: _finite_number(value, f"parameter '{name}'")
               for name, value in params.items()}
     return LinearSde.from_strings(int(dim), drift, diffusion, params)
+
+
+def _spec_from_dict(data, what: str) -> PerturbationSpec:
+    try:
+        kind = data["kind"]
+        if kind == "power_clipped":
+            return PerturbationSpec.power_clipped(
+                *(_finite_number(data[key], f"{what} {key}") for key in ("coef", "power", "clip")))
+        if kind == "expr":
+            entries = data["entries"]
+            if not isinstance(entries, list):
+                raise ModelError(f"{what} entries must be a list, got {entries!r}")
+            return PerturbationSpec.exprs([_parse_entry(e, f"{what} entry") for e in entries])
+    except (KeyError, TypeError) as exc:
+        raise ModelError(f"perturbation {what} needs kind and its fields: {exc}") from None
+    return PerturbationSpec(kind=kind)      # zero, or a kind its check refuses
+
+
+def from_dict(data: dict) -> LinearSde | PerturbedSde:
+    """The system of a JSON object in the :func:`to_dict` format; a perturbed
+    one has keys base/c/q/f/h, and its parts pass the constructors' checks."""
+    if not (isinstance(data, dict) and "base" in data):
+        return _linear_from_dict(data)
+    try:
+        base, c, q, f, h = (data[key] for key in ("base", "c", "q", "f", "h"))
+    except KeyError as exc:
+        raise ModelError(f"perturbed system object needs base/c/q/f/h: {exc}") from None
+    return PerturbedSde(_linear_from_dict(base), _spec_from_dict(f, "f"),
+                        _spec_from_dict(h, "h"), c=_finite_number(c, "c"),
+                        q=_finite_number(q, "q"))

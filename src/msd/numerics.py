@@ -33,7 +33,16 @@ MAX_DIM = 16
 _U53 = 2.0 ** -53
 
 
-class NumericsError(ValueError):
+class MsdError(ValueError):
+    """Root of every msd error; the command line reports one as bad input."""
+
+
+class NumericFailure(MsdError):
+    """Marks a failure of the numerics on valid input, such as an explosion
+    or a diverging integration; the command line reports one as numeric."""
+
+
+class NumericsError(MsdError):
     """Raised for invalid inputs to the numerical kernels."""
 
 

@@ -23,18 +23,18 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dichotomy import DichotomyFit, fit_envelope, dichotomy_surface
-from .engines import (FundamentalEnsemble, TimeGrid, _check_store, _compile_map, _map_values,
-                      _mean_squares, euler_maruyama)
+from .engines import (FundamentalEnsemble, TimeGrid, _check_state, _check_store, _compile_map,
+                      _map_values, _mean_squares, euler_maruyama)
 from .lyapunov import regularity_estimate, spectrum
 from .model import PerturbedSde, gallery
-from .numerics import RngStream, brownian_batch
+from .numerics import MsdError, NumericFailure, RngStream, brownian_batch
 
 
-class PerturbError(ValueError):
+class PerturbError(MsdError):
     """Invalid input or failed precondition."""
 
 
-class NonConvergenceError(PerturbError):
+class NonConvergenceError(PerturbError, NumericFailure):
     """An iteration ran out of budget; numeric failure, not bad input."""
 
 
@@ -134,6 +134,9 @@ def check_condition_42(psys: PerturbedSde, sampler_scale: float, trials: int,
     if not 0.0 < sampler_scale < math.inf:
         raise PerturbError("sampler scale must be positive and finite")
     n = psys.base.dim
+    # One trial holds u, v, their draws and the maps' values at once: about
+    # 6 n + 4 numbers per sample (measured at n = 1, 4 and 16), under 8 n + 4.
+    _check_store(samples * (8 * n + 4), "a falsifier trial's samples")
     params = psys.base.params
     # A zero map adds no term: its 0.0 would leave the non-negative sum alone.
     maps = [m for m in (_compile_map(psys.f, params), _compile_map(psys.h, params))
@@ -313,6 +316,8 @@ def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
         raise PerturbError(f"initial radius delta must be positive and finite, got {delta!r}")
     if paths < 1:
         raise PerturbError("need at least one path")
+    # Refused before the fit, the spectrum and the regularity estimate run.
+    _check_state(psys, paths, vector=True)
     base = psys.base
     n = base.dim
     if fit_pairs is None:

@@ -133,6 +133,25 @@ class TestExample:
         assert payload["f"]["kind"] == "expr"
         assert payload["h"]["kind"] == "zero"
 
+    @pytest.mark.parametrize("name", GALLERY_NAMES)
+    def test_show_reads_back_from_its_own_file(self, capsys, tmp_path, name):
+        # A perturbed file once failed with "system object needs dim/A/G".
+        path = tmp_path / "system.json"
+        assert dispatch(["example", "show", "--system", name, "--output", str(path)]) == 0
+        code, out, _ = run_cli(capsys, "example", "show", "--system", str(path))
+        assert code == 0 and out == path.read_text(encoding="utf-8")
+
+    def test_perturb_reads_a_perturbed_file(self, capsys, tmp_path):
+        path = tmp_path / "perturbed.json"
+        dispatch(["example", "show", "--system", "perron-sde-perturbed",
+                  "--output", str(path)])
+        runs = [run_cli(capsys, "perturb", "--system", system, "--mode", "condition",
+                        "--scale", "0.5", "--trials", "100", "--samples", "256")
+                for system in ("perron-sde-perturbed", str(path))]
+        (code, out, _), (code_file, out_file, _) = runs
+        assert code == code_file == 0
+        assert out_file == out.replace('"perron-sde-perturbed"', json.dumps(str(path)))
+
     def test_show_without_system_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "example", "show")
         assert code == 1
@@ -484,6 +503,51 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith(f"error: validation: {what} would take ")
         assert err.endswith(" GiB, more than the 1 GiB limit\n")
+
+    @pytest.mark.parametrize("data, message", [
+        ('{"dim": 1, "A": [["-1 + \u00b2"]], "G": [["0"]]}'.encode(),
+         "unexpected character '\u00b2' (at offset 5)"),
+        (b'{"dim": 1, "A": [["1e999999"]], "G": [["0"]]}',
+         "number literal overflows float64 (at offset 0)"),
+        ('{"dim": 1, "params": {"\u00e9": 1}, "A": [["-1"]], "G": [["0"]]}'.encode("latin-1"),
+         "system file is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in "
+         "position 23: invalid continuation byte"),
+    ])
+    def test_a_system_file_the_reader_refuses(self, capsys, tmp_path, data, message):
+        # These once ended in a ValueError traceback, in a numeric error from
+        # the moment ODE, and in a UnicodeDecodeError traceback.
+        path = tmp_path / "system.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "moments", "--system", str(path), "--t1", "0.01")
+        assert code == 1 and out == ""
+        assert err == f"error: validation: {message}\n"
+
+    def test_a_rank_deficient_triangularization_exits_2(self, capsys, tmp_path):
+        # Valid input whose second column float64 loses; once exit 1.
+        path = tmp_path / "shear.json"
+        path.write_text(json.dumps({"dim": 2, "A": [["1", "1"], ["0", "-1"]],
+                                    "G": [["0", "0"], ["0", "0"]]}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "triangularize", "--system", str(path),
+                                 "--t1", "20", "--paths", "2")
+        assert code == 2 and out == ""
+        assert err == ("error: numeric: fundamental matrix numerically rank-deficient "
+                       "at node 1376 (t=13.76), path 0: column 1\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--system", "perron-sde-perturbed", "--mode", "stability", "--paths", "100000000",
+          "--horizon", "5"], "the per-path state would take 4.47 GiB"),
+        (["--system", "gbm", "--mode", "condition", "--scale", "0.5", "--trials", "100",
+          "--samples", "300000000"], "a falsifier trial's samples would take 26.8 GiB"),
+    ])
+    def test_perturb_refuses_a_store_beyond_the_limit_first(self, capsys, monkeypatch,
+                                                             argv, message):
+        # The stability run once refused only after its fit, spectrum and
+        # regularity estimate, which the moment loop would run; the falsifier
+        # once ended in a MemoryError traceback under a memory limit.
+        monkeypatch.setattr(engines, "_moment_loop", None)
+        code, out, err = run_cli(capsys, "perturb", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: validation: {message}, more than the 1 GiB limit\n"
 
     def test_inverse_blow_up_does_not_stop_mc_moments(self, capsys, tmp_path):
         # A strong contraction: Phi shrinks by 0.9 per step while its inverse

@@ -62,6 +62,24 @@ def test_parse_error_offsets():
         expr.parse("")
 
 
+@pytest.mark.parametrize("text, offset", [("-1 + \u00b2", 5), ("1\u00b2", 1),
+                                          ("2 * \u0661", 4)])
+def test_numbers_take_ascii_digits_only(text, offset):
+    # str.isdigit accepts a superscript two, and float() rejects it: once a
+    # ValueError traceback from the tokenizer.
+    with pytest.raises(expr.ParseError, match="unexpected character") as info:
+        expr.parse(text)
+    assert info.value.offset == offset
+
+
+def test_a_literal_that_overflows_is_a_parse_error():
+    # Once parsed to Num(inf), which ran until the moment ODE diverged.
+    with pytest.raises(expr.ParseError, match="overflows float64") as info:
+        expr.parse("2 * 1e999999")
+    assert info.value.offset == 4
+    assert expr.parse("1e308") == Num(1e308)
+
+
 def test_unknown_function_rejected():
     with pytest.raises(expr.ParseError, match="unknown function 'sinh'"):
         expr.parse("sinh(t)")

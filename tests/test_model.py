@@ -191,3 +191,47 @@ def test_perturbation_validation():
         PerturbationSpec.power_clipped(1.0, 1.5, 1.0)
     with pytest.raises(ModelError, match="clip radius"):
         PerturbationSpec.power_clipped(1.0, 3.0, 0.0)
+
+
+@pytest.mark.parametrize("name", model.GALLERY_NAMES)
+def test_every_gallery_system_round_trips(name):
+    blob = json.dumps(to_dict(gallery(name)), sort_keys=True)
+    again = from_dict(json.loads(blob))
+    assert type(again) is type(gallery(name))
+    assert json.dumps(to_dict(again), sort_keys=True) == blob
+
+
+def test_a_perturbed_object_loads_every_perturbation_kind():
+    data = {"base": to_dict(gallery("diag-2x2")), "c": 2.0, "q": 1.5,
+            "f": {"kind": "power_clipped", "coef": 0.5, "power": 3, "clip": 2},
+            "h": {"kind": "expr", "entries": ["u1*u2", 0]}}
+    loaded = from_dict(data)
+    assert loaded.f == PerturbationSpec.power_clipped(0.5, 3.0, 2.0)
+    assert loaded.h == PerturbationSpec.exprs(["u1*u2", "0"])
+    assert (loaded.c, loaded.q) == (2.0, 1.5)
+    assert to_dict(loaded)["h"] == {"kind": "expr", "entries": ["u1*u2", "0"]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"c": 0.0}, "c must be positive"),
+    ({"c": "x"}, "c must be a finite number"),
+    ({"q": None}, "q must be a finite number"),
+    ({"f": {"kind": "expr", "entries": ["u1 + 1", "0"]}}, "vanish at u = 0"),
+    ({"f": {"kind": "expr", "entries": ["u1"]}}, "one expression per component"),
+    ({"f": {"kind": "expr", "entries": "u1"}}, "entries must be a list"),
+    ({"f": {"kind": "power_clipped", "coef": 1.0}}, "needs kind and its fields: 'power'"),
+    ({"f": {"kind": "cubic"}}, "unknown perturbation kind 'cubic'"),
+    ({"h": [1]}, "perturbation h needs kind"),
+    ({"base": {"A": [["-1"]]}}, "needs dim/A/G"),
+    ({"base": to_dict(gallery("perron-sde-perturbed"))}, "needs dim/A/G"),
+])
+def test_a_malformed_perturbed_object_is_refused(change, message):
+    with pytest.raises(ModelError, match=message):
+        from_dict({**to_dict(gallery("perron-sde-perturbed")), **change})
+
+
+def test_a_perturbed_object_needs_every_key():
+    data = to_dict(gallery("perron-sde-perturbed"))
+    del data["q"]
+    with pytest.raises(ModelError, match="needs base/c/q/f/h: 'q'"):
+        from_dict(data)

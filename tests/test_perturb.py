@@ -123,6 +123,13 @@ class TestCondition42:
         rep = check_condition_42(_cubic_clipped(), 0.1, trials=300, seed=5)
         assert rep.consistent
 
+    def test_samples_beyond_the_store_limit_are_refused_before_a_draw(self, monkeypatch):
+        def no_draws(self):
+            raise AssertionError("drew before the store check")
+        monkeypatch.setattr(perturb.RngStream, "generator", no_draws)
+        with pytest.raises(EngineError, match="a falsifier trial's samples would take"):
+            check_condition_42(_cubic_clipped(), 0.5, trials=100, samples=10 ** 9)
+
     def test_zero_perturbation_has_zero_ratios(self):
         rep = check_condition_42(_zero_perturbation(gallery("gbm")), 0.5,
                                  trials=100, seed=1)
@@ -417,6 +424,14 @@ class TestStabilityExperiment:
         assert rep.verdict == "PASS"
         assert rep.tail_slope <= -1.5
         assert rep.k_tilde > 0.0
+
+    def test_paths_beyond_the_store_limit_are_refused_before_the_fit(self, monkeypatch):
+        def no_ode(*args, **kwargs):
+            raise AssertionError("integrated moments before the store check")
+        monkeypatch.setattr(engines, "_moment_loop", no_ode)
+        with pytest.raises(EngineError, match="the per-path state would take 4.47 GiB"):
+            stability_experiment(gallery("perron-sde-perturbed"), 0.01, 5.0,
+                                 paths=100_000_000, seed=0)
 
     def test_moment_curve_shape(self, cubic_stability):
         rep = cubic_stability

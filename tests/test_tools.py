@@ -67,3 +67,18 @@ def test_output_digest_reads_every_readme_command_once():
     assert len(commands) == len({tuple(argv) for argv in commands})
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_output_digest_error_commands_each_end_in_one_error_line():
+    lines = _load_tool("output_digest").error_lines()
+    loads = "perturb --system perturbed.json --mode condition --scale 0.5 --trials 100"
+    for command, code, err in lines:
+        if command == loads:
+            # The perturbed file `example show` prints now loads.
+            assert (code, err) == (0, "")
+            continue
+        kind = "numeric" if code == 2 else "validation"
+        assert code in (1, 2) and err.endswith("\n"), command
+        assert err.splitlines()[-1].startswith(f"error: {kind}: "), command
+        assert err.count("error: ") == 1 and "Traceback" not in err, command
+    assert sum(code == 2 for _, code, _ in lines) == 4
