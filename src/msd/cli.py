@@ -125,8 +125,6 @@ def _common_parser() -> argparse.ArgumentParser:
                        help="master RNG seed; all randomness derives from it (default 0)")
     group.add_argument("--threads", type=_positive_int, default=None,
                        help="worker cap, default MSD_THREADS or 1; results never depend on it")
-    group.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="output format (default: csv for moments, json elsewhere)")
     group.add_argument("--output", metavar="PATH", default=None,
                        help="write results to PATH instead of stdout")
     return common
@@ -162,8 +160,10 @@ def build_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=1e-3, help="step size (default 1e-3)")
     p.add_argument("--method", choices=("ode", "mc"), default="ode",
                    help="exact moment ODE or Monte Carlo with stderr column (default ode)")
-    p.add_argument("--paths", type=int, default=10_000,
+    p.add_argument("--paths", type=_positive_int, default=10_000,
                    help="Monte Carlo sample paths (default 10000)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default csv)")
 
     p = sub.add_parser("lyapunov", parents=[common],
                        help="mean-square Lyapunov spectrum, optionally one vector's exponent")
@@ -172,7 +172,7 @@ def build_parser() -> _Parser:
                    help="estimation horizon (default 50)")
     p.add_argument("--method", choices=("ode", "mc"), default="ode")
     p.add_argument("--dt", type=float, default=1e-2, help="step size (default 1e-2)")
-    p.add_argument("--paths", type=int, default=10_000)
+    p.add_argument("--paths", type=_positive_int, default=10_000)
     p.add_argument("--trials", type=int, default=None,
                    help="probe vectors for the spectrum (default: system dimension)")
     p.add_argument("--tolerance", type=float, default=0.05,
@@ -190,7 +190,7 @@ def build_parser() -> _Parser:
                    help="exponent estimation horizon (default 50)")
     p.add_argument("--method", choices=("ode", "mc"), default="ode")
     p.add_argument("--dt", type=float, default=1e-2)
-    p.add_argument("--paths", type=int, default=10_000)
+    p.add_argument("--paths", type=_positive_int, default=10_000)
     p.add_argument("--t-start", type=float, default=0.0, help=_START_HELP)
     p.add_argument("--bound-horizon", type=float, default=1e4,
                    help="averaging horizon for the coefficient bounds (default 1e4)")
@@ -207,13 +207,15 @@ def build_parser() -> _Parser:
                    help="leading-block projector rank (default: no projector)")
     p.add_argument("--method", choices=("auto", "ode", "mc"), default="auto")
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--paths", type=int, default=1000)
+    p.add_argument("--paths", type=_positive_int, default=1000)
     p.add_argument("--alpha-max", type=float, default=None,
                    help="cap of the decay-rate lattice (default: data-driven)")
     p.add_argument("--beta-max", type=float, default=None,
                    help="cap of the nonuniformity lattice (default: data-driven)")
     p.add_argument("--lattice", type=int, default=200,
                    help="lattice points per parameter axis (default 200)")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="json: the fitted envelope (default); csv: the sampled surface")
 
     p = sub.add_parser("triangularize", parents=[common],
                        help="QR-triangularize a simulated flow and check norm invariance")
@@ -221,29 +223,31 @@ def build_parser() -> _Parser:
     p.add_argument("--t0", type=float, default=0.0, help=_START_HELP)
     p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=1e-2)
-    p.add_argument("--paths", type=int, default=4)
+    p.add_argument("--paths", type=_positive_int, default=4)
 
     p = sub.add_parser("perturb", parents=[common],
                        help="falsify the smallness condition or run a stability experiment")
     _add_system_flag(p)
     p.add_argument("--mode", choices=("condition", "stability"), required=True)
+    # A perturbed --system carries its own perturbation, so these flags are
+    # refused with one; a linear --system takes _PERTURBATION_DEFAULTS.
     p.add_argument("--perturbation", choices=("power-clipped", "zero", "expr"),
-                   default="power-clipped",
-                   help="drift perturbation shape (default power-clipped); ignored when "
-                        "--system is already a perturbed gallery entry")
-    p.add_argument("--coef", type=float, default=1.0,
+                   help="drift perturbation shape for a linear --system (default "
+                        "power-clipped); with a perturbed one, this flag and those "
+                        "through --q are refused")
+    p.add_argument("--coef", type=float,
                    help="power-clipped coefficient (default 1)")
-    p.add_argument("--power", type=float, default=3.0,
+    p.add_argument("--power", type=float,
                    help="power-clipped growth degree (default 3)")
-    p.add_argument("--clip", type=float, default=1.0,
+    p.add_argument("--clip", type=float,
                    help="power-clipped saturation radius (default 1)")
     p.add_argument("--f-entries", metavar="E1,E2,...",
                    help="drift expressions in t and u1..un (for --perturbation expr)")
     p.add_argument("--h-entries", metavar="E1,E2,...",
                    help="diffusion perturbation expressions (default: zero map)")
-    p.add_argument("--c", type=float, default=9.0,
+    p.add_argument("--c", type=float,
                    help="declared smallness constant (default 9)")
-    p.add_argument("--q", type=float, default=2.0,
+    p.add_argument("--q", type=float,
                    help="declared smallness exponent (default 2)")
     p.add_argument("--scale", type=float, default=None,
                    help="sampler scale (condition mode, required)")
@@ -255,7 +259,7 @@ def build_parser() -> _Parser:
                    help="initial condition size (stability mode, default 0.01)")
     p.add_argument("--horizon", type=float, default=10.0,
                    help="stability simulation horizon (default 10)")
-    p.add_argument("--paths", type=int, default=2000,
+    p.add_argument("--paths", type=_positive_int, default=2000,
                    help="stability sample paths (default 2000)")
     p.add_argument("--dt", type=float, default=1e-3)
 
@@ -268,7 +272,7 @@ def build_parser() -> _Parser:
                    help="margin inside the parameter window (default 0.01)")
     p.add_argument("--horizon", type=float, default=10.0,
                    help="Monte Carlo horizon (default 10)")
-    p.add_argument("--paths", type=int, default=400)
+    p.add_argument("--paths", type=_positive_int, default=400)
     p.add_argument("--dt", type=float, default=5e-3)
 
     sub.add_parser("selftest", parents=[common],
@@ -303,35 +307,33 @@ def _base_of(system) -> LinearSde:
 # into output. A report whose fields are its payload goes through asdict;
 # one that is cut down or renamed is written out here.
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _stderrs(report: MomentCurve | MomentSurface) -> np.ndarray:
+    return report.stderrs if report.stderrs is not None else np.zeros_like(report.values)
 
 
-def _curve_to_csv(curve: MomentCurve) -> str:
+def _to_csv(report: MomentCurve | MomentSurface) -> str:
+    """One row per sample, each number to 17 significant digits: t, then s
+    for a surface, then value and stderr."""
+    columns = {"t": report.ts}
+    if isinstance(report, MomentSurface):
+        columns["s"] = report.ss
+    columns["value"] = report.values
+    columns["stderr"] = _stderrs(report)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     # Rows go into one buffer; a list of row strings would add about twice
     # the size of the text.
     out = io.StringIO()
-    out.write("t,value,stderr\n")
-    errs = curve.stderrs if curve.stderrs is not None else np.zeros_like(curve.values)
-    for t, v, e in zip(curve.ts, curve.values, errs):
-        out.write(f"{_fmt(t)},{_fmt(v)},{_fmt(e)}\n")
+    out.write(",".join(columns) + "\n")
+    for values in zip(*columns.values()):
+        out.write(row % values)
     return out.getvalue()
 
 
 def _curve_to_records(curve: MomentCurve) -> list[dict]:
-    errs = curve.stderrs if curve.stderrs is not None else np.zeros_like(curve.values)
     return [
         {"t": float(t), "value": float(v), "stderr": float(e)}
-        for t, v, e in zip(curve.ts, curve.values, errs)
+        for t, v, e in zip(curve.ts, curve.values, _stderrs(curve))
     ]
-
-
-def _surface_to_csv(surface: MomentSurface) -> str:
-    lines = ["t,s,value,stderr"]
-    errs = surface.stderrs if surface.stderrs is not None else np.zeros_like(surface.values)
-    for s, t, v, e in zip(surface.ss, surface.ts, surface.values, errs):
-        lines.append(f"{_fmt(t)},{_fmt(s)},{_fmt(v)},{_fmt(e)}")
-    return "\n".join(lines) + "\n"
 
 
 def _fit_to_dict(fit: DichotomyFit) -> dict:
@@ -369,36 +371,34 @@ def _json_default(value):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers; each returns (payload, format) where format is
-# "json" for a dict payload or "csv" for pre-rendered text.
+# Subcommand handlers; each returns its report, a dict written as JSON or
+# CSV text written as it is.
 
 def _cmd_example(args):
     if args.action == "list":
-        return {"systems": list(GALLERY_NAMES)}, "json"
+        return {"systems": list(GALLERY_NAMES)}
     if not args.system:
         raise CliError("`example show` needs --system")
-    return to_dict(_load_system(args.system)), "json"
+    return to_dict(_load_system(args.system))
 
 
 def _cmd_moments(args):
     _require(args.dt > 0.0, "--dt must be positive")
     _require(args.t1 > args.t0, "--t1 must exceed --t0")
-    _require(args.paths >= 1, "--paths must be at least 1")
     system = _base_of(_load_system(args.system))
     if args.method == "ode":
         curve, _ = moment_ode(system, np.eye(system.dim), args.t0, args.t1, args.dt)
     else:
         grid = TimeGrid.spanning(args.t0, args.t1, args.dt)
         curve = mc_moment_curve(system, grid, args.paths, args.seed)
-    if (args.format or "csv") == "csv":
-        return _curve_to_csv(curve), "csv"
+    if args.format == "csv":
+        return _to_csv(curve)
     return {"system": args.system, "method": args.method,
-            "points": _curve_to_records(curve)}, "json"
+            "points": _curve_to_records(curve)}
 
 
 def _cmd_lyapunov(args):
     _require(args.dt > 0.0, "--dt must be positive")
-    _require(args.paths >= 1, "--paths must be at least 1")
     system = _base_of(_load_system(args.system))
     trials = args.trials if args.trials is not None else system.dim
     est = spectrum(system, args.horizon, trials, method=args.method, dt=args.dt,
@@ -422,12 +422,11 @@ def _cmd_lyapunov(args):
         }
     if args.epsilon is not None:
         payload["predicted"] = asdict(predicted_exponent(est, args.epsilon))
-    return payload, "json"
+    return payload
 
 
 def _cmd_regularity(args):
     _require(args.dt > 0.0, "--dt must be positive")
-    _require(args.paths >= 1, "--paths must be at least 1")
     system = _base_of(_load_system(args.system))
     eye = np.eye(system.dim)
     reg = regularity_estimate(system, [(eye, eye)], args.horizon,
@@ -443,19 +442,18 @@ def _cmd_regularity(args):
             "per_pair_max": [float(v) for v in reg.per_pair_max],
         },
         "bounds": bounds_report(system, args.bound_horizon),
-    }, "json"
+    }
 
 
 def _cmd_fit(args):
     _require(args.dt > 0.0, "--dt must be positive")
-    _require(args.paths >= 1, "--paths must be at least 1")
     system = _base_of(_load_system(args.system))
     pairs = pair_grid(args.s_values, args.deltas, args.sense)
     projector = make_projector(system.dim, args.rank) if args.rank is not None else None
     surface = dichotomy_surface(system, projector, pairs, method=args.method,
                                 dt=args.dt, paths=args.paths, seed=args.seed)
     if args.format == "csv":
-        return _surface_to_csv(surface), "csv"
+        return _to_csv(surface)
     fit = fit_envelope(surface, rank=args.rank, alpha_max=args.alpha_max,
                        beta_max=args.beta_max, lattice=args.lattice)
     witness = None
@@ -467,7 +465,7 @@ def _cmd_fit(args):
         "pairs": len(pairs),
         "fit": _fit_to_dict(fit),
         "witness": witness,
-    }, "json"
+    }
 
 
 def _cmd_triangularize(args):
@@ -488,7 +486,14 @@ def _cmd_triangularize(args):
             "max_rotated_norm_gap": invariance.max_rotated_norm_gap,
             "max_trace_gap": invariance.max_trace_gap,
         },
-    }, "json"
+    }
+
+
+# The flags that build a perturbation around a linear --system, with the
+# value each takes when it is not given.
+_PERTURBATION_DEFAULTS = {"perturbation": "power-clipped", "coef": 1.0, "power": 3.0,
+                          "clip": 1.0, "f_entries": None, "h_entries": None,
+                          "c": 9.0, "q": 2.0}
 
 
 def _perturbation_from_flags(args) -> PerturbationSpec:
@@ -502,27 +507,34 @@ def _perturbation_from_flags(args) -> PerturbationSpec:
     return PerturbationSpec.exprs(args.f_entries.split(","))
 
 
+def _perturbed_system(args) -> PerturbedSde:
+    loaded = _load_system(args.system)
+    given = {name: getattr(args, name) for name in _PERTURBATION_DEFAULTS
+             if getattr(args, name) is not None}
+    if isinstance(loaded, PerturbedSde):
+        _require(not given, "a perturbed --system carries its own perturbation; drop "
+                 + ", ".join("--" + name.replace("_", "-") for name in given))
+        return loaded
+    flags = argparse.Namespace(**{**_PERTURBATION_DEFAULTS, **given})
+    h = (PerturbationSpec.exprs(flags.h_entries.split(","))
+         if flags.h_entries else PerturbationSpec.zero())
+    return PerturbedSde(loaded, _perturbation_from_flags(flags), h, c=flags.c, q=flags.q)
+
+
 def _cmd_perturb(args):
     _require(args.dt > 0.0, "--dt must be positive")
     _require(args.samples >= 2, "--samples must be at least 2")
-    loaded = _load_system(args.system)
-    if isinstance(loaded, PerturbedSde):
-        psys = loaded
-    else:
-        h = (PerturbationSpec.exprs(args.h_entries.split(","))
-             if args.h_entries else PerturbationSpec.zero())
-        psys = PerturbedSde(loaded, _perturbation_from_flags(args), h,
-                            c=args.c, q=args.q)
+    psys = _perturbed_system(args)
     if args.mode == "condition":
         if args.scale is None:
             raise CliError("condition mode needs --scale")
         report = check_condition_42(psys, args.scale, args.trials,
                                     seed=args.seed, samples=args.samples)
-        return {"mode": "condition", "system": args.system, **asdict(report)}, "json"
+        return {"mode": "condition", "system": args.system, **asdict(report)}
     report = stability_experiment(psys, args.delta, args.horizon, args.paths,
                                   args.seed, dt=args.dt)
     return {"mode": "stability", "system": args.system,
-            **_stability_to_dict(report)}, "json"
+            **_stability_to_dict(report)}
 
 
 def _cmd_perron(args):
@@ -530,7 +542,7 @@ def _cmd_perron(args):
                                 delta_window=args.delta_window,
                                 horizon=args.horizon, paths=args.paths,
                                 seed=args.seed, dt=args.dt)
-    return _perron_to_dict(report), "json"
+    return _perron_to_dict(report)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +612,7 @@ def _selftest_checks(seed: int) -> list[dict]:
 def _cmd_selftest(args):
     checks = _selftest_checks(args.seed)
     status = "ok" if all(c["pass"] for c in checks) else "fail"
-    return {"seed": args.seed, "status": status, "checks": checks}, "json"
+    return {"seed": args.seed, "status": status, "checks": checks}
 
 
 _HANDLERS = {
@@ -614,9 +626,6 @@ _HANDLERS = {
     "perron": _cmd_perron,
     "selftest": _cmd_selftest,
 }
-
-# Subcommands whose only output shape is JSON.
-_JSON_ONLY = frozenset(_HANDLERS) - {"moments", "fit"}
 
 
 def _resolve_threads(args) -> int | None:
@@ -652,11 +661,9 @@ def dispatch(argv=None) -> int:
         return 1
     try:
         _resolve_threads(args)
-        if args.format == "csv" and args.command in _JSON_ONLY:
-            raise CliError(f"`{args.command}` emits JSON only")
-        payload, kind = _HANDLERS[args.command](args)
-        _emit(payload if kind == "csv"
-              else json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n",
+        report = _HANDLERS[args.command](args)
+        _emit(report if isinstance(report, str)
+              else json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n",
               args.output)
     except NumericFailure as err:
         sys.stderr.write(f"error: numeric: {err}\n")
@@ -664,7 +671,7 @@ def dispatch(argv=None) -> int:
     except (MsdError, OSError, json.JSONDecodeError) as err:
         sys.stderr.write(f"error: validation: {err}\n")
         return 1
-    if args.command == "selftest" and payload["status"] != "ok":
+    if args.command == "selftest" and report["status"] != "ok":
         sys.stderr.write("error: numeric: selftest found failing checks\n")
         return 2
     return 0

@@ -377,6 +377,15 @@ def to_dict(system: LinearSde | PerturbedSde) -> dict:
     }
 
 
+def _refuse_unknown_keys(data, known: tuple[str, ...], what: str) -> None:
+    """Refuse the keys of ``data`` outside ``known``, which ``system.schema.json``
+    lists for the object; a misspelt key would otherwise be dropped silently."""
+    unknown = set(data) - set(known) if isinstance(data, dict) else ()
+    if unknown:
+        raise ModelError(f"{what} has unknown key(s) {sorted(unknown, key=str)}; "
+                         f"known: {'/'.join(known)}")
+
+
 def _linear_from_dict(data) -> LinearSde:
     try:
         dim = _finite_number(data["dim"], "dim")
@@ -385,6 +394,7 @@ def _linear_from_dict(data) -> LinearSde:
         params = data.get("params", {})
     except (KeyError, TypeError) as exc:
         raise ModelError(f"system object needs dim/A/G: {exc}") from None
+    _refuse_unknown_keys(data, ("dim", "params", "A", "G"), "system object")
     if dim != int(dim):
         raise ModelError(f"dim must be an integer, got {data['dim']!r}")
     if not isinstance(params, dict):
@@ -395,6 +405,8 @@ def _linear_from_dict(data) -> LinearSde:
 
 
 def _spec_from_dict(data, what: str) -> PerturbationSpec:
+    _refuse_unknown_keys(data, ("kind", "coef", "power", "clip", "entries"),
+                         f"perturbation {what}")
     try:
         kind = data["kind"]
         if kind == "power_clipped":
@@ -419,6 +431,7 @@ def from_dict(data: dict) -> LinearSde | PerturbedSde:
         base, c, q, f, h = (data[key] for key in ("base", "c", "q", "f", "h"))
     except KeyError as exc:
         raise ModelError(f"perturbed system object needs base/c/q/f/h: {exc}") from None
+    _refuse_unknown_keys(data, ("base", "c", "q", "f", "h"), "perturbed system object")
     return PerturbedSde(_linear_from_dict(base), _spec_from_dict(f, "f"),
                         _spec_from_dict(h, "h"), c=_finite_number(c, "c"),
                         q=_finite_number(q, "q"))

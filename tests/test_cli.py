@@ -81,7 +81,38 @@ class TestParsing:
     def test_csv_rejected_on_json_only_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "lyapunov", "--system", "gbm", "--format", "csv")
         assert code == 1
-        assert "JSON only" in err
+        assert "unrecognized arguments: --format csv" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["example", "list"],
+        ["lyapunov", "--system", "gbm"],
+        ["regularity", "--system", "gbm"],
+        ["triangularize", "--system", "gbm"],
+        ["perturb", "--system", "gbm", "--mode", "condition"],
+        ["perron", "--a", "1", "--b", "1", "--lambda", "1"],
+        ["selftest"],
+    ])
+    def test_format_is_a_flag_of_moments_and_fit_only(self, capsys, argv):
+        # Once accepted by every subcommand: --format json did nothing here.
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1 and out == ""
+        assert err.endswith("error: validation: unrecognized arguments: --format json\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--system", "gbm", "--t1", "1"],
+        ["lyapunov", "--system", "gbm"],
+        ["regularity", "--system", "gbm"],
+        ["fit", "--system", "gbm", "--s-values", "0", "--deltas", "0"],
+        ["triangularize", "--system", "gbm"],
+        ["perturb", "--system", "gbm", "--mode", "stability"],
+        ["perron", "--a", "1", "--b", "1", "--lambda", "1"],
+    ])
+    def test_paths_below_one_is_refused_by_the_parser(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--paths", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: msd ")
+        assert err.endswith(
+            "error: validation: argument --paths: expected a positive integer, got 0\n")
 
     def test_zero_threads_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "example", "list", "--threads", "0")
@@ -140,6 +171,16 @@ class TestExample:
         assert dispatch(["example", "show", "--system", name, "--output", str(path)]) == 0
         code, out, _ = run_cli(capsys, "example", "show", "--system", str(path))
         assert code == 0 and out == path.read_text(encoding="utf-8")
+
+    def test_a_system_file_with_an_unknown_key_is_refused(self, capsys, tmp_path):
+        # Once loaded silently, dropping the misspelt params.
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"dim": 1, "A": [["-1"]], "G": [["0.5"]],
+                                    "parms": {"a": 3}, "B": [["9"]]}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "moments", "--system", str(path), "--t1", "0.002")
+        assert code == 1 and out == ""
+        assert err == ("error: validation: system object has unknown key(s) "
+                       "['B', 'parms']; known: dim/params/A/G\n")
 
     def test_perturb_reads_a_perturbed_file(self, capsys, tmp_path):
         path = tmp_path / "perturbed.json"
@@ -397,6 +438,32 @@ class TestPerturb:
                                "--perturbation", "expr")
         assert code == 1
         assert "--f-entries" in err
+
+    @pytest.mark.parametrize("flag", [
+        ["--perturbation", "zero"], ["--coef", "2"], ["--power", "2"], ["--clip", "2"],
+        ["--f-entries", "u1"], ["--h-entries", "0"], ["--c", "100"], ["--q", "3"],
+    ])
+    def test_a_perturbed_system_refuses_the_perturbation_flags(self, capsys, flag):
+        # These flags once went unread here: --c 100 and --c 1 printed the
+        # same max_ratio.
+        code, out, err = run_cli(capsys, "perturb", "--system", "perron-sde-perturbed",
+                                 "--mode", "condition", "--scale", "0.5", *flag)
+        assert code == 1 and out == ""
+        assert err == ("error: validation: a perturbed --system carries its own "
+                       f"perturbation; drop {flag[0]}\n")
+
+    def test_a_linear_system_takes_the_flag_defaults(self, capsys):
+        argv = ["perturb", "--system", "gbm", "--mode", "condition", "--scale", "0.5",
+                "--trials", "100", "--samples", "256"]
+        defaults = ["--perturbation", "power-clipped", "--coef", "1", "--power", "3",
+                    "--clip", "1", "--c", "9", "--q", "2"]
+        code, out, _ = run_cli(capsys, *argv)
+        code_given, out_given, _ = run_cli(capsys, *argv, *defaults)
+        assert code == code_given == 0
+        assert out_given == out
+        _, out_c, _ = run_cli(capsys, *argv, "--c", "1")
+        ratio = json.loads(out)["max_ratio"]
+        assert json.loads(out_c)["max_ratio"] == pytest.approx(9 * ratio)
 
 
 class TestPerron:
@@ -687,7 +754,7 @@ class TestExitCodes:
 class TestReportWriters:
     def test_curve_csv_and_records(self):
         curve = MomentCurve(ts=np.array([0.0, 0.5]), values=np.array([1.0, 2.0]))
-        lines = cli._curve_to_csv(curve).strip().split("\n")
+        lines = cli._to_csv(curve).strip().split("\n")
         assert lines[0] == "t,value,stderr"
         assert lines[1] == "0,1,0"
         assert cli._curve_to_records(curve)[1] == {"t": 0.5, "value": 2.0, "stderr": 0.0}
@@ -695,7 +762,7 @@ class TestReportWriters:
     def test_surface_csv_header(self):
         surf = MomentSurface(ss=np.array([0.0]), ts=np.array([1.0]), values=np.array([3.0]),
                              stderrs=np.array([0.1]), sense="stable")
-        lines = cli._surface_to_csv(surf).strip().split("\n")
+        lines = cli._to_csv(surf).strip().split("\n")
         assert lines[0] == "t,s,value,stderr"
         assert lines[1].startswith("1,0,3,")
 

@@ -230,6 +230,23 @@ def test_a_malformed_perturbed_object_is_refused(change, message):
         from_dict({**to_dict(gallery("perron-sde-perturbed")), **change})
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"dim": 1, "A": [["-1"]], "G": [["0.5"]], "parms": {"a": 3}, "B": [["9"]]},
+     r"system object has unknown key\(s\) \['B', 'parms'\]; known: dim/params/A/G"),
+    ({**to_dict(gallery("perron-sde-perturbed")), "Q": 2},
+     r"perturbed system object has unknown key\(s\) \['Q'\]; known: base/c/q/f/h"),
+    ({**to_dict(gallery("perron-sde-perturbed")),
+      "base": {**to_dict(gallery("perron-sde")), "a": [["0"]]}},
+     r"system object has unknown key\(s\) \['a'\]"),
+    ({**to_dict(gallery("perron-sde-perturbed")), "h": {"kind": "zero", "coeff": 1}},
+     r"perturbation h has unknown key\(s\) \['coeff'\]; known: kind/coef/power/clip/entries"),
+])
+def test_an_unknown_key_is_refused(data, message):
+    # system.schema.json allows no other key; a misspelt one was once dropped.
+    with pytest.raises(ModelError, match=message):
+        from_dict(data)
+
+
 def test_a_perturbed_object_needs_every_key():
     data = to_dict(gallery("perron-sde-perturbed"))
     del data["q"]

@@ -63,14 +63,17 @@ FILES = {
     "latin-1.json": '{"dim": 1, "params": {"\u00e9": 1}, "A": [["-1"]], "G": [["0"]]}'.encode(
         "latin-1"),
     "rank-deficient.json": _system([["1", "1"], ["0", "-1"]], [["0", "0"], ["0", "0"]], 2),
+    "unknown-key.json": json.dumps({"dim": 1, "A": [["-1"]], "G": [["0.5"]],
+                                    "parms": {"a": 3}, "B": [["9"]]}).encode(),
 }
 
 # Failing commands: one per error class the command line reports, then the
 # inputs that once failed as tracebacks, late or with the wrong kind (the
-# last six; perturbed.json is what `example show` prints for
-# perron-sde-perturbed, and it now loads). No command line reaches
-# NonConvergenceError, which only voc_solve raises, on a perturbation the
-# selftest never uses.
+# next six; perturbed.json is what `example show` prints for
+# perron-sde-perturbed, and it now loads), then flags and keys that the
+# parser or the system reader now refuses (the last five). No command line
+# reaches NonConvergenceError, which only voc_solve raises, on a
+# perturbation the selftest never uses.
 ERRORS = (
     "moments --system gbm",                                         # usage
     "example show",                                                 # CliError
@@ -95,6 +98,11 @@ ERRORS = (
     "perturb --system perron-sde-perturbed --mode stability --paths 100000000 --horizon 5",
     "perturb --system perturbed.json --mode condition --scale 0.5 --trials 100",
     "triangularize --system rank-deficient.json --t1 20 --paths 2",
+    "lyapunov --system gbm --format json",
+    "moments --system gbm --t1 1 --paths 0",
+    "triangularize --system gbm --paths 0",
+    "moments --system unknown-key.json --t1 0.002",
+    "perturb --system perron-sde-perturbed --mode condition --scale 0.5 --trials 100 --c 5",
 )
 
 
