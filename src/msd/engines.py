@@ -127,11 +127,13 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class MomentCurve:
-    """E||u(t)||^2 samples; stderrs None means the values are exact."""
+    """E||u(t)||^2 samples; stderrs None means the values are exact, and
+    ``escaped`` counts Monte Carlo paths frozen at the explosion threshold."""
 
     ts: np.ndarray
     values: np.ndarray
     stderrs: np.ndarray | None = None
+    escaped: int = 0
 
 
 @dataclass(frozen=True)
@@ -268,6 +270,12 @@ def _em_update(x: np.ndarray, drift: np.ndarray, noise: np.ndarray, dt: float,
     return out
 
 
+def _adjoint_table(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The drift (-A + G^2)^T and noise -G^T of the adjoint flow Phi^-T, from
+    A and G stacked [..., n, n]: the transposed inverse Psi^T steps by them."""
+    return np.swapaxes(-a + g @ g, -1, -2), -np.swapaxes(g, -1, -2)
+
+
 def _check_state(system: LinearSde | PerturbedSde, paths: int, vector: bool,
                  inverse: bool = False) -> None:
     """Refuse the per-path state :func:`euler_maruyama` would hold beyond the
@@ -307,7 +315,7 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
 
     Every state is held paths-last: Phi as [row, col, path], vectors as
     [row, path], and Psi as Psi^T, [col, row, path], stepped as
-    Psi^T + dt B^T Psi^T - dw G^T Psi^T with B = -A + G^2. So every product
+    Psi^T + dt B^T Psi^T + dw (-G^T) Psi^T with B = -A + G^2. So every product
     is one (n, n) @ (n, n * paths) GEMM; the tests check each entry bit for
     bit against the per-path A @ Phi, Psi @ B and u @ A^T, and the
     perturbed route against a paths-first loop over u @ A^T + f(t, u).
@@ -368,8 +376,7 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
         a = system.drift_at(times)
         g = system.diffusion_at(times)
         if inverse:
-            b_t = np.ascontiguousarray(np.swapaxes(-a + g @ g, 1, 2))
-            g_t = np.ascontiguousarray(np.swapaxes(g, 1, 2))
+            b_t, neg_g_t = map(np.ascontiguousarray, _adjoint_table(a, g))
         incr = streams.draw(k1 - k0) if increments is None else increments[:, k0:k1]
         for i in range(k1 - k0):
             if psys is None:
@@ -390,8 +397,7 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
                     escape[np.isnan(escape) & np.any(beyond, axis=0)] = t_next
                     state = np.where(np.isnan(escape), nxt, state)
             if inverse:
-                # x - dw * y and x + (-dw) * y round alike.
-                psi_t = _em_update(psi_t, b_t[i], g_t[i], dt, -incr[:, i])
+                psi_t = _em_update(psi_t, b_t[i], neg_g_t[i], dt, incr[:, i])
             if nodes[pos] == k0 + i + 1:
                 yield held(k0 + i + 1)
                 pos += 1
@@ -474,12 +480,21 @@ def _mean_squares(states, count: int, paths: int) -> tuple[np.ndarray, np.ndarra
     return means, stds / math.sqrt(paths)
 
 
-def mc_moment_curve(system: LinearSde, grid: TimeGrid, paths: int, seed: int) -> MomentCurve:
-    """Monte Carlo E||Phi(t)||_F^2 at every node, without keeping the ensemble."""
+def mc_moment_curve(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int, seed: int,
+                    x0=None) -> MomentCurve:
+    """Monte Carlo E||Phi(t)||_F^2, or E||u(t)||^2 from ``x0`` (which a
+    :class:`PerturbedSde` needs), at every node, reduced as the paths are
+    stepped: no node is kept, and the increments are drawn a block at a time."""
     nodes = _requested_nodes(np.arange(grid.count), grid, paths)
-    states = (phi for _, phi, _ in euler_maruyama(system, grid, paths, seed, nodes))
-    means, stderrs = _mean_squares(states, grid.count, paths)
-    return MomentCurve(ts=grid.times(), values=means, stderrs=stderrs)
+    escape = None               # a perturbed run's escape times, updated in place
+
+    def states():
+        nonlocal escape
+        for _, x, escape in euler_maruyama(system, grid, paths, seed, nodes, x0=x0):
+            yield x
+    means, stderrs = _mean_squares(states(), grid.count, paths)
+    escaped = 0 if escape is None else int(np.sum(np.isfinite(escape)))
+    return MomentCurve(ts=grid.times(), values=means, stderrs=stderrs, escaped=escaped)
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +696,20 @@ def _coef_values(coef, times: np.ndarray, params) -> np.ndarray:
     return np.broadcast_to(np.asarray(out, dtype=float), times.shape).copy()
 
 
+def _left_exponent(a_v: np.ndarray, b_v: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
+    """Lambda = int (a - b^2/2) dtau + int b dw at every node, left-point."""
+    return np.concatenate([[0.0], np.cumsum((a_v - 0.5 * b_v * b_v) * dt + b_v * dw)])
+
+
+def _variation_sum(lam: np.ndarray, b_v: np.ndarray, c_v: np.ndarray, d_v: np.ndarray,
+                   dt: float, dw: np.ndarray) -> np.ndarray:
+    """int exp(-Lambda) ((c - b d) dtau + d dw) at every node, left-point: the
+    solution of dx = (a x + c) dt + (b x + d) dw is exp(Lambda) (x0 + this)
+    (Kloeden & Platen 1992)."""
+    inner = np.exp(-lam[:-1]) * ((c_v - b_v * d_v) * dt + d_v * dw)
+    return np.concatenate([[0.0], np.cumsum(inner)])
+
+
 def closed_scalar(a, b, c, d, path: BrownianPath, x0: float, params=None) -> np.ndarray:
     """Scalar variation-of-constants solution on a Brownian path.
 
@@ -689,20 +718,35 @@ def closed_scalar(a, b, c, d, path: BrownianPath, x0: float, params=None) -> np.
     the inhomogeneous terms enter through the integrating factor. All
     stochastic integrals use left-point quadrature on the path grid.
     """
-    times = path.times()
-    left = times[:-1]
-    dt = path.dt
-    dw = path.increments
-    a_v = _coef_values(a, left, params)
+    left = path.times()[:-1]
     b_v = _coef_values(b, left, params)
-    lam = np.concatenate([[0.0], np.cumsum((a_v - 0.5 * b_v * b_v) * dt + b_v * dw)])
-    factor = np.exp(lam)
+    lam = _left_exponent(_coef_values(a, left, params), b_v, path.dt, path.increments)
     if c is None and d is None:
-        return factor * x0
-    c_v = _coef_values(c, left, params)
-    d_v = _coef_values(d, left, params)
-    inner = np.exp(-lam[:-1]) * ((c_v - b_v * d_v) * dt + d_v * dw)
-    return factor * (x0 + np.concatenate([[0.0], np.cumsum(inner)]))
+        return np.exp(lam) * x0
+    total = _variation_sum(lam, b_v, _coef_values(c, left, params),
+                           _coef_values(d, left, params), path.dt, path.increments)
+    return np.exp(lam) * (x0 + total)
+
+
+def _triangular_columns(a_all: np.ndarray, g_all: np.ndarray, lam: np.ndarray, dt: float,
+                        dw: np.ndarray, lower: bool) -> np.ndarray:
+    """Fundamental matrix [node, n, n] of a triangular system with left-end
+    coefficients [step, n, n] and diagonal exponents ``lam`` [n, node]; the
+    built entries of a column feed the next, summed in ascending order."""
+    n, count = lam.shape
+    factor = np.exp(lam)
+    u = np.zeros((count, n, n))
+    for i in range(n):
+        u[:, i, i] = factor[i]
+    for j in range(n):
+        for i in range(j + 1, n) if lower else range(j - 1, -1, -1):
+            c_v = np.zeros(count - 1)
+            d_v = np.zeros(count - 1)
+            for k in range(j, i) if lower else range(i + 1, j + 1):
+                c_v += a_all[:, i, k] * u[:-1, k, j]
+                d_v += g_all[:, i, k] * u[:-1, k, j]
+            u[:, i, j] = factor[i] * _variation_sum(lam[i], g_all[:, i, i], c_v, d_v, dt, dw)
+    return u
 
 
 def triangular_fundamental(system: LinearSde, path: BrownianPath) -> tuple[np.ndarray, np.ndarray]:
@@ -715,53 +759,16 @@ def triangular_fundamental(system: LinearSde, path: BrownianPath) -> tuple[np.nd
     """
     if not system.is_upper_triangular():
         raise EngineError("triangular engine requires an upper-triangular system")
-    n = system.dim
-    times = path.times()
-    left = times[:-1]
-    dt = path.dt
-    dw = path.increments
-    count = path.steps + 1
-
+    left = path.times()[:-1]
+    dt, dw = path.dt, path.increments
     a_all = system.drift_at(left)
     g_all = system.diffusion_at(left)
-
-    lam = np.empty((n, count))
-    for i in range(n):
-        ai = a_all[:, i, i]
-        gi = g_all[:, i, i]
-        lam[i] = np.concatenate([[0.0], np.cumsum((ai - 0.5 * gi * gi) * dt + gi * dw)])
-
-    u = np.zeros((count, n, n))
-    for i in range(n):
-        u[:, i, i] = np.exp(lam[i])
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            c_v = np.zeros(count - 1)
-            d_v = np.zeros(count - 1)
-            for k in range(i + 1, j + 1):
-                c_v += a_all[:, i, k] * u[:-1, k, j]
-                d_v += g_all[:, i, k] * u[:-1, k, j]
-            gii = g_all[:, i, i]
-            inner = np.exp(-lam[i][:-1]) * ((c_v - gii * d_v) * dt + d_v * dw)
-            u[:, i, j] = np.exp(lam[i]) * np.concatenate([[0.0], np.cumsum(inner)])
-
+    lam = np.array([_left_exponent(a_all[:, i, i], g_all[:, i, i], dt, dw)
+                    for i in range(system.dim)])
+    u = _triangular_columns(a_all, g_all, lam, dt, dw, lower=False)
     # Adjoint coefficients evaluated numerically; the diagonal exponent is
     # exactly -Lambda_i because (G^2)_ii = g_ii^2 for triangular G.
-    at_all = np.transpose(-a_all + g_all @ g_all, (0, 2, 1))
-    gt_all = -np.transpose(g_all, (0, 2, 1))
-    ut = np.zeros((count, n, n))
-    for i in range(n):
-        ut[:, i, i] = np.exp(-lam[i])
-    for j in range(n):
-        for i in range(j + 1, n):
-            c_v = np.zeros(count - 1)
-            d_v = np.zeros(count - 1)
-            for k in range(j, i):
-                c_v += at_all[:, i, k] * ut[:-1, k, j]
-                d_v += gt_all[:, i, k] * ut[:-1, k, j]
-            gii = gt_all[:, i, i]
-            inner = np.exp(lam[i][:-1]) * ((c_v - gii * d_v) * dt + d_v * dw)
-            ut[:, i, j] = np.exp(-lam[i]) * np.concatenate([[0.0], np.cumsum(inner)])
+    ut = _triangular_columns(*_adjoint_table(a_all, g_all), -lam, dt, dw, lower=True)
     return u, ut
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import (TimeGrid, _mean_squares, moment_log_trace, simulate_fundamental,
+from .engines import (TimeGrid, _mean_squares, euler_maruyama, moment_log_trace,
                       simulate_vectors)
 from .model import LinearSde, adjoint
 from .numerics import MsdError, RngStream
@@ -206,11 +206,16 @@ def duality_defect(system: LinearSde, basis, dual_basis, horizon: float,
             f"duality sum {worst:.4f} below -0.05 for basis vector {int(np.argmin(sums))}"
         )
 
+    # The pairing is read node by node as the coupled ensemble is stepped;
+    # no node is kept.
     drift_grid = TimeGrid.spanning(t_start, t_start + min(1.0, horizon - t_start), drift_dt)
-    ens = simulate_fundamental(system, drift_grid, drift_paths, seed)
-    prod = np.einsum("kpij,kpjl->kpil", ens.psi, ens.phi)
-    pairing = np.einsum("ai,kpba,bj->kpij", b, prod, d)
-    drift = float(np.max(np.abs(pairing - np.eye(n))))
+    worst = np.empty(drift_grid.count)
+    for k, phi, psi in euler_maruyama(system, drift_grid, drift_paths, seed,
+                                      np.arange(drift_grid.count), inverse=True):
+        prod = np.einsum("pij,pjl->pil", psi, phi)
+        pairing = np.einsum("ai,pba,bj->pij", b, prod, d)
+        worst[k] = np.max(np.abs(pairing - np.eye(n)))
+    drift = float(np.max(worst))
     return DualityReport(sums=sums, chis=chis, chis_adjoint=chis_adj,
                          max_pairing_drift=drift, method=method)
 

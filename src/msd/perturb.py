@@ -15,7 +15,6 @@ cross-engine check, so neither is ever expressed through the other.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from scipy.special import logsumexp
 
 from .dichotomy import DichotomyFit, fit_envelope, dichotomy_surface
 from .engines import (FundamentalEnsemble, TimeGrid, _check_state, _check_store, _compile_map,
-                      _map_values, _mean_squares, euler_maruyama)
+                      _map_values, _mean_squares, euler_maruyama, mc_moment_curve)
 from .lyapunov import regularity_estimate, spectrum
 from .model import PerturbedSde, gallery
 from .numerics import MsdError, NumericFailure, RngStream, brownian_batch
@@ -86,7 +85,7 @@ class StabilityReport:
     hypothesis_ok: bool
     note: str
     k_tilde: float
-    tail_slope: float
+    tail_slope: float | None  # None with fewer than two positive tail samples
     verdict: str | None       # PASS/FAIL under the hypothesis, else None
     ts: np.ndarray
     moments: np.ndarray
@@ -282,18 +281,6 @@ def voc_solve(psys: PerturbedSde, xi0, ens: FundamentalEnsemble,
 # ---------------------------------------------------------------------------
 # Stability experiment
 
-def _streamed_moments(psys: PerturbedSde, xi0: np.ndarray, grid: TimeGrid, paths: int,
-                      seed: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """E||u(t)||^2 and its standard error at every node, and the number of
-    escaped paths, reduced as the paths are stepped: no node is kept, and
-    the increments are drawn a block at a time."""
-    states = euler_maruyama(psys, grid, paths, seed, np.arange(grid.count), x0=xi0)
-    _, first, escape = next(states)     # updated in place as paths freeze
-    moments, stderrs = _mean_squares(itertools.chain([first], (u for _, u, _ in states)),
-                                     grid.count, paths)
-    return moments, stderrs, int(np.sum(np.isfinite(escape)))
-
-
 def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
                          paths: int, seed: int, dt: float = 1e-3,
                          t0: float = 1e-3, fit_pairs=None,
@@ -344,8 +331,8 @@ def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
     xi0 = np.zeros(n)
     xi0[0] = delta
     grid = TimeGrid.spanning(t0, t0 + horizon, dt)
-    moments, stderrs, escaped = _streamed_moments(psys, xi0, grid, paths, seed)
-    ts = grid.times()
+    curve = mc_moment_curve(psys, grid, paths, seed, x0=xi0)
+    ts, moments, escaped = curve.ts, curve.values, curve.escaped
 
     rel = ts - t0
     k_tilde = float(np.max(moments * np.exp(fit.alpha * rel)))
@@ -354,7 +341,7 @@ def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
     tail = rel >= horizon / 2
     pos = tail & (moments > 0.0)
     tail_slope = float(np.polyfit(ts[pos], np.log(moments[pos]), 1)[0]) \
-        if np.sum(pos) >= 2 else math.nan
+        if np.sum(pos) >= 2 else None
     verdict = None
     if hypothesis_ok:
         healthy = escaped == 0 and np.all(np.isfinite(moments))
@@ -364,7 +351,7 @@ def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
                            hypothesis_ok=hypothesis_ok, note=note,
                            k_tilde=k_tilde, tail_slope=tail_slope,
                            verdict=verdict, ts=ts, moments=moments,
-                           stderrs=stderrs, escaped=escaped)
+                           stderrs=curve.stderrs, escaped=escaped)
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,19 @@ class TestPerturb:
         assert payload["escaped"] == 20
         assert payload["verdict"] == "FAIL"
 
+    def test_stability_without_a_tail_slope_prints_strict_json(self, capsys):
+        # A horizon of one step leaves fewer than two tail samples, so there
+        # is no slope to fit; it once printed as the non-JSON token NaN.
+        code, out, _ = run_cli(capsys, "perturb", "--system", "gbm", "--mode", "stability",
+                               "--horizon", "0.001", "--paths", "10", "--seed", "1")
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+        payload = json.loads(out, parse_constant=refuse)
+        validate("perturb", payload)
+        assert payload["tail_slope"] is None
+
     # Frozen paths sit near 1e150, so the spread of their squares would
     # overflow; a warning would be an error here.
     @pytest.mark.filterwarnings("error")

@@ -563,6 +563,13 @@ def test_streamed_moments_equal_ensemble_reduction(monkeypatch, chunk):
     assert np.array_equal(curve.ts, grid.times())
     assert np.array_equal(curve.values, means)
     assert np.array_equal(curve.stderrs, stds / math.sqrt(8))
+    # From x0 the curve is E||u||^2 of the vector solutions.
+    _, u = simulate_vectors(sys_, grid, 8, 6, [0.6, -0.8])
+    means, stds = pairwise_mean_std(np.sum(u ** 2, axis=2))
+    curve = mc_moment_curve(sys_, grid, 8, 6, x0=[0.6, -0.8])
+    assert np.array_equal(curve.values, means)
+    assert np.array_equal(curve.stderrs, stds / math.sqrt(8))
+    assert curve.escaped == 0
 
 
 def test_mean_squares_of_one_node_is_the_pairwise_reduction():

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from msd import lyapunov
+from msd import engines, lyapunov
 from msd.engines import EngineError, TimeGrid, euler_maruyama
 from msd.lyapunov import (
     LyapunovError,
@@ -174,6 +175,26 @@ def test_duality_pairing_drift_small():
     rep = duality_defect(gallery("diag-2x2"), np.eye(2), np.eye(2), horizon=10.0,
                          seed=4, drift_dt=1e-3, drift_paths=4)
     assert 0.0 <= rep.max_pairing_drift <= 0.05
+
+
+def test_duality_pairing_drift_memory_does_not_grow_with_the_nodes(monkeypatch):
+    # CHUNK_VALUES 2^15 and 100 paths: about 0.3 MB of increment blocks.
+    # Phi, Psi and the increments kept at every node would take 6.4 MB at
+    # 1001 nodes and 25.6 MB at 4001.
+    monkeypatch.setattr(engines, "CHUNK_VALUES", 2 ** 15)
+    diag = gallery("diag-2x2")
+
+    def peak(drift_dt: float) -> int:
+        tracemalloc.start()
+        try:
+            duality_defect(diag, np.eye(2), np.eye(2), horizon=2.0, drift_paths=100,
+                           drift_dt=drift_dt)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.1)       # warm up
+    assert peak(2.5e-4) <= 1.25 * peak(1e-3)
 
 
 @pytest.mark.parametrize("name,t_start,horizon", [

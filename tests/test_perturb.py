@@ -14,7 +14,7 @@ import pytest
 
 from msd import cli, engines, expr, perturb
 from msd.engines import (EngineError, TimeGrid, euler_maruyama, fundamental_at,
-                         simulate_fundamental, simulate_vectors)
+                         mc_moment_curve, simulate_fundamental, simulate_vectors)
 from msd.model import LinearSde, ModelError, PerturbationSpec, PerturbedSde, gallery
 from msd.perturb import (
     PerturbError,
@@ -300,7 +300,7 @@ class TestSimulatePerturbed:
         grid, xi0 = TimeGrid(0.1, 0.01, 201), np.array([0.3, -0.2])
         simulate_perturbed(psys, xi0, grid, 3, 0)
         assert calls == {"maps": 2, "entries": 4}
-        perturb._streamed_moments(psys, xi0, grid, 3, 0)
+        mc_moment_curve(psys, grid, 3, 0, x0=xi0)
         assert calls == {"maps": 4, "entries": 8}
         check_condition_42(psys, 0.3, trials=100)
         assert calls == {"maps": 6, "entries": 12}
@@ -510,9 +510,9 @@ class TestStabilityExperiment:
         means, stderrs = engines._mean_squares(pens.values, grid.count, 8)
         if chunk is not None:
             monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
-        moments, errs, escaped = perturb._streamed_moments(psys, np.array(xi0), grid, 8, 4)
-        assert np.array_equal(moments, means) and np.array_equal(errs, stderrs)
-        assert escaped == pens.escaped
+        curve = mc_moment_curve(psys, grid, 8, 4, x0=np.array(xi0))
+        assert np.array_equal(curve.values, means) and np.array_equal(curve.stderrs, stderrs)
+        assert curve.escaped == pens.escaped
 
     def test_streamed_moments_memory_does_not_grow_with_the_horizon(self, monkeypatch):
         # CHUNK_VALUES 2^15 and 100 paths: about 0.5 MB of increment and sum
@@ -524,7 +524,7 @@ class TestStabilityExperiment:
         def peak(steps: int) -> int:
             tracemalloc.start()
             try:
-                perturb._streamed_moments(psys, xi0, TimeGrid(1e-3, 1e-3, steps + 1), 100, 5)
+                mc_moment_curve(psys, TimeGrid(1e-3, 1e-3, steps + 1), 100, 5, x0=xi0)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -82,3 +82,12 @@ def test_output_digest_error_commands_each_end_in_one_error_line():
         assert err.splitlines()[-1].startswith(f"error: {kind}: "), command
         assert err.count("error: ") == 1 and "Traceback" not in err, command
     assert sum(code == 2 for _, code, _ in lines) == 4
+
+
+def test_bench_pairs_reads_the_unscaled_times_from_stderr():
+    stderr = ("failed: nothing\n"
+              "as measured: setup 0.3812 s, pass 2.3405 s; kernel 0.01234 s and 0.01301 s\n")
+    assert bench_pairs.measured(stderr) == {"setup_unscaled_s": 0.3812,
+                                            "pass_unscaled_s": 2.3405}
+    with pytest.raises(bench_pairs.RunError, match="as measured"):
+        bench_pairs.measured("failed: nothing\n")

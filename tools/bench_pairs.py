@@ -9,7 +9,10 @@ pairs this checkout first, so a host that drifts between runs drifts on
 both sides alike. Prints one line per pair, then for each end-to-end
 metric of ``BENCHMARK.json``: each side's median and quartiles, how many
 pairs this checkout read better and worse (by the metric's ``better``),
-and a verdict. The bound is relative to the parent's median:
+and a verdict. Each pair line and the summary also give each side's
+setup and pass times as measured, before ``setup_s`` and ``wall_s`` are
+scaled by the calibration kernel's time, so a verdict can be told apart
+from noise in that kernel. The bound is relative to the parent's median:
 
     within bound        the change's median is not worse by more than the bound
     worse beyond bound  it is
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -71,8 +75,23 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
     }
 
 
+# The line perfbench/run.py writes to stderr with the medians behind setup_s
+# and wall_s before calibration scales them.
+_MEASURED = re.compile(r"^as measured: setup (\S+) s, pass (\S+) s;", re.MULTILINE)
+UNSCALED = ("setup_unscaled_s", "pass_unscaled_s")
+
+
+def measured(stderr: str) -> dict:
+    """The unscaled setup and pass times of a run's ``as measured`` line."""
+    found = _MEASURED.findall(stderr)
+    if not found:
+        raise RunError("no 'as measured' line on stderr")
+    return dict(zip(UNSCALED, map(float, found[-1])))
+
+
 def run_once(checkout: Path, spec: dict, workload: str, seed: int) -> dict:
-    """Metric values of one ``--trace 0`` run in ``checkout``."""
+    """Metric values of one ``--trace 0`` run in ``checkout``, and its
+    unscaled times (:func:`measured`)."""
     argv = [*spec["command"], "--workload", workload, "--seed", str(seed),
             "--seconds", str(spec["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -82,7 +101,8 @@ def run_once(checkout: Path, spec: dict, workload: str, seed: int) -> dict:
     if not result["correct"] or result["failed"]:
         raise RunError(f"{checkout}: correct {result['correct']}, "
                        f"{result['failed']} of {result['attempted']} operations failed")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    values = {name: entry["value"] for name, entry in result["metrics"].items()}
+    return values | measured(proc.stderr)
 
 
 def _fmt(values: tuple[float, ...]) -> str:
@@ -109,8 +129,8 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(run_once(sides[side], spec, args.workload, args.seed))
             print(f"pair {i} ({order[0]} first): " + "; ".join(
-                f"{m['name']} {runs['parent'][-1][m['name']]:.5g} -> "
-                f"{runs['change'][-1][m['name']]:.5g}" for m in metrics), flush=True)
+                f"{name} {runs['parent'][-1][name]:.5g} -> {runs['change'][-1][name]:.5g}"
+                for name in [m["name"] for m in metrics] + list(UNSCALED)), flush=True)
     except RunError as err:
         print(f"run failed: {err}", file=sys.stderr)
         return 1
@@ -121,6 +141,9 @@ def main(argv=None) -> int:
               f"(q1 median q3); better in {row['better']}, worse in {row['worse']} "
               f"of {args.pairs}; worse by {row['worse_by']:+.1%}, parent spread "
               f"{row['spread']:.1%}, bound {m['bound']:.0%}: {row['verdict']}")
+    for name in UNSCALED:
+        print(f"{name}: parent median {statistics.median(r[name] for r in runs['parent']):.5g}, "
+              f"change median {statistics.median(r[name] for r in runs['change']):.5g}")
     return 0
 
 

@@ -42,6 +42,8 @@ from workloads import WORKLOADS, Op, operations  # noqa: E402
 EXTRA = (
     "moments --system gbm --t1 1.0 --format json",
     "fit --system gbm --s-values 0,1 --deltas 0,1,2 --format csv",
+    # Too short a horizon for a tail slope: null, not NaN.
+    "perturb --system gbm --mode stability --horizon 0.001 --paths 10 --seed 1",
     *(f"example show --system {name}" for name in msd.cli.GALLERY_NAMES),
 )
 
