@@ -182,11 +182,13 @@ def _beyond_threshold(x: np.ndarray) -> np.ndarray:
     return ~(np.abs(x) <= EXPLOSION_THRESHOLD)
 
 
-def _scan_explosion(arr: np.ndarray, which: str, node: int, t: float) -> None:
-    bad = _beyond_threshold(arr)
+def _scan_explosion(state: np.ndarray, order: tuple, which: str, node: int, t: float) -> None:
+    """Raise for the first exploded entry of the paths-last ``state``, first
+    in C order of its [path, ...] transpose ``state.transpose(order)``."""
+    bad = _beyond_threshold(state)
     if not bad.any():
         return
-    where = np.argwhere(bad)[0]
+    where = np.argwhere(bad.transpose(order))[0]
     path, entry = int(where[0]), tuple(int(i) for i in where[1:])
     raise ExplosionError(which, node, t, path, entry)
 
@@ -297,8 +299,8 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
     ``inverse`` the coupled inverse d(Psi) = Psi(-A + G^2) dt - Psi G dw is
     stepped alongside on the same increments. Yields ``(node, state, psi)``
     at each node of ``nodes`` in ascending order (``psi`` None without
-    ``inverse``), checked against the explosion threshold, as C-ordered
-    [path, n] or [path, row, col] copies that may be kept.
+    ``inverse``), checked against the explosion threshold. An exploded
+    entry is named by its path and entry, first in [path, ...] order.
 
     A :class:`PerturbedSde` steps the vector solutions of
     du = (A u + f(t, u)) dt + (G u + h(t, u)) dw from ``x0``; it needs
@@ -313,16 +315,22 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
     updated in place as paths freeze. Its states are not checked against
     the threshold.
 
-    Every state is held paths-last: Phi as [row, col, path], vectors as
-    [row, path], and Psi as Psi^T, [col, row, path], stepped as
+    Every state is held, and yielded, paths-last: Phi as [row, col, path],
+    vectors as [row, path], and Psi as Psi^T, [col, row, path], stepped as
     Psi^T + dt B^T Psi^T + dw (-G^T) Psi^T with B = -A + G^2. So every product
     is one (n, n) @ (n, n * paths) GEMM; the tests check each entry bit for
     bit against the per-path A @ Phi, Psi @ B and u @ A^T, and the
     perturbed route against a paths-first loop over u @ A^T + f(t, u).
+    Each step makes a new state array and never writes to a yielded one,
+    so a caller may keep what it is given; a caller that stores [path, ...]
+    order transposes at its store.
 
     The increments are the per-path streams of :func:`brownian_batch`,
     drawn a block of steps at a time, or ``increments`` [path, step] if
-    given. The coefficients are tabulated per block too.
+    given. A step reads the increments of all paths, ``incr[:, i]``: one
+    contiguous row of a step-major draw, and the same values, more slowly,
+    from C-ordered ``increments``. The coefficients are tabulated per block
+    too.
     """
     psys = system if isinstance(system, PerturbedSde) else None
     if psys is not None and (x0 is None or inverse):
@@ -355,14 +363,12 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
         raise EngineError(f"increments must have shape ({paths}, {grid.steps})")
 
     def held(k: int):
-        out = np.ascontiguousarray(state.transpose(order))
         if psys is not None:
-            return k, out, escape
-        _scan_explosion(out, which, k, grid.t0 + dt * k)
-        psi = np.ascontiguousarray(psi_t.transpose(2, 1, 0)) if inverse else None
+            return k, state, escape
+        _scan_explosion(state, order, which, k, grid.t0 + dt * k)
         if inverse:
-            _scan_explosion(psi, "coupled inverse", k, grid.t0 + dt * k)
-        return k, out, psi
+            _scan_explosion(psi_t, (2, 1, 0), "coupled inverse", k, grid.t0 + dt * k)
+        return k, state, psi_t
 
     dt = grid.dt
     pos = int(nodes[0] == 0)
@@ -417,9 +423,9 @@ def fundamental_at(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nod
     psi = np.empty_like(phi)
     states = euler_maruyama(system, grid, paths, seed, nodes, inverse=True,
                             increments=increments)
-    for j, (_, phi_k, psi_k) in enumerate(states):
-        phi[j] = phi_k
-        psi[j] = psi_k
+    for j, (_, phi_k, psi_t) in enumerate(states):
+        phi[j] = phi_k.transpose(2, 0, 1)
+        psi[j] = psi_t.transpose(2, 1, 0)
     return FundamentalEnsemble(
         system=system, grid=grid, paths=paths, phi=phi, psi=psi,
         increments=increments, nodes=None if len(nodes) == grid.count else nodes,
@@ -449,34 +455,63 @@ def simulate_vectors(system: LinearSde, grid: TimeGrid, paths: int, seed: int,
     _check_store(len(nodes) * paths * system.dim, "the recorded vector solutions")
     out = np.empty((len(nodes), paths, system.dim))
     for j, (_, u, _) in enumerate(euler_maruyama(system, grid, paths, seed, nodes, x0=x0)):
-        out[j] = u
+        out[j] = u.T
     return nodes, out
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """The sum of the rows of ``x`` [entry, path], which it overwrites, added
+    in the order ``np.sum`` adds the entries of one path held contiguously
+    (numpy's pairwise summation): one by one below 8 entries, in 8 running
+    sums up to 128, and in halves cut at a multiple of 8 beyond."""
+    m = len(x)
+    if m < 8:
+        total = x[0]
+        for row in x[1:]:
+            total += row
+        return total
+    if m <= 128:
+        acc = x[:8]
+        tail = m - m % 8
+        for i in range(8, tail, 8):
+            acc += x[i:i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for row in x[tail:]:
+            total += row
+        return total
+    half = m // 2 - m // 2 % 8
+    return _sum_rows(x[:half]) + _sum_rows(x[half:])
 
 
 def _mean_squares(states, count: int, paths: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean over paths of each path's sum of squares, and its standard error,
-    for each of ``count`` states [path, ...] taken from ``states`` in turn.
+    for each of ``count`` paths-last states [..., path] taken from
+    ``states`` in turn.
 
-    The per-path sums are held rows-first, [path, node], for a block of
-    nodes and reduced over paths in place, one stacked pairwise reduction
-    per block, so each value equals :func:`pairwise_mean_std` of the stored
-    sums bit for bit while memory stays bounded.
+    Each node's per-path sums go into one contiguous row of a node-major
+    buffer, [node, path], that holds a block of nodes; the entries are added
+    as ``np.sum`` adds a C-ordered [path, ...] state's (:func:`_sum_rows`).
+    Each block is reduced over paths in place, through the transposed view,
+    by one stacked pairwise reduction, so each value equals
+    :func:`pairwise_mean_std` of the stored sums bit for bit while memory
+    stays bounded.
     """
     block = max(1, CHUNK_VALUES // paths)
     _check_store(paths * min(block, count), "the per-path sums")
-    sums = np.empty((paths, min(block, count)))
+    sums = np.empty((min(block, count), paths))
     means = np.empty(count)
     stds = np.empty(count)
     start = 0                   # first node not reduced yet
     for k, x in enumerate(states):
-        sums[:, k - start] = np.sum(x * x, axis=tuple(range(1, x.ndim)))
+        rows = x.reshape(-1, paths)
+        sums[k - start] = _sum_rows(rows * rows)
         if k - start == block - 1:
-            means[start:k + 1], stds[start:k + 1] = _mean_std_in_place(sums)
+            means[start:k + 1], stds[start:k + 1] = _mean_std_in_place(sums.T)
             start = k + 1
     # The last block is reduced once ``states`` is exhausted: a kernel behind
     # it has freed its increments by then.
     if start < count:
-        means[start:], stds[start:] = _mean_std_in_place(sums[:, :count - start])
+        means[start:], stds[start:] = _mean_std_in_place(sums[:count - start].T)
     return means, stds / math.sqrt(paths)
 
 

@@ -104,7 +104,7 @@ def chi_estimate(system: LinearSde, u0, horizon: float, method: str = "ode",
         vals = curve.values[nodes] / ts
     else:
         _, states = simulate_vectors(system, grid, paths, seed, u0, record_nodes=nodes)
-        means, errs = _mean_squares(states, len(nodes), paths)
+        means, errs = _mean_squares(np.moveaxis(states, 1, -1), len(nodes), paths)
         vals = np.log(means / norm0_sq) / ts
 
     window = (horizon / 2.0, horizon)
@@ -210,8 +210,10 @@ def duality_defect(system: LinearSde, basis, dual_basis, horizon: float,
     # no node is kept.
     drift_grid = TimeGrid.spanning(t_start, t_start + min(1.0, horizon - t_start), drift_dt)
     worst = np.empty(drift_grid.count)
-    for k, phi, psi in euler_maruyama(system, drift_grid, drift_paths, seed,
-                                      np.arange(drift_grid.count), inverse=True):
+    for k, phi, psi_t in euler_maruyama(system, drift_grid, drift_paths, seed,
+                                        np.arange(drift_grid.count), inverse=True):
+        phi = np.ascontiguousarray(phi.transpose(2, 0, 1))
+        psi = np.ascontiguousarray(psi_t.transpose(2, 1, 0))
         prod = np.einsum("pij,pjl->pil", psi, phi)
         pairing = np.einsum("ai,pba,bj->pij", b, prod, d)
         worst[k] = np.max(np.abs(pairing - np.eye(n)))

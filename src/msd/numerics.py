@@ -136,7 +136,13 @@ class BrownianStreams:
         self._bits = np.random.Philox(key=0)   # re-keyed for every path
 
     def draw(self, steps: int) -> np.ndarray:
-        """The next ``steps`` increments of every path; shape (n_paths, steps)."""
+        """The next ``steps`` increments of every path; shape (n_paths, steps).
+
+        The values are held step-major: the result is the transposed view of
+        a C-ordered (steps, n_paths) buffer, so the increments of one step,
+        ``draw(...)[:, i]``, are one contiguous row, as an Euler-Maruyama
+        step reads them.
+        """
         # Philox makes 4 values per counter step and steps the counter before
         # it fills its buffer, so value j comes from counter j // 4 + 1:
         # start one counter back with an empty buffer and drop the values
@@ -151,7 +157,7 @@ class BrownianStreams:
         # Generator.integers(0, 2**53) maps a raw value r to r >> 11 (Lemire's
         # method never rejects on a power-of-two range); the rest of
         # _normals' arithmetic runs in place on the one output buffer.
-        out = np.empty((self._paths, steps))
+        out = np.empty((steps, self._paths)).T
         for m in range(self._paths):
             key[1] = m
             self._bits.state = state
@@ -167,7 +173,8 @@ class BrownianStreams:
 
 
 def brownian_batch(seed: int, n_paths: int, dt: float, steps: int) -> np.ndarray:
-    """Increments for paths 0..n_paths-1, one stream per path; shape (n_paths, steps)."""
+    """Increments for paths 0..n_paths-1, one stream per path; shape (n_paths, steps),
+    held step-major as :meth:`BrownianStreams.draw` holds them."""
     return BrownianStreams(seed, n_paths, dt).draw(steps)
 
 

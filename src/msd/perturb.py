@@ -212,7 +212,7 @@ def simulate_perturbed(psys: PerturbedSde, xi0, grid: TimeGrid, paths: int,
     values = np.empty((grid.count, paths, n))
     for k, u, escape in euler_maruyama(psys, grid, paths, seed, np.arange(grid.count),
                                        x0=xi0, increments=incr):
-        values[k] = u
+        values[k] = u.T
     return PerturbedEnsemble(grid=grid, paths=paths, values=values, escape_times=escape)
 
 
@@ -415,7 +415,7 @@ def perron_instability(a: float, b: float, lam: float,
     psys = gallery("perron-sde-perturbed", a=a, b=b, **{"lambda": lam})
     grid = TimeGrid.spanning(1e-4, horizon, dt)
     pens = simulate_perturbed(psys, np.array([1.0, 0.0]), grid, paths, seed)
-    (m,), (se,) = _mean_squares([pens.values[-1, :, 1:]], 1, paths)
+    (m,), (se,) = _mean_squares([np.moveaxis(pens.values[-1, :, 1:], 0, -1)], 1, paths)
     chi_mc = math.log(m) / horizon if m > 0 else -math.inf
     chi_mc_stderr = (se / m) / horizon if m > 0 else math.inf
     return PerronReport(a=a, b=b, lam=lam, delta_window=delta_window,

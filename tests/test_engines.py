@@ -573,12 +573,58 @@ def test_streamed_moments_equal_ensemble_reduction(monkeypatch, chunk):
 
 
 def test_mean_squares_of_one_node_is_the_pairwise_reduction():
-    # A [path, 1] state sums to its single entry, so the one-node call
+    # A [1, path] state sums to its single entry, so the one-node call
     # reduces the 1-D squares exactly.
-    x = np.random.default_rng(4).normal(size=(1001, 1)) * 1e3
-    mean, std = pairwise_mean_std(x[:, 0] ** 2)
+    x = np.random.default_rng(4).normal(size=(1, 1001)) * 1e3
+    mean, std = pairwise_mean_std(x[0] ** 2)
     means, stderrs = engines._mean_squares([x], 1, 1001)
     assert means[0] == mean and stderrs[0] == std / math.sqrt(1001)
+
+
+@pytest.mark.parametrize("paths", [1, 7, 1001])
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (8,), (16,),
+                                   (1, 1), (2, 2), (3, 3), (5, 5), (16, 16)])
+def test_mean_squares_of_paths_last_states_equal_the_paths_first_sum(monkeypatch, shape,
+                                                                     paths):
+    # From 1 to 256 entries: np.sum adds fewer than 8 one by one and 8 or
+    # more pairwise, and the paths-last sums must follow it bit for bit.
+    # CHUNK_VALUES of three nodes reduces 7 nodes in three blocks.
+    monkeypatch.setattr(engines, "CHUNK_VALUES", 3 * paths)
+    rng = np.random.default_rng(paths * len(shape) + shape[0])
+    size = (7, paths, *shape)
+    x = rng.normal(size=size) * 10.0 ** rng.uniform(-4, 4, size=size)
+    mean, std = pairwise_mean_std(np.sum(x * x, axis=tuple(range(2, x.ndim))))
+    states = [np.ascontiguousarray(np.moveaxis(node, 0, -1)) for node in x]
+    means, stderrs = engines._mean_squares(states, len(x), paths)
+    assert np.array_equal(means, mean) and np.array_equal(stderrs, std / math.sqrt(paths))
+
+
+@pytest.mark.parametrize("psys", [False, True])
+def test_kernel_reads_c_ordered_increments_bitwise(psys):
+    # A step reads one contiguous row of step-major increments; C-ordered
+    # [path, step] increments give the same states, and the kept states of
+    # a run are those of the run.
+    rng = np.random.default_rng(12)
+    sys_ = _random_system(3, rng)
+    grid = TimeGrid(0.0, 0.01, 41)
+    incr = brownian_batch(4, 6, grid.dt, grid.steps)
+    assert incr[:, 0].flags.c_contiguous
+    if psys:
+        sys_ = PerturbedSde(base=sys_, f=PerturbationSpec.power_clipped(0.3, 2.0, 1.0),
+                            h=PerturbationSpec.zero(), c=0.3, q=2.0)
+    kw = {"x0": rng.normal(size=3)} if psys else {"inverse": True}
+    nodes = np.arange(grid.count)
+    runs = [list(euler_maruyama(sys_, grid, 6, 4, nodes, increments=i, **kw))
+            for i in (None, incr, np.ascontiguousarray(incr))]
+    for run in runs[1:]:
+        for (k, x, y), (k1, x1, y1) in zip(runs[0], run):
+            assert k == k1 and np.array_equal(x, x1) and np.array_equal(y, y1, equal_nan=True)
+    if not psys:
+        ens = fundamental_at(sys_, grid, 6, 4, nodes)
+        assert np.array_equal(np.stack([x for _, x, _ in runs[0]]),
+                              ens.phi.transpose(0, 2, 3, 1))
+        assert np.array_equal(np.stack([y for _, _, y in runs[0]]),
+                              ens.psi.transpose(0, 3, 2, 1))
 
 
 def test_beyond_threshold_counts_non_finite_values_as_exploded():

@@ -94,6 +94,19 @@ def test_brownian_streams_blocks_equal_batch(block):
         numerics.BrownianStreams(seed=3, n_paths=5, dt=0.0)
 
 
+@pytest.mark.parametrize("steps", [1, 6, 13])
+def test_draw_holds_each_step_contiguously(steps):
+    # A step's increments of every path are one contiguous row, and the
+    # values are still each path's own stream.
+    for seed in SEEDS:
+        streams = numerics.BrownianStreams(seed=seed, n_paths=7, dt=0.01)
+        blocks = [streams.draw(steps) for _ in range(3)]
+        for block in blocks:
+            assert block.shape == (7, steps)
+            assert all(block[:, i].flags.c_contiguous for i in range(steps))
+        assert np.array_equal(np.concatenate(blocks, axis=1), _oracle(seed, 7, 0.01, 3 * steps))
+
+
 @pytest.mark.parametrize("key", [[0, 0], [5, 3], [2**64 - 5, 17]])
 def test_bounded_integers_are_shifted_raw_values(key):
     # BrownianStreams reads raw Philox output where _normals asks the

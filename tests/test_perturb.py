@@ -240,7 +240,7 @@ class TestSimulatePerturbed:
         assert np.array_equal(pens.values, ref)
         assert np.array_equal(pens.escape_times, ref_escape, equal_nan=True)
         streamed = list(euler_maruyama(psys, grid, paths, 9, np.arange(grid.count), x0=xi0))
-        assert np.array_equal(np.stack([u for _, u, _ in streamed]), ref)
+        assert np.array_equal(np.stack([u.T for _, u, _ in streamed]), ref)
         assert np.array_equal(streamed[-1][2], ref_escape, equal_nan=True)
 
     @pytest.mark.parametrize("chunk", [40, None])
@@ -277,7 +277,7 @@ class TestSimulatePerturbed:
             times[np.array(steps) + 1])
         streamed = list(euler_maruyama(psys, grid, 6, 0, np.arange(grid.count), x0=xi0,
                                        increments=incr))
-        assert np.array_equal(np.stack([u for _, u, _ in streamed]), ref)
+        assert np.array_equal(np.stack([u.T for _, u, _ in streamed]), ref)
         assert np.array_equal(streamed[-1][2], ref_escape, equal_nan=True)
 
     def test_each_map_is_compiled_once_per_run(self, monkeypatch):
@@ -450,7 +450,7 @@ class TestStabilityExperiment:
         m, sd = pairwise_mean_std(np.sum(pens.values ** 2, axis=2))
         if chunk is not None:
             monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
-        moments, stderrs = engines._mean_squares(pens.values, grid.count, 5)
+        moments, stderrs = engines._mean_squares(np.moveaxis(pens.values, 1, -1), grid.count, 5)
         assert np.array_equal(moments, m)
         assert np.array_equal(stderrs, sd / math.sqrt(5))
 
@@ -507,7 +507,7 @@ class TestStabilityExperiment:
         # CHUNK_VALUES 40 reduces 8 paths five nodes at a time.
         grid = TimeGrid.spanning(1e-3, 0.201, 1e-3)
         pens = simulate_perturbed(psys, np.array(xi0), grid, 8, 4)
-        means, stderrs = engines._mean_squares(pens.values, grid.count, 8)
+        means, stderrs = engines._mean_squares(np.moveaxis(pens.values, 1, -1), grid.count, 8)
         if chunk is not None:
             monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
         curve = mc_moment_curve(psys, grid, 8, 4, x0=np.array(xi0))

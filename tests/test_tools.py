@@ -81,7 +81,7 @@ def test_output_digest_error_commands_each_end_in_one_error_line():
         assert code in (1, 2) and err.endswith("\n"), command
         assert err.splitlines()[-1].startswith(f"error: {kind}: "), command
         assert err.count("error: ") == 1 and "Traceback" not in err, command
-    assert sum(code == 2 for _, code, _ in lines) == 4
+    assert sum(code == 2 for _, code, _ in lines) == 5
 
 
 def test_bench_pairs_reads_the_unscaled_times_from_stderr():

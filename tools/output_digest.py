@@ -58,6 +58,7 @@ FILES = {
     "dim-17.json": _system([["0"] * 17] * 17, [["0"] * 17] * 17, 17),
     "corrupt.json": b"{",
     "hot.json": _system([["500"]], [["0"]]),
+    "hot-2x2.json": _system([["-1", "500"], ["0", "500"]], [["0", "0"], ["0", "10"]], 2),
     "diverging.json": _system([["400"]], [["0"]]),
     "non-psd.json": _system([["-20", "10"], ["0", "-1"]], [["0", "0"], ["0", "0"]], 2),
     "superscript.json": _system([["-1 + \u00b2"]], [["0"]]),
@@ -73,7 +74,9 @@ FILES = {
 # inputs that once failed as tracebacks, late or with the wrong kind (the
 # next six; perturbed.json is what `example show` prints for
 # perron-sde-perturbed, and it now loads), then flags and keys that the
-# parser or the system reader now refuses (the last five). No command line
+# parser or the system reader now refuses (the next five), and last an
+# explosion that names a path after the first and an entry off the diagonal,
+# so the reported path and entry order are pinned. No command line
 # reaches NonConvergenceError, which only voc_solve raises, on a
 # perturbation the selftest never uses.
 ERRORS = (
@@ -105,6 +108,7 @@ ERRORS = (
     "triangularize --system gbm --paths 0",
     "moments --system unknown-key.json --t1 0.002",
     "perturb --system perron-sde-perturbed --mode condition --scale 0.5 --trials 100 --c 5",
+    "moments --system hot-2x2.json --t1 2 --dt 0.01 --method mc --paths 4",
 )
 
 
