@@ -195,8 +195,15 @@ def _scan_explosion(state: np.ndarray, order: tuple, which: str, node: int, t: f
 
 # Increments are drawn, and coefficients tabulated, for about this many values
 # at a time (32 MB of float64), so an Euler-Maruyama run holds
-# O(paths x (n^2 + CHUNK_VALUES / paths)) numbers whatever its horizon.
+# O(paths x (n^2 + CHUNK_VALUES / paths)) numbers whatever its horizon. Fewer
+# values per draw would re-key every path's Philox stream more often.
 CHUNK_VALUES = 2 ** 22
+
+# Per-path sums of squares are held, and reduced over paths, in node blocks of
+# about this many values (2 MB of float64): the pairwise tree reads a block
+# across paths, a stride of paths x 8 bytes, so the block is kept to a size a
+# cache holds. The tree's cost per block does not grow with the path count.
+_REDUCE_VALUES = 2 ** 18
 
 
 def _requested_nodes(nodes, grid: TimeGrid, paths: int) -> np.ndarray:
@@ -489,14 +496,14 @@ def _mean_squares(states, count: int, paths: int) -> tuple[np.ndarray, np.ndarra
     ``states`` in turn.
 
     Each node's per-path sums go into one contiguous row of a node-major
-    buffer, [node, path], that holds a block of nodes; the entries are added
-    as ``np.sum`` adds a C-ordered [path, ...] state's (:func:`_sum_rows`).
-    Each block is reduced over paths in place, through the transposed view,
-    by one stacked pairwise reduction, so each value equals
-    :func:`pairwise_mean_std` of the stored sums bit for bit while memory
-    stays bounded.
+    buffer, [node, path], that holds a block of about ``_REDUCE_VALUES``
+    values (2 MB); the entries are added as ``np.sum`` adds a C-ordered
+    [path, ...] state's (:func:`_sum_rows`). Each block is reduced over paths
+    in place, through the transposed view, by one stacked pairwise
+    reduction, so each value equals :func:`pairwise_mean_std` of the stored
+    sums bit for bit while the block stays in cache and memory stays bounded.
     """
-    block = max(1, CHUNK_VALUES // paths)
+    block = max(1, _REDUCE_VALUES // paths)
     _check_store(paths * min(block, count), "the per-path sums")
     sums = np.empty((min(block, count), paths))
     means = np.empty(count)

@@ -13,13 +13,19 @@ random probe directions and the smallness falsifier's samples, use the
 generator's own samplers, ``standard_normal`` among them.)
 
 Monte Carlo reductions use a fixed-shape pairwise tree so that results are
-bit-identical regardless of how work might be batched. The reduction takes
-``(..., m)`` stacks and reduces the last axis; the matrix kernels take
-``(..., n, n)`` stacks. Entry i of a stacked result equals the call on entry i.
+bit-identical regardless of how work might be batched (Higham, "The accuracy
+of floating point summation", SIAM J. Sci. Comput. 1993). The tree's shape
+depends only on the count m, so it is laid out once per m as a table and
+evaluated with one gather-add per leaf position and one in-place add per
+depth: about 8 + log2(m / 8) array operations per call, however many values
+each row holds. The reduction takes ``(..., m)`` stacks and reduces the last
+axis; the matrix kernels take ``(..., n, n)`` stacks. Entry i of a stacked
+result equals the call on entry i.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -182,17 +188,58 @@ def brownian_batch(seed: int, n_paths: int, dt: float, steps: int) -> np.ndarray
 # Deterministic reductions
 
 
+@functools.lru_cache(maxsize=16)
+def _tree_plan(m: int) -> tuple[int, tuple, tuple]:
+    """The fixed tree over ``m`` values as tables: ``(rows, leaves, joins)``.
+
+    A node of more than 8 values splits into its first ceil(size / 2) values
+    and the rest; a node of at most 8 is a leaf. The shape depends only on
+    ``m``. Every node has a row of a work buffer: a left child shares its
+    parent's row, and a right child takes the parent's row plus the row
+    count of the parent's depth. Node q of depth d then holds
+    floor((m + 2^d - 1 - q) / 2^d) values, which does not grow with q, so
+    the nodes that split are the first rows. Leaves sit at two depths only
+    when a depth holds 8s and 9s; the 9s split into 5s and 4s, so the rows
+    run 5s, 8s, 4s. Either way the leaves that have a value at position p
+    are a run of rows:
+
+    * ``leaves[p]`` is ``(lo, hi, index)``: rows lo..hi-1 add the values at
+      ``index``;
+    * ``joins`` holds ``(count, offset)`` per depth, deepest first: rows
+      0..count-1 add rows offset..offset+count-1, their right halves.
+
+    The root ends in row 0.
+    """
+    starts = np.zeros(1, dtype=np.intp)
+    sizes = np.array([m], dtype=np.intp)
+    joins = []
+    while (count := int(np.count_nonzero(sizes > 8))):
+        offset = len(sizes)
+        first = (sizes[:count] + 1) // 2
+        starts = np.concatenate([starts, starts[:count] + first])
+        sizes = np.concatenate([first, sizes[count:], sizes[:count] - first])
+        joins.append((count, offset))
+    leaves = []
+    for p in range(int(sizes.max())):
+        rows = np.flatnonzero(sizes > p)
+        index = starts[rows] + p
+        index.flags.writeable = False       # the cached plan is shared
+        leaves.append((int(rows[0]), int(rows[-1]) + 1, index))
+    return len(sizes), tuple(leaves), tuple(reversed(joins))
+
+
 def _tree_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 with the fixed tree; leaves add whole rows in order."""
-    if len(x) <= 8:
-        return sum(x, np.zeros(x.shape[1:]))   # 0 + x[0] + x[1] + ..., in order
-    half = (len(x) + 1) // 2
-    return _tree_sum(x[:half]) + _tree_sum(x[half:])
-
-
-def _rows_first(values: np.ndarray) -> np.ndarray:
-    """A C-ordered copy with the reduced (last) axis moved to the front."""
-    return np.array(np.moveaxis(np.asarray(values, dtype=np.float64), -1, 0), order="C")
+    """Sum over axis 0 with the fixed tree (:func:`_tree_plan`): each leaf
+    adds ``0 + x[i] + x[i + 1] + ...`` in order, then each node adds its
+    right half to its left, one gather-add per leaf position and one
+    in-place add per depth."""
+    rows, leaves, joins = _tree_plan(len(x))
+    buf = np.zeros((rows,) + x.shape[1:])
+    for lo, hi, index in leaves:
+        buf[lo:hi] += x[index]
+    for count, offset in joins:
+        buf[:count] += buf[offset:offset + count]
+    return buf[0]
 
 
 def pairwise_mean_std(values: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
@@ -201,7 +248,11 @@ def pairwise_mean_std(values: np.ndarray) -> tuple[float | np.ndarray, float | n
     Both sums use a fixed binary tree (blocks of 8 at the leaves) whose shape
     depends only on ``values.shape[-1]``.
     """
-    return _mean_std_in_place(_rows_first(values))
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim == 0:
+        raise NumericsError("need an array with an axis to reduce, got a scalar")
+    # A C-ordered copy with the reduced (last) axis moved to the front.
+    return _mean_std_in_place(np.array(np.moveaxis(x, -1, 0), order="C"))
 
 
 _HUGE_DEVIATION = 2.0 ** 480

@@ -227,11 +227,15 @@ class TestMoments:
         assert abs(final["value"] - math.exp(-1.75 * 0.5)) < 3.0 * final["stderr"]
 
     def test_mc_memory_does_not_grow_with_horizon(self, monkeypatch, tmp_path):
-        # 2^16-value blocks fill at about 320 nodes with 200 paths, so both
-        # runs hold full blocks; what grows is the printed table (about
-        # 0.2 KB per row, 1.09x here). A stored ensemble grows by about 8 KB
-        # per node at these sizes (3.9x).
+        # 2^16-value draw and reducer blocks fill at about 320 nodes with 200
+        # paths, so both runs hold full blocks; what grows is the printed
+        # table (about 0.2 KB per row). The short run's draw block holds only
+        # 178 of 322 steps while its first node block is reduced, so it
+        # peaks lower: 1.19x here, 1.10x when the pairwise tree kept fewer
+        # work rows. A stored ensemble grows by about 8 KB per node at these
+        # sizes (3.9x).
         monkeypatch.setattr(engines, "CHUNK_VALUES", 2 ** 16)
+        monkeypatch.setattr(engines, "_REDUCE_VALUES", 2 ** 16)
         peaks = []
         for t1 in ("0.5", "2.0"):
             tracemalloc.start()

@@ -502,6 +502,7 @@ def test_kernel_equals_stacked_reference_bitwise(monkeypatch, n, paths, chunk):
     # every entry must still be the per-path stacked product's value.
     if chunk is not None:
         monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+        monkeypatch.setattr(engines, "_REDUCE_VALUES", chunk)
     rng = np.random.default_rng(100 * n + paths)
     sys_ = _random_system(n, rng)
     grid = TimeGrid(0.0, 0.01, 41)
@@ -551,14 +552,15 @@ def test_held_ensemble_serves_only_its_nodes():
 
 @pytest.mark.parametrize("chunk", [40, None])
 def test_streamed_moments_equal_ensemble_reduction(monkeypatch, chunk):
-    # CHUNK_VALUES 40 reduces 8 paths in blocks of 5 nodes (51 nodes: the
-    # last block has one) and steps 2 nodes per draw block.
+    # 40-value blocks reduce 8 paths in blocks of 5 nodes (51 nodes: the
+    # last block has one) and step 2 nodes per draw block.
     sys_ = gallery("triangular-2x2")
     grid = TimeGrid.spanning(0.0, 0.5, 1e-2)
     ens = simulate_fundamental(sys_, grid, paths=8, seed=6)
     means, stds = pairwise_mean_std(np.sum(ens.phi ** 2, axis=(2, 3)))
     if chunk is not None:
         monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+        monkeypatch.setattr(engines, "_REDUCE_VALUES", chunk)
     curve = mc_moment_curve(sys_, grid, 8, 6)
     assert np.array_equal(curve.ts, grid.times())
     assert np.array_equal(curve.values, means)
@@ -588,8 +590,8 @@ def test_mean_squares_of_paths_last_states_equal_the_paths_first_sum(monkeypatch
                                                                      paths):
     # From 1 to 256 entries: np.sum adds fewer than 8 one by one and 8 or
     # more pairwise, and the paths-last sums must follow it bit for bit.
-    # CHUNK_VALUES of three nodes reduces 7 nodes in three blocks.
-    monkeypatch.setattr(engines, "CHUNK_VALUES", 3 * paths)
+    # _REDUCE_VALUES of three nodes reduces 7 nodes in three blocks.
+    monkeypatch.setattr(engines, "_REDUCE_VALUES", 3 * paths)
     rng = np.random.default_rng(paths * len(shape) + shape[0])
     size = (7, paths, *shape)
     x = rng.normal(size=size) * 10.0 ** rng.uniform(-4, 4, size=size)
@@ -597,6 +599,41 @@ def test_mean_squares_of_paths_last_states_equal_the_paths_first_sum(monkeypatch
     states = [np.ascontiguousarray(np.moveaxis(node, 0, -1)) for node in x]
     means, stderrs = engines._mean_squares(states, len(x), paths)
     assert np.array_equal(means, mean) and np.array_equal(stderrs, std / math.sqrt(paths))
+
+
+@pytest.mark.parametrize("nodes", [1, 3, None])
+def test_mean_squares_do_not_depend_on_the_reducer_block(monkeypatch, nodes):
+    # Blocks of one node, of three nodes (11 nodes: the last block has two)
+    # and the default block (all 11 nodes) give the same bits.
+    rng = np.random.default_rng(21)
+    paths = 1001
+    x = rng.normal(size=(11, 2, paths)) * 10.0 ** rng.uniform(-5, 5, size=(11, 2, paths))
+    mean, std = pairwise_mean_std(np.sum(x * x, axis=1))
+    if nodes is not None:
+        monkeypatch.setattr(engines, "_REDUCE_VALUES", nodes * paths)
+    means, stderrs = engines._mean_squares(iter(x), len(x), paths)
+    assert np.array_equal(means, mean) and np.array_equal(stderrs, std / math.sqrt(paths))
+
+
+def test_mean_squares_hold_a_cache_sized_block():
+    # 5001 nodes of 1000 paths: 40 MB of sums in all, reduced in 2 MB node
+    # blocks; the states come from a generator and none is kept.
+    paths = 1000
+
+    def states(count):
+        rng = np.random.default_rng(8)
+        for _ in range(count):
+            yield rng.normal(size=(2, paths))
+
+    engines._mean_squares(states(11), 11, paths)       # warm up
+    tracemalloc.start()
+    try:
+        means, _ = engines._mean_squares(states(5001), 5001, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert means.shape == (5001,) and np.all(means > 0.0)
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("psys", [False, True])
@@ -633,11 +670,13 @@ def test_beyond_threshold_counts_non_finite_values_as_exploded():
 
 
 def test_moment_curve_reduces_its_node_blocks_in_place(monkeypatch):
-    # CHUNK_VALUES 2^16 and 200 paths: node blocks of 327 nodes, draw blocks
+    # 2^16-value blocks and 200 paths: node blocks of 327 nodes, draw blocks
     # of 309 steps, 1201 nodes. Peaks measured: 1.70 MB when the reducer
     # copied each block and the last increments block lived on while the
-    # next was drawn; 1.17 MB now.
+    # next was drawn; 1.17 MB with a recursive pairwise tree; 1.27 MB with
+    # the table tree, whose work rows take about a third of a node block.
     monkeypatch.setattr(engines, "CHUNK_VALUES", 2 ** 16)
+    monkeypatch.setattr(engines, "_REDUCE_VALUES", 2 ** 16)
     sys_ = gallery("perron-sde")
     mc_moment_curve(sys_, TimeGrid(1.0, 1e-3, 11), 200, 5)     # warm up
     tracemalloc.start()

@@ -157,6 +157,34 @@ def test_pairwise_mean_std():
         assert (means[i], stds[i]) == numerics.pairwise_mean_std(row)
 
 
+def _recursive_tree_sum(x):
+    """The fixed tree as a recursion: leaves of at most 8 rows add
+    0 + x[0] + x[1] + ... in order; larger nodes split at ceil(m / 2)."""
+    if len(x) <= 8:
+        return sum(x, np.zeros(x.shape[1:]))
+    half = (len(x) + 1) // 2
+    return _recursive_tree_sum(x[:half]) + _recursive_tree_sum(x[half:])
+
+
+@pytest.mark.parametrize("m", [*range(1, 301), 1000, 1001, 4097, 10 ** 5])
+def test_table_tree_sum_equals_the_recursive_tree_bitwise(m):
+    rng = np.random.default_rng(m)
+    x = rng.normal(size=(m, 3)) * 10.0 ** rng.uniform(-5, 5, size=(m, 3))
+    ref = _recursive_tree_sum(x)
+    transposed = np.ascontiguousarray(x.T).T       # strided rows, as _mean_squares reads
+    for values in (x, transposed):
+        assert np.array_equal(numerics._tree_sum(values), ref)
+    for column in (x[:, 1], transposed[:, 1], np.ascontiguousarray(x[:, 1])):
+        assert np.array_equal(numerics._tree_sum(column), ref[1])
+
+
+def test_pairwise_mean_std_refuses_a_scalar():
+    with pytest.raises(numerics.NumericsError, match="axis"):
+        numerics.pairwise_mean_std(np.float64(3.0))
+    with pytest.raises(numerics.NumericsError, match="axis"):
+        numerics.pairwise_mean_std(3.0)
+
+
 @pytest.mark.filterwarnings("error")
 def test_pairwise_std_of_values_near_1e300_is_finite():
     # Frozen paths' sums of squares reach about 1e300; their deviations

@@ -442,14 +442,14 @@ class TestStabilityExperiment:
 
     @pytest.mark.parametrize("chunk", [30, None])
     def test_moment_curve_blocks_equal_whole_reduction(self, monkeypatch, chunk):
-        # CHUNK_VALUES 30 holds the sums of 5 paths for 6 nodes at a time
+        # _REDUCE_VALUES 30 holds the sums of 5 paths for 6 nodes at a time
         # (101 nodes: the last block has five).
         grid = TimeGrid.spanning(0.0, 1.0, 1e-2)
         pens = simulate_perturbed(_zero_perturbation(gallery("diag-2x2")),
                                   np.array([0.3, -0.7]), grid, paths=5, seed=3)
         m, sd = pairwise_mean_std(np.sum(pens.values ** 2, axis=2))
         if chunk is not None:
-            monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+            monkeypatch.setattr(engines, "_REDUCE_VALUES", chunk)
         moments, stderrs = engines._mean_squares(np.moveaxis(pens.values, 1, -1), grid.count, 5)
         assert np.array_equal(moments, m)
         assert np.array_equal(stderrs, sd / math.sqrt(5))
@@ -504,21 +504,23 @@ class TestStabilityExperiment:
                                            (_escaping(), [1.0])])
     def test_streamed_moments_equal_the_stored_reduction(self, monkeypatch, chunk, psys,
                                                          xi0):
-        # CHUNK_VALUES 40 reduces 8 paths five nodes at a time.
+        # 40-value blocks reduce 8 paths five nodes at a time.
         grid = TimeGrid.spanning(1e-3, 0.201, 1e-3)
         pens = simulate_perturbed(psys, np.array(xi0), grid, 8, 4)
         means, stderrs = engines._mean_squares(np.moveaxis(pens.values, 1, -1), grid.count, 8)
         if chunk is not None:
             monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+            monkeypatch.setattr(engines, "_REDUCE_VALUES", chunk)
         curve = mc_moment_curve(psys, grid, 8, 4, x0=np.array(xi0))
         assert np.array_equal(curve.values, means) and np.array_equal(curve.stderrs, stderrs)
         assert curve.escaped == pens.escaped
 
     def test_streamed_moments_memory_does_not_grow_with_the_horizon(self, monkeypatch):
-        # CHUNK_VALUES 2^15 and 100 paths: about 0.5 MB of increment and sum
+        # 2^15-value blocks and 100 paths: about 0.5 MB of increment and sum
         # blocks. Kept nodes and increments would take 1.6 MB at 1000 steps
         # and 6.4 MB at 4000.
         monkeypatch.setattr(engines, "CHUNK_VALUES", 2 ** 15)
+        monkeypatch.setattr(engines, "_REDUCE_VALUES", 2 ** 15)
         psys, xi0 = _cubic_clipped(), np.array([0.5])
 
         def peak(steps: int) -> int:

@@ -1,6 +1,6 @@
 """Time one benchmark operation and report the peak memory of its process.
 
-    python3 tools/op_peak.py WORKLOAD OPERATION [--seed N] [--repeat N]
+    python3 tools/op_peak.py WORKLOAD [OPERATION] [--seed N] [--repeat N]
 
 Runs the operation named OPERATION of ``perfbench/workloads.py`` in this
 interpreter, through ``tools/output_digest.stdout_of`` (stdout and stderr
@@ -11,6 +11,11 @@ whose speed drifts, and the peak resident set size (``ru_maxrss``, in MB of
 2^20 bytes as the benchmark reports it) after ``import msd.cli`` and at the
 end. Exits 1 if a run exits non-zero or raises.
 
+Without OPERATION it runs every operation of the workload, each in a fresh
+process of its own, and prints one line per operation with the same three
+figures, so the operation that sets the workload's peak shows; it exits 1
+if any of them fails.
+
 To compare with another checkout, copy this file into its ``tools``
 directory and run it there.
 """
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import resource
+import subprocess
 import sys
 import time
 
@@ -30,10 +36,27 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _every_operation(workload: str, names: list[str], seed: int, repeat: int) -> int:
+    """Run each operation in a fresh process; print one line per operation."""
+    failed = False
+    for name in names:
+        child = subprocess.run(
+            [sys.executable, __file__, workload, name, "--seed", str(seed),
+             "--repeat", str(repeat)],
+            stdout=subprocess.PIPE, text=True, check=False)
+        figures = " ".join(child.stdout.split())
+        if child.returncode:
+            failed = True
+            figures = f"failed (exit {child.returncode}) {figures}".rstrip()
+        print(f"{name} {figures}", flush=True)
+    return 1 if failed else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=WORKLOADS)
-    parser.add_argument("operation")
+    parser.add_argument("operation", nargs="?",
+                        help="the operation to run; every operation, one process each, if omitted")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=1,
                         help="run the operation this many times and report the best wall time")
@@ -41,6 +64,8 @@ def main() -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     ops = {op.name: op for op in operations(args.workload, args.seed)}
+    if args.operation is None:
+        return _every_operation(args.workload, list(ops), args.seed, args.repeat)
     if args.operation not in ops:
         parser.error(f"operation must be one of {', '.join(ops)}")
     after_import = _peak_mb()
