@@ -14,14 +14,14 @@ Three routes to the same quantities, used to cross-check each other:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import expr as ex
 from .model import LinearSde, PerturbationSpec, PerturbedSde, Projector, adjoint
-from .numerics import (BrownianPath, BrownianStreams, MsdError, NumericFailure,
-                       _mean_std_in_place, brownian_batch, pairwise_mean_std)
+from .numerics import (BrownianPath, MsdError, NumericFailure, _mean_std_in_place,
+                       brownian_batch, pairwise_mean_std)
 
 
 class EngineError(MsdError):
@@ -153,8 +153,9 @@ class FundamentalEnsemble:
 
     Arrays are indexed [held node, path, row, col]; ``nodes`` lists the grid
     nodes held, ascending, and None means every node. The increments
-    [path, step] are retained so perturbed systems can be driven by the
-    exact same noise; an ensemble of selected nodes does not keep them.
+    [path, step] are retained by :func:`simulate_fundamental`, so perturbed
+    systems can be driven by the exact same noise, and are None from
+    :func:`fundamental_at`.
     """
 
     system: LinearSde
@@ -297,8 +298,7 @@ def _check_state(system: LinearSde | PerturbedSde, paths: int, vector: bool,
 
 
 def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int, seed: int,
-                   nodes, x0=None, inverse: bool = False,
-                   increments: np.ndarray | None = None):
+                   nodes, x0=None, inverse: bool = False):
     """Euler-Maruyama states at the requested grid nodes, one node at a time.
 
     Steps the fundamental matrix d(Phi) = A Phi dt + G Phi dw from Phi = Id
@@ -333,11 +333,9 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
     order transposes at its store.
 
     The increments are the per-path streams of :func:`brownian_batch`,
-    drawn a block of steps at a time, or ``increments`` [path, step] if
-    given. A step reads the increments of all paths, ``incr[:, i]``: one
-    contiguous row of a step-major draw, and the same values, more slowly,
-    from C-ordered ``increments``. The coefficients are tabulated per block
-    too.
+    drawn a block of steps at a time; a step reads the increments of all
+    paths, ``incr[:, i]``, one contiguous row of the step-major block. The
+    coefficients are tabulated per block too.
     """
     psys = system if isinstance(system, PerturbedSde) else None
     if psys is not None and (x0 is None or inverse):
@@ -364,10 +362,6 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
         fmap = _compile_map(psys.f, system.params)
         hmap = _compile_map(psys.h, system.params)
         fval, hval = np.empty_like(state), np.empty_like(state)
-    if increments is None:
-        streams = BrownianStreams(seed, paths, grid.dt)
-    elif increments.shape != (paths, grid.steps):
-        raise EngineError(f"increments must have shape ({paths}, {grid.steps})")
 
     def held(k: int):
         if psys is not None:
@@ -390,7 +384,7 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
         g = system.diffusion_at(times)
         if inverse:
             b_t, neg_g_t = map(np.ascontiguousarray, _adjoint_table(a, g))
-        incr = streams.draw(k1 - k0) if increments is None else increments[:, k0:k1]
+        incr = brownian_batch(seed, paths, dt, k1 - k0, k0)
         for i in range(k1 - k0):
             if psys is None:
                 state = _em_update(state, a[i], g[i], dt, incr[:, i])
@@ -417,37 +411,35 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
         del incr                # freed before the next block is drawn
 
 
-def fundamental_at(system: LinearSde, grid: TimeGrid, paths: int, seed: int, nodes,
-                   increments: np.ndarray | None = None) -> FundamentalEnsemble:
-    """Phi and Psi at the given grid nodes only; see :func:`euler_maruyama`.
-
-    The ensemble keeps ``increments`` when they are given, and none otherwise.
-    """
+def fundamental_at(system: LinearSde, grid: TimeGrid, paths: int, seed: int,
+                   nodes) -> FundamentalEnsemble:
+    """Phi and Psi at the given grid nodes only, without the increments;
+    see :func:`euler_maruyama`."""
     nodes = _requested_nodes(nodes, grid, paths)
     n = system.dim
     _check_store(2 * len(nodes) * paths * n * n, "the ensemble of Phi and Psi")
     phi = np.empty((len(nodes), paths, n, n))
     psi = np.empty_like(phi)
-    states = euler_maruyama(system, grid, paths, seed, nodes, inverse=True,
-                            increments=increments)
+    states = euler_maruyama(system, grid, paths, seed, nodes, inverse=True)
     for j, (_, phi_k, psi_t) in enumerate(states):
         phi[j] = phi_k.transpose(2, 0, 1)
         psi[j] = psi_t.transpose(2, 1, 0)
     return FundamentalEnsemble(
         system=system, grid=grid, paths=paths, phi=phi, psi=psi,
-        increments=increments, nodes=None if len(nodes) == grid.count else nodes,
+        increments=None, nodes=None if len(nodes) == grid.count else nodes,
     )
 
 
 def simulate_fundamental(system: LinearSde, grid: TimeGrid, paths: int, seed: int) -> FundamentalEnsemble:
     """Euler-Maruyama for d(Phi) = A Phi dt + G Phi dw and the coupled
     inverse d(Psi) = Psi(-A + G^2) dt - Psi G dw on the same increments,
-    kept at every node together with the increments."""
+    kept at every node together with the increments: the whole grid's
+    :func:`brownian_batch`, the values the kernel drew block by block."""
     nodes = _requested_nodes(np.arange(grid.count), grid, paths)
     _check_store(paths * (2 * grid.count * system.dim ** 2 + grid.steps),
                  "the ensemble of Phi and Psi")
-    incr = brownian_batch(seed, paths, grid.dt, grid.steps)
-    return fundamental_at(system, grid, paths, seed, nodes, incr)
+    ens = fundamental_at(system, grid, paths, seed, nodes)
+    return replace(ens, increments=brownian_batch(seed, paths, grid.dt, grid.steps))
 
 
 def simulate_vectors(system: LinearSde, grid: TimeGrid, paths: int, seed: int,

@@ -4,8 +4,9 @@ Randomness is counter-based: a stream is identified by ``(seed, stream_index)``
 and is reproducible in isolation, so path m of a simulation always sees the
 same increments no matter how many other paths run or in what order. Value j
 of a stream is a pure function of its key and j (Philox; Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so a batch of
-streams is drawn from one bit generator re-keyed per stream. Normal
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so any block of
+steps of a batch of streams is drawn alone, from one bit generator re-keyed
+per stream at the block's counter (:func:`brownian_batch`). Normal
 variates of the Brownian increments come from the inverse CDF applied to
 fixed-width uniforms, one draw per variate, never from rejection sampling, so
 path streams never diverge between runs. (Draws that drive no path, such as
@@ -122,66 +123,52 @@ def brownian(t0: float, dt: float, steps: int, stream: RngStream) -> BrownianPat
     return BrownianPath(t0, dt, normals(stream, steps) * np.sqrt(dt))
 
 
-class BrownianStreams:
-    """Increments of paths 0..n_paths-1, drawn in consecutive blocks of steps.
+def brownian_batch(seed: int, n_paths: int, dt: float, steps: int,
+                   start: int = 0) -> np.ndarray:
+    """Increments ``start .. start + steps - 1`` of paths 0..n_paths-1;
+    shape (n_paths, steps).
 
-    Path m reads ``RngStream(seed, m)`` from its start, so blocks laid side
-    by side are bit-identical to :func:`normals` on each path's stream,
-    whatever the block sizes. Every path has drawn the same number of
-    values, which fixes the Philox counter of all of them; so no per-path
-    state is kept, and each block re-keys one bit generator per path at
-    that counter.
+    Increment j of path m is value j of ``RngStream(seed, m)`` times
+    sqrt(dt), a pure function of (seed, m, j): blocks laid side by side
+    are bit-identical to :func:`normals` on each path's stream, whatever
+    the block sizes. Each call re-keys one bit generator per path at the
+    block's Philox counter and keeps no state.
+
+    The values are held step-major: the result is the transposed view of
+    a C-ordered (steps, n_paths) buffer, so the increments of one step,
+    ``brownian_batch(...)[:, i]``, are one contiguous row, as an
+    Euler-Maruyama step reads them.
     """
-
-    def __init__(self, seed: int, n_paths: int, dt: float):
-        _check_dt(dt)
-        self._seed = seed % 2**64
-        self._paths = n_paths
-        self._root = np.sqrt(dt)
-        self._drawn = 0          # values drawn so far on every path
-        self._bits = np.random.Philox(key=0)   # re-keyed for every path
-
-    def draw(self, steps: int) -> np.ndarray:
-        """The next ``steps`` increments of every path; shape (n_paths, steps).
-
-        The values are held step-major: the result is the transposed view of
-        a C-ordered (steps, n_paths) buffer, so the increments of one step,
-        ``draw(...)[:, i]``, are one contiguous row, as an Euler-Maruyama
-        step reads them.
-        """
-        # Philox makes 4 values per counter step and steps the counter before
-        # it fills its buffer, so value j comes from counter j // 4 + 1:
-        # start one counter back with an empty buffer and drop the values
-        # of the current counter that were drawn already.
-        block, skip = divmod(self._drawn, 4)
-        key = np.array([self._seed, 0], dtype=np.uint64)
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": np.array([block, 0, 0, 0], dtype=np.uint64),
-                           "key": key},
-                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-        # Generator.integers(0, 2**53) maps a raw value r to r >> 11 (Lemire's
-        # method never rejects on a power-of-two range); the rest of
-        # _normals' arithmetic runs in place on the one output buffer.
-        out = np.empty((steps, self._paths)).T
-        for m in range(self._paths):
-            key[1] = m
-            self._bits.state = state
-            raw = self._bits.random_raw(skip + steps)
-            raw >>= np.uint64(11)
-            out[m] = raw[skip:]
-        self._drawn += steps
-        out += 0.5
-        out *= _U53
-        ndtri(out, out=out)
-        out *= self._root
-        return out
-
-
-def brownian_batch(seed: int, n_paths: int, dt: float, steps: int) -> np.ndarray:
-    """Increments for paths 0..n_paths-1, one stream per path; shape (n_paths, steps),
-    held step-major as :meth:`BrownianStreams.draw` holds them."""
-    return BrownianStreams(seed, n_paths, dt).draw(steps)
+    _check_dt(dt)
+    if start < 0:
+        raise NumericsError(f"start must be non-negative, got {start}")
+    # Philox makes 4 values per counter step and steps the counter before it
+    # fills its buffer, so value j comes from counter j // 4 + 1: start one
+    # counter back with an empty buffer and drop the values of the current
+    # counter that come before ``start``.
+    block, skip = divmod(start, 4)
+    key = np.array([seed % 2**64, 0], dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.array([block, 0, 0, 0], dtype=np.uint64),
+                       "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    bits = np.random.Philox(key=0)      # re-keyed for every path
+    # Generator.integers(0, 2**53) maps a raw value r to r >> 11 (Lemire's
+    # method never rejects on a power-of-two range); the rest of _normals'
+    # arithmetic runs in place on the one output buffer.
+    out = np.empty((steps, n_paths)).T
+    for m in range(n_paths):
+        key[1] = m
+        bits.state = state
+        raw = bits.random_raw(skip + steps)
+        raw >>= np.uint64(11)
+        out[m] = raw[skip:]
+    out += 0.5
+    out *= _U53
+    ndtri(out, out=out)
+    out *= np.sqrt(dt)
+    return out
 
 
 # ---------------------------------------------------------------------------

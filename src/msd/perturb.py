@@ -26,7 +26,7 @@ from .engines import (FundamentalEnsemble, TimeGrid, _check_state, _check_store,
                       _map_values, _mean_squares, euler_maruyama, mc_moment_curve)
 from .lyapunov import regularity_estimate, spectrum
 from .model import PerturbedSde, gallery
-from .numerics import MsdError, NumericFailure, RngStream, brownian_batch
+from .numerics import MsdError, NumericFailure, RngStream
 
 
 class PerturbError(MsdError):
@@ -193,8 +193,8 @@ def simulate_perturbed(psys: PerturbedSde, xi0, grid: TimeGrid, paths: int,
                        seed: int) -> PerturbedEnsemble:
     """Left-point Euler-Maruyama for the nonlinear system, every node kept.
 
-    Steps through :func:`msd.engines.euler_maruyama` on increments from
-    the same per-path streams as the fundamental ensemble, so a zero
+    Steps through :func:`msd.engines.euler_maruyama`, which draws the
+    same per-path streams as the fundamental ensemble, so a zero
     perturbation reproduces Phi(t) xi0 path by path. Paths that leave the
     explosion threshold are frozen and timestamped rather than aborting the
     run; unstable experiments need the survivors.
@@ -207,11 +207,10 @@ def simulate_perturbed(psys: PerturbedSde, xi0, grid: TimeGrid, paths: int,
         raise PerturbError(f"initial condition must have {n} components")
     if not np.all(np.isfinite(xi0)):
         raise PerturbError("initial condition must be finite")
-    _check_store(paths * (grid.count * n + grid.steps), "the perturbed paths")
-    incr = brownian_batch(seed, paths, grid.dt, grid.steps)
+    _check_store(paths * grid.count * n, "the perturbed paths")
     values = np.empty((grid.count, paths, n))
     for k, u, escape in euler_maruyama(psys, grid, paths, seed, np.arange(grid.count),
-                                       x0=xi0, increments=incr):
+                                       x0=xi0):
         values[k] = u.T
     return PerturbedEnsemble(grid=grid, paths=paths, values=values, escape_times=escape)
 
@@ -235,7 +234,7 @@ def voc_solve(psys: PerturbedSde, xi0, ens: FundamentalEnsemble,
         raise PerturbError("ensemble dimension does not match the system")
     if ens.increments is None:
         raise PerturbError("the ensemble keeps no increments; simulate it with "
-                           "simulate_fundamental or pass fundamental_at its increments")
+                           "simulate_fundamental")
     if ens.nodes is not None:
         raise PerturbError(f"the ensemble holds {len(ens.nodes)} of the grid's "
                            f"{ens.grid.count} nodes; Picard iteration needs every node")
@@ -301,6 +300,8 @@ def stability_experiment(psys: PerturbedSde, delta: float, horizon: float,
     """
     if not 0.0 < delta < math.inf:
         raise PerturbError(f"initial radius delta must be positive and finite, got {delta!r}")
+    if not 0.0 < horizon < math.inf:
+        raise PerturbError(f"horizon must be positive and finite, got {horizon!r}")
     if paths < 1:
         raise PerturbError("need at least one path")
     # Refused before the fit, the spectrum and the regularity estimate run.
@@ -375,6 +376,11 @@ def _check_instability_params(a: float, b: float, lam: float) -> None:
             f"{lam_gate:.6g}; got lambda={lam}")
 
 
+# The Monte Carlo run of the Perron example starts here, clear of the
+# coefficients' sin(log t) at t = 0.
+_PERRON_T0 = 1e-4
+
+
 def perron_instability(a: float, b: float, lam: float,
                        delta_window: float = 0.01, horizon: float = 10.0,
                        paths: int = 400, seed: int = 0,
@@ -393,6 +399,9 @@ def perron_instability(a: float, b: float, lam: float,
     _check_instability_params(a, b, lam)
     if not 0.0 < delta_window < _PI / 4:
         raise PerturbError("delta window must lie in (0, pi/4)")
+    if not _PERRON_T0 < horizon < math.inf:
+        raise PerturbError(f"horizon must be finite and above the Monte Carlo start "
+                           f"{_PERRON_T0:g}, got {horizon!r}")
 
     growth_bound = (-2.0 * a + 2.0 * b
                     + 2.0 * ((lam + 2.0) * b * math.cos(delta_window) - lam * a)
@@ -413,7 +422,7 @@ def perron_instability(a: float, b: float, lam: float,
     chi_det = 2.0 * (log_phi22 + log_integral) / t_star
 
     psys = gallery("perron-sde-perturbed", a=a, b=b, **{"lambda": lam})
-    grid = TimeGrid.spanning(1e-4, horizon, dt)
+    grid = TimeGrid.spanning(_PERRON_T0, horizon, dt)
     pens = simulate_perturbed(psys, np.array([1.0, 0.0]), grid, paths, seed)
     (m,), (se,) = _mean_squares([np.moveaxis(pens.values[-1, :, 1:], 0, -1)], 1, paths)
     chi_mc = math.log(m) / horizon if m > 0 else -math.inf

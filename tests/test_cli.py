@@ -16,7 +16,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from msd import cli, engines
+from msd import cli, engines, perturb
 from msd.cli import build_parser, dispatch
 from msd.dichotomy import fit_envelope, pair_grid
 from msd.engines import (ExplosionError, MomentCurve, MomentSurface, TimeGrid,
@@ -227,17 +227,15 @@ class TestMoments:
         assert abs(final["value"] - math.exp(-1.75 * 0.5)) < 3.0 * final["stderr"]
 
     def test_mc_memory_does_not_grow_with_horizon(self, monkeypatch, tmp_path):
-        # 2^16-value draw and reducer blocks fill at about 320 nodes with 200
-        # paths, so both runs hold full blocks; what grows is the printed
-        # table (about 0.2 KB per row). The short run's draw block holds only
-        # 178 of 322 steps while its first node block is reduced, so it
-        # peaks lower: 1.19x here, 1.10x when the pairwise tree kept fewer
-        # work rows. A stored ensemble grows by about 8 KB per node at these
-        # sizes (3.9x).
+        # 2^16-value draw and reducer blocks fill at 322 steps and 327 nodes
+        # with 200 paths, so both runs hold a full draw block while their
+        # first node block is reduced; what grows is the printed table
+        # (about 0.2 KB per row). Peaks measured: 1.33 and 1.43 MB, 1.07x.
+        # A stored ensemble grows by about 8 KB per node at these sizes.
         monkeypatch.setattr(engines, "CHUNK_VALUES", 2 ** 16)
         monkeypatch.setattr(engines, "_REDUCE_VALUES", 2 ** 16)
         peaks = []
-        for t1 in ("0.5", "2.0"):
+        for t1 in ("1.0", "4.0"):
             tracemalloc.start()
             try:
                 code = dispatch(["moments", "--system", "gbm", "--method", "mc",
@@ -392,6 +390,19 @@ class TestPerturb:
         assert payload["hypothesis_ok"] is True
         assert payload["verdict"] == "PASS"
         assert payload["envelope_margin"] < 0.0
+
+    @pytest.mark.parametrize("horizon", ["0", "-1", "nan", "inf"])
+    def test_stability_refuses_a_bad_horizon_before_the_fit(self, capsys, monkeypatch,
+                                                            horizon):
+        def reached(*args, **kwargs):
+            raise AssertionError("the fit ran before the horizon was checked")
+
+        monkeypatch.setattr(perturb, "fit_envelope", reached)
+        code, out, err = run_cli(capsys, "perturb", "--system", "gbm",
+                                 "--mode", "stability", "--horizon", horizon)
+        assert code == 1 and out == ""
+        assert err == ("error: validation: horizon must be positive and finite, "
+                       f"got {float(horizon)!r}\n")
 
     def test_stability_reports_escaped_paths(self, capsys):
         # A drift perturbation of 100 u1 makes every path pass the explosion
@@ -668,9 +679,12 @@ class TestExitCodes:
     ])
     def test_non_finite_time_bound_is_a_validation_error(self, capsys, argv):
         # Each of these once ended in a traceback from math.ceil in the grid.
+        # perturb and perron name their horizon, refused before any pass runs.
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
-        assert err.startswith("error: validation: time bounds must be finite")
+        named = argv[0] in ("perturb", "perron")
+        assert err.startswith("error: validation: "
+                              + ("horizon must" if named else "time bounds must be finite"))
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msd import engines, perturb
+from msd import dichotomy, engines, perturb
 from msd.dichotomy import dichotomy_surface
 from msd.engines import (
     DivergenceError,
@@ -25,6 +25,7 @@ from msd.engines import (
     transition_second_moment,
     triangular_fundamental,
 )
+from msd.lyapunov import duality_defect
 from msd.model import LinearSde, PerturbationSpec, PerturbedSde, gallery, make_projector
 from msd.numerics import BrownianPath, RngStream, brownian, brownian_batch, pairwise_mean_std
 
@@ -436,9 +437,9 @@ def test_transition_rejects_coupled_projector():
 @pytest.mark.parametrize("chunk", [1, 100, None])
 def test_kernel_results_do_not_depend_on_the_block_size(monkeypatch, chunk):
     # CHUNK_VALUES 1 steps one node per block, 100 gives ragged 6-step
-    # blocks, None keeps the default (one block here). The held ensemble
-    # draws its own increments block by block; the full one takes them from
-    # brownian_batch.
+    # blocks, None keeps the default (one block here). Both ensembles step
+    # on increments drawn block by block; the full one also keeps the whole
+    # grid's brownian_batch.
     sys_ = gallery("perron-sde")
     grid = TimeGrid.spanning(1.0, 1.5, 1e-2)
     ens = simulate_fundamental(sys_, grid, paths=3, seed=4)
@@ -448,6 +449,7 @@ def test_kernel_results_do_not_depend_on_the_block_size(monkeypatch, chunk):
         monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
     again = simulate_fundamental(sys_, grid, paths=3, seed=4)
     assert np.array_equal(again.phi, ens.phi) and np.array_equal(again.psi, ens.psi)
+    assert np.array_equal(again.increments, ens.increments)
     held = fundamental_at(sys_, grid, 3, 4, [50, 7, 0, 13, 7])
     assert held.increments is None and list(held.nodes) == [0, 7, 13, 50]
     assert np.array_equal(held.phi, ens.phi[held.nodes])
@@ -636,32 +638,79 @@ def test_mean_squares_hold_a_cache_sized_block():
     assert peak < 4e6
 
 
-@pytest.mark.parametrize("psys", [False, True])
-def test_kernel_reads_c_ordered_increments_bitwise(psys):
-    # A step reads one contiguous row of step-major increments; C-ordered
-    # [path, step] increments give the same states, and the kept states of
-    # a run are those of the run.
-    rng = np.random.default_rng(12)
-    sys_ = _random_system(3, rng)
+def test_kernel_keeps_the_states_it_yields():
+    # Each step makes new state arrays, so the kept states of a run are
+    # those of the run.
+    sys_ = _random_system(3, np.random.default_rng(12))
     grid = TimeGrid(0.0, 0.01, 41)
-    incr = brownian_batch(4, 6, grid.dt, grid.steps)
-    assert incr[:, 0].flags.c_contiguous
-    if psys:
-        sys_ = PerturbedSde(base=sys_, f=PerturbationSpec.power_clipped(0.3, 2.0, 1.0),
-                            h=PerturbationSpec.zero(), c=0.3, q=2.0)
-    kw = {"x0": rng.normal(size=3)} if psys else {"inverse": True}
     nodes = np.arange(grid.count)
-    runs = [list(euler_maruyama(sys_, grid, 6, 4, nodes, increments=i, **kw))
-            for i in (None, incr, np.ascontiguousarray(incr))]
-    for run in runs[1:]:
-        for (k, x, y), (k1, x1, y1) in zip(runs[0], run):
-            assert k == k1 and np.array_equal(x, x1) and np.array_equal(y, y1, equal_nan=True)
-    if not psys:
-        ens = fundamental_at(sys_, grid, 6, 4, nodes)
-        assert np.array_equal(np.stack([x for _, x, _ in runs[0]]),
-                              ens.phi.transpose(0, 2, 3, 1))
-        assert np.array_equal(np.stack([y for _, _, y in runs[0]]),
-                              ens.psi.transpose(0, 3, 2, 1))
+    run = list(euler_maruyama(sys_, grid, 6, 4, nodes, inverse=True))
+    ens = fundamental_at(sys_, grid, 6, 4, nodes)
+    assert np.array_equal(np.stack([x for _, x, _ in run]), ens.phi.transpose(0, 2, 3, 1))
+    assert np.array_equal(np.stack([y for _, _, y in run]), ens.psi.transpose(0, 3, 2, 1))
+
+
+def _counted_draws(monkeypatch) -> list:
+    """Record ``(n_paths, start, steps)`` of every draw the kernel makes."""
+    calls = []
+    draw = engines.brownian_batch
+
+    def counted(seed, n_paths, dt, steps, start=0):
+        calls.append((n_paths, start, steps))
+        return draw(seed, n_paths, dt, steps, start)
+    monkeypatch.setattr(engines, "brownian_batch", counted)
+    return calls
+
+
+def _drawn_steps(calls, paths: int) -> int:
+    """Steps drawn per path by ``calls``, checked to be consecutive blocks
+    of every path from step 0."""
+    drawn = 0
+    for n_paths, start, steps in calls:
+        assert n_paths == paths and start == drawn
+        drawn += steps
+    return drawn
+
+
+_PERRON_X0 = np.array([1.0, 0.0])
+
+# Each route run on (system, grid, paths, seed), set up to step that grid
+# to its last node.
+_DRAWING_ROUTES = {
+    "mc_moment_curve": lambda s, g, p, q: mc_moment_curve(s, g, p, q),
+    "mc_moment_curve_perturbed": lambda s, g, p, q: mc_moment_curve(
+        gallery("perron-sde-perturbed"), g, p, q, x0=_PERRON_X0),
+    "simulate_vectors": lambda s, g, p, q: simulate_vectors(s, g, p, q, _PERRON_X0),
+    "fundamental_at": lambda s, g, p, q: fundamental_at(s, g, p, q, [0, 7, g.steps]),
+    "simulate_perturbed": lambda s, g, p, q: perturb.simulate_perturbed(
+        gallery("perron-sde-perturbed"), _PERRON_X0, g, p, q),
+    "duality_defect": lambda s, g, p, q: duality_defect(
+        s, np.eye(2), np.eye(2), horizon=g.t0 + 0.3, dt=0.1, seed=q, t_start=g.t0,
+        drift_paths=p, drift_dt=g.dt),
+    "surface_mc": lambda s, g, p, q: dichotomy._surface_mc(
+        s, None, [(g.t0, g.t0 + 0.1), (g.t0 + 0.1, g.t0 + 0.3)], "stable", g.dt, p, q),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_DRAWING_ROUTES))
+def test_every_route_draws_through_brownian_batch(monkeypatch, route):
+    # 140-value blocks: 8 paths of a 2-d system draw blocks of 7 steps, the
+    # last of 2.
+    monkeypatch.setattr(engines, "CHUNK_VALUES", 140)
+    calls = _counted_draws(monkeypatch)
+    grid = TimeGrid.spanning(1.0, 1.3, 1e-2)
+    _DRAWING_ROUTES[route](gallery("perron-sde"), grid, 8, 3)
+    assert _drawn_steps(calls, 8) == grid.steps == 30
+
+
+def test_simulate_fundamental_keeps_a_second_draw_of_the_same_increments(monkeypatch):
+    monkeypatch.setattr(engines, "CHUNK_VALUES", 140)
+    calls = _counted_draws(monkeypatch)
+    grid = TimeGrid.spanning(1.0, 1.3, 1e-2)
+    ens = simulate_fundamental(gallery("perron-sde"), grid, 8, 3)
+    assert calls[-1] == (8, 0, grid.steps)
+    assert _drawn_steps(calls[:-1], 8) == grid.steps
+    assert np.array_equal(ens.increments, brownian_batch(3, 8, grid.dt, grid.steps))
 
 
 def test_beyond_threshold_counts_non_finite_values_as_exploded():

@@ -52,8 +52,6 @@ def test_brownian_sampling_needs_a_positive_finite_step(dt):
     with pytest.raises(numerics.NumericsError, match="dt must be positive and finite"):
         numerics.brownian(0.0, dt, 10, RngStream(1, 0))
     with pytest.raises(numerics.NumericsError, match="dt must be positive and finite"):
-        numerics.BrownianStreams(seed=1, n_paths=2, dt=dt)
-    with pytest.raises(numerics.NumericsError, match="dt must be positive and finite"):
         numerics.brownian_batch(1, 2, dt, 10)
 
 
@@ -82,25 +80,27 @@ def test_brownian_batch_matches_single_streams():
 
 
 @pytest.mark.parametrize("block", [1, 7, 333])
-def test_brownian_streams_blocks_equal_batch(block):
+def test_brownian_batch_blocks_equal_the_whole_batch(block):
     # 1003 steps: blocks end at every position within Philox's 4-value counter.
-    sizes = [block] * (1003 // block) + ([1003 % block] if 1003 % block else [])
+    starts = range(0, 1003, block)
     for seed in SEEDS:
-        streams = numerics.BrownianStreams(seed=seed, n_paths=5, dt=0.01)
-        drawn = np.concatenate([streams.draw(m) for m in sizes], axis=1)
+        drawn = np.concatenate([numerics.brownian_batch(seed, 5, 0.01, min(block, 1003 - k), k)
+                                for k in starts], axis=1)
         assert np.array_equal(drawn, _oracle(seed, 5, 0.01, 1003))
         assert np.array_equal(drawn, numerics.brownian_batch(seed, 5, 0.01, 1003))
-    with pytest.raises(numerics.NumericsError):
-        numerics.BrownianStreams(seed=3, n_paths=5, dt=0.0)
+
+
+def test_brownian_batch_refuses_a_negative_start():
+    with pytest.raises(numerics.NumericsError, match="start must be non-negative, got -1"):
+        numerics.brownian_batch(1, 2, 0.01, 10, -1)
 
 
 @pytest.mark.parametrize("steps", [1, 6, 13])
-def test_draw_holds_each_step_contiguously(steps):
+def test_batch_holds_each_step_contiguously(steps):
     # A step's increments of every path are one contiguous row, and the
     # values are still each path's own stream.
     for seed in SEEDS:
-        streams = numerics.BrownianStreams(seed=seed, n_paths=7, dt=0.01)
-        blocks = [streams.draw(steps) for _ in range(3)]
+        blocks = [numerics.brownian_batch(seed, 7, 0.01, steps, j * steps) for j in range(3)]
         for block in blocks:
             assert block.shape == (7, steps)
             assert all(block[:, i].flags.c_contiguous for i in range(steps))
@@ -109,7 +109,7 @@ def test_draw_holds_each_step_contiguously(steps):
 
 @pytest.mark.parametrize("key", [[0, 0], [5, 3], [2**64 - 5, 17]])
 def test_bounded_integers_are_shifted_raw_values(key):
-    # BrownianStreams reads raw Philox output where _normals asks the
+    # brownian_batch reads raw Philox output where _normals asks the
     # Generator for integers in [0, 2^53); Lemire's method never rejects on
     # that range and returns raw >> 11.
     key = np.array(key, dtype=np.uint64)
@@ -119,14 +119,13 @@ def test_bounded_integers_are_shifted_raw_values(key):
     assert np.array_equal(bounded, raw >> np.uint64(11))
 
 
-def test_brownian_streams_memory():
+def test_brownian_batch_memory():
+    # A block past the start of the streams takes little beyond its own
+    # buffer: one path's raw values at a time.
+    numerics.brownian_batch(1, 2, 0.01, 50, 7)      # warm up
     tracemalloc.start()
     try:
-        numerics.BrownianStreams(1, 10**5, 0.01)
-        assert tracemalloc.get_traced_memory()[1] < 10e6
-        streams = numerics.BrownianStreams(1, 10**4, 0.01)
-        tracemalloc.reset_peak()
-        block = streams.draw(50)
+        block = numerics.brownian_batch(1, 10**4, 0.01, 50, 7)
         assert tracemalloc.get_traced_memory()[1] <= 1.25 * block.nbytes
     finally:
         tracemalloc.stop()

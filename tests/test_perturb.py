@@ -7,7 +7,7 @@ against probe runs and sit several noise widths away from their thresholds.
 import json
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -275,8 +275,9 @@ class TestSimulatePerturbed:
         times = grid.times()
         assert sorted(ref_escape[np.isfinite(ref_escape)]) == sorted(
             times[np.array(steps) + 1])
-        streamed = list(euler_maruyama(psys, grid, 6, 0, np.arange(grid.count), x0=xi0,
-                                       increments=incr))
+        monkeypatch.setattr(engines, "brownian_batch",
+                            lambda seed, n, dt, steps, start=0: incr[:, start:start + steps])
+        streamed = list(euler_maruyama(psys, grid, 6, 0, np.arange(grid.count), x0=xi0))
         assert np.array_equal(np.stack([u.T for _, u, _ in streamed]), ref)
         assert np.array_equal(streamed[-1][2], ref_escape, equal_nan=True)
 
@@ -397,10 +398,10 @@ class TestVocSolve:
         with pytest.raises(PerturbError, match="keeps no increments"):
             voc_solve(psys, xi0, drawn)
         incr = brownian_batch(0, 3, grid.dt, grid.steps)
-        some = fundamental_at(base, grid, 3, 0, [0, 10, 50], increments=incr)
+        some = replace(fundamental_at(base, grid, 3, 0, [0, 10, 50]), increments=incr)
         with pytest.raises(PerturbError, match="holds 3 of the grid's 51 nodes"):
             voc_solve(psys, xi0, some)
-        whole = fundamental_at(base, grid, 3, 0, np.arange(grid.count), increments=incr)
+        whole = replace(drawn, increments=incr)
         assert voc_solve(psys, xi0, whole).iterations == 1
 
     def test_input_validation(self):
@@ -498,6 +499,17 @@ class TestStabilityExperiment:
             stability_experiment(_cubic_clipped(), delta=delta, horizon=1.0,
                                  paths=paths, seed=0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    def test_horizon_rejected_before_any_pass(self, monkeypatch, horizon):
+        def reached(*args, **kwargs):
+            raise AssertionError("a pass ran before the horizon was checked")
+
+        for name in ("dichotomy_surface", "fit_envelope", "spectrum", "regularity_estimate"):
+            monkeypatch.setattr(perturb, name, reached)
+        with pytest.raises(PerturbError, match="horizon must be positive and finite"):
+            stability_experiment(_cubic_clipped(), delta=0.01, horizon=horizon,
+                                 paths=10, seed=0)
+
     @pytest.mark.parametrize("chunk", [40, None])
     @pytest.mark.parametrize("psys, xi0", [(_cubic_clipped(), [0.5]),
                                            (gallery("perron-sde-perturbed"), [1.0, 0.0]),
@@ -580,6 +592,16 @@ class TestPerronInstability:
             perron_instability(1.05, 1.0, -0.5)
         with pytest.raises(PerturbError, match="delta window"):
             perron_instability(1.05, 1.0, 1.0, delta_window=1.0)
+
+    @pytest.mark.parametrize("horizon", [1e-4, 0.0, -1.0, math.nan, math.inf])
+    def test_horizon_must_pass_the_start(self, monkeypatch, horizon):
+        def reached(*args, **kwargs):
+            raise AssertionError("the Monte Carlo run started before the horizon was checked")
+
+        monkeypatch.setattr(perturb, "simulate_perturbed", reached)
+        with pytest.raises(PerturbError, match="horizon must be finite and above the "
+                                               "Monte Carlo start 0.0001"):
+            perron_instability(1.05, 1.0, 1.0, horizon=horizon)
 
     def test_report_serializes(self, perron_report):
         payload = cli._perron_to_dict(perron_report)

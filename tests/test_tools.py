@@ -1,4 +1,4 @@
-"""Summary arithmetic of tools/bench_pairs.py, on fixed numbers."""
+"""The repository tools on fixed inputs, and the names the benchmark tracer pins."""
 
 import importlib.util
 from pathlib import Path
@@ -49,11 +49,28 @@ def test_summary_follows_the_better_direction():
     assert row["verdict"] == "worse beyond bound"
 
 
-def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, _PATH.parent / f"{name}.py")
+def _load_tool(name, folder="tools"):
+    spec = importlib.util.spec_from_file_location(
+        name, _PATH.parent.parent / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_name_the_tracer_pins_is_an_msd_callable():
+    # A traced benchmark run wraps these names; one that is gone would fail
+    # only that run.
+    tracing = _load_tool("tracing", "perfbench")
+    entries = set()
+    for module_name, attr, _, _ in tracing.ENTRY_POINTS:
+        owner = importlib.import_module(module_name)
+        *cls, name = attr.split(".")
+        if cls:
+            owner = getattr(owner, cls[0])
+        assert callable(vars(owner).get(name)), f"{module_name}.{attr}"
+        entries.add(f"{module_name.removeprefix('msd.')}.{attr}")
+    for workload, expected in tracing.EXPECTED.items():
+        assert set(expected) <= entries, workload
 
 
 def test_output_digest_reads_every_readme_command_once():
