@@ -210,21 +210,21 @@ def bounds_report(system: LinearSde, horizon: float) -> dict:
 
 
 def triangularize_paths(ens: FundamentalEnsemble) -> TriangularizationResult:
-    """QR of Phi at every node of every path.
+    """QR of Phi at every held node of every path.
 
     The positive-diagonal convention of the QR fixes the sign ambiguity, so
     S varies continuously along a path once the grid is fine enough to keep
     consecutive factors close.
     """
     phi = ens.phi
-    times = ens.grid.times()
+    times = ens.grid.times()[ens.nodes]
     try:
         s, x = gram_schmidt_qr(phi)
     except RankDeficientError as exc:
-        node, path = exc.index
+        held, path = exc.index
         raise _RankDeficientFlowError(
-            f"fundamental matrix numerically rank-deficient at node {node} "
-            f"(t={times[node]:.6g}), path {path}: column {exc.column}"
+            f"fundamental matrix numerically rank-deficient at node {ens.nodes[held]} "
+            f"(t={times[held]:.6g}), path {path}: column {exc.column}"
         ) from None
     eye = np.eye(phi.shape[-1])
     orth = np.linalg.norm(np.einsum("kpij,kpil->kpjl", s, s) - eye, axis=(2, 3))

@@ -134,10 +134,10 @@ _START_HELP = ("start time (default 0); the log-time gallery systems perron-ode,
                "perron-sde and perron-sde-perturbed need a positive start, e.g. 0.001")
 
 
-def _add_system_flag(parser, required: bool = True) -> None:
-    parser.add_argument("--system", required=required, metavar="NAME_OR_FILE",
+def _add_system_flag(parser, note: str = "") -> None:
+    parser.add_argument("--system", required=True, metavar="NAME_OR_FILE",
                         help="gallery name (see `msd example list`) or path to a "
-                             "system JSON file in the `example show` format")
+                             "system JSON file in the `example show` format" + note)
 
 
 def build_parser() -> _Parser:
@@ -227,41 +227,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("perturb", parents=[common],
                        help="falsify the smallness condition or run a stability experiment")
-    _add_system_flag(p)
+    _add_system_flag(p, note="; a linear system takes f(u) = u min(||u||, 1)^2, h = 0, "
+                             "c = 9, q = 2, and a perturbed one carries its own")
     p.add_argument("--mode", choices=("condition", "stability"), required=True)
-    # A perturbed --system carries its own perturbation, so these flags are
-    # refused with one; a linear --system takes _PERTURBATION_DEFAULTS.
-    p.add_argument("--perturbation", choices=("power-clipped", "zero", "expr"),
-                   help="drift perturbation shape for a linear --system (default "
-                        "power-clipped); with a perturbed one, this flag and those "
-                        "through --q are refused")
-    p.add_argument("--coef", type=float,
-                   help="power-clipped coefficient (default 1)")
-    p.add_argument("--power", type=float,
-                   help="power-clipped growth degree (default 3)")
-    p.add_argument("--clip", type=float,
-                   help="power-clipped saturation radius (default 1)")
-    p.add_argument("--f-entries", metavar="E1,E2,...",
-                   help="drift expressions in t and u1..un (for --perturbation expr)")
-    p.add_argument("--h-entries", metavar="E1,E2,...",
-                   help="diffusion perturbation expressions (default: zero map)")
-    p.add_argument("--c", type=float,
-                   help="declared smallness constant (default 9)")
-    p.add_argument("--q", type=float,
-                   help="declared smallness exponent (default 2)")
-    p.add_argument("--scale", type=float, default=None,
+    p.add_argument("--scale", type=float,
                    help="sampler scale (condition mode, required)")
-    p.add_argument("--trials", type=int, default=1000,
-                   help="falsifier trials (default 1000)")
-    p.add_argument("--samples", type=int, default=8192,
-                   help="Monte Carlo samples per falsifier trial (default 8192)")
-    p.add_argument("--delta", type=float, default=0.01,
+    p.add_argument("--trials", type=int,
+                   help="falsifier trials (condition mode, default 1000)")
+    p.add_argument("--samples", type=int,
+                   help="Monte Carlo samples per falsifier trial (condition mode, default 8192)")
+    p.add_argument("--delta", type=float,
                    help="initial condition size (stability mode, default 0.01)")
-    p.add_argument("--horizon", type=float, default=10.0,
-                   help="stability simulation horizon (default 10)")
-    p.add_argument("--paths", type=_positive_int, default=2000,
-                   help="stability sample paths (default 2000)")
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--horizon", type=float,
+                   help="simulation horizon (stability mode, default 10)")
+    p.add_argument("--paths", type=_positive_int,
+                   help="sample paths (stability mode, default 2000)")
+    p.add_argument("--dt", type=float, help="step size (stability mode, default 1e-3)")
 
     p = sub.add_parser("perron", parents=[common],
                        help="instability pipeline for the oscillating two-block example")
@@ -489,48 +470,37 @@ def _cmd_triangularize(args):
     }
 
 
-# The flags that build a perturbation around a linear --system, with the
-# value each takes when it is not given.
-_PERTURBATION_DEFAULTS = {"perturbation": "power-clipped", "coef": 1.0, "power": 3.0,
-                          "clip": 1.0, "f_entries": None, "h_entries": None,
-                          "c": 9.0, "q": 2.0}
+def _default_perturbation(base: LinearSde) -> PerturbedSde:
+    """``base`` with the map a linear system takes in ``perturb`` and in the
+    selftest: f(u) = u min(||u||, 1)^2, h = 0, declared c = 9 and q = 2."""
+    return PerturbedSde(base, PerturbationSpec.power_clipped(1.0, 3.0, 1.0),
+                        PerturbationSpec.zero(), c=9.0, q=2.0)
 
 
-def _perturbation_from_flags(args) -> PerturbationSpec:
-    kind = args.perturbation.replace("-", "_")
-    if kind == "zero":
-        return PerturbationSpec.zero()
-    if kind == "power_clipped":
-        return PerturbationSpec.power_clipped(args.coef, args.power, args.clip)
-    if not args.f_entries:
-        raise CliError("--perturbation expr needs --f-entries")
-    return PerturbationSpec.exprs(args.f_entries.split(","))
-
-
-def _perturbed_system(args) -> PerturbedSde:
-    loaded = _load_system(args.system)
-    given = {name: getattr(args, name) for name in _PERTURBATION_DEFAULTS
-             if getattr(args, name) is not None}
-    if isinstance(loaded, PerturbedSde):
-        _require(not given, "a perturbed --system carries its own perturbation; drop "
-                 + ", ".join("--" + name.replace("_", "-") for name in given))
-        return loaded
-    flags = argparse.Namespace(**{**_PERTURBATION_DEFAULTS, **given})
-    h = (PerturbationSpec.exprs(flags.h_entries.split(","))
-         if flags.h_entries else PerturbationSpec.zero())
-    return PerturbedSde(loaded, _perturbation_from_flags(flags), h, c=flags.c, q=flags.q)
+# The flags of each perturb mode, with the value each takes when not given.
+_MODE_FLAGS = {
+    "condition": {"scale": None, "trials": 1000, "samples": 8192},
+    "stability": {"delta": 0.01, "horizon": 10.0, "paths": 2000, "dt": 1e-3},
+}
 
 
 def _cmd_perturb(args):
-    _require(args.dt > 0.0, "--dt must be positive")
-    _require(args.samples >= 2, "--samples must be at least 2")
-    psys = _perturbed_system(args)
+    for mode, flags in _MODE_FLAGS.items():
+        for name, default in flags.items():
+            # A flag of the other mode would go unread.
+            _require(mode == args.mode or getattr(args, name) is None,
+                     f"--{name} is a flag of --mode {mode}, not of --mode {args.mode}")
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+    loaded = _load_system(args.system)
+    psys = loaded if isinstance(loaded, PerturbedSde) else _default_perturbation(loaded)
     if args.mode == "condition":
-        if args.scale is None:
-            raise CliError("condition mode needs --scale")
+        _require(args.scale is not None, "condition mode needs --scale")
+        _require(args.samples >= 2, "--samples must be at least 2")
         report = check_condition_42(psys, args.scale, args.trials,
                                     seed=args.seed, samples=args.samples)
         return {"mode": "condition", "system": args.system, **asdict(report)}
+    _require(args.dt > 0.0, "--dt must be positive")
     report = stability_experiment(psys, args.delta, args.horizon, args.paths,
                                   args.seed, dt=args.dt)
     return {"mode": "stability", "system": args.system,
@@ -593,9 +563,7 @@ def _selftest_checks(seed: int) -> list[dict]:
         1, [["-1 - (sin(log(t)) + cos(log(t)))"]], [["0"]])
     record("bound-oscillating", abs(lower_bound(oscillating, 1e5) - 4.0), 0.3)
 
-    psys = PerturbedSde(gbm, PerturbationSpec.power_clipped(1.0, 3.0, 1.0),
-                        PerturbationSpec.zero(), c=9.0, q=2.0)
-    falsifier = check_condition_42(psys, 0.3, 100, seed=seed)
+    falsifier = check_condition_42(_default_perturbation(gbm), 0.3, 100, seed=seed)
     record("falsifier-consistent", falsifier.max_ratio, 1.0)
 
     # The zero perturbation must reproduce the linear flow bitwise.

@@ -152,7 +152,7 @@ class FundamentalEnsemble:
     """Phi and its coupled inverse Psi at the held nodes of every path.
 
     Arrays are indexed [held node, path, row, col]; ``nodes`` lists the grid
-    nodes held, ascending, and None means every node. The increments
+    nodes held, ascending (every node when None is given). The increments
     [path, step] are retained by :func:`simulate_fundamental`, so perturbed
     systems can be driven by the exact same noise, and are None from
     :func:`fundamental_at`.
@@ -166,12 +166,14 @@ class FundamentalEnsemble:
     increments: np.ndarray | None
     nodes: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.nodes is None:
+            object.__setattr__(self, "nodes", np.arange(self.grid.count))
+
     def position(self, node: int) -> int:
         """Index into ``phi`` and ``psi`` of grid node ``node``."""
         if not 0 <= node <= self.grid.steps:
             raise EngineError(f"node {node} out of range")
-        if self.nodes is None:
-            return node
         j = int(np.searchsorted(self.nodes, node))
         if j == len(self.nodes) or self.nodes[j] != node:
             raise EngineError(f"node {node} is not held by the ensemble")
@@ -426,7 +428,7 @@ def fundamental_at(system: LinearSde, grid: TimeGrid, paths: int, seed: int,
         psi[j] = psi_t.transpose(2, 1, 0)
     return FundamentalEnsemble(
         system=system, grid=grid, paths=paths, phi=phi, psi=psi,
-        increments=None, nodes=None if len(nodes) == grid.count else nodes,
+        increments=None, nodes=nodes,
     )
 
 

@@ -87,6 +87,10 @@ def chi_estimate(system: LinearSde, u0, horizon: float, method: str = "ode",
     norm0_sq = float(u0 @ u0)
     if not 0.0 < norm0_sq < math.inf:
         raise LyapunovError("initial vector must be nonzero and finite")
+    # A negative start would give NaN log-spaced checkpoints and divide by a
+    # negative t.
+    if not t_start >= 0.0:
+        raise LyapunovError(f"t_start must be non-negative, got {t_start!r}")
     if horizon <= t_start:
         raise LyapunovError("horizon must exceed the start time")
     if method not in ("ode", "mc"):

@@ -404,11 +404,16 @@ def _linear_from_dict(data) -> LinearSde:
     return LinearSde.from_strings(int(dim), drift, diffusion, params)
 
 
+# The fields each perturbation kind reads besides "kind".
+_SPEC_FIELDS = {"zero": (), "power_clipped": ("coef", "power", "clip"), "expr": ("entries",)}
+
+
 def _spec_from_dict(data, what: str) -> PerturbationSpec:
-    _refuse_unknown_keys(data, ("kind", "coef", "power", "clip", "entries"),
-                         f"perturbation {what}")
     try:
         kind = data["kind"]
+        if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+            return PerturbationSpec(kind=kind)      # refused by its check
+        _refuse_unknown_keys(data, ("kind", *_SPEC_FIELDS[kind]), f"{kind} perturbation {what}")
         if kind == "power_clipped":
             return PerturbationSpec.power_clipped(
                 *(_finite_number(data[key], f"{what} {key}") for key in ("coef", "power", "clip")))
@@ -419,7 +424,7 @@ def _spec_from_dict(data, what: str) -> PerturbationSpec:
             return PerturbationSpec.exprs([_parse_entry(e, f"{what} entry") for e in entries])
     except (KeyError, TypeError) as exc:
         raise ModelError(f"perturbation {what} needs kind and its fields: {exc}") from None
-    return PerturbationSpec(kind=kind)      # zero, or a kind its check refuses
+    return PerturbationSpec.zero()
 
 
 def from_dict(data: dict) -> LinearSde | PerturbedSde:

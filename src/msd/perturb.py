@@ -235,7 +235,7 @@ def voc_solve(psys: PerturbedSde, xi0, ens: FundamentalEnsemble,
     if ens.increments is None:
         raise PerturbError("the ensemble keeps no increments; simulate it with "
                            "simulate_fundamental")
-    if ens.nodes is not None:
+    if len(ens.nodes) != ens.grid.count:
         raise PerturbError(f"the ensemble holds {len(ens.nodes)} of the grid's "
                            f"{ens.grid.count} nodes; Picard iteration needs every node")
     if not 0 <= path_index < ens.paths:

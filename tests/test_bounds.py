@@ -21,7 +21,7 @@ from msd.bounds import (
     unitary_invariance_check,
     upper_bound,
 )
-from msd.engines import FundamentalEnsemble, TimeGrid, simulate_fundamental
+from msd.engines import FundamentalEnsemble, TimeGrid, fundamental_at, simulate_fundamental
 from msd.lyapunov import chi_estimate, regularity_estimate
 from msd.model import LinearSde, adjoint, gallery
 
@@ -223,6 +223,21 @@ def test_triangularize_reports_rank_deficiency_location():
                               increments=np.zeros((2, 4)))
     with pytest.raises(BoundsError, match=r"node 3.*path 1"):
         triangularize_paths(ens)
+
+
+def test_triangularize_reads_the_held_nodes():
+    # A held ensemble once read every grid time and named its held index
+    # as the grid node: node 2 (t=0.02) below, where the full run names
+    # node 1376.
+    grid = TimeGrid.spanning(0.0, 1.0, 1e-2)
+    res = triangularize_paths(fundamental_at(gallery("diag-2x2"), grid, 3, 1, [0, 50, 100]))
+    assert np.array_equal(res.ts, grid.times()[[0, 50, 100]])
+    rank_deficient = LinearSde.from_strings(2, [["1", "1"], ["0", "-1"]],
+                                            [["0", "0"], ["0", "0"]])
+    grid = TimeGrid.spanning(0.0, 20.0, 1e-2)
+    held = fundamental_at(rank_deficient, grid, 2, 0, [0, 1000, 1500, 2000])
+    with pytest.raises(BoundsError, match=r"at node 1500 \(t=15\), path 0"):
+        triangularize_paths(held)
 
 
 def test_unitary_invariance_gaps():

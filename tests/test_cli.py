@@ -41,6 +41,20 @@ def validate(name, payload):
     jsonschema.validate(payload, load_schema(name))
 
 
+# The default map a linear --system takes in `msd perturb`, as a file.
+DEFAULT_MAP = {"kind": "power_clipped", "coef": 1.0, "power": 3.0, "clip": 1.0}
+
+
+def perturbed_gbm_file(tmp_path, f=DEFAULT_MAP, **fields):
+    """Path of a perturbed gbm system file with drift map ``f``, h zero, c 9
+    and q 2; ``fields`` replace top-level keys."""
+    data = {"base": to_dict(gallery("gbm")), "c": 9.0, "q": 2.0, "f": f,
+            "h": {"kind": "zero"}, **fields}
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
 def last_csv_value(text):
     row = text.strip().splitlines()[-1].split(",")
     return float(row[1])
@@ -307,6 +321,17 @@ class TestLyapunov:
         assert code == 0
         validate("lyapunov", json.loads(out))
 
+    # A warning would be an error here, so stderr holds only what dispatch writes.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["lyapunov", "regularity"])
+    def test_a_negative_start_is_refused(self, capsys, command):
+        # lyapunov once printed chi -2.6249999979 for gbm (exactly -1.75)
+        # with two RuntimeWarnings, and regularity ran on the same estimates.
+        code, out, err = run_cli(capsys, command, "--system", "gbm", "--t-start", "-1",
+                                 "--horizon", "2")
+        assert code == 1 and out == ""
+        assert err == "error: validation: t_start must be non-negative, got -1.0\n"
+
 
 class TestRegularity:
     def test_scalar_report(self, capsys):
@@ -404,13 +429,12 @@ class TestPerturb:
         assert err == ("error: validation: horizon must be positive and finite, "
                        f"got {float(horizon)!r}\n")
 
-    def test_stability_reports_escaped_paths(self, capsys):
+    def test_stability_reports_escaped_paths(self, capsys, tmp_path):
         # A drift perturbation of 100 u1 makes every path pass the explosion
         # threshold within the horizon; they are frozen and counted.
-        code, out, _ = run_cli(capsys, "perturb", "--system", "gbm",
-                               "--mode", "stability", "--perturbation", "expr",
-                               "--f-entries", "100*u1", "--horizon", "5",
-                               "--paths", "20")
+        system = perturbed_gbm_file(tmp_path, {"kind": "expr", "entries": ["100*u1"]})
+        code, out, _ = run_cli(capsys, "perturb", "--system", system,
+                               "--mode", "stability", "--horizon", "5", "--paths", "20")
         assert code == 0
         payload = json.loads(out)
         validate("perturb", payload)
@@ -433,13 +457,13 @@ class TestPerturb:
     # Frozen paths sit near 1e150, so the spread of their squares would
     # overflow; a warning would be an error here.
     @pytest.mark.filterwarnings("error")
-    def test_stability_freezes_paths_whose_map_overflows(self, capsys):
+    def test_stability_freezes_paths_whose_map_overflows(self, capsys, tmp_path):
         # A state between about 1e103 and 1e150 is inside the explosion
         # threshold but its cube is not finite: the path freezes and is
         # counted instead of the run ending in "non-finite result".
-        code, out, err = run_cli(capsys, "perturb", "--system", "gbm",
-                                 "--mode", "stability", "--perturbation", "expr",
-                                 "--f-entries", "10*u1^3", "--delta", "1",
+        system = perturbed_gbm_file(tmp_path, {"kind": "expr", "entries": ["10*u1^3"]})
+        code, out, err = run_cli(capsys, "perturb", "--system", system,
+                                 "--mode", "stability", "--delta", "1",
                                  "--paths", "4", "--horizon", "1", "--seed", "1")
         assert code == 0 and err == "", err
         payload = json.loads(out)
@@ -460,38 +484,53 @@ class TestPerturb:
         assert code == 1
         assert "--scale" in err
 
-    def test_expr_perturbation_requires_entries(self, capsys):
-        code, _, err = run_cli(capsys, "perturb", "--system", "gbm",
-                               "--mode", "condition", "--scale", "0.1",
-                               "--perturbation", "expr")
-        assert code == 1
-        assert "--f-entries" in err
-
-    @pytest.mark.parametrize("flag", [
-        ["--perturbation", "zero"], ["--coef", "2"], ["--power", "2"], ["--clip", "2"],
-        ["--f-entries", "u1"], ["--h-entries", "0"], ["--c", "100"], ["--q", "3"],
-    ])
-    def test_a_perturbed_system_refuses_the_perturbation_flags(self, capsys, flag):
-        # These flags once went unread here: --c 100 and --c 1 printed the
-        # same max_ratio.
-        code, out, err = run_cli(capsys, "perturb", "--system", "perron-sde-perturbed",
-                                 "--mode", "condition", "--scale", "0.5", *flag)
+    def test_expr_perturbation_requires_entries(self, capsys, tmp_path):
+        system = perturbed_gbm_file(tmp_path, {"kind": "expr"})
+        code, out, err = run_cli(capsys, "perturb", "--system", system,
+                                 "--mode", "condition", "--scale", "0.1")
         assert code == 1 and out == ""
-        assert err == ("error: validation: a perturbed --system carries its own "
-                       f"perturbation; drop {flag[0]}\n")
+        assert err == ("error: validation: perturbation f needs kind and its fields: "
+                       "'entries'\n")
 
-    def test_a_linear_system_takes_the_flag_defaults(self, capsys):
-        argv = ["perturb", "--system", "gbm", "--mode", "condition", "--scale", "0.5",
-                "--trials", "100", "--samples", "256"]
-        defaults = ["--perturbation", "power-clipped", "--coef", "1", "--power", "3",
-                    "--clip", "1", "--c", "9", "--q", "2"]
-        code, out, _ = run_cli(capsys, *argv)
-        code_given, out_given, _ = run_cli(capsys, *argv, *defaults)
-        assert code == code_given == 0
-        assert out_given == out
-        _, out_c, _ = run_cli(capsys, *argv, "--c", "1")
+    @pytest.mark.parametrize("flag", ["--perturbation", "--coef", "--power", "--clip",
+                                      "--f-entries", "--h-entries", "--c", "--q"])
+    def test_the_perturbation_flags_are_gone(self, capsys, flag):
+        # A perturbation is stated by --system alone; some combinations of
+        # these flags once went unread.
+        code, out, err = run_cli(capsys, "perturb", "--system", "gbm",
+                                 "--mode", "condition", "--scale", "0.5", flag, "2")
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: validation: unrecognized arguments: {flag} 2\n")
+
+    def test_a_linear_system_takes_the_default_map(self, capsys, tmp_path):
+        flags = ["--mode", "condition", "--scale", "0.5", "--trials", "100",
+                 "--samples", "256"]
+        code, out, _ = run_cli(capsys, "perturb", "--system", "gbm", *flags)
+        system = perturbed_gbm_file(tmp_path)
+        code_file, out_file, _ = run_cli(capsys, "perturb", "--system", system, *flags)
+        assert code == code_file == 0
+        assert out_file == out.replace('"gbm"', json.dumps(system))
+        system = perturbed_gbm_file(tmp_path, c=1.0)
+        _, out_c, _ = run_cli(capsys, "perturb", "--system", system, *flags)
         ratio = json.loads(out)["max_ratio"]
         assert json.loads(out_c)["max_ratio"] == pytest.approx(9 * ratio)
+
+    @pytest.mark.parametrize("flag, value, mode", [
+        ("--scale", "0.5", "condition"), ("--trials", "5", "condition"),
+        ("--samples", "1", "condition"), ("--delta", "2", "stability"),
+        ("--horizon", "3", "stability"), ("--paths", "7", "stability"),
+        ("--dt", "0", "stability"),
+    ])
+    def test_a_flag_of_the_other_mode_is_refused(self, capsys, flag, value, mode):
+        # Each once went unread, and --samples 1 and --dt 0 were checked by
+        # the mode that does not read them.
+        other = {"condition": ["stability", "--horizon", "0.01"],
+                 "stability": ["condition", "--scale", "0.5"]}[mode]
+        code, out, err = run_cli(capsys, "perturb", "--system", "gbm", "--mode", *other,
+                                 flag, value)
+        assert code == 1 and out == ""
+        assert err == (f"error: validation: {flag} is a flag of --mode {mode}, "
+                       f"not of --mode {other[0]}\n")
 
 
 class TestPerron:
@@ -679,12 +718,14 @@ class TestExitCodes:
     ])
     def test_non_finite_time_bound_is_a_validation_error(self, capsys, argv):
         # Each of these once ended in a traceback from math.ceil in the grid.
-        # perturb and perron name their horizon, refused before any pass runs.
+        # perturb and perron name their horizon, and lyapunov its start,
+        # refused before any pass runs.
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
-        named = argv[0] in ("perturb", "perron")
-        assert err.startswith("error: validation: "
-                              + ("horizon must" if named else "time bounds must be finite"))
+        expected = ("horizon must" if argv[0] in ("perturb", "perron")
+                    else "t_start must" if "--t-start" in argv
+                    else "time bounds must be finite")
+        assert err.startswith("error: validation: " + expected)
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
@@ -741,18 +782,19 @@ class TestExitCodes:
 
     # A warning would be an error here, so stderr holds only what dispatch writes.
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("flags, expected", [
-        (["--scale", "1e80"], None),
-        (["--scale", "1e300"], "ratio of nan"),
-        (["--scale", "1e-170", "--perturbation", "expr", "--f-entries", "sqrt(abs(u1))"],
-         "ratio of inf"),
+    @pytest.mark.parametrize("scale, f, expected", [
+        ("1e80", None, None),
+        ("1e300", None, "ratio of nan"),
+        ("1e-170", "sqrt(abs(u1))", "ratio of inf"),
     ])
-    def test_falsifier_at_extreme_scales(self, capsys, flags, expected):
+    def test_falsifier_at_extreme_scales(self, capsys, tmp_path, scale, f, expected):
         # These once ended in an OverflowError traceback from size ** q, in
         # "consistent": true with RuntimeWarnings (every ratio NaN), and in a
         # ZeroDivisionError traceback (the gap underflows to 0).
-        code, out, err = run_cli(capsys, "perturb", "--system", "gbm", "--mode", "condition",
-                                 "--trials", "100", *flags)
+        system = "gbm" if f is None else perturbed_gbm_file(
+            tmp_path, {"kind": "expr", "entries": [f]})
+        code, out, err = run_cli(capsys, "perturb", "--system", system, "--mode", "condition",
+                                 "--trials", "100", "--scale", scale)
         if expected is None:
             # The core overflows to inf, so every ratio is 0.
             assert code == 0 and err == ""
@@ -764,8 +806,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [
         ["perturb", "--mode", "condition", "--scale", "nan"],
-        *(["perturb", "--mode", "condition", "--scale", "0.5", flag, "nan"]
-          for flag in ("--c", "--q", "--coef", "--power", "--clip")),
         ["fit", "--s-values", "0,1", "--deltas", "0,1,2", "--alpha-max", "nan"],
         ["fit", "--s-values", "0,1", "--deltas", "0,1,2", "--beta-max", "nan"],
         ["lyapunov", "--epsilon", "nan"],
@@ -780,6 +820,20 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, flags[0], "--system", "gbm", *flags[1:])
         assert code == 1 and out == ""
         assert err.startswith("error: validation: ")
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"c": math.nan}, "c"), ({"q": math.nan}, "q"),
+        *(({"f": {**DEFAULT_MAP, key: math.nan}}, f"f {key}")
+          for key in ("coef", "power", "clip")),
+    ])
+    def test_nan_in_a_perturbed_file_is_a_validation_error(self, capsys, tmp_path,
+                                                           fields, name):
+        # json.load reads NaN; it once passed checks written as `x <= 0`.
+        system = perturbed_gbm_file(tmp_path, **fields)
+        code, out, err = run_cli(capsys, "perturb", "--system", system,
+                                 "--mode", "condition", "--scale", "0.5")
+        assert code == 1 and out == ""
+        assert err == f"error: validation: {name} must be a finite number, got nan\n"
 
 
 class TestReportWriters:

@@ -10,6 +10,7 @@ from msd.engines import (
     DivergenceError,
     EngineError,
     ExplosionError,
+    FundamentalEnsemble,
     NonPsdError,
     euler_maruyama,
     TimeGrid,
@@ -456,6 +457,19 @@ def test_kernel_results_do_not_depend_on_the_block_size(monkeypatch, chunk):
     assert np.array_equal(held.psi, ens.psi[held.nodes])
     nodes, vals = simulate_vectors(sys_, grid, 3, 4, x0, record_nodes=[13, 50])
     assert np.array_equal(nodes, ref_nodes) and np.array_equal(vals, ref_vals)
+
+
+def test_an_ensemble_always_names_its_nodes():
+    grid = TimeGrid.spanning(0.0, 1.0, 1e-2)
+    held = fundamental_at(gallery("diag-2x2"), grid, 3, 1, [0, 50, 100])
+    full = fundamental_at(gallery("diag-2x2"), grid, 3, 1, range(grid.count))
+    assert list(held.nodes) == [0, 50, 100] and held.position(50) == 1
+    assert np.array_equal(full.nodes, np.arange(grid.count)) and full.position(50) == 50
+    built = FundamentalEnsemble(system=full.system, grid=grid, paths=3, phi=full.phi,
+                                psi=full.psi, increments=None)
+    assert np.array_equal(built.nodes, np.arange(grid.count))
+    with pytest.raises(EngineError, match="node 7 is not held"):
+        held.position(7)
 
 
 def _random_system(n, rng, scale=1.0, shift=0.0):

@@ -81,6 +81,20 @@ def test_chi_validation():
         chi_estimate(sys_, [1.0], horizon=10.0, method="exact")
 
 
+@pytest.mark.parametrize("method", ["ode", "mc"])
+@pytest.mark.parametrize("t_start", [-1.0, math.nan])
+def test_chi_refuses_a_negative_start_before_any_pass(monkeypatch, method, t_start):
+    # A start of -1 once gave NaN checkpoints, clipped to node 1, and read
+    # chi -2.625 for gbm, whose exponent is -1.75.
+    def reached(*args, **kwargs):
+        raise AssertionError("a pass ran before t_start was checked")
+
+    monkeypatch.setattr(lyapunov, "moment_log_trace", reached)
+    monkeypatch.setattr(lyapunov, "simulate_vectors", reached)
+    with pytest.raises(LyapunovError, match=f"^t_start must be non-negative, got {t_start!r}$"):
+        chi_estimate(gallery("gbm"), [1.0], horizon=2.0, method=method, t_start=t_start)
+
+
 def test_chi_mc_route_gbm():
     est = chi_estimate(gallery("gbm"), [1.0], horizon=8.0, method="mc",
                        dt=1e-2, paths=10_000, seed=6)

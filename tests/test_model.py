@@ -1,6 +1,8 @@
 import json
 import math
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -17,6 +19,11 @@ from msd.model import (
     make_projector,
     to_dict,
 )
+
+
+def _system_schema() -> dict:
+    path = resources.files("msd").joinpath("schemas/system.schema.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_projector_matrices():
@@ -210,6 +217,7 @@ def test_a_perturbed_object_loads_every_perturbation_kind():
     assert loaded.h == PerturbationSpec.exprs(["u1*u2", "0"])
     assert (loaded.c, loaded.q) == (2.0, 1.5)
     assert to_dict(loaded)["h"] == {"kind": "expr", "entries": ["u1*u2", "0"]}
+    jsonschema.validate(to_dict(loaded), _system_schema())
 
 
 @pytest.mark.parametrize("change, message", [
@@ -239,12 +247,25 @@ def test_a_malformed_perturbed_object_is_refused(change, message):
       "base": {**to_dict(gallery("perron-sde")), "a": [["0"]]}},
      r"system object has unknown key\(s\) \['a'\]"),
     ({**to_dict(gallery("perron-sde-perturbed")), "h": {"kind": "zero", "coeff": 1}},
-     r"perturbation h has unknown key\(s\) \['coeff'\]; known: kind/coef/power/clip/entries"),
+     r"zero perturbation h has unknown key\(s\) \['coeff'\]; known: kind$"),
+    # A field its kind does not read was once dropped too: coef 50 beside
+    # expr entries changed nothing.
+    ({**to_dict(gallery("perron-sde-perturbed")),
+      "f": {"kind": "expr", "entries": ["0", "u1^2"], "coef": 50}},
+     r"expr perturbation f has unknown key\(s\) \['coef'\]; known: kind/entries$"),
+    ({**to_dict(gallery("perron-sde-perturbed")),
+      "f": {"kind": "power_clipped", "coef": 1, "power": 3, "clip": 1, "entries": ["0", "0"]}},
+     r"power_clipped perturbation f has unknown key\(s\) \['entries'\]; "
+     r"known: kind/coef/power/clip$"),
+    ({**to_dict(gallery("perron-sde-perturbed")), "f": {"kind": "zero", "power": 2, "clip": 1}},
+     r"zero perturbation f has unknown key\(s\) \['clip', 'power'\]; known: kind$"),
 ])
 def test_an_unknown_key_is_refused(data, message):
     # system.schema.json allows no other key; a misspelt one was once dropped.
     with pytest.raises(ModelError, match=message):
         from_dict(data)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, _system_schema())
 
 
 def test_a_perturbed_object_needs_every_key():

@@ -52,6 +52,12 @@ def _system(a, g, dim=1) -> bytes:
     return json.dumps({"dim": dim, "params": {}, "A": a, "G": g}).encode()
 
 
+def _perturbed_gbm(f: dict) -> bytes:
+    """The scalar system du = -u dt + 0.5 u dw with drift perturbation ``f``."""
+    base = {"dim": 1, "params": {}, "A": [["-1"]], "G": [["0.5"]]}
+    return json.dumps({"base": base, "c": 9, "q": 2, "f": f, "h": {"kind": "zero"}}).encode()
+
+
 # System files the commands of ERRORS name, written before they run.
 FILES = {
     "dim-fraction.json": _system([["-1"]], [["0"]], 1.7),
@@ -68,15 +74,17 @@ FILES = {
     "rank-deficient.json": _system([["1", "1"], ["0", "-1"]], [["0", "0"], ["0", "0"]], 2),
     "unknown-key.json": json.dumps({"dim": 1, "A": [["-1"]], "G": [["0.5"]],
                                     "parms": {"a": 3}, "B": [["9"]]}).encode(),
+    "unparsable-f.json": _perturbed_gbm({"kind": "expr", "entries": ["u1+"]}),
+    "unread-field.json": _perturbed_gbm({"kind": "expr", "entries": ["2*u1^3"], "coef": 50}),
 }
 
 # Failing commands: one per error class the command line reports, then the
 # inputs that once failed as tracebacks, late or with the wrong kind (the
 # next six; perturbed.json is what `example show` prints for
-# perron-sde-perturbed, and it now loads), then flags and keys that the
-# parser or the system reader now refuses (the next five), and last an
-# explosion that names a path after the first and an entry off the diagonal,
-# so the reported path and entry order are pinned. No command line
+# perron-sde-perturbed, and it now loads), then flags, keys and values that
+# the parser, the system reader or a library check now refuses (the next
+# seven), and last an explosion that names a path after the first and an
+# entry off the diagonal, so the reported path and entry order are pinned. No command line
 # reaches NonConvergenceError, which only voc_solve raises, on a
 # perturbation the selftest never uses.
 ERRORS = (
@@ -90,8 +98,7 @@ ERRORS = (
     "perron --a 1 --b 2 --lambda 1",                                # PerturbError
     "moments --system dim-17.json --t1 1",                          # NumericsError
     "lyapunov --system perron-ode",                                 # DomainError
-    "perturb --system gbm --mode condition --scale 0.5 --perturbation expr "
-    "--f-entries u1+",                                              # ParseError
+    "perturb --system unparsable-f.json --mode condition --scale 0.5",  # ParseError
     "example list --output missing/list.json",                      # OSError
     "moments --system corrupt.json --t1 1",                         # JSONDecodeError
     "moments --system hot.json --t1 2 --dt 0.01 --method mc --paths 2",  # ExplosionError
@@ -107,7 +114,9 @@ ERRORS = (
     "moments --system gbm --t1 1 --paths 0",
     "triangularize --system gbm --paths 0",
     "moments --system unknown-key.json --t1 0.002",
-    "perturb --system perron-sde-perturbed --mode condition --scale 0.5 --trials 100 --c 5",
+    "perturb --system gbm --mode condition --scale 0.5 --trials 100 --paths 7",
+    "perturb --system unread-field.json --mode condition --scale 0.5 --trials 100",
+    "lyapunov --system gbm --t-start -1 --horizon 2",
     "moments --system hot-2x2.json --t1 2 --dt 0.01 --method mc --paths 4",
 )
 
