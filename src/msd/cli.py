@@ -93,10 +93,27 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse parser whose errors map to exit code 1, not 2."""
+    """Argparse parser whose errors map to exit code 1, not 2, and whose
+    subcommands report their own unrecognized arguments."""
+
+    commands: dict = {}         # subcommand name -> its parser
 
     def error(self, message):
         raise _UsageError(message, self.format_usage())
+
+    def add_subparsers(self, **kwargs):
+        action = super().add_subparsers(**kwargs)
+        self.commands = action.choices
+        return action
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            # argparse hands a subcommand's unrecognized arguments up to this
+            # parser, whose usage line names none of the subcommand's flags.
+            parser = self.commands.get(getattr(parsed, "command", None), self)
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:

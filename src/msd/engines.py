@@ -538,8 +538,9 @@ def mc_moment_curve(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int
 
 
 def _moment_rhs(a: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A M + M A^T + G M G^T for stacks of matrices [k, n, n]."""
     ap = a @ p
-    return ap + ap.T + g @ p @ g.T
+    return ap + ap.mT + g @ p @ g.mT
 
 
 # The carried moment matrix is rescaled by an exact power of two whenever its
@@ -548,73 +549,104 @@ def _moment_rhs(a: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
 _TRACE_LOW, _TRACE_HIGH = 2.0 ** -332, 2.0 ** 332
 
 
-def _moment_loop(system: LinearSde, p0, t_from: float, t_to: float,
+def _moment_loop(systems, p0: np.ndarray, t_from: float, t_to: float,
                  dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 for M' = A M + M A^T + G M G^T with M carried as m * 2^e: returns
-    the grid times, trace m and e at every node, and the final m."""
+    """RK4 for M' = A M + M A^T + G M G^T from a stack of k starts p0
+    [k, n, n] on one grid, start j under ``systems[j]``, each M carried as
+    m * 2^e: returns the grid times, trace m and e [k, node], and the final
+    m [k, n, n].
+
+    Every product is stacked over the starts, so each start's row equals a
+    pass of that start alone bit for bit. Each start keeps its own rescaling
+    and exponent, its PSD check every 25 steps with its own tolerance, and
+    its clamp if it is singular. Each distinct system's coefficients are
+    tabulated once per block of steps. A start that fails ends the pass:
+    when several fail, the one failing at the earliest time is reported,
+    the lowest index at a tie.
+    """
+    if not systems:
+        raise EngineError("need at least one initial moment matrix")
+    n = systems[0].dim
+    if any(system.dim != n for system in systems):
+        raise EngineError("stacked starts need systems of one dimension")
     p = np.array(p0, dtype=float)
-    n = system.dim
-    if p.shape != (n, n):
+    if p.shape != (len(systems), n, n):
         raise EngineError(f"initial moment matrix must be {n}x{n}")
-    if np.linalg.norm(p - p.T) > 1e-12 * (1.0 + np.linalg.norm(p)):
-        raise EngineError("initial moment matrix must be symmetric")
-    w0 = np.linalg.eigvalsh((p + p.T) / 2.0)[0]
-    tr0 = np.trace(p)
-    if w0 < -1e-9 * max(1.0, abs(tr0)):
-        raise NonPsdError(t_from, float(w0), float(tr0))
+    w0 = np.linalg.eigvalsh((p + p.mT) / 2.0)[:, 0]
+    tr0 = p.trace(axis1=1, axis2=2)
+    for j, pj in enumerate(p):
+        if np.linalg.norm(pj - pj.T) > 1e-12 * (1.0 + np.linalg.norm(pj)):
+            raise EngineError("initial moment matrix must be symmetric")
+        if w0[j] < -1e-9 * max(1.0, abs(tr0[j])):
+            raise NonPsdError(t_from, float(w0[j]), float(tr0[j]))
     if t_to <= t_from:
         raise EngineError("need t_to > t_from")
     # Rank-deficient starts (such as u u^T) pick up O((h*lambda)^5) negative
     # wobble per step; between checks that stays well under 1e-6 of trace, so
     # anything bigger is a real defect, and what is left is clamped away.
     singular = w0 <= 1e-12 * tr0
-    tolerance = 1e-6 if singular else 1e-9
+    tolerance = np.where(singular, 1e-6, 1e-9)
 
     grid = TimeGrid.spanning(t_from, t_to, dt)
-    steps, h = grid.steps, grid.dt
+    steps, h, k = grid.steps, grid.dt, len(p)
     # A and G at the stage times t_from + j h / 2 are tabulated for a block
-    # of steps at a time, 4 n^2 values per step.
-    block = max(1, CHUNK_VALUES // (4 * n * n))
+    # of steps at a time, 4 n^2 values per step and start.
+    block = max(1, CHUNK_VALUES // (4 * n * n * k))
+    distinct = {id(system): system for system in systems}
 
-    p = (p + p.T) / 2.0
-    traces = np.empty(steps + 1)
-    exps = np.empty(steps + 1, dtype=np.int64)
-    e = 0
-    for k in range(steps + 1):
-        t_here = t_from + k * h
-        if k:
-            i = 2 * ((k - 1) % block)
+    def tabulate(coefficient) -> np.ndarray:
+        """``coefficient(system)`` once per distinct system, stacked over the
+        starts as [time, start, n, n]."""
+        tables = {key: coefficient(system) for key, system in distinct.items()}
+        return np.stack([tables[id(system)] for system in systems], axis=1)
+
+    p = (p + p.mT) / 2.0
+    traces = np.empty((k, steps + 1))
+    exps = np.empty((k, steps + 1), dtype=np.int64)
+    e = np.zeros(k, dtype=np.int64)
+    for step in range(steps + 1):
+        t_here = t_from + step * h
+        if step:
+            i = 2 * ((step - 1) % block)
             if i == 0:
-                last = min(k - 1 + block, steps)
-                stage_times = t_from + (h / 2.0) * np.arange(2 * k - 2, 2 * last + 1)
-                a_all = system.drift_at(stage_times)
-                g_all = system.diffusion_at(stage_times)
+                last = min(step - 1 + block, steps)
+                stage_times = t_from + (h / 2.0) * np.arange(2 * step - 2, 2 * last + 1)
+                a_all = tabulate(lambda system: system.drift_at(stage_times))
+                g_all = tabulate(lambda system: system.diffusion_at(stage_times))
             a, g = a_all[i:i + 3], g_all[i:i + 3]
             k1 = _moment_rhs(a[0], g[0], p)
             k2 = _moment_rhs(a[1], g[1], p + (h / 2.0) * k1)
             k3 = _moment_rhs(a[1], g[1], p + (h / 2.0) * k2)
             k4 = _moment_rhs(a[2], g[2], p + h * k3)
             p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            p = (p + p.T) / 2.0
-        tr = np.trace(p)
-        if not _TRACE_LOW <= tr <= _TRACE_HIGH:
-            if not math.isfinite(tr):
-                raise DivergenceError(f"moment integration diverged at t={t_here:.6g}")
-            if tr > 0.0:
-                shift = math.frexp(tr)[1]
-                p = np.ldexp(p, -shift)
-                e += shift
-                tr = np.trace(p)
-        traces[k], exps[k] = tr, e
-        if k and (k % 25 == 0 or k == steps):
-            if not np.all(np.isfinite(p)):
-                raise DivergenceError(f"moment integration diverged at t={t_here:.6g}")
-            w = np.linalg.eigvalsh(p)[0]
-            if w < -tolerance * max(1.0, abs(tr)):
-                raise NonPsdError(t_here, float(w), float(tr))
-            if singular and w < 0.0:
-                evals, evecs = np.linalg.eigh(p)
-                p = (evecs * np.maximum(evals, 0.0)) @ evecs.T
+            p = (p + p.mT) / 2.0
+        tr = p.trace(axis1=1, axis2=2)
+        failed = {}             # start -> its error at this step
+        if not all(_TRACE_LOW <= x <= _TRACE_HIGH for x in tr.tolist()):
+            for j in np.flatnonzero(~((tr >= _TRACE_LOW) & (tr <= _TRACE_HIGH))):
+                if not math.isfinite(tr[j]):
+                    failed[j] = DivergenceError(
+                        f"moment integration diverged at t={t_here:.6g}")
+                elif tr[j] > 0.0:
+                    shift = math.frexp(tr[j])[1]
+                    p[j] = np.ldexp(p[j], -shift)
+                    e[j] += shift
+                    tr[j] = np.trace(p[j])
+        traces[:, step], exps[:, step] = tr, e
+        if step and (step % 25 == 0 or step == steps):
+            for j in range(k):
+                if j not in failed and not np.all(np.isfinite(p[j])):
+                    failed[j] = DivergenceError(
+                        f"moment integration diverged at t={t_here:.6g}")
+            live = [j for j in range(k) if j not in failed]
+            for j, w in zip(live, np.linalg.eigvalsh(p[live])[:, 0] if live else ()):
+                if w < -tolerance[j] * max(1.0, abs(tr[j])):
+                    failed[j] = NonPsdError(t_here, float(w), float(tr[j]))
+                elif singular[j] and w < 0.0:
+                    evals, evecs = np.linalg.eigh(p[j])
+                    p[j] = (evecs * np.maximum(evals, 0.0)) @ evecs.T
+        if failed:
+            raise failed[min(failed)]
     return grid.times(), traces, exps, p
 
 
@@ -624,7 +656,9 @@ def moment_ode(system: LinearSde, p0, t_from: float, t_to: float,
 
     Returns the trace curve on the internal grid and the final matrix.
     """
-    ts, traces, exps, p = _moment_loop(system, p0, t_from, t_to, dt)
+    ts, traces, exps, p = _moment_loop([system], np.asarray(p0, dtype=float)[None],
+                                       t_from, t_to, dt)
+    traces, exps, p = traces[0], exps[0], p[0]
     with np.errstate(over="ignore"):
         values = np.ldexp(traces, exps)
     fits = np.isfinite(values)
@@ -633,23 +667,39 @@ def moment_ode(system: LinearSde, p0, t_from: float, t_to: float,
     return MomentCurve(ts=ts, values=values), np.ldexp(p, exps[-1])
 
 
-def moment_log_trace(system: LinearSde, p0, t_from: float, t_to: float,
+def moment_log_trace(system: LinearSde | list[LinearSde], p0, t_from: float, t_to: float,
                      dt: float = 1e-3) -> MomentCurve:
     """Like moment_ode but returns log(trace M(t) / trace M(t_from)).
 
     M is rescaled by an exact power of two whenever its trace leaves
     [2^-332, 2^332], so exponents of order hundreds per unit time stay
     representable and the rescaling adds no rounding of its own.
+
+    A stack p0 [k, n, n] gives values [k, node] from one pass of the moment
+    loop (:func:`_moment_loop`), start j under ``system[j]`` when
+    ``system`` is a list of k systems; each row equals that start's curve
+    alone. A trace that is not positive is found after the pass; the
+    earliest such time over the rows is reported.
     """
-    ts, traces, exps, _ = _moment_loop(system, p0, t_from, t_to, dt)
-    if traces[0] <= 0.0:
+    p0 = np.asarray(p0, dtype=float)
+    starts = p0 if p0.ndim == 3 else p0[None]
+    systems = [system] * len(starts) if isinstance(system, LinearSde) else list(system)
+    if len(systems) != len(starts):
+        raise EngineError(f"need one system per initial moment matrix, got "
+                          f"{len(systems)} for {len(starts)}")
+    ts, traces, exps, _ = _moment_loop(systems, starts, t_from, t_to, dt)
+    if np.any(traces[:, 0] <= 0.0):
         raise EngineError("log-scale route needs a positive initial trace")
     positive = traces > 0.0
     if not positive.all():
-        raise DivergenceError(f"moment integration diverged at t={ts[np.argmin(positive)]:.6g}")
-    # math.log, not np.log: NumPy's vector loop rounds some values differently.
-    logs = np.fromiter(map(math.log, traces / traces[0]), float, len(traces))
-    return MomentCurve(ts=ts, values=logs + (exps - exps[0]) * math.log(2.0))
+        first = min(int(np.argmin(row)) for row in positive if not row.all())
+        raise DivergenceError(f"moment integration diverged at t={ts[first]:.6g}")
+    values = np.empty(traces.shape)
+    for j, row in enumerate(traces):
+        # math.log, not np.log: NumPy's vector loop rounds some values differently.
+        logs = np.fromiter(map(math.log, row / row[0]), float, len(row))
+        values[j] = logs + (exps[j] - exps[j, 0]) * math.log(2.0)
+    return MomentCurve(ts=ts, values=values if p0.ndim == 3 else values[0])
 
 
 def _moment_rows(system: LinearSde, projector: Projector | None, pairs, sense: str,

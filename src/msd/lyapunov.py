@@ -9,6 +9,12 @@ superior limit only along sparse time sequences.
 Values are normalized by the initial trace, which makes the ODE-route
 estimate exactly invariant under scaling of the initial vector by powers
 of two and invariant to rounding otherwise.
+
+On the ODE route every vector of one estimate shares a single pass of the
+moment loop: the probes of a spectrum, and the basis on the system beside
+its dual basis on the adjoint for the exponent sums of duality and
+regularity. Each vector's exponent equals its pass alone bit for bit. The
+Monte Carlo route runs one seeded simulation per vector.
 """
 
 from __future__ import annotations
@@ -77,15 +83,31 @@ _CHECKPOINTS = 128
 _PROBE_STREAMS = 2 ** 62
 
 
-def chi_estimate(system: LinearSde, u0, horizon: float, method: str = "ode",
-                 dt: float = 1e-2, paths: int = 10_000, seed: int = 0,
-                 t_start: float = 0.0) -> LyapunovEstimate:
-    """Finite-horizon estimate of the second-moment exponent of u0."""
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (system.dim,):
-        raise LyapunovError(f"u0 must be a vector of length {system.dim}")
-    norm0_sq = float(u0 @ u0)
-    if not 0.0 < norm0_sq < math.inf:
+def chi_estimate(system: LinearSde | list[LinearSde], u0, horizon: float, method: str = "ode",
+                 dt: float = 1e-2, paths: int = 10_000, seed: int | list[int] = 0,
+                 t_start: float = 0.0) -> LyapunovEstimate | list[LyapunovEstimate]:
+    """Finite-horizon estimate of the second-moment exponent of u0.
+
+    A stack u0 [k, n] gives a list of k estimates, one per row. On the ODE
+    route the rows share one pass of the moment loop; the Monte Carlo route
+    runs each row on its own. ``system`` and ``seed`` are then one for every
+    row or lists of one per row, such as a basis on the system beside its
+    dual basis on the adjoint.
+    """
+    vectors = np.asarray(u0, dtype=float)
+    rows = vectors[None] if vectors.ndim == 1 else vectors
+    if rows.ndim != 2 or not len(rows):
+        raise LyapunovError("u0 must be a vector or a nonempty stack of vectors")
+    systems = [system] * len(rows) if isinstance(system, LinearSde) else list(system)
+    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed] * len(rows)
+    if not len(systems) == len(seeds) == len(rows):
+        raise LyapunovError(f"need one system and one seed per vector, got {len(systems)} "
+                            f"and {len(seeds)} for {len(rows)}")
+    n = systems[0].dim
+    if rows.shape[1] != n or any(s.dim != n for s in systems):
+        raise LyapunovError(f"u0 must be a vector of length {n}")
+    norms0_sq = [float(v @ v) for v in rows]
+    if not all(0.0 < norm < math.inf for norm in norms0_sq):
         raise LyapunovError("initial vector must be nonzero and finite")
     # A negative start would give NaN log-spaced checkpoints and divide by a
     # negative t.
@@ -104,22 +126,29 @@ def chi_estimate(system: LinearSde, u0, horizon: float, method: str = "ode",
     if method == "ode":
         # Log-scale route: values arrive as log(trace/trace0), immune to
         # overflow on strongly growing (adjoint) systems.
-        curve = moment_log_trace(system, np.outer(u0, u0), t_start, horizon, dt=dt)
-        vals = curve.values[nodes] / ts
+        curve = moment_log_trace(systems, rows[:, :, None] * rows[:, None, :], t_start,
+                                 horizon, dt=dt)
+        runs = [(values / ts, None, None) for values in curve.values[:, nodes]]
     else:
-        _, states = simulate_vectors(system, grid, paths, seed, u0, record_nodes=nodes)
-        means, errs = _mean_squares(np.moveaxis(states, 1, -1), len(nodes), paths)
-        vals = np.log(means / norm0_sq) / ts
+        runs = []
+        for sys_j, seed_j, v, norm0_sq in zip(systems, seeds, rows, norms0_sq):
+            _, states = simulate_vectors(sys_j, grid, paths, seed_j, v, record_nodes=nodes)
+            means, errs = _mean_squares(np.moveaxis(states, 1, -1), len(nodes), paths)
+            del states          # freed before the next vector's run
+            runs.append((np.log(means / norm0_sq) / ts, means, errs))
 
     window = (horizon / 2.0, horizon)
     mask = ts >= window[0]
     if not np.any(mask):
         raise LyapunovError("no checkpoints in the tail window")
     tail_idx = np.flatnonzero(mask)
-    best = tail_idx[int(np.argmax(vals[mask]))]
-    stderr = None if method == "ode" else float(errs[best] / means[best] / ts[best])
-    return LyapunovEstimate(chi=float(vals[best]), ts=ts, values=vals, method=method,
-                            stderr=stderr, window=window)
+    estimates = []
+    for vals, means, errs in runs:
+        best = tail_idx[int(np.argmax(vals[mask]))]
+        stderr = None if method == "ode" else float(errs[best] / means[best] / ts[best])
+        estimates.append(LyapunovEstimate(chi=float(vals[best]), ts=ts, values=vals,
+                                          method=method, stderr=stderr, window=window))
+    return estimates[0] if vectors.ndim == 1 else estimates
 
 
 def spectrum(system: LinearSde, horizon: float, trials: int, method: str = "ode",
@@ -144,11 +173,10 @@ def spectrum(system: LinearSde, horizon: float, trials: int, method: str = "ode"
             v = gen.standard_normal(n)
         probes.append(v / np.linalg.norm(v))
 
-    chis = [
-        chi_estimate(system, v, horizon, method=method, dt=dt, paths=paths,
-                     seed=seed + 31 * i, t_start=t_start).chi
-        for i, v in enumerate(probes)
-    ]
+    # One pass of the moment loop for every probe on the ODE route.
+    chis = [est.chi for est in chi_estimate(
+        system, np.array(probes), horizon, method=method, dt=dt, paths=paths,
+        seed=[seed + 31 * i for i in range(trials)], t_start=t_start)]
 
     order = np.argsort(chis)
     clusters: list[list[int]] = []
@@ -179,13 +207,15 @@ def _check_dual(basis: np.ndarray, dual_basis: np.ndarray, n: int) -> tuple[np.n
 def _dual_chis(system: LinearSde, tilde: LinearSde, b: np.ndarray, d: np.ndarray,
                seed: int, **estimate) -> tuple[np.ndarray, np.ndarray]:
     """chi(u_i) on seed + 2i and chi_adj(v_i) on seed + 2i + 1 for the columns
-    of a dual basis pair; ``estimate`` holds chi_estimate's other arguments."""
+    of a dual basis pair, the basis on the system and the dual basis on the
+    adjoint in one pass of the moment loop on the ODE route; ``estimate``
+    holds chi_estimate's other arguments."""
     n = system.dim
-    chis = np.array([chi_estimate(system, b[:, i], seed=seed + 2 * i, **estimate).chi
-                     for i in range(n)])
-    chis_adj = np.array([chi_estimate(tilde, d[:, i], seed=seed + 2 * i + 1, **estimate).chi
-                         for i in range(n)])
-    return chis, chis_adj
+    ests = chi_estimate([system] * n + [tilde] * n, np.concatenate([b.T, d.T]),
+                        seed=[seed + 2 * i + side for side in (0, 1) for i in range(n)],
+                        **estimate)
+    chis = np.array([est.chi for est in ests])
+    return chis[:n], chis[n:]
 
 
 def duality_defect(system: LinearSde, basis, dual_basis, horizon: float,

@@ -77,6 +77,20 @@ class TestParsing:
         assert code == 1
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["lyapunov", "--system", "gbm", "--bogus", "1"],
+        ["perturb", "--system", "gbm", "--mode", "condition", "--scale", "0.5", "--c", "5"],
+        ["example", "list", "extra"],
+    ])
+    def test_an_unknown_argument_prints_its_subcommands_usage(self, capsys, argv):
+        # Once reported by the top-level parser as `usage: msd [-h] SUBCOMMAND ...`.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        usage = cli.build_parser().commands[argv[0]].format_usage()
+        assert usage.startswith(f"usage: msd {argv[0]} [-h]")
+        extras = " ".join(argv[-2:] if argv[0] != "example" else argv[-1:])
+        assert err == f"{usage}error: validation: unrecognized arguments: {extras}\n"
+
     def test_missing_required_flag_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--system", "gbm")
         assert code == 1
@@ -682,6 +696,20 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "perturb", *argv)
         assert code == 1 and out == ""
         assert err == f"error: validation: {message}, more than the 1 GiB limit\n"
+
+    def test_a_run_within_the_limit_reaches_the_moment_loop(self, capsys, monkeypatch):
+        # The positive control of the test above: the name it replaces is the
+        # one a stability run's fit, spectrum and regularity estimate run through.
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(engines, "_moment_loop", reached)
+        with pytest.raises(Reached):
+            run_cli(capsys, "perturb", "--system", "perron-sde-perturbed", "--mode",
+                    "stability", "--paths", "4", "--horizon", "0.5")
 
     def test_inverse_blow_up_does_not_stop_mc_moments(self, capsys, tmp_path):
         # A strong contraction: Phi shrinks by 0.9 per step while its inverse

@@ -27,7 +27,8 @@ from msd.engines import (
     triangular_fundamental,
 )
 from msd.lyapunov import duality_defect
-from msd.model import LinearSde, PerturbationSpec, PerturbedSde, gallery, make_projector
+from msd.model import (LinearSde, PerturbationSpec, PerturbedSde, adjoint, gallery,
+                       make_projector)
 from msd.numerics import BrownianPath, RngStream, brownian, brownian_batch, pairwise_mean_std
 
 E2M1 = 0.17377394345044514  # exp(-1.75), scalar second moment at t=1
@@ -353,6 +354,163 @@ def test_moment_log_trace_rescales_by_powers_of_two_exactly():
     # A numeric failure, not bad input.
     with pytest.raises(DivergenceError):
         moment_ode(sys_, np.eye(1), 0.0, 2.0, dt=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# The moment loop over a stack of starts
+
+
+def _rank_one(*v):
+    v = np.asarray(v, dtype=float)
+    return np.outer(v, v)
+
+
+def _solo(system, p0, t_from, t_to, dt):
+    """One start through the moment loop alone, as row 0 of a stack of one."""
+    ts, traces, exps, p = engines._moment_loop([system], p0[None], t_from, t_to, dt)
+    return ts, traces[0], exps[0], p[0]
+
+
+@pytest.mark.parametrize("name", ["diag-2x2", "perron-sde", "coupled"])
+def test_each_row_of_a_stacked_pass_equals_its_start_alone(name):
+    sys_ = COUPLED if name == "coupled" else gallery(name)
+    adj = adjoint(sys_)
+    systems = [sys_, adj, sys_, adj, sys_]
+    starts = np.stack([_rank_one(0.6, 0.8), _rank_one(1.0, 0.0), _rank_one(0.0, 1.0),
+                       _rank_one(-0.28, 0.96), np.eye(2)])
+    ts, traces, exps, final = engines._moment_loop(systems, starts, 0.5, 3.0, 1e-2)
+    curves = moment_log_trace(systems, starts, 0.5, 3.0, dt=1e-2)
+    assert traces.shape == exps.shape == curves.values.shape == (5, len(ts))
+    for j, (system, p0) in enumerate(zip(systems, starts)):
+        solo_ts, solo_traces, solo_exps, solo_final = _solo(system, p0, 0.5, 3.0, 1e-2)
+        assert np.array_equal(ts, solo_ts)
+        assert np.array_equal(traces[j], solo_traces)
+        assert np.array_equal(exps[j], solo_exps)
+        assert np.array_equal(final[j], solo_final)
+        alone = moment_log_trace(system, p0, 0.5, 3.0, dt=1e-2)
+        assert np.array_equal(curves.values[j], alone.values)
+
+
+def test_a_stacked_pass_rescales_each_start_by_its_own_power_of_two():
+    # M' = 400 M crosses the 2^332 bound three times by t = 2; M' = -1.75 M
+    # never leaves [2^-332, 2^332].
+    hot, cold = gallery("gbm", a=200.0, b=0.0), gallery("gbm")
+    starts = np.stack([np.eye(1), np.eye(1)])
+    _, traces, exps, _ = engines._moment_loop([hot, cold], starts, 0.0, 2.0, 1e-3)
+    assert exps[0, -1] >= 3 * 332 and not exps[1].any()
+    for j, system in enumerate([hot, cold]):
+        _, solo_traces, solo_exps, _ = _solo(system, starts[j], 0.0, 2.0, 1e-3)
+        assert np.array_equal(traces[j], solo_traces)
+        assert np.array_equal(exps[j], solo_exps)
+    curves = moment_log_trace([hot, cold], starts, 0.0, 2.0, dt=1e-3)
+    assert curves.values[0, -1] > 3 * 332 * math.log(2.0)
+    assert curves.values[1, -1] == pytest.approx(-1.75 * 2.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("drift", [
+    # The rank-one start wobbles beyond the full-rank start's tolerance.
+    [["-1", "3"], ["-2", "-0.5"]],
+    # The modes part at rate 19, so the full-rank start becomes numerically
+    # singular too and its least eigenvalue dips below 0 at 8 checks: within
+    # its tolerance, and never clamped, as it is not singular at the start.
+    [["-1", "1"], ["1", "-20"]],
+])
+def test_a_rank_one_start_is_clamped_alone(monkeypatch, drift):
+    # The clamp of a singular start calls eigh; a full-rank start never does.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(m):
+        calls.append(np.trace(m))
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    # Without noise a rank-one start stays rank one, and its zero eigenvalue
+    # wobbles around 0 by rounding.
+    sys_ = LinearSde.from_strings(2, drift, [["0", "0"], ["0", "0"]])
+    rank_one, full = _rank_one(0.6, 0.8), np.eye(2)
+    _, _, _, solo_rank_one = _solo(sys_, rank_one, 0.0, 10.0, 1e-2)
+    clamps = len(calls)
+    assert clamps > 0
+    calls.clear()
+    _, _, _, solo_full = _solo(sys_, full, 0.0, 10.0, 1e-2)
+    assert calls == []
+    _, _, _, final = engines._moment_loop([sys_, sys_], np.stack([full, rank_one]),
+                                          0.0, 10.0, 1e-2)
+    assert len(calls) == clamps
+    assert np.array_equal(final[0], solo_full)
+    assert np.array_equal(final[1], solo_rank_one)
+
+
+def test_rk4_moment_order_holds_on_a_stack():
+    # Each row of a stacked pass keeps fourth order against the exact oracle.
+    systems = [COUPLED, adjoint(COUPLED), COUPLED]
+    starts = np.stack([np.eye(2), _rank_one(0.6, 0.8), _rank_one(0.6, 0.8)])
+    exact = [np.trace(constant_moment(s, p0, 2.0)) for s, p0 in zip(systems, starts)]
+
+    def errors(dt):
+        _, traces, exps, _ = engines._moment_loop(systems, starts, 0.0, 2.0, dt)
+        values = np.ldexp(traces[:, -1], exps[:, -1])
+        return np.abs(values - exact) / exact
+
+    # About 2^4 per halving: 18.8, 22.1 and 14.8 measured.
+    orders = np.log2(errors(0.05) / errors(0.025))
+    assert np.all((3.7 <= orders) & (orders <= 4.6)), orders
+
+
+def _non_psd(scale: float = 1.0) -> LinearSde:
+    """A stiff drift whose RK4 step of 0.5 loses positive semidefiniteness."""
+    return LinearSde.from_strings(2, [[str(-20 * scale), str(10 * scale)],
+                                      ["0", str(-scale)]], [["0", "0"], ["0", "0"]])
+
+
+def _blow_up(t_off: float) -> LinearSde:
+    """A drift that grows so fast that RK4's trace stops being finite at the
+    step of the grid [0, 1.5] by 0.5 that ends at t = 1 + t_off."""
+    return LinearSde.from_strings(2, [[f"exp(400*t - {400 * t_off})", "0"], ["0", "0"]],
+                                  [["0", "0"], ["0", "0"]])
+
+
+def test_a_stacked_pass_reports_the_earliest_failure():
+    late, early = _blow_up(0.5), _blow_up(0.0)
+    starts = np.stack([np.eye(2)] * 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for system, t in ((late, "1.5"), (early, "1")):
+            with pytest.raises(DivergenceError, match=f"diverged at t={t}$"):
+                _solo(system, np.eye(2), 0.0, 1.5, 0.5)
+        for systems in ([late, early], [early, late]):
+            with pytest.raises(DivergenceError, match="diverged at t=1$"):
+                engines._moment_loop(systems, starts, 0.0, 1.5, 0.5)
+
+
+def test_a_stacked_pass_reports_the_lowest_index_of_a_tie():
+    # Both starts fail the check at t = 1, with eigenvalues a factor 2 apart.
+    sys_ = _non_psd()
+    single, double = np.eye(2), 2.0 * np.eye(2)
+    errors = []
+    for p0 in (single, double):
+        with pytest.raises(NonPsdError) as err:
+            _solo(sys_, p0, 0.0, 1.0, 0.5)
+        errors.append(str(err.value))
+    assert errors[0] != errors[1]
+    for order in ([0, 1], [1, 0]):
+        starts = np.stack([(single, double)[j] for j in order])
+        with pytest.raises(NonPsdError) as err:
+            engines._moment_loop([sys_, sys_], starts, 0.0, 1.0, 0.5)
+        assert str(err.value) == errors[order[0]]
+
+
+def test_a_stacked_pass_checks_every_start_before_stepping():
+    sys_ = gallery("diag-2x2")
+    bad = np.array([[1.0, 0.0], [0.0, -0.1]])
+    with pytest.raises(NonPsdError, match="min eigenvalue -1.000e-01"):
+        moment_log_trace(sys_, np.stack([np.eye(2), bad]), 0.0, 1.0)
+    with pytest.raises(EngineError, match="symmetric"):
+        moment_log_trace(sys_, np.stack([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]), 0.0, 1.0)
+    with pytest.raises(EngineError, match="one system per initial moment matrix, got 1 for 2"):
+        moment_log_trace([sys_], np.stack([np.eye(2)] * 2), 0.0, 1.0)
+    with pytest.raises(EngineError, match="systems of one dimension"):
+        moment_log_trace([sys_, gallery("gbm")], np.stack([np.eye(2)] * 2), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("chunk", [40, 112])

@@ -13,7 +13,7 @@ from msd.lyapunov import (
     regularity_estimate,
     spectrum,
 )
-from msd.model import LinearSde, gallery
+from msd.model import LinearSde, adjoint, gallery
 
 
 def _diag_system(*entries, g=0.0):
@@ -93,6 +93,109 @@ def test_chi_refuses_a_negative_start_before_any_pass(monkeypatch, method, t_sta
     monkeypatch.setattr(lyapunov, "simulate_vectors", reached)
     with pytest.raises(LyapunovError, match=f"^t_start must be non-negative, got {t_start!r}$"):
         chi_estimate(gallery("gbm"), [1.0], horizon=2.0, method=method, t_start=t_start)
+
+
+@pytest.mark.parametrize("method", ["ode", "mc"])
+def test_chi_reaches_its_pass_from_a_valid_start(monkeypatch, method):
+    # The positive control of the test above: the patched names are the ones
+    # a valid estimate runs through.
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(lyapunov, "moment_log_trace", reached)
+    monkeypatch.setattr(lyapunov, "simulate_vectors", reached)
+    with pytest.raises(Reached):
+        chi_estimate(gallery("gbm"), [1.0], horizon=2.0, method=method, t_start=0.0)
+
+
+def _counting_moment_loop(monkeypatch) -> list:
+    """Record the number of starts of every pass of the moment loop."""
+    passes = []
+    loop = engines._moment_loop
+
+    def counting(systems, p0, *args):
+        passes.append(len(systems))
+        return loop(systems, p0, *args)
+
+    monkeypatch.setattr(engines, "_moment_loop", counting)
+    return passes
+
+
+@pytest.mark.parametrize("name,t_start", [("diag-2x2", 0.0), ("perron-sde", 0.5),
+                                          ("coupled", 0.0)])
+def test_a_stack_of_vectors_equals_each_vector_alone(monkeypatch, name, t_start):
+    sys_ = (LinearSde.from_strings(2, [["-1", "3"], ["-2", "-0.5"]],
+                                   [["0.3", "0.8"], ["-0.4", "0.2"]])
+            if name == "coupled" else gallery(name))
+    adj = adjoint(sys_)
+    systems = [sys_, adj, sys_, adj]
+    vectors = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 2.0], [-0.28, 0.96]])
+    alone = [chi_estimate(s, v, horizon=6.0, t_start=t_start) for s, v in zip(systems, vectors)]
+    passes = _counting_moment_loop(monkeypatch)
+    stacked = chi_estimate(systems, vectors, horizon=6.0, t_start=t_start)
+    assert passes == [4]
+    assert len(stacked) == 4
+    for est, ref in zip(stacked, alone):
+        assert est.chi == ref.chi
+        assert np.array_equal(est.values, ref.values) and np.array_equal(est.ts, ref.ts)
+        assert est.window == ref.window and est.stderr is None and est.method == "ode"
+
+
+def test_a_stack_of_vectors_runs_each_on_its_seed_by_monte_carlo():
+    sys_ = gallery("diag-2x2")
+    vectors = np.array([[1.0, 0.0], [0.6, 0.8]])
+    kwargs = dict(horizon=2.0, method="mc", dt=2e-2, paths=50)
+    stacked = chi_estimate([sys_, adjoint(sys_)], vectors, seed=[3, 9], **kwargs)
+    for est, system, v, seed in zip(stacked, [sys_, adjoint(sys_)], vectors, [3, 9]):
+        ref = chi_estimate(system, v, seed=seed, **kwargs)
+        assert est.chi == ref.chi and est.stderr == ref.stderr
+    # One seed serves every row.
+    same = chi_estimate(sys_, vectors, seed=3, **kwargs)
+    assert same[0].chi == stacked[0].chi
+
+
+def test_a_stack_of_vectors_is_checked_row_by_row():
+    sys_ = gallery("diag-2x2")
+    with pytest.raises(LyapunovError, match="nonzero and finite"):
+        chi_estimate(sys_, [[1.0, 0.0], [0.0, 0.0]], horizon=2.0)
+    with pytest.raises(LyapunovError, match="one system and one seed per vector, got 1 and 2"):
+        chi_estimate([sys_], [[1.0, 0.0], [0.0, 1.0]], horizon=2.0)
+    with pytest.raises(LyapunovError, match="nonempty stack"):
+        chi_estimate(sys_, np.zeros((0, 2)), horizon=2.0)
+    with pytest.raises(LyapunovError, match="vector of length 2"):
+        chi_estimate([sys_, gallery("gbm")], [[1.0, 0.0], [0.0, 1.0]], horizon=2.0)
+
+
+def test_spectrum_runs_every_probe_in_one_pass(monkeypatch):
+    sys_ = _diag_system(-1, -2)
+    probes = [np.eye(2)[0], np.eye(2)[1]]
+    alone = spectrum(sys_, horizon=20.0, trials=4, seed=3)
+    passes = _counting_moment_loop(monkeypatch)
+    est = spectrum(sys_, horizon=20.0, trials=4, seed=3)
+    assert passes == [4]
+    assert est == alone
+    for chi, v in zip(est.per_vector, probes):
+        assert chi == chi_estimate(sys_, v, horizon=20.0).chi
+
+
+def test_the_dual_exponents_of_a_basis_take_one_pass(monkeypatch):
+    sys_ = gallery("perron-sde")
+    theta = 0.6
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    chis = [chi_estimate(sys_, rot[:, i], horizon=10.0, t_start=0.5).chi for i in range(2)]
+    chis_adj = [chi_estimate(adjoint(sys_), rot[:, i], horizon=10.0, t_start=0.5).chi
+                for i in range(2)]
+    passes = _counting_moment_loop(monkeypatch)
+    rep = duality_defect(sys_, rot, rot, horizon=10.0, t_start=0.5)
+    est = regularity_estimate(sys_, [(np.eye(2), np.eye(2)), (rot, rot)], horizon=10.0,
+                              t_start=0.5)
+    assert passes == [4, 4, 4]
+    assert list(rep.chis) == chis and list(rep.chis_adjoint) == chis_adj
+    assert est.per_pair_sums[1] == tuple(float(x) for x in np.add(chis, chis_adj))
 
 
 def test_chi_mc_route_gbm():

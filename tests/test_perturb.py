@@ -434,6 +434,22 @@ class TestStabilityExperiment:
             stability_experiment(gallery("perron-sde-perturbed"), 0.01, 5.0,
                                  paths=100_000_000, seed=0)
 
+    def test_the_stability_run_makes_eight_passes_through_the_moment_loop(self, monkeypatch):
+        # The positive control of the test above: a run within the limit
+        # reaches the patched name. The fit makes six one-start passes, the
+        # spectrum one over both probes, and the regularity estimate one over
+        # the basis and its dual on the adjoint.
+        passes = []
+        loop = engines._moment_loop
+
+        def counting(systems, p0, *args):
+            passes.append(len(systems))
+            return loop(systems, p0, *args)
+
+        monkeypatch.setattr(engines, "_moment_loop", counting)
+        stability_experiment(gallery("perron-sde-perturbed"), 0.01, 0.5, paths=4, seed=0)
+        assert passes == [1] * 6 + [2, 4]
+
     def test_moment_curve_shape(self, cubic_stability):
         rep = cubic_stability
         assert rep.ts.shape == rep.moments.shape == rep.stderrs.shape

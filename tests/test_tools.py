@@ -1,6 +1,9 @@
 """The repository tools on fixed inputs, and the names the benchmark tracer pins."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +111,27 @@ def test_bench_pairs_reads_the_unscaled_times_from_stderr():
                                             "pass_unscaled_s": 2.3405}
     with pytest.raises(bench_pairs.RunError, match="as measured"):
         bench_pairs.measured("failed: nothing\n")
+
+
+def test_bench_record_quick_writes_the_documented_layout(tmp_path):
+    bench_record = _load_tool("bench_record")
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run([sys.executable, str(_PATH.parent / "bench_record.py"), "--quick",
+                           "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert set(data) == {"format", "host", "known_faults", "sides"}
+    assert set(data["host"]) == set(bench_record.HOST_KEYS)
+    assert data["known_faults"] == list(bench_record.KNOWN_FAULTS)
+    assert list(data["sides"]) == ["change"]
+    side = data["sides"]["change"]
+    assert set(side) == set(bench_record.SIDE_KEYS)
+    [run] = side["runs"]
+    assert set(run) == set(bench_record.RUN_KEYS)
+    assert (run["workload"], run["seed"], run["exit"], run["error"]) == ("mc", 1, 0, None)
+    assert run["result"]["correct"] is True
+    assert set(run["result"]["metrics"]) == {"setup_s", "wall_s", "peak_rss_mb"}
+    assert [(row["k"], row["n"]) for row in side["rk4"]] == [(1, 1), (2, 2)]
+    for row in side["rk4"]:
+        assert set(row) == set(bench_record.RK4_KEYS)
+        assert row["stacked"] is True and row["us_per_step"] > 0.0
