@@ -40,7 +40,6 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
