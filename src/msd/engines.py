@@ -562,7 +562,10 @@ def _moment_loop(systems, p0: np.ndarray, t_from: float, t_to: float,
     its clamp if it is singular. Each distinct system's coefficients are
     tabulated once per block of steps. A start that fails ends the pass:
     when several fail, the one failing at the earliest time is reported,
-    the lowest index at a tie.
+    the lowest index at a tie. The traces and exponents, with the log
+    values moment_log_trace makes of them, are three numbers per start and
+    node; a stack whose pass would hold more than the store limit is
+    refused before it steps.
     """
     if not systems:
         raise EngineError("need at least one initial moment matrix")
@@ -589,6 +592,7 @@ def _moment_loop(systems, p0: np.ndarray, t_from: float, t_to: float,
 
     grid = TimeGrid.spanning(t_from, t_to, dt)
     steps, h, k = grid.steps, grid.dt, len(p)
+    _check_store(3 * k * grid.count, "the moment traces of the stacked starts")
     # A and G at the stage times t_from + j h / 2 are tabulated for a block
     # of steps at a time, 4 n^2 values per step and start.
     block = max(1, CHUNK_VALUES // (4 * n * n * k))

@@ -13,8 +13,10 @@ of two and invariant to rounding otherwise.
 On the ODE route every vector of one estimate shares a single pass of the
 moment loop: the probes of a spectrum, and the basis on the system beside
 its dual basis on the adjoint for the exponent sums of duality and
-regularity. Each vector's exponent equals its pass alone bit for bit. The
-Monte Carlo route runs one seeded simulation per vector.
+regularity. A grid too long for all of them at once within CHUNK_VALUES
+stored numbers splits them over a few passes. Each vector's exponent equals
+its pass alone bit for bit. The Monte Carlo route runs one seeded
+simulation per vector.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engines
 from .engines import (TimeGrid, _mean_squares, euler_maruyama, moment_log_trace,
                       simulate_vectors)
 from .model import LinearSde, adjoint
@@ -89,8 +92,9 @@ def chi_estimate(system: LinearSde | list[LinearSde], u0, horizon: float, method
     """Finite-horizon estimate of the second-moment exponent of u0.
 
     A stack u0 [k, n] gives a list of k estimates, one per row. On the ODE
-    route the rows share one pass of the moment loop; the Monte Carlo route
-    runs each row on its own. ``system`` and ``seed`` are then one for every
+    route the rows share one pass of the moment loop, or as few passes as
+    keep each within CHUNK_VALUES stored numbers on a long grid; the Monte
+    Carlo route runs each row on its own. ``system`` and ``seed`` are then one for every
     row or lists of one per row, such as a basis on the system beside its
     dual basis on the adjoint.
     """
@@ -125,10 +129,17 @@ def chi_estimate(system: LinearSde | list[LinearSde], u0, horizon: float, method
     ts = grid.times()[nodes]
     if method == "ode":
         # Log-scale route: values arrive as log(trace/trace0), immune to
-        # overflow on strongly growing (adjoint) systems.
-        curve = moment_log_trace(systems, rows[:, :, None] * rows[:, None, :], t_start,
-                                 horizon, dt=dt)
-        runs = [(values / ts, None, None) for values in curve.values[:, nodes]]
+        # overflow on strongly growing (adjoint) systems. A pass holds three
+        # numbers per row and node of which only the checkpoints are kept,
+        # so the rows share passes of at most CHUNK_VALUES numbers each.
+        per_pass = max(1, engines.CHUNK_VALUES // (3 * grid.count))
+        runs = []
+        for lo in range(0, len(rows), per_pass):
+            part = rows[lo:lo + per_pass]
+            curve = moment_log_trace(systems[lo:lo + per_pass],
+                                     part[:, :, None] * part[:, None, :], t_start, horizon,
+                                     dt=dt)
+            runs += [(values / ts, None, None) for values in curve.values[:, nodes]]
     else:
         runs = []
         for sys_j, seed_j, v, norm0_sq in zip(systems, seeds, rows, norms0_sq):

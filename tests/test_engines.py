@@ -513,6 +513,16 @@ def test_a_stacked_pass_checks_every_start_before_stepping():
         moment_log_trace([sys_, gallery("gbm")], np.stack([np.eye(2)] * 2), 0.0, 1.0)
 
 
+def test_a_stack_too_large_for_the_store_is_refused_before_it_steps():
+    # 400 starts on the 10^6 steps of horizon 10^4 at dt 10^-2 would hold
+    # three numbers per start and node: 9.6 GB, refused at once rather than
+    # allocated or stepped.
+    starts = np.stack([np.eye(2)] * 400)
+    with pytest.raises(EngineError, match=r"^the moment traces of the stacked starts would "
+                                          r"take 8\.94 GiB, more than the 1 GiB limit$"):
+        moment_log_trace(gallery("diag-2x2"), starts, 0.0, 1e4, dt=1e-2)
+
+
 @pytest.mark.parametrize("chunk", [40, 112])
 def test_rk4_coefficients_are_tabulated_in_blocks(monkeypatch, chunk):
     # CHUNK_VALUES 40 holds 2 steps' stage coefficients on a 2x2 system, 112

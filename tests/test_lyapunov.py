@@ -181,6 +181,19 @@ def test_spectrum_runs_every_probe_in_one_pass(monkeypatch):
         assert chi == chi_estimate(sys_, v, horizon=20.0).chi
 
 
+def test_a_long_grid_splits_the_probes_over_passes_within_the_chunk(monkeypatch):
+    # Horizon 10 at dt 10^-2 is 1001 nodes of three stored numbers per probe;
+    # CHUNK_VALUES 6006 holds two probes, so five take passes of 2, 2 and 1
+    # and every exponent is the one-pass exponent bit for bit.
+    sys_ = _diag_system(-1, -2)
+    alone = spectrum(sys_, horizon=10.0, trials=5, seed=3)
+    passes = _counting_moment_loop(monkeypatch)
+    monkeypatch.setattr(engines, "CHUNK_VALUES", 3 * 1001 * 2)
+    est = spectrum(sys_, horizon=10.0, trials=5, seed=3)
+    assert passes == [2, 2, 1]
+    assert est == alone
+
+
 def test_the_dual_exponents_of_a_basis_take_one_pass(monkeypatch):
     sys_ = gallery("perron-sde")
     theta = 0.6

@@ -1,22 +1,20 @@
 """Record the benchmark and the RK4 moment layer of one or two checkouts.
 
-    python3 tools/bench_record.py --out BENCH_21.json [--parent PARENT_CHECKOUT]
-                                  [--workloads ode,mc,perturb] [--seeds 1,2,3]
-                                  [--seconds S] [--quick]
+    python3 tools/bench_record.py --out BENCH_21.json [--parent PARENT_CHECKOUT] [--quick]
 
 For this checkout (side ``change``) and, given ``--parent``, for another
 checkout (side ``parent``) it records:
 
-* ``runs``: one ``perfbench/run.py --trace 0`` line per workload and seed,
-  run in that checkout as it is, with ``--seconds`` S (default: the
-  ``run_seconds`` of this checkout's ``BENCHMARK.json``). The two sides
-  alternate which runs first, so a host that drifts drifts on both alike.
+* ``runs``: one ``perfbench/run.py --trace 0`` line per workload of this
+  checkout's ``BENCHMARK.json`` and seed 1, 2 and 3, run in that checkout
+  as it is for the ``run_seconds`` of that file. The two sides alternate
+  which runs first, so a host that drifts drifts on both alike.
 * ``rk4``: microseconds per step of the RK4 moment loop for k starts on a
   constant n x n system (k = 1, 2, 4; n = 1, 2, 4), the median of 7 timed
-  calls of ``moment_log_trace`` in a fresh interpreter on that checkout's
-  sources. A checkout whose ``moment_log_trace`` takes a stack of starts
-  steps the k starts in one call (``stacked`` true); one that does not
-  takes k calls. Per step means per grid step, whatever k is.
+  calls of ``moment_log_trace`` on a stack of the k starts, in a fresh
+  interpreter on that checkout's sources. Per step means per grid step,
+  whatever k is. A checkout whose ``moment_log_trace`` takes no stack
+  fails the timing, and the tool with it.
 * ``head`` and ``dirty``: ``git rev-parse HEAD`` of the checkout, and
   whether its tree differs from that commit.
 
@@ -31,7 +29,9 @@ does not take them for msd's own. The file's layout::
 ``result`` of a run is its JSON line, or null when it exited non-zero (its
 last stderr line is kept in ``error``). ``--quick`` records one 1 s mc run
 at seed 1 and the loop at k, n = 1, 2 over 100 steps, to check the tool
-itself. Exits 1 if any run fails.
+itself. Exits 1 if any run fails. This is format 2; the rk4 rows of format
+1 (``BENCH_21.json``) also carry ``stacked``, false where a checkout
+without stacks was timed by k calls of one start each.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ ROOT = Path(__file__).resolve().parent.parent
 HOST_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy")
 SIDE_KEYS = ("head", "dirty", "runs", "rk4")
 RUN_KEYS = ("workload", "seed", "seconds", "exit", "result", "error")
-RK4_KEYS = ("k", "n", "steps", "repeats", "us_per_step", "stacked")
+RK4_KEYS = ("k", "n", "steps", "repeats", "us_per_step")
+SEEDS = (1, 2, 3)
 
 # Benchmark faults that move its figures without any change in msd.
 KNOWN_FAULTS = (
@@ -65,7 +66,7 @@ KNOWN_FAULTS = (
 _RK4_CHILD = r"""
 import json, statistics, sys, time
 import numpy as np
-from msd.engines import EngineError, moment_log_trace
+from msd.engines import moment_log_trace
 from msd.model import LinearSde
 
 k, n, steps, repeats = (int(x) for x in sys.argv[1:5])
@@ -74,27 +75,13 @@ noise = [[str(0.2 if i == j else 0.0) for j in range(n)] for i in range(n)]
 system = LinearSde.from_strings(n, drift, noise)
 starts = np.stack([np.eye(n)] * k)
 dt = 1.0 / steps
-try:
-    moment_log_trace([system] * k, starts, 0.0, 1.0, dt=dt)
-    stacked = True
-except (EngineError, TypeError, AttributeError):
-    stacked = False
-
-def one():
-    if stacked:
-        moment_log_trace([system] * k, starts, 0.0, 1.0, dt=dt)
-    else:
-        for p0 in starts:
-            moment_log_trace(system, p0, 0.0, 1.0, dt=dt)
-
-one()
+moment_log_trace([system] * k, starts, 0.0, 1.0, dt=dt)
 times = []
 for _ in range(repeats):
     start = time.perf_counter()
-    one()
+    moment_log_trace([system] * k, starts, 0.0, 1.0, dt=dt)
     times.append(time.perf_counter() - start)
-print(json.dumps({"us_per_step": statistics.median(times) / steps * 1e6,
-                  "stacked": stacked}))
+print(json.dumps({"us_per_step": statistics.median(times) / steps * 1e6}))
 """
 
 
@@ -143,7 +130,8 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int) -> dic
 def time_rk4(checkout: Path, k: int, n: int, steps: int, repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run([sys.executable, "-c", _RK4_CHILD, str(k), str(n), str(steps),
-                           str(repeats)], env=env, capture_output=True, text=True, check=True)
+                           str(repeats)], env=env, stdout=subprocess.PIPE, text=True,
+                          check=True)
     return {"k": k, "n": n, "steps": steps, "repeats": repeats} | json.loads(proc.stdout)
 
 
@@ -165,17 +153,13 @@ def record(sides: dict[str, Path], workloads: list[str], seeds: list[int], secon
     for name in names:
         out[name]["head"], out[name]["dirty"] = git_state(sides[name])
         out[name] = {key: out[name][key] for key in SIDE_KEYS}
-    return {"format": 1, "host": host(), "known_faults": list(KNOWN_FAULTS), "sides": out}
+    return {"format": 2, "host": host(), "known_faults": list(KNOWN_FAULTS), "sides": out}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path, help="BENCH file to write")
     parser.add_argument("--parent", type=Path, help="checkout to record as the parent")
-    parser.add_argument("--workloads", default="ode,mc,perturb")
-    parser.add_argument("--seeds", default="1,2,3")
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--quick", action="store_true",
                         help="one 1 s mc run and a small loop, to check the tool")
     args = parser.parse_args(argv)
@@ -188,9 +172,9 @@ def main(argv=None) -> int:
         workloads, seeds, seconds = ["mc"], [1], 1
         rk4_sizes, steps = ((1, 1), (2, 2)), 100
     else:
-        workloads = args.workloads.split(",")
-        seeds = [int(s) for s in args.seeds.split(",")]
-        seconds = args.seconds or json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+        bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+        workloads = [workload["name"] for workload in bench["workloads"]]
+        seeds, seconds = list(SEEDS), bench["run_seconds"]
         rk4_sizes, steps = tuple((k, n) for n in (1, 2, 4) for k in (1, 2, 4)), 1000
     data = record(sides, workloads, seeds, seconds, rk4_sizes, steps, repeats=7)
     args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
