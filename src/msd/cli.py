@@ -49,7 +49,7 @@ from .engines import (
     simulate_fundamental,
 )
 from .lyapunov import (
-    chi_estimate,
+    _spectrum_and_chis,
     duality_defect,
     regularity_estimate,
     spectrum,
@@ -399,19 +399,18 @@ def _cmd_lyapunov(args):
     _require(args.dt > 0.0, "--dt must be positive")
     system = _base_of(_load_system(args.system))
     trials = args.trials if args.trials is not None else system.dim
-    est = spectrum(system, args.horizon, trials, method=args.method, dt=args.dt,
-                   paths=args.paths, seed=args.seed, t_start=args.t_start,
-                   tolerance=args.tolerance)
+    # The vector's row joins the spectrum's probes: one pass on the ODE route.
+    est, chis = _spectrum_and_chis(system, [] if args.vector is None else [args.vector],
+                                   args.horizon, trials, method=args.method, dt=args.dt,
+                                   paths=args.paths, seed=args.seed, t_start=args.t_start,
+                                   tolerance=args.tolerance)
     payload = {
         "system": args.system,
         "horizon": args.horizon,
         "method": args.method,
         "spectrum": asdict(est),
     }
-    if args.vector is not None:
-        chi = chi_estimate(system, np.asarray(args.vector), args.horizon,
-                           method=args.method, dt=args.dt, paths=args.paths,
-                           seed=args.seed, t_start=args.t_start)
+    for chi in chis:
         payload["chi"] = {
             "vector": [float(x) for x in args.vector],
             "chi": chi.chi,

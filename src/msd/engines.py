@@ -549,23 +549,30 @@ def _moment_rhs(a: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
 _TRACE_LOW, _TRACE_HIGH = 2.0 ** -332, 2.0 ** 332
 
 
-def _moment_loop(systems, p0: np.ndarray, t_from: float, t_to: float,
+def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
                  dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """RK4 for M' = A M + M A^T + G M G^T from a stack of k starts p0
-    [k, n, n] on one grid, start j under ``systems[j]``, each M carried as
-    m * 2^e: returns the grid times, trace m and e [k, node], and the final
-    m [k, n, n].
+    [k, n, n], start j under ``systems[j]`` from ``t_from`` to ``t_to``,
+    each M carried as m * 2^e: returns the grid times, trace m and e
+    [k, node], and the final m [k, n, n].
+
+    ``t_from`` and ``t_to`` are each one float, shared by every start, or k
+    floats, one per start. Start j steps on its own
+    ``TimeGrid.spanning(t_from_j, t_to_j, dt)``, with its own step and stage
+    times; the grids of one stack must share their step count. The times
+    come back as one grid's [node] when both bounds are floats and as
+    [k, node] otherwise.
 
     Every product is stacked over the starts, so each start's row equals a
     pass of that start alone bit for bit. Each start keeps its own rescaling
     and exponent, its PSD check every 25 steps with its own tolerance, and
-    its clamp if it is singular. Each distinct system's coefficients are
-    tabulated once per block of steps. A start that fails ends the pass:
-    when several fail, the one failing at the earliest time is reported,
-    the lowest index at a tie. The traces and exponents, with the log
-    values moment_log_trace makes of them, are three numbers per start and
-    node; a stack whose pass would hold more than the store limit is
-    refused before it steps.
+    its clamp if it is singular. The coefficients are tabulated once per
+    distinct system and grid, a block of steps at a time. A start that fails
+    ends the pass: when several fail, the one failing at the earliest step
+    is reported, the lowest index at a tie. The traces and exponents, with
+    the values a caller makes of them, are three numbers per start and node,
+    four with per-start times; a stack whose pass would hold more than the
+    store limit is refused before it steps.
     """
     if not systems:
         raise EngineError("need at least one initial moment matrix")
@@ -575,14 +582,21 @@ def _moment_loop(systems, p0: np.ndarray, t_from: float, t_to: float,
     p = np.array(p0, dtype=float)
     if p.shape != (len(systems), n, n):
         raise EngineError(f"initial moment matrix must be {n}x{n}")
+    k = len(p)
+    per_start = np.ndim(t_from) > 0 or np.ndim(t_to) > 0
+    try:
+        t_froms, t_tos = (np.broadcast_to(np.asarray(t, dtype=float), (k,)).tolist()
+                          for t in (t_from, t_to))
+    except ValueError:
+        raise EngineError(f"need one t_from and one t_to per start, or one for all {k}")
     w0 = np.linalg.eigvalsh((p + p.mT) / 2.0)[:, 0]
     tr0 = p.trace(axis1=1, axis2=2)
     for j, pj in enumerate(p):
         if np.linalg.norm(pj - pj.T) > 1e-12 * (1.0 + np.linalg.norm(pj)):
             raise EngineError("initial moment matrix must be symmetric")
         if w0[j] < -1e-9 * max(1.0, abs(tr0[j])):
-            raise NonPsdError(t_from, float(w0[j]), float(tr0[j]))
-    if t_to <= t_from:
+            raise NonPsdError(t_froms[j], float(w0[j]), float(tr0[j]))
+    if any(b <= a for a, b in zip(t_froms, t_tos)):
         raise EngineError("need t_to > t_from")
     # Rank-deficient starts (such as u u^T) pick up O((h*lambda)^5) negative
     # wobble per step; between checks that stays well under 1e-6 of trace, so
@@ -590,39 +604,55 @@ def _moment_loop(systems, p0: np.ndarray, t_from: float, t_to: float,
     singular = w0 <= 1e-12 * tr0
     tolerance = np.where(singular, 1e-6, 1e-9)
 
-    grid = TimeGrid.spanning(t_from, t_to, dt)
-    steps, h, k = grid.steps, grid.dt, len(p)
-    _check_store(3 * k * grid.count, "the moment traces of the stacked starts")
+    spans = {span: TimeGrid.spanning(*span, dt) for span in zip(t_froms, t_tos)}
+    grids = [spans[span] for span in zip(t_froms, t_tos)]
+    counts = sorted({grid.steps for grid in spans.values()})
+    if len(counts) > 1:
+        raise EngineError(f"stacked starts need one step count, got {counts}")
+    steps = counts[0]
+    hs = [grid.dt for grid in grids]
+    h = np.array(hs)[:, None, None]
+    half, sixth = h / 2.0, h / 6.0
+    _check_store((3 + per_start) * k * (steps + 1),
+                 "the moment traces of the stacked starts")
     # A and G at the stage times t_from + j h / 2 are tabulated for a block
-    # of steps at a time, 4 n^2 values per step and start.
+    # of steps at a time, 4 n^2 values per step and start, once per distinct
+    # system and grid.
     block = max(1, CHUNK_VALUES // (4 * n * n * k))
-    distinct = {id(system): system for system in systems}
+    keys = [(id(system), t_froms[j], hs[j]) for j, system in enumerate(systems)]
+    distinct = {}               # key -> its first start
+    for j, key in enumerate(keys):
+        distinct.setdefault(key, j)
 
-    def tabulate(coefficient) -> np.ndarray:
-        """``coefficient(system)`` once per distinct system, stacked over the
-        starts as [time, start, n, n]."""
-        tables = {key: coefficient(system) for key, system in distinct.items()}
-        return np.stack([tables[id(system)] for system in systems], axis=1)
+    def tabulate(coefficient, lo: int, hi: int) -> np.ndarray:
+        """``coefficient(system, stage_times)`` once per distinct system and
+        grid at stage indices lo..hi, stacked over the starts as
+        [time, start, n, n]."""
+        index = np.arange(lo, hi + 1)
+        tables = {key: coefficient(systems[j], t_froms[j] + (hs[j] / 2.0) * index)
+                  for key, j in distinct.items()}
+        return np.stack([tables[key] for key in keys], axis=1)
+
+    def t_here(j: int) -> float:
+        return t_froms[j] + step * hs[j]
 
     p = (p + p.mT) / 2.0
     traces = np.empty((k, steps + 1))
     exps = np.empty((k, steps + 1), dtype=np.int64)
     e = np.zeros(k, dtype=np.int64)
     for step in range(steps + 1):
-        t_here = t_from + step * h
         if step:
             i = 2 * ((step - 1) % block)
             if i == 0:
                 last = min(step - 1 + block, steps)
-                stage_times = t_from + (h / 2.0) * np.arange(2 * step - 2, 2 * last + 1)
-                a_all = tabulate(lambda system: system.drift_at(stage_times))
-                g_all = tabulate(lambda system: system.diffusion_at(stage_times))
+                a_all = tabulate(lambda s, t: s.drift_at(t), 2 * step - 2, 2 * last)
+                g_all = tabulate(lambda s, t: s.diffusion_at(t), 2 * step - 2, 2 * last)
             a, g = a_all[i:i + 3], g_all[i:i + 3]
             k1 = _moment_rhs(a[0], g[0], p)
-            k2 = _moment_rhs(a[1], g[1], p + (h / 2.0) * k1)
-            k3 = _moment_rhs(a[1], g[1], p + (h / 2.0) * k2)
+            k2 = _moment_rhs(a[1], g[1], p + half * k1)
+            k3 = _moment_rhs(a[1], g[1], p + half * k2)
             k4 = _moment_rhs(a[2], g[2], p + h * k3)
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            p = p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             p = (p + p.mT) / 2.0
         tr = p.trace(axis1=1, axis2=2)
         failed = {}             # start -> its error at this step
@@ -630,7 +660,7 @@ def _moment_loop(systems, p0: np.ndarray, t_from: float, t_to: float,
             for j in np.flatnonzero(~((tr >= _TRACE_LOW) & (tr <= _TRACE_HIGH))):
                 if not math.isfinite(tr[j]):
                     failed[j] = DivergenceError(
-                        f"moment integration diverged at t={t_here:.6g}")
+                        f"moment integration diverged at t={t_here(j):.6g}")
                 elif tr[j] > 0.0:
                     shift = math.frexp(tr[j])[1]
                     p[j] = np.ldexp(p[j], -shift)
@@ -641,34 +671,53 @@ def _moment_loop(systems, p0: np.ndarray, t_from: float, t_to: float,
             for j in range(k):
                 if j not in failed and not np.all(np.isfinite(p[j])):
                     failed[j] = DivergenceError(
-                        f"moment integration diverged at t={t_here:.6g}")
+                        f"moment integration diverged at t={t_here(j):.6g}")
             live = [j for j in range(k) if j not in failed]
             for j, w in zip(live, np.linalg.eigvalsh(p[live])[:, 0] if live else ()):
                 if w < -tolerance[j] * max(1.0, abs(tr[j])):
-                    failed[j] = NonPsdError(t_here, float(w), float(tr[j]))
+                    failed[j] = NonPsdError(t_here(j), float(w), float(tr[j]))
                 elif singular[j] and w < 0.0:
                     evals, evecs = np.linalg.eigh(p[j])
                     p[j] = (evecs * np.maximum(evals, 0.0)) @ evecs.T
         if failed:
             raise failed[min(failed)]
-    return grid.times(), traces, exps, p
+    ts = np.stack([grid.times() for grid in grids]) if per_start else grids[0].times()
+    return ts, traces, exps, p
 
 
-def moment_ode(system: LinearSde, p0, t_from: float, t_to: float,
+def moment_ode(system: LinearSde, p0, t_from, t_to,
                dt: float = 1e-3) -> tuple[MomentCurve, np.ndarray]:
     """Integrate d/dt E[u u^T] = A M + M A^T + G M G^T from M(t_from) = p0.
 
     Returns the trace curve on the internal grid and the final matrix.
+
+    A stack p0 [k, n, n] runs its starts in one pass of the moment loop
+    (:func:`_moment_loop`), each from its own ``t_from`` to its own ``t_to``
+    when these are k floats; every start's grid must have the same step
+    count. The curve's ``ts`` and ``values`` are then [k, node] and the
+    final matrices [k, n, n], each row equal to its start's call alone. A
+    trace that leaves the float64 range is reported at the earliest step
+    over the rows, at the lowest row of a tie.
     """
-    ts, traces, exps, p = _moment_loop([system], np.asarray(p0, dtype=float)[None],
-                                       t_from, t_to, dt)
-    traces, exps, p = traces[0], exps[0], p[0]
+    p0 = np.asarray(p0, dtype=float)
+    stacked = p0.ndim == 3
+    starts = p0 if stacked else p0[None]
+    if stacked:
+        t_from, t_to = (np.broadcast_to(np.asarray(t, dtype=float), len(starts))
+                        if np.ndim(t) == 0 else t for t in (t_from, t_to))
+    ts, traces, exps, p = _moment_loop([system] * len(starts), starts, t_from, t_to, dt)
     with np.errstate(over="ignore"):
         values = np.ldexp(traces, exps)
     fits = np.isfinite(values)
     if not fits.all():
-        raise DivergenceError(f"moment integration diverged at t={ts[np.argmin(fits)]:.6g}")
-    return MomentCurve(ts=ts, values=values), np.ldexp(p, exps[-1])
+        first = np.where(fits.all(axis=1), fits.shape[1], np.argmin(fits, axis=1))
+        j = int(np.argmin(first))
+        t = (ts[j] if stacked else ts)[first[j]]
+        raise DivergenceError(f"moment integration diverged at t={t:.6g}")
+    final = np.ldexp(p, exps[:, -1, None, None])
+    if stacked:
+        return MomentCurve(ts=ts, values=values), final
+    return MomentCurve(ts=ts, values=values[0]), final[0]
 
 
 def moment_log_trace(system: LinearSde | list[LinearSde], p0, t_from: float, t_to: float,
@@ -713,8 +762,15 @@ def _moment_rows(system: LinearSde, projector: Projector | None, pairs, sense: s
     The stable sense runs the system from s, starting at P (Id without a
     projector); the unstable sense runs the adjoint, whose flow is the
     transpose, from t to s, starting at Id - P. Pairs with one start form a
-    row, one chained pass: it restarts at each end from that end's matrix,
-    and the end reads its trace.
+    row, a chain of segments: the row restarts at each of its ends from
+    that end's matrix, and the end reads its trace.
+
+    The rows run in rounds: round r steps the r-th segment of every row
+    that has one, in one stacked :func:`moment_ode` call per step count, so
+    each value equals its row's chain run alone bit for bit. A failing call
+    ends the surface: the rounds run in order, and the calls of a round in
+    the order of their first row; within a call the earliest step fails
+    first, the lowest row at a tie.
     """
     n = system.dim
     rank = n if projector is None else projector.rank
@@ -726,17 +782,30 @@ def _moment_rows(system: LinearSde, projector: Projector | None, pairs, sense: s
         flow, spans = adjoint(system), [(t, s) for s, t in pairs]
     p0 = (np.eye(n) if projector is None else projector.matrix if sense == "stable"
           else projector.complement_matrix)
-    rows: dict[float, list] = {}
+    rows: dict[float, dict[float, list]] = {}
     for i, (start, end) in enumerate(spans):
-        rows.setdefault(start, []).append((end, i))
+        rows.setdefault(start, {}).setdefault(end, []).append(i)
     values = np.empty(len(pairs))
-    for start, ends in rows.items():
-        here, p = start, p0
-        for end, i in sorted(ends):
-            if end != here:
-                _, p = moment_ode(flow, p, here, end, dt=dt)
-                here = end
-            values[i] = np.trace(p)
+    # Per row: where it stands, its matrix there, and its ends, each with
+    # the pairs that read it, in ascending order.
+    here = list(rows)
+    m = [p0] * len(here)
+    stops = [sorted(ends.items()) for ends in rows.values()]
+    for j, row in enumerate(stops):
+        if row[0][0] == here[j]:
+            values[row.pop(0)[1]] = np.trace(p0)
+    for r in range(max(map(len, stops))):
+        calls: dict[int, list[int]] = {}    # step count -> the rows of one call
+        for j, row in enumerate(stops):
+            if r < len(row):
+                calls.setdefault(TimeGrid.spanning(here[j], row[r][0], dt).steps, []).append(j)
+        for members in calls.values():
+            ends = [stops[j][r][0] for j in members]
+            _, finals = moment_ode(flow, np.stack([m[j] for j in members]),
+                                   [here[j] for j in members], ends, dt=dt)
+            for j, end, p in zip(members, ends, finals):
+                here[j], m[j] = end, p
+                values[stops[j][r][1]] = np.trace(p)
     return values
 
 

@@ -11,9 +11,10 @@ estimate exactly invariant under scaling of the initial vector by powers
 of two and invariant to rounding otherwise.
 
 On the ODE route every vector of one estimate shares a single pass of the
-moment loop: the probes of a spectrum, and the basis on the system beside
-its dual basis on the adjoint for the exponent sums of duality and
-regularity. A grid too long for all of them at once within CHUNK_VALUES
+moment loop: the probes of a spectrum, with any vector asked about beside
+them, and the bases on the system beside their dual bases on the adjoint
+for the exponent sums of a duality check and of every candidate pair of a
+regularity estimate. A grid too long for all of them at once within CHUNK_VALUES
 stored numbers splits them over a few passes. Each vector's exponent equals
 its pass alone bit for bit. The Monte Carlo route runs one seeded
 simulation per vector.
@@ -171,11 +172,26 @@ def spectrum(system: LinearSde, horizon: float, trials: int, method: str = "ode"
     basis, the rest are seeded random directions. Multiplicities count
     canonical members only, so they always sum to n.
     """
+    est, _ = _spectrum_and_chis(system, [], horizon, trials, method=method, dt=dt,
+                                paths=paths, seed=seed, t_start=t_start, tolerance=tolerance)
+    return est
+
+
+def _spectrum_and_chis(system: LinearSde, vectors, horizon: float, trials: int, method: str,
+                       dt: float, paths: int, seed: int, t_start: float,
+                       tolerance: float) -> tuple[SpectrumEstimate, list[LyapunovEstimate]]:
+    """The :func:`spectrum` of ``system``, and the estimate of each of
+    ``vectors`` on ``seed`` as :func:`chi_estimate` makes it alone: the
+    vectors are stacked below the probes, so on the ODE route the spectrum
+    and the vectors share one pass of the moment loop."""
     n = system.dim
     if not tolerance >= 0.0:
         raise LyapunovError("tolerance must be nonnegative")
     if trials < n:
         raise LyapunovError(f"need at least {n} trials to cover the canonical basis")
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    if any(v.shape != (n,) for v in vectors):
+        raise LyapunovError(f"u0 must be a vector of length {n}")
     probes = [np.eye(n)[:, i] for i in range(n)]
     for j in range(trials - n):
         gen = RngStream(seed, _PROBE_STREAMS + j).generator()
@@ -184,10 +200,10 @@ def spectrum(system: LinearSde, horizon: float, trials: int, method: str = "ode"
             v = gen.standard_normal(n)
         probes.append(v / np.linalg.norm(v))
 
-    # One pass of the moment loop for every probe on the ODE route.
-    chis = [est.chi for est in chi_estimate(
-        system, np.array(probes), horizon, method=method, dt=dt, paths=paths,
-        seed=[seed + 31 * i for i in range(trials)], t_start=t_start)]
+    ests = chi_estimate(system, np.array(probes + vectors), horizon, method=method, dt=dt,
+                        paths=paths, seed=[seed + 31 * i for i in range(trials)]
+                        + [seed] * len(vectors), t_start=t_start)
+    chis = [est.chi for est in ests[:trials]]
 
     order = np.argsort(chis)
     clusters: list[list[int]] = []
@@ -200,8 +216,9 @@ def spectrum(system: LinearSde, horizon: float, trials: int, method: str = "ode"
     mults = tuple(sum(1 for i in members if i < n) for members in clusters)
     # Strictly negative, with headroom for float dust around a zero exponent.
     split = sum(1 for v in values if v < -1e-12)
-    return SpectrumEstimate(values=values, multiplicities=mults, split_index=split,
-                            tolerance=tolerance, per_vector=tuple(float(c) for c in chis))
+    est = SpectrumEstimate(values=values, multiplicities=mults, split_index=split,
+                           tolerance=tolerance, per_vector=tuple(float(c) for c in chis))
+    return est, ests[trials:]
 
 
 def _check_dual(basis: np.ndarray, dual_basis: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,18 +232,21 @@ def _check_dual(basis: np.ndarray, dual_basis: np.ndarray, n: int) -> tuple[np.n
     return b, d
 
 
-def _dual_chis(system: LinearSde, tilde: LinearSde, b: np.ndarray, d: np.ndarray,
-               seed: int, **estimate) -> tuple[np.ndarray, np.ndarray]:
+def _dual_chis(system: LinearSde, tilde: LinearSde, pairs, seeds,
+               **estimate) -> list[tuple[np.ndarray, np.ndarray]]:
     """chi(u_i) on seed + 2i and chi_adj(v_i) on seed + 2i + 1 for the columns
-    of a dual basis pair, the basis on the system and the dual basis on the
-    adjoint in one pass of the moment loop on the ODE route; ``estimate``
-    holds chi_estimate's other arguments."""
+    of each dual basis pair (b, d) of ``pairs``, with its seed of ``seeds``:
+    every basis on the system and every dual basis on the adjoint in one
+    chi_estimate call, so one pass of the moment loop on the ODE route where
+    CHUNK_VALUES allows; ``estimate`` holds chi_estimate's other arguments."""
     n = system.dim
-    ests = chi_estimate([system] * n + [tilde] * n, np.concatenate([b.T, d.T]),
-                        seed=[seed + 2 * i + side for side in (0, 1) for i in range(n)],
+    ests = chi_estimate(([system] * n + [tilde] * n) * len(pairs),
+                        np.concatenate([m.T for b, d in pairs for m in (b, d)]),
+                        seed=[s + 2 * i + side for s in seeds for side in (0, 1)
+                              for i in range(n)],
                         **estimate)
-    chis = np.array([est.chi for est in ests])
-    return chis[:n], chis[n:]
+    chis = np.array([est.chi for est in ests]).reshape(len(pairs), 2, n)
+    return [(pair[0], pair[1]) for pair in chis]
 
 
 def duality_defect(system: LinearSde, basis, dual_basis, horizon: float,
@@ -242,8 +262,9 @@ def duality_defect(system: LinearSde, basis, dual_basis, horizon: float,
     """
     n = system.dim
     b, d = _check_dual(basis, dual_basis, n)
-    chis, chis_adj = _dual_chis(system, adjoint(system), b, d, seed, horizon=horizon,
-                                method=method, dt=dt, paths=paths, t_start=t_start)
+    [(chis, chis_adj)] = _dual_chis(system, adjoint(system), [(b, d)], [seed],
+                                    horizon=horizon, method=method, dt=dt, paths=paths,
+                                    t_start=t_start)
     sums = chis + chis_adj
     worst = float(np.min(sums))
     if worst < -0.05:
@@ -270,18 +291,22 @@ def duality_defect(system: LinearSde, basis, dual_basis, horizon: float,
 def regularity_estimate(system: LinearSde, candidate_bases, horizon: float,
                         method: str = "ode", dt: float = 1e-2, paths: int = 10_000,
                         seed: int = 0, t_start: float = 0.0) -> RegularityEstimate:
-    """Upper estimate of the regularity coefficient over candidate bases."""
+    """Upper estimate of the regularity coefficient over candidate bases.
+
+    The 2n exponents of every candidate pair share one chi_estimate call,
+    so one pass of the moment loop on the ODE route where CHUNK_VALUES
+    allows; each equals its pair's estimate alone bit for bit.
+    """
     if not candidate_bases:
         raise LyapunovError("need at least one candidate basis pair")
     n = system.dim
-    tilde = adjoint(system)
+    pairs = [_check_dual(basis, dual_basis, n) for basis, dual_basis in candidate_bases]
     per_pair_sums = []
     per_pair_max = []
-    for pair_idx, (basis, dual_basis) in enumerate(candidate_bases):
-        b, d = _check_dual(basis, dual_basis, n)
-        chis, chis_adj = _dual_chis(system, tilde, b, d, seed + 977 * pair_idx,
-                                    horizon=horizon, method=method, dt=dt, paths=paths,
-                                    t_start=t_start)
+    for chis, chis_adj in _dual_chis(system, adjoint(system), pairs,
+                                     [seed + 977 * p for p in range(len(pairs))],
+                                     horizon=horizon, method=method, dt=dt, paths=paths,
+                                     t_start=t_start):
         sums = tuple(float(x) for x in chis + chis_adj)
         per_pair_sums.append(sums)
         per_pair_max.append(max(sums))

@@ -17,6 +17,7 @@ from msd.dichotomy import (
     uniform_witness,
 )
 from msd.engines import (
+    DivergenceError,
     EngineError,
     MomentSurface,
     TimeGrid,
@@ -51,6 +52,30 @@ def _surface(pairs, values, sense="stable"):
 def _coupled_2x2():
     return LinearSde.from_strings(
         2, [["-1", "1"], ["-1", "-1"]], [["0.2", "0"], ["0", "0.2"]])
+
+
+def _serial_chains(system, projector, pairs, sense, dt):
+    """Surface values with one moment_ode call per segment, row after row:
+    each row of pairs that share a start restarts at each end from that
+    end's matrix."""
+    n = system.dim
+    flow, spans = system, pairs
+    if sense == "unstable":
+        flow, spans = adjoint(system), [(t, s) for s, t in pairs]
+    p0 = (np.eye(n) if projector is None else projector.matrix if sense == "stable"
+          else projector.complement_matrix)
+    rows = {}
+    for i, (start, end) in enumerate(spans):
+        rows.setdefault(start, []).append((end, i))
+    values = np.empty(len(pairs))
+    for start, ends in rows.items():
+        here, p = start, p0
+        for end, i in sorted(ends):
+            if end != here:
+                _, p = moment_ode(flow, p, here, end, dt=dt)
+                here = end
+            values[i] = np.trace(p)
+    return values
 
 
 class TestSurface:
@@ -150,7 +175,7 @@ class TestSurface:
 
         def counting(*args, **kwargs):
             curve, final = moment_ode(*args, **kwargs)
-            steps.append(len(curve.ts) - 1)
+            steps.append(curve.ts.shape[-1] - 1)
             return curve, final
 
         monkeypatch.setattr(engines, "moment_ode", counting)
@@ -186,6 +211,60 @@ class TestSurface:
         # The first end of every row is the pass transition_second_moment makes.
         for _, s, t, value in nearest.values():
             assert value == transition_second_moment(system, s, t, proj, dt=1e-3)
+
+    @pytest.mark.parametrize("name, rank, pairs, dt", [
+        ("perron-ode", 1, pair_grid([0.5, 1.0, 4.5], [0.0, 0.5, 1.0, 2.0]), 1e-2),
+        ("diag-2x2", 1, pair_grid([6.3, 8.7], [0.0, 0.5, 1.0, 2.0, 4.0], "unstable"), 1e-2),
+        ("perron-sde", None, pair_grid([1.0, 2.5], [0.0, 0.3337, 0.77071, 2.01]), 1e-2),
+        ("diag-2x2", 1, [(1.0, 0.2), (1.7, 0.2), (0.2, 0.2), (2.5, 0.2),
+                         (1.5, 0.6), (2.5, 0.6)], 1e-3),
+    ])
+    def test_rounds_equal_a_serial_chain_per_row(self, name, rank, pairs, dt):
+        system = gallery(name)
+        proj = None if rank is None else make_projector(system.dim, rank)
+        surf = dichotomy_surface(system, proj, pairs, method="ode", dt=dt)
+        assert np.array_equal(surf.values, _serial_chains(system, proj, pairs, surf.sense, dt))
+
+    @pytest.mark.parametrize("name, pairs, dt, calls, steps", [
+        # The ode benchmark's fit: two rows of two 2500-step segments.
+        ("perron-ode", pair_grid([0.5, 4.5], [0.0, 50.0, 100.0]), 0.02, 2, 5000),
+        # Ten rows of one pair each; the two of each gap share a call.
+        ("diag-2x2", pair_grid([6.3, 8.7], [0.0, 0.5, 1.0, 2.0, 4.0], "unstable"), 1e-2,
+         4, 750),
+    ])
+    def test_a_surface_takes_one_call_per_round_and_step_count(self, monkeypatch, name,
+                                                               pairs, dt, calls, steps):
+        made = []
+
+        def counting(*args, **kwargs):
+            curve, final = moment_ode(*args, **kwargs)
+            made.append(curve.ts.shape[-1] - 1)
+            return curve, final
+
+        monkeypatch.setattr(engines, "moment_ode", counting)
+        system = gallery(name)
+        dichotomy_surface(system, make_projector(system.dim, 1), pairs, dt=dt)
+        assert (len(made), sum(made)) == (calls, steps)
+
+    def test_the_earliest_round_reports_its_failure(self):
+        # M' = 400 M leaves float64 1.77 after a start of trace 1. The first
+        # row fails in its second segment (round 1), the second row in its
+        # first (round 0), so the second row's failure is the one reported,
+        # where a row-by-row chain reported the first's.
+        hot = gallery("gbm", a=200.0, b=0.0)
+        pairs = [(0.0, 1.0), (0.0, 2.0), (10.0, 12.0)]
+        errors = []
+        # The restart at trace e^400 squares past float64 in its symmetry check.
+        with np.errstate(over="ignore"):
+            for s, t in pairs[1:]:
+                with pytest.raises(DivergenceError) as err:
+                    _serial_chains(hot, None, [(0.0, 1.0), (s, t)] if s == 0.0 else [(s, t)],
+                                   "stable", 1e-3)
+                errors.append(str(err.value))
+            assert errors == ["moment integration diverged at t=1.775",
+                              "moment integration diverged at t=11.775"]
+            with pytest.raises(DivergenceError, match=f"^{errors[1]}$"):
+                dichotomy_surface(hot, None, pairs, method="ode", dt=1e-3)
 
     def test_pair_grid_shapes_and_validation(self):
         fwd = pair_grid([0.0, 1.0], [0.0, 0.5], "stable")

@@ -523,6 +523,81 @@ def test_a_stack_too_large_for_the_store_is_refused_before_it_steps():
         moment_log_trace(gallery("diag-2x2"), starts, 0.0, 1e4, dt=1e-2)
 
 
+@pytest.mark.parametrize("flow, starts, t_from, t_to", [
+    # Different starts in time, one span.
+    (gallery("diag-2x2"), [np.eye(2)] * 3, [0.5, 1.3, 2.0], [1.5, 2.3, 3.0]),
+    # Steps that differ by an ulp of the span: 100 steps of 1e-2 and of
+    # (1 + 2^-52) 1e-2.
+    (gallery("diag-2x2"), [np.eye(2)] * 2, [0.0, 0.0], [1.0, math.nextafter(1.0, 2.0)]),
+    # Time-dependent coefficients, tabulated on each start's own stage times.
+    (gallery("perron-ode"), [np.eye(2), _rank_one(0.6, 0.8), np.eye(2)],
+     [0.5, 1.0, 4.5], [1.0, 1.5, 5.0]),
+    (adjoint(gallery("diag-2x2")), [np.eye(2), np.diag([0.0, 1.0])], [5.8, 8.2], [6.3, 8.7]),
+    # A singular start beside a full-rank one: the clamp stays with its start.
+    (LinearSde.from_strings(2, [["-1", "3"], ["-2", "-0.5"]], [["0", "0"], ["0", "0"]]),
+     [_rank_one(0.6, 0.8), np.eye(2)], [0.0, 2.5], [10.0, 12.5]),
+])
+def test_each_start_of_a_stack_steps_on_its_own_span(flow, starts, t_from, t_to):
+    starts = np.stack(starts)
+    curve, final = moment_ode(flow, starts, t_from, t_to, dt=1e-2)
+    assert curve.ts.shape == curve.values.shape == (len(starts), curve.ts.shape[1])
+    ends = np.broadcast_to(t_to, len(starts))
+    for j, (p0, t0, t1) in enumerate(zip(starts, t_from, ends)):
+        alone, alone_final = moment_ode(flow, p0, t0, t1, dt=1e-2)
+        assert np.array_equal(curve.ts[j], alone.ts)
+        assert np.array_equal(curve.values[j], alone.values)
+        assert np.array_equal(final[j], alone_final)
+
+
+def test_a_stack_of_one_span_matches_its_starts_alone():
+    # One float per bound is shared by every start; the curve is still [k, node].
+    sys_ = gallery("perron-sde")
+    starts = np.stack([np.eye(2), _rank_one(0.6, 0.8)])
+    curve, final = moment_ode(sys_, starts, 0.5, 1.7, dt=1e-2)
+    for j, p0 in enumerate(starts):
+        alone, alone_final = moment_ode(sys_, p0, 0.5, 1.7, dt=1e-2)
+        assert np.array_equal(curve.ts[j], alone.ts)
+        assert np.array_equal(curve.values[j], alone.values)
+        assert np.array_equal(final[j], alone_final)
+
+
+def test_a_stack_with_mixed_step_counts_is_refused():
+    sys_ = gallery("diag-2x2")
+    starts = np.stack([np.eye(2)] * 2)
+    with pytest.raises(EngineError, match=r"one step count, got \[100, 200\]"):
+        moment_ode(sys_, starts, [0.0, 0.0], [1.0, 2.0], dt=1e-2)
+    with pytest.raises(EngineError, match="one t_from and one t_to per start"):
+        moment_ode(sys_, starts, [0.0, 0.5, 1.0], 2.0, dt=1e-2)
+    with pytest.raises(EngineError, match="need t_to > t_from"):
+        moment_ode(sys_, starts, [0.0, 2.0], 1.0, dt=1e-2)
+
+
+def test_a_stacked_call_reports_the_earliest_overflow_step():
+    # M' = 400 M leaves float64 in the linear view 1775 steps of 1e-3 after
+    # its start from trace 1, and 1602 after its start from trace 2^100.
+    hot = gallery("gbm", a=200.0, b=0.0)
+    small, big = np.eye(1), np.eye(1) * 2.0 ** 100
+    messages = []
+    for p0, t0 in ((small, 0.0), (big, 0.5), (small, 0.5)):
+        with pytest.raises(DivergenceError) as err:
+            moment_ode(hot, p0, t0, t0 + 2.0, dt=1e-3)
+        messages.append(str(err.value))
+    assert len(set(messages)) == 3
+    # Earliest step: the big start fails first, later in time.
+    for order in ([0, 1], [1, 0]):
+        starts = np.stack([(small, big)[j] for j in order])
+        t_from = [(0.0, 0.5)[j] for j in order]
+        with pytest.raises(DivergenceError) as err:
+            moment_ode(hot, starts, t_from, [t + 2.0 for t in t_from], dt=1e-3)
+        assert str(err.value) == messages[1]
+    # A tie of steps: the lowest row is reported.
+    for t_from, want in (([0.0, 0.5], messages[0]), ([0.5, 0.0], messages[2])):
+        with pytest.raises(DivergenceError) as err:
+            moment_ode(hot, np.stack([small, small]), t_from, [t + 2.0 for t in t_from],
+                       dt=1e-3)
+        assert str(err.value) == want
+
+
 @pytest.mark.parametrize("chunk", [40, 112])
 def test_rk4_coefficients_are_tabulated_in_blocks(monkeypatch, chunk):
     # CHUNK_VALUES 40 holds 2 steps' stage coefficients on a 2x2 system, 112

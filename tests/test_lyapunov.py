@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from msd import engines, lyapunov
+from msd.cli import dispatch
 from msd.engines import EngineError, TimeGrid, euler_maruyama
 from msd.lyapunov import (
     LyapunovError,
@@ -206,9 +208,45 @@ def test_the_dual_exponents_of_a_basis_take_one_pass(monkeypatch):
     rep = duality_defect(sys_, rot, rot, horizon=10.0, t_start=0.5)
     est = regularity_estimate(sys_, [(np.eye(2), np.eye(2)), (rot, rot)], horizon=10.0,
                               t_start=0.5)
-    assert passes == [4, 4, 4]
+    assert passes == [4, 8]
     assert list(rep.chis) == chis and list(rep.chis_adjoint) == chis_adj
     assert est.per_pair_sums[1] == tuple(float(x) for x in np.add(chis, chis_adj))
+
+
+def test_every_candidate_pair_of_a_regularity_estimate_shares_one_pass(monkeypatch):
+    sys_ = gallery("perron-sde")
+    theta = 0.6
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    shear = np.array([[1.0, 0.5], [0.0, 1.0]])
+    pairs = [(np.eye(2), np.eye(2)), (rot, rot), (shear, np.linalg.inv(shear).T)]
+    alone = [regularity_estimate(sys_, [pair], horizon=10.0, t_start=0.5, seed=3 + 977 * p)
+             for p, pair in enumerate(pairs)]
+    passes = _counting_moment_loop(monkeypatch)
+    est = regularity_estimate(sys_, pairs, horizon=10.0, t_start=0.5, seed=3)
+    assert passes == [12]
+    assert est.per_pair_sums == tuple(one.per_pair_sums[0] for one in alone)
+    assert est.per_pair_max == tuple(one.per_pair_max[0] for one in alone)
+    assert est.gamma_upper_estimate == min(one.gamma_upper_estimate for one in alone)
+
+
+def test_the_lyapunov_command_runs_its_vector_in_the_spectrums_pass(monkeypatch, capsys):
+    sys_ = gallery("diag-2x2")
+    argv = ["lyapunov", "--system", "diag-2x2", "--horizon", "20", "--trials", "3",
+            "--vector", "0.6,0.8"]
+    alone = chi_estimate(sys_, [0.6, 0.8], horizon=20.0)
+    probes = spectrum(sys_, horizon=20.0, trials=3)
+    passes = _counting_moment_loop(monkeypatch)
+    assert dispatch(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert passes == [4]
+    assert payload["chi"]["chi"] == alone.chi
+    assert payload["chi"]["window"] == list(alone.window)
+    assert tuple(payload["spectrum"]["per_vector"]) == probes.per_vector
+    assert dispatch([*argv[:-1], "1"]) == 1
+    assert passes == [4]
+    assert capsys.readouterr().err.endswith("error: validation: u0 must be a vector of "
+                                            "length 2\n")
 
 
 def test_chi_mc_route_gbm():

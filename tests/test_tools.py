@@ -82,8 +82,8 @@ def test_output_digest_reads_every_readme_command_once():
     commands = _load_tool("output_digest").readme_commands()
     assert ["example", "list"] in commands
     assert ["lyapunov", "--system", "gbm", "--vector", "1", "--epsilon", "0.05"] in commands
-    # The fit example appears twice in the README and once among the extras.
-    assert sum(argv[0] == "fit" for argv in commands) == 2
+    # The fit example appears twice in the README and three fits are extras.
+    assert sum(argv[0] == "fit" for argv in commands) == 4
     assert len(commands) == len({tuple(argv) for argv in commands})
     for argv in commands:
         build_parser().parse_args(argv)
@@ -121,7 +121,7 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     data = json.loads(out.read_text())
     assert set(data) == {"format", "host", "known_faults", "sides"}
-    assert data["format"] == 2
+    assert data["format"] == 3
     assert set(data["host"]) == set(bench_record.HOST_KEYS)
     assert data["known_faults"] == list(bench_record.KNOWN_FAULTS)
     assert list(data["sides"]) == ["change"]
@@ -136,3 +136,6 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     for row in side["rk4"]:
         assert set(row) == set(bench_record.RK4_KEYS)
         assert row["us_per_step"] > 0.0
+    assert set(side["surface"]) == set(bench_record.SURFACE_KEYS)
+    assert side["surface"]["deltas"] == [0.0, 1.0, 2.0]
+    assert side["surface"]["ms_per_call"] > 0.0

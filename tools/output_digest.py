@@ -44,6 +44,13 @@ EXTRA = (
     "fit --system gbm --s-values 0,1 --deltas 0,1,2 --format csv",
     # Too short a horizon for a tail slope: null, not NaN.
     "perturb --system gbm --mode stability --horizon 0.001 --paths 10 --seed 1",
+    # Moment surfaces on the ODE route whose rows share the calls of a round:
+    # unstable-sense rows of one pair each, and rank-1 chains of three
+    # segments on time-dependent coefficients.
+    "fit --system diag-2x2 --rank 1 --sense unstable --s-values 6.3,8.7 "
+    "--deltas 0,0.5,1,2,4 --dt 0.01 --format csv",
+    "fit --system perron-ode --rank 1 --s-values 0.5,1,4.5 --deltas 0,0.5,1,2 "
+    "--dt 0.01 --format csv",
     *(f"example show --system {name}" for name in msd.cli.GALLERY_NAMES),
 )
 
