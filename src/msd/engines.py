@@ -703,8 +703,7 @@ def moment_ode(system: LinearSde, p0, t_from, t_to,
     stacked = p0.ndim == 3
     starts = p0 if stacked else p0[None]
     if stacked:
-        t_from, t_to = (np.broadcast_to(np.asarray(t, dtype=float), len(starts))
-                        if np.ndim(t) == 0 else t for t in (t_from, t_to))
+        t_from, t_to = (t if np.ndim(t) else [t] * len(starts) for t in (t_from, t_to))
     ts, traces, exps, p = _moment_loop([system] * len(starts), starts, t_from, t_to, dt)
     with np.errstate(over="ignore"):
         values = np.ldexp(traces, exps)
