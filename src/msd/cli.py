@@ -410,7 +410,8 @@ def _cmd_lyapunov(args):
         "method": args.method,
         "spectrum": asdict(est),
     }
-    for chi in chis:
+    if args.vector is not None:
+        [chi] = chis
         payload["chi"] = {
             "vector": [float(x) for x in args.vector],
             "chi": chi.chi,

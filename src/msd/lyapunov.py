@@ -14,9 +14,9 @@ On the ODE route every vector of one estimate shares a single pass of the
 moment loop: the probes of a spectrum, with any vector asked about beside
 them, and the bases on the system beside their dual bases on the adjoint
 for the exponent sums of a duality check and of every candidate pair of a
-regularity estimate. A grid too long for all of them at once within CHUNK_VALUES
-stored numbers splits them over a few passes. Each vector's exponent equals
-its pass alone bit for bit. The Monte Carlo route runs one seeded
+regularity estimate. A grid too long for all of them at once within
+CHUNK_VALUES stored numbers splits them over a few passes. Each vector's
+exponent equals its pass alone bit for bit. The Monte Carlo route runs one seeded
 simulation per vector.
 """
 
