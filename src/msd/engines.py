@@ -6,15 +6,18 @@ Three routes to the same quantities, used to cross-check each other:
   propagated alongside by its own SDE on the same Brownian increments
   (never by numerical inversion).
 * Deterministic: the matrix ODE for E[u u^T], integrated with a classical
-  4th-order step. Exact up to discretization, no sampling error.
+  4th-order step, on vech M through tabulated generators for small n.
+  Exact up to discretization, no sampling error.
 * Closed forms: scalar variation-of-constants and the triangular recursion,
   evaluated with left-point Ito quadrature on a shared path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -543,10 +546,154 @@ def _moment_rhs(a: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return ap + ap.mT + g @ p @ g.mT
 
 
+class _VechMaps(NamedTuple):
+    """Fixed index maps of the moment equation on vech M for n x n matrices.
+
+    vech M holds the d = n(n+1)/2 entries M[rows[c], cols[c]]: the diagonal
+    first, then the entries above it row by row, so the trace is the sum of
+    its first n entries; ``full`` [n, n] is the position in vech M of each
+    entry of M. The generator L [d, d] of M' = A M + M A^T + G M G^T on
+    vech M (Magnus & Neudecker 1980: A (x) I + I (x) A + G (x) G, restricted
+    to symmetric M, where column c stands for both M[p, q] and M[q, p]) is
+
+        L[r, c] = (A[x] + A[y]) + G[g1] G[g2] + G[g3] G[g4]
+
+    with each map [d, d] a flat index into A or G, n * n reading a 0.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    full: np.ndarray
+    linear: tuple
+    quadratic: tuple
+
+
+@functools.lru_cache(maxsize=8)
+def _vech_maps(n: int) -> _VechMaps:
+    """The index maps of :class:`_VechMaps` for n x n moment matrices."""
+    pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows, cols = (np.array(side) for side in zip(*pairs))
+    full = np.empty((n, n), dtype=np.int64)
+    full[rows, cols] = full[cols, rows] = np.arange(len(pairs))
+    # Entry r = (i, j) of the right side reads M[p, q] through column c = (p, q),
+    # and also M[q, p] when p != q.
+    i, j, p, q = rows[:, None], cols[:, None], rows[None, :], cols[None, :]
+    off = p != q
+    zero = n * n
+
+    def at(row, col, where):
+        return np.where(where, row * n + col, zero)
+
+    # A[i, p] [j = q] + A[i, q] [j = p, p != q]: at most one of the two holds.
+    x = np.where(j == q, i * n + p, at(i, q, off & (j == p)))
+    # [i = p] A[j, q] + [i = q, p != q] A[j, p]: likewise.
+    y = np.where(i == p, j * n + q, at(j, p, off & (i == q)))
+    maps = (rows, cols, full, x, y, at(i, p, True), at(j, q, True), at(i, q, off),
+            at(j, p, off))
+    for index in maps:
+        index.flags.writeable = False
+    return _VechMaps(rows, cols, full, maps[3:5], (maps[5:7], maps[7:9]))
+
+
+def _vech_generator(a: np.ndarray, g: np.ndarray, maps: _VechMaps) -> np.ndarray:
+    """The generator L [..., d, d] on vech M from A and G [..., n, n]."""
+    flat = a.shape[:-2] + (a.shape[-1] ** 2,)
+    pad = np.zeros(a.shape[:-2] + (1,))
+    a_flat = np.concatenate([a.reshape(flat), pad], axis=-1)
+    g_flat = np.concatenate([g.reshape(flat), pad], axis=-1)
+    x, y = maps.linear
+    out = np.take(a_flat, x, axis=-1)
+    out += np.take(a_flat, y, axis=-1)
+    for left, right in maps.quadratic:
+        product = np.take(g_flat, left, axis=-1)
+        product *= np.take(g_flat, right, axis=-1)
+        out += product
+    return out
+
+
+class _VechSteps:
+    """Each start carried as v = vech M [k, d, 1] and stepped by the
+    generators L tabulated at its stage times: four stacked matvecs a step."""
+
+    def __init__(self, n: int, h):
+        self.n, self.maps = n, _vech_maps(n)
+        self.h, self.half, self.sixth = h, h / 2.0, h / 6.0
+        # L at both stage times of a step: 2 d^2 values per step and start.
+        self.values_per_step = 2 * len(self.maps.rows) ** 2
+
+    def tables(self, tabulate, lo: int, hi: int) -> tuple:
+        maps = self.maps
+        return (tabulate(lambda s, t: _vech_generator(s.drift_at(t), s.diffusion_at(t), maps),
+                         lo, hi),)
+
+    def step(self, tables: tuple, i: int, v: np.ndarray) -> np.ndarray:
+        (gen,) = tables
+        mid = gen[i + 1]
+        k1 = gen[i] @ v
+        k2 = mid @ (v + self.half * k1)
+        k3 = mid @ (v + self.half * k2)
+        k4 = gen[i + 2] @ (v + self.h * k3)
+        return v + self.sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def state(self, m: np.ndarray) -> np.ndarray:
+        """vech of symmetric matrices [..., n, n], as [..., d, 1]."""
+        return m[..., self.maps.rows, self.maps.cols, None]
+
+    def matrices(self, v: np.ndarray) -> np.ndarray:
+        return v[:, self.maps.full, 0]
+
+    def traces(self, v: np.ndarray) -> np.ndarray:
+        return np.add.reduce(v[:, :self.n, 0], axis=1)
+
+
+class _MatrixSteps:
+    """Each start carried as M [k, n, n] and stepped by :func:`_moment_rhs`
+    on the tabulated A and G, symmetrized after each step."""
+
+    def __init__(self, n: int, h):
+        self.h, self.half, self.sixth = h, h / 2.0, h / 6.0
+        # A and G at both stage times of a step: 4 n^2 values per step and start.
+        self.values_per_step = 4 * n * n
+
+    def tables(self, tabulate, lo: int, hi: int) -> tuple:
+        return (tabulate(lambda s, t: s.drift_at(t), lo, hi),
+                tabulate(lambda s, t: s.diffusion_at(t), lo, hi))
+
+    def step(self, tables: tuple, i: int, p: np.ndarray) -> np.ndarray:
+        a, g = tables[0][i:i + 3], tables[1][i:i + 3]
+        k1 = _moment_rhs(a[0], g[0], p)
+        k2 = _moment_rhs(a[1], g[1], p + self.half * k1)
+        k3 = _moment_rhs(a[1], g[1], p + self.half * k2)
+        k4 = _moment_rhs(a[2], g[2], p + self.h * k3)
+        p = p + self.sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return (p + p.mT) / 2.0
+
+    def state(self, m: np.ndarray) -> np.ndarray:
+        return m
+
+    def matrices(self, p: np.ndarray) -> np.ndarray:
+        return p
+
+    def traces(self, p: np.ndarray) -> np.ndarray:
+        return p.trace(axis1=-2, axis2=-1)
+
+
+# The moment loop steps vech M (:class:`_VechSteps`) up to this n, and M
+# itself above it, where the O(n^4) generators cost more than they save.
+_VECH_MAX_N = 6
+
 # The carried moment matrix is rescaled by an exact power of two whenever its
 # trace leaves [2^-332, 2^332] (about 1e-100 to 1e100), so no RK4 stage can
 # overflow or underflow however far the true trace runs.
 _TRACE_LOW, _TRACE_HIGH = 2.0 ** -332, 2.0 ** 332
+
+
+def _asymmetric(p: np.ndarray) -> bool:
+    """||P - P^T|| > 1e-12 (1 + ||P||) in the Frobenius norm, taken on P
+    scaled by a power of two near its largest entry, so no norm overflows."""
+    e = math.frexp(float(np.max(np.abs(p))))[1]
+    q = np.ldexp(p, -e)
+    return bool(np.linalg.norm(q - q.T) > 1e-12 * (math.ldexp(1.0, -e) + np.linalg.norm(q)))
 
 
 def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
@@ -563,16 +710,24 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
     come back as one grid's [node] when both bounds are floats and as
     [k, node] otherwise.
 
+    Up to n = ``_VECH_MAX_N`` each m is carried as vech m [d, 1], d =
+    n(n+1)/2, and a step is four stacked matvecs with the generators L
+    tabulated at the stage times (:class:`_VechSteps`): symmetric by
+    construction, so nothing is symmetrized. Above it m is carried whole and
+    stepped by :func:`_moment_rhs` (:class:`_MatrixSteps`). The two agree to
+    rounding.
+
     Every product is stacked over the starts, so each start's row equals a
     pass of that start alone bit for bit. Each start keeps its own rescaling
     and exponent, its PSD check every 25 steps with its own tolerance, and
-    its clamp if it is singular. The coefficients are tabulated once per
-    distinct system and grid, a block of steps at a time. A start that fails
-    ends the pass: when several fail, the one failing at the earliest step
-    is reported, the lowest index at a tie. The traces and exponents, with
-    the values a caller makes of them, are three numbers per start and node,
-    four with per-start times; a stack whose pass would hold more than the
-    store limit is refused before it steps.
+    its clamp if it is singular. The tables (L, or A and G) are tabulated
+    once per distinct system and grid, a block of steps at a time that holds
+    about ``CHUNK_VALUES`` values. A start that fails ends the pass: when
+    several fail, the one failing at the earliest step is reported, the
+    lowest index at a tie. The traces and exponents, with the values a
+    caller makes of them, are three numbers per start and node, four with
+    per-start times; a stack whose pass would hold more than the store limit
+    is refused before it steps.
     """
     if not systems:
         raise EngineError("need at least one initial moment matrix")
@@ -592,7 +747,7 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
     w0 = np.linalg.eigvalsh((p + p.mT) / 2.0)[:, 0]
     tr0 = p.trace(axis1=1, axis2=2)
     for j, pj in enumerate(p):
-        if np.linalg.norm(pj - pj.T) > 1e-12 * (1.0 + np.linalg.norm(pj)):
+        if _asymmetric(pj):
             raise EngineError("initial moment matrix must be symmetric")
         if w0[j] < -1e-9 * max(1.0, abs(tr0[j])):
             raise NonPsdError(t_froms[j], float(w0[j]), float(tr0[j]))
@@ -611,32 +766,36 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
         raise EngineError(f"stacked starts need one step count, got {counts}")
     steps = counts[0]
     hs = [grid.dt for grid in grids]
-    h = np.array(hs)[:, None, None]
-    half, sixth = h / 2.0, h / 6.0
     _check_store((3 + per_start) * k * (steps + 1),
                  "the moment traces of the stacked starts")
-    # A and G at the stage times t_from + j h / 2 are tabulated for a block
-    # of steps at a time, 4 n^2 values per step and start, once per distinct
-    # system and grid.
-    block = max(1, CHUNK_VALUES // (4 * n * n * k))
+    # One float when every start shares its step: the same products, fewer
+    # broadcasts.
+    h = hs[0] if len(set(hs)) == 1 else np.array(hs)[:, None, None]
+    route = (_VechSteps if n <= _VECH_MAX_N else _MatrixSteps)(n, h)
+    # The tables hold two stage times per step, t_from + j h / 2, and are
+    # tabulated for a block of steps at a time, once per distinct system and
+    # grid.
+    block = max(1, CHUNK_VALUES // (route.values_per_step * k))
     keys = [(id(system), t_froms[j], hs[j]) for j, system in enumerate(systems)]
     distinct = {}               # key -> its first start
     for j, key in enumerate(keys):
         distinct.setdefault(key, j)
 
-    def tabulate(coefficient, lo: int, hi: int) -> np.ndarray:
-        """``coefficient(system, stage_times)`` once per distinct system and
-        grid at stage indices lo..hi, stacked over the starts as
-        [time, start, n, n]."""
+    def tabulate(table, lo: int, hi: int) -> np.ndarray:
+        """``table(system, stage_times)`` once per distinct system and grid
+        at stage indices lo..hi, as [time, start, ...]: stacked over the
+        starts, or [time, 1, ...] to broadcast when all starts share one."""
         index = np.arange(lo, hi + 1)
-        tables = {key: coefficient(systems[j], t_froms[j] + (hs[j] / 2.0) * index)
+        tables = {key: table(systems[j], t_froms[j] + (hs[j] / 2.0) * index)
                   for key, j in distinct.items()}
+        if len(tables) == 1:
+            return tables[keys[0]][:, None]
         return np.stack([tables[key] for key in keys], axis=1)
 
     def t_here(j: int) -> float:
         return t_froms[j] + step * hs[j]
 
-    p = (p + p.mT) / 2.0
+    x = route.state((p + p.mT) / 2.0)
     traces = np.empty((k, steps + 1))
     exps = np.empty((k, steps + 1), dtype=np.int64)
     e = np.zeros(k, dtype=np.int64)
@@ -644,45 +803,38 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
         if step:
             i = 2 * ((step - 1) % block)
             if i == 0:
-                last = min(step - 1 + block, steps)
-                a_all = tabulate(lambda s, t: s.drift_at(t), 2 * step - 2, 2 * last)
-                g_all = tabulate(lambda s, t: s.diffusion_at(t), 2 * step - 2, 2 * last)
-            a, g = a_all[i:i + 3], g_all[i:i + 3]
-            k1 = _moment_rhs(a[0], g[0], p)
-            k2 = _moment_rhs(a[1], g[1], p + half * k1)
-            k3 = _moment_rhs(a[1], g[1], p + half * k2)
-            k4 = _moment_rhs(a[2], g[2], p + h * k3)
-            p = p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            p = (p + p.mT) / 2.0
-        tr = p.trace(axis1=1, axis2=2)
+                tables = route.tables(tabulate, 2 * step - 2, 2 * min(step - 1 + block, steps))
+            x = route.step(tables, i, x)
+        tr = route.traces(x)
         failed = {}             # start -> its error at this step
-        if not all(_TRACE_LOW <= x <= _TRACE_HIGH for x in tr.tolist()):
+        if not all(_TRACE_LOW <= y <= _TRACE_HIGH for y in tr.tolist()):
             for j in np.flatnonzero(~((tr >= _TRACE_LOW) & (tr <= _TRACE_HIGH))):
                 if not math.isfinite(tr[j]):
                     failed[j] = DivergenceError(
                         f"moment integration diverged at t={t_here(j):.6g}")
                 elif tr[j] > 0.0:
                     shift = math.frexp(tr[j])[1]
-                    p[j] = np.ldexp(p[j], -shift)
+                    x[j] = np.ldexp(x[j], -shift)
                     e[j] += shift
-                    tr[j] = np.trace(p[j])
+                    tr[j] = route.traces(x[j:j + 1])[0]
         traces[:, step], exps[:, step] = tr, e
         if step and (step % 25 == 0 or step == steps):
             for j in range(k):
-                if j not in failed and not np.all(np.isfinite(p[j])):
+                if j not in failed and not np.all(np.isfinite(x[j])):
                     failed[j] = DivergenceError(
                         f"moment integration diverged at t={t_here(j):.6g}")
             live = [j for j in range(k) if j not in failed]
-            for j, w in zip(live, np.linalg.eigvalsh(p[live])[:, 0] if live else ()):
+            m = route.matrices(x)
+            for j, w in zip(live, np.linalg.eigvalsh(m[live])[:, 0] if live else ()):
                 if w < -tolerance[j] * max(1.0, abs(tr[j])):
                     failed[j] = NonPsdError(t_here(j), float(w), float(tr[j]))
                 elif singular[j] and w < 0.0:
-                    evals, evecs = np.linalg.eigh(p[j])
-                    p[j] = (evecs * np.maximum(evals, 0.0)) @ evecs.T
+                    evals, evecs = np.linalg.eigh(m[j])
+                    x[j] = route.state((evecs * np.maximum(evals, 0.0)) @ evecs.T)
         if failed:
             raise failed[min(failed)]
     ts = np.stack([grid.times() for grid in grids]) if per_start else grids[0].times()
-    return ts, traces, exps, p
+    return ts, traces, exps, route.matrices(x)
 
 
 def moment_ode(system: LinearSde, p0, t_from, t_to,

@@ -1,8 +1,8 @@
 """End-to-end checks of the command line front end.
 
 Most cases drive ``dispatch`` in-process and read stdout/stderr through
-capsys; two subprocess cases confirm the module entry point produces
-byte-identical output for identical argv.
+capsys; subprocess cases confirm the module entry point produces
+byte-identical output for identical argv, and read its whole stderr.
 """
 
 import json
@@ -935,3 +935,17 @@ class TestEntryPoint:
         result = subprocess.run(argv, capture_output=True)
         assert result.returncode == 1
         assert result.stderr.decode().startswith("error: validation:")
+
+    def test_a_row_restarting_beyond_1e154_writes_nothing_to_stderr(self, tmp_path):
+        # M' = 400 M: the surface row restarts at t = 1 from 4.9e173, whose
+        # squared entries once overflowed the start's symmetry check and
+        # printed numpy's RuntimeWarning.
+        path = tmp_path / "hot.json"
+        path.write_text(json.dumps({"dim": 1, "params": {}, "A": [["200"]], "G": [["0"]]}),
+                        encoding="utf-8")
+        argv = [sys.executable, "-m", "msd.cli", "fit", "--system", str(path),
+                "--s-values", "0", "--deltas", "0,1,1.2,1.4", "--dt", "0.001",
+                "--format", "csv"]
+        result = subprocess.run(argv, capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines()[2] == "1,0,4.9112756249463544e+173,0"

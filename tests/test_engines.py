@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -598,10 +599,11 @@ def test_a_stacked_call_reports_the_earliest_overflow_step():
         assert str(err.value) == want
 
 
-@pytest.mark.parametrize("chunk", [40, 112])
+@pytest.mark.parametrize("chunk", [36, 126])
 def test_rk4_coefficients_are_tabulated_in_blocks(monkeypatch, chunk):
-    # CHUNK_VALUES 40 holds 2 steps' stage coefficients on a 2x2 system, 112
-    # holds 7, so blocks end inside the run; the results stay bit for bit.
+    # A 2x2 system's generator on vech M is 3x3, 18 values per step at two
+    # stage times: CHUNK_VALUES 36 holds 2 steps of it, 126 holds 7, so
+    # blocks end inside the run; the results stay bit for bit.
     sys_ = gallery("perron-sde")
     v = np.array([0.6, 0.8])
     ref_curve, ref_final = moment_ode(sys_, np.eye(2), 0.5, 1.7, dt=1e-2)
@@ -628,6 +630,143 @@ def test_rk4_memory_does_not_hold_every_stage_coefficient(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.0e6
+
+
+# ---------------------------------------------------------------------------
+# The moment loop on vech M against the matrix loop
+
+
+def _random_constant(n: int, seed: int) -> LinearSde:
+    """A constant n x n system: a stable, coupled drift and full noise."""
+    rng = np.random.default_rng(seed)
+    drift = 0.4 * rng.standard_normal((n, n)) - np.eye(n)
+    noise = 0.3 * rng.standard_normal((n, n))
+    return LinearSde.from_strings(n, [[repr(float(x)) for x in row] for row in drift],
+                                  [[repr(float(x)) for x in row] for row in noise])
+
+
+def _both_routes(monkeypatch, run):
+    """``run()`` on the vech route and on the matrix loop above it."""
+    vech = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(engines, "_VECH_MAX_N", 0)
+        return vech, run()
+
+
+def _close(got, want, rel=1e-13):
+    """Each row of ``got`` within ``rel`` of ``want``'s largest entry in that row."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.abs(want).reshape(len(want), -1).max(axis=1)
+    err = np.abs(got - want).reshape(len(want), -1).max(axis=1)
+    assert np.all(err <= rel * scale), err / scale
+
+
+_SINGULAR_DRIFT = LinearSde.from_strings(2, [["-1", "3"], ["-2", "-0.5"]],
+                                         [["0", "0"], ["0", "0"]])
+
+_VECH_CASES = {
+    "gbm": ([gallery("gbm")], [np.eye(1)], 0.0, 2.0, 1e-3),
+    "diag-2x2 and adjoint": ([gallery("diag-2x2"), adjoint(gallery("diag-2x2"))] * 2,
+                             [np.eye(2), np.eye(2), _rank_one(0.6, 0.8), _rank_one(0.0, 1.0)],
+                             0.5, 3.0, 1e-2),
+    "perron-sde": ([gallery("perron-sde")] * 2, [np.eye(2), _rank_one(0.6, 0.8)],
+                   0.5, 3.0, 1e-2),
+    "triangular-2x2": ([gallery("triangular-2x2")], [np.eye(2)], 0.0, 3.0, 1e-2),
+    "random n=3": ([_random_constant(3, 1)] * 2, [np.eye(3), _rank_one(0.6, 0.0, 0.8)],
+                   0.0, 2.0, 1e-2),
+    "random n=4": ([_random_constant(4, 2)] * 2, [np.eye(4), _rank_one(0.5, 0.5, 0.5, 0.5)],
+                   0.0, 2.0, 1e-2),
+    # No noise keeps a rank-one start rank one: its zero eigenvalue wobbles
+    # below 0 and is clamped.
+    "rank-one clamp": ([_SINGULAR_DRIFT] * 2, [_rank_one(0.6, 0.8), np.eye(2)],
+                       0.0, 10.0, 1e-2),
+    "per-start spans": ([gallery("perron-ode")] * 3, [np.eye(2), _rank_one(0.6, 0.8), np.eye(2)],
+                        [0.5, 1.0, 4.5], [1.0, 1.5, 5.0], 1e-2),
+}
+
+
+@pytest.mark.parametrize("case", list(_VECH_CASES))
+def test_the_vech_route_matches_the_matrix_loop(monkeypatch, case):
+    systems, starts, t_from, t_to, dt = _VECH_CASES[case]
+    starts = np.stack(starts)
+    assert systems[0].dim <= engines._VECH_MAX_N
+    (ts, traces, exps, final), (m_ts, m_traces, m_exps, m_final) = _both_routes(
+        monkeypatch, lambda: engines._moment_loop(systems, starts, t_from, t_to, dt))
+    assert np.array_equal(ts, m_ts)
+    _close(np.ldexp(traces, exps), np.ldexp(m_traces, m_exps))
+    _close(final, m_final)
+    if np.ndim(t_from) == 0:
+        logs, m_logs = _both_routes(monkeypatch, lambda: moment_log_trace(
+            systems, starts, t_from, t_to, dt=dt).values)
+        assert np.abs(logs - m_logs).max() <= 1e-13
+
+
+def test_the_vech_route_clamps_what_the_matrix_loop_clamps(monkeypatch):
+    # The rank-one start of the clamp case is clamped at the same checks on
+    # both routes, and never the full-rank start beside it.
+    systems, starts, t_from, t_to, dt = _VECH_CASES["rank-one clamp"]
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting(m):
+        calls.append(round(float(np.trace(m)), 6))
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    _both_routes(monkeypatch, lambda: engines._moment_loop(systems, np.stack(starts),
+                                                           t_from, t_to, dt))
+    assert calls and calls[:len(calls) // 2] == calls[len(calls) // 2:]
+
+
+@pytest.mark.parametrize("n", [2, engines._VECH_MAX_N + 1])
+def test_rk4_order_holds_on_both_sides_of_the_selection(monkeypatch, n):
+    # Up to _VECH_MAX_N the loop steps vech M and never calls _moment_rhs;
+    # above it, the matrix loop does. Each keeps fourth order against the
+    # exact oracle (about 2^4 per halving: 18.8 at n = 2, 19.3 at n = 7).
+    system = COUPLED if n == 2 else _random_constant(n, 3)
+    rhs = engines._moment_rhs
+    calls = []
+    monkeypatch.setattr(engines, "_moment_rhs", lambda *args: calls.append(1) or rhs(*args))
+    exact = np.trace(constant_moment(system, np.eye(n), 2.0))
+
+    def error(dt):
+        curve, _ = moment_ode(system, np.eye(n), 0.0, 2.0, dt=dt)
+        return abs(curve.values[-1] - exact) / exact
+
+    assert 14.0 <= error(0.05) / error(0.025) <= 22.0
+    assert bool(calls) == (n > engines._VECH_MAX_N)
+
+
+def test_the_vech_generator_is_the_moment_right_side():
+    # L vech M = vech(A M + M A^T + G M G^T) for random A, G and symmetric M.
+    rng = np.random.default_rng(5)
+    for n in range(1, engines._VECH_MAX_N + 1):
+        a, g, m = rng.standard_normal((3, 4, n, n))
+        m = m + m.mT
+        maps = engines._vech_maps(n)
+        gen = engines._vech_generator(a, g, maps)
+        rhs = engines._moment_rhs(a, g, m)
+        got = (gen @ m[:, maps.rows, maps.cols, None])[..., 0]
+        np.testing.assert_allclose(got, rhs[:, maps.rows, maps.cols], rtol=0, atol=1e-13)
+        assert np.array_equal(m[:, maps.rows, maps.cols][:, maps.full], m)
+
+
+def test_a_huge_start_is_checked_for_symmetry_without_overflow():
+    # The norms of the check once squared entries of 1e200 and overflowed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve, _ = moment_ode(gallery("diag-2x2"), 1e200 * np.eye(2), 0.0, 0.1, dt=1e-2)
+        assert curve.values[0] == 2e200
+        with pytest.raises(EngineError, match="symmetric"):
+            moment_ode(gallery("diag-2x2"), 1e200 * np.array([[1.0, 0.5], [0.0, 1.0]]),
+                       0.0, 1.0)
+        # Asymmetric within 1e-12 of its norm: accepted, at any scale.
+        near = np.array([[1.0, 0.5 + 1e-13], [0.5, 1.0]])
+        for scale in (1.0, 1e200):
+            moment_ode(gallery("diag-2x2"), scale * near, 0.0, 0.1, dt=1e-2)
+        with pytest.raises(EngineError, match="symmetric"):
+            moment_ode(gallery("diag-2x2"), np.array([[1.0, 0.5 + 1e-11], [0.5, 1.0]]),
+                       0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

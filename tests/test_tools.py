@@ -121,7 +121,7 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     data = json.loads(out.read_text())
     assert set(data) == {"format", "host", "known_faults", "sides"}
-    assert data["format"] == 3
+    assert data["format"] == 4
     assert set(data["host"]) == set(bench_record.HOST_KEYS)
     assert data["known_faults"] == list(bench_record.KNOWN_FAULTS)
     assert list(data["sides"]) == ["change"]
@@ -132,10 +132,15 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert (run["workload"], run["seed"], run["exit"], run["error"]) == ("mc", 1, 0, None)
     assert run["result"]["correct"] is True
     assert set(run["result"]["metrics"]) == {"setup_s", "wall_s", "peak_rss_mb"}
-    assert [(row["k"], row["n"]) for row in side["rk4"]] == [(1, 1), (2, 2)]
+    assert [(row["k"], row["n"]) for row in side["rk4"]] == [(1, 1), (2, 2), (1, 8)]
     for row in side["rk4"]:
         assert set(row) == set(bench_record.RK4_KEYS)
         assert row["us_per_step"] > 0.0
     assert set(side["surface"]) == set(bench_record.SURFACE_KEYS)
     assert side["surface"]["deltas"] == [0.0, 1.0, 2.0]
     assert side["surface"]["ms_per_call"] > 0.0
+    assert [row["operation"] for row in side["op_peaks"]] == [
+        "selftest", "fit", "regularity", "lyapunov", "moments"]
+    for row in side["op_peaks"]:
+        assert set(row) == set(bench_record.OP_PEAK_KEYS)
+        assert 0.0 < row["rss_after_import_mb"] <= row["rss_peak_mb"]

@@ -1,6 +1,6 @@
 """Record the benchmark and the RK4 moment layer of one or two checkouts.
 
-    python3 tools/bench_record.py --out BENCH_22.json [--parent PARENT_CHECKOUT] [--quick]
+    python3 tools/bench_record.py --out BENCH_23.json [--parent PARENT_CHECKOUT] [--quick]
 
 For this checkout (side ``change``) and, given ``--parent``, for another
 checkout (side ``parent``) it records:
@@ -10,15 +10,23 @@ checkout (side ``parent``) it records:
   as it is for the ``run_seconds`` of that file. The two sides alternate
   which runs first, so a host that drifts drifts on both alike.
 * ``rk4``: microseconds per step of the RK4 moment loop for k starts on a
-  constant n x n system (k = 1, 2, 4; n = 1, 2, 4), the median of 7 timed
-  calls of ``moment_log_trace`` on a stack of the k starts, in a fresh
-  interpreter on that checkout's sources. Per step means per grid step,
-  whatever k is. A checkout whose ``moment_log_trace`` takes no stack
-  fails the timing, and the tool with it.
+  constant n x n system (k = 1, 2, 4; n = 1, 2, 4, 6, 8), the median of 7
+  timed calls of ``moment_log_trace`` on a stack of the k starts, in a
+  fresh interpreter on that checkout's sources. Per step means per grid
+  step, whatever k is. The loop steps vech M up to n = 6 and M itself
+  above, so n = 8 times the matrix loop. A checkout whose
+  ``moment_log_trace`` takes no stack fails the timing, and the tool with
+  it.
 * ``surface``: milliseconds per ``dichotomy_surface`` call on the surface
   of the ode workload's ``fit`` operation (perron-ode, rank 1, s = 0.5 and
   4.5, gaps 0, 50 and 100, dt 0.02), the median of 7 timed calls in a
   fresh interpreter on that checkout's sources.
+* ``op_peaks``: one row per operation of the ode workload from
+  ``tools/op_peak.py ode`` run in that checkout, each operation in a fresh
+  process: its best wall time and its peak resident set after
+  ``import msd.cli`` and at the end, in MB. A run's ``peak_rss_mb`` that
+  rises while these do not comes from the benchmark's worker, not from msd
+  (the first known fault).
 * ``head`` and ``dirty``: ``git rev-parse HEAD`` of the checkout, and
   whether its tree differs from that commit.
 
@@ -29,12 +37,16 @@ does not take them for msd's own. The file's layout::
     {"format", "host": {HOST_KEYS}, "known_faults": [...],
      "sides": {"change" | "parent": {SIDE_KEYS}}}
     runs: [{RUN_KEYS}]    rk4: [{RK4_KEYS}]    surface: {SURFACE_KEYS}
+    op_peaks: [{OP_PEAK_KEYS}]
 
 ``result`` of a run is its JSON line, or null when it exited non-zero (its
-last stderr line is kept in ``error``). ``--quick`` records one 1 s mc run
-at seed 1, the loop at k, n = 1, 2 over 100 steps and the surface at gaps
-0, 1 and 2, to check the tool itself. Exits 1 if any run fails. This is
-format 3; format 2 has no ``surface``, and the rk4 rows of format 1
+last stderr line is kept in ``error``). An operation that ``op_peak.py``
+reports failed keeps null figures. ``--quick`` records one 1 s mc run at
+seed 1, the loop at (k, n) = (1, 1), (2, 2) and (1, 8) over 100 steps,
+the surface at gaps 0, 1 and 2, and the op peaks, to check the tool
+itself. Exits 1 if any run or operation fails. This is format 4; format 3
+(``BENCH_22.json``) has no ``op_peaks`` and no rk4 rows above n = 4,
+format 2 has no ``surface``, and the rk4 rows of format 1
 (``BENCH_21.json``) also carry ``stacked``, false where a checkout without
 stacks was timed by k calls of one start each.
 """
@@ -52,17 +64,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 HOST_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy")
-SIDE_KEYS = ("head", "dirty", "runs", "rk4", "surface")
+SIDE_KEYS = ("head", "dirty", "runs", "rk4", "surface", "op_peaks")
 RUN_KEYS = ("workload", "seed", "seconds", "exit", "result", "error")
 RK4_KEYS = ("k", "n", "steps", "repeats", "us_per_step")
 SURFACE_KEYS = ("system", "rank", "s_values", "deltas", "dt", "repeats", "ms_per_call")
+OP_PEAK_KEYS = ("operation", "wall_s", "rss_after_import_mb", "rss_peak_mb")
 SEEDS = (1, 2, 3)
 
 # Benchmark faults that move its figures without any change in msd.
 KNOWN_FAULTS = (
     "perfbench/worker.py keeps every pass's stdout, so peak_rss_mb grows with the "
     "number of passes a run fits: a faster msd reads a higher ode peak "
-    "(ROADMAP item 1).",
+    "(ROADMAP item 1). Measured at f4fed53 on a 2-core x86-64 host, the ode "
+    "worker read 77.5 MB at 11 passes (a 25 s run) and 81.7 MB at 22 passes "
+    "(50 s): +5.4 %, what an ode pass about 2x faster reads at 25 s.",
     "setup_s and wall_s are scaled by a calibration kernel timed beside them; on a "
     "shared host the unscaled pass times of one side spread by tens of percent, "
     "so compare sides over several seeds and in alternating order.",
@@ -171,6 +186,21 @@ def time_surface(checkout: Path, surface: dict, repeats: int) -> dict:
     return surface | {"repeats": repeats} | json.loads(proc.stdout)
 
 
+def op_peaks(checkout: Path, workload: str) -> list[dict]:
+    """The rows ``tools/op_peak.py WORKLOAD`` prints in the checkout, one per
+    operation; figures of a failed operation are None."""
+    proc = subprocess.run([sys.executable, "tools/op_peak.py", workload], cwd=checkout,
+                          stdout=subprocess.PIPE, text=True)
+    rows = []
+    for line in proc.stdout.splitlines():
+        name, *rest = line.split()
+        figures = dict(zip(rest[::2], rest[1::2]))
+        failed = not rest or rest[0] == "failed"
+        rows.append({"operation": name} | {key: None if failed else float(figures[key])
+                                           for key in OP_PEAK_KEYS[1:]})
+    return rows
+
+
 def record(sides: dict[str, Path], workloads: list[str], seeds: list[int], seconds: int,
            rk4_sizes: tuple, steps: int, surface: dict, repeats: int) -> dict:
     names = list(sides)
@@ -190,9 +220,13 @@ def record(sides: dict[str, Path], workloads: list[str], seeds: list[int], secon
         out[name]["surface"] = time_surface(sides[name], surface, repeats)
         sys.stderr.write(f"{name} surface: {out[name]['surface']['ms_per_call']:.1f} ms\n")
     for name in names:
+        out[name]["op_peaks"] = op_peaks(sides[name], "ode")
+        for row in out[name]["op_peaks"]:
+            sys.stderr.write(f"{name} ode {row['operation']}: peak {row['rss_peak_mb']} MB\n")
+    for name in names:
         out[name]["head"], out[name]["dirty"] = git_state(sides[name])
         out[name] = {key: out[name][key] for key in SIDE_KEYS}
-    return {"format": 3, "host": host(), "known_faults": list(KNOWN_FAULTS), "sides": out}
+    return {"format": 4, "host": host(), "known_faults": list(KNOWN_FAULTS), "sides": out}
 
 
 def main(argv=None) -> int:
@@ -200,8 +234,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path, help="BENCH file to write")
     parser.add_argument("--parent", type=Path, help="checkout to record as the parent")
     parser.add_argument("--quick", action="store_true",
-                        help="one 1 s mc run, a small loop and a small surface, "
-                             "to check the tool")
+                        help="one 1 s mc run, a small loop, a small surface and the "
+                             "op peaks, to check the tool")
     args = parser.parse_args(argv)
     sides = {"change": ROOT}
     if args.parent is not None:
@@ -210,17 +244,19 @@ def main(argv=None) -> int:
         sides["parent"] = args.parent.resolve()
     if args.quick:
         workloads, seeds, seconds = ["mc"], [1], 1
-        rk4_sizes, steps = ((1, 1), (2, 2)), 100
+        rk4_sizes, steps = ((1, 1), (2, 2), (1, 8)), 100
         surface = SURFACE | {"deltas": [0.0, 1.0, 2.0]}
     else:
         bench = json.loads((ROOT / "BENCHMARK.json").read_text())
         workloads = [workload["name"] for workload in bench["workloads"]]
         seeds, seconds = list(SEEDS), bench["run_seconds"]
-        rk4_sizes, steps = tuple((k, n) for n in (1, 2, 4) for k in (1, 2, 4)), 1000
+        rk4_sizes, steps = tuple((k, n) for n in (1, 2, 4, 6, 8) for k in (1, 2, 4)), 1000
         surface = SURFACE
     data = record(sides, workloads, seeds, seconds, rk4_sizes, steps, surface, repeats=7)
     args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
-    failed = sum(run["exit"] != 0 for side in data["sides"].values() for run in side["runs"])
+    failed = any(run["exit"] != 0 for side in data["sides"].values() for run in side["runs"])
+    failed |= any(row["rss_peak_mb"] is None
+                  for side in data["sides"].values() for row in side["op_peaks"])
     return 1 if failed else 0
 
 
