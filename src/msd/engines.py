@@ -611,28 +611,37 @@ def _vech_generator(a: np.ndarray, g: np.ndarray, maps: _VechMaps) -> np.ndarray
     return out
 
 
+# The vech route builds L from a block's A and G tables a stretch of steps
+# at a time, at most this many values of L (128 KB), so it holds little
+# beside the tables it is built from.
+_GENERATOR_VALUES = 2 ** 14
+
+
 class _VechSteps:
     """Each start carried as v = vech M [k, d, 1] and stepped by the
-    generators L tabulated at its stage times: four stacked matvecs a step."""
+    generators L at its stage times, built from the A and G tables a
+    stretch of steps at a time: four stacked matvecs a step."""
 
-    def __init__(self, n: int, h):
+    def __init__(self, n: int, h, k: int):
         self.n, self.maps = n, _vech_maps(n)
         self.h, self.half, self.sixth = h, h / 2.0, h / 6.0
-        # L at both stage times of a step: 2 d^2 values per step and start.
-        self.values_per_step = 2 * len(self.maps.rows) ** 2
+        # Stage indices per stretch: two per step, 2 d^2 values per step and start.
+        d = len(self.maps.rows)
+        self.stretch = 2 * max(1, _GENERATOR_VALUES // (2 * d * d * k))
+        self.gen, self.lo = None, 0
 
-    def tables(self, tabulate, lo: int, hi: int) -> tuple:
-        maps = self.maps
-        return (tabulate(lambda s, t: _vech_generator(s.drift_at(t), s.diffusion_at(t), maps),
-                         lo, hi),)
-
-    def step(self, tables: tuple, i: int, v: np.ndarray) -> np.ndarray:
-        (gen,) = tables
-        mid = gen[i + 1]
-        k1 = gen[i] @ v
+    def step(self, a: np.ndarray, g: np.ndarray, i: int, v: np.ndarray) -> np.ndarray:
+        """One step from stage index i of the tables a and g, which are new
+        whenever i is 0."""
+        if i == 0 or i - self.lo == self.stretch:
+            end = i + self.stretch + 1
+            self.gen, self.lo = _vech_generator(a[i:end], g[i:end], self.maps), i
+        gen, j = self.gen, i - self.lo
+        mid = gen[j + 1]
+        k1 = gen[j] @ v
         k2 = mid @ (v + self.half * k1)
         k3 = mid @ (v + self.half * k2)
-        k4 = gen[i + 2] @ (v + self.h * k3)
+        k4 = gen[j + 2] @ (v + self.h * k3)
         return v + self.sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def state(self, m: np.ndarray) -> np.ndarray:
@@ -650,17 +659,11 @@ class _MatrixSteps:
     """Each start carried as M [k, n, n] and stepped by :func:`_moment_rhs`
     on the tabulated A and G, symmetrized after each step."""
 
-    def __init__(self, n: int, h):
+    def __init__(self, n: int, h, k: int):
         self.h, self.half, self.sixth = h, h / 2.0, h / 6.0
-        # A and G at both stage times of a step: 4 n^2 values per step and start.
-        self.values_per_step = 4 * n * n
 
-    def tables(self, tabulate, lo: int, hi: int) -> tuple:
-        return (tabulate(lambda s, t: s.drift_at(t), lo, hi),
-                tabulate(lambda s, t: s.diffusion_at(t), lo, hi))
-
-    def step(self, tables: tuple, i: int, p: np.ndarray) -> np.ndarray:
-        a, g = tables[0][i:i + 3], tables[1][i:i + 3]
+    def step(self, a: np.ndarray, g: np.ndarray, i: int, p: np.ndarray) -> np.ndarray:
+        a, g = a[i:i + 3], g[i:i + 3]
         k1 = _moment_rhs(a[0], g[0], p)
         k2 = _moment_rhs(a[1], g[1], p + self.half * k1)
         k3 = _moment_rhs(a[1], g[1], p + self.half * k2)
@@ -680,7 +683,7 @@ class _MatrixSteps:
 
 # The moment loop steps vech M (:class:`_VechSteps`) up to this n, and M
 # itself above it, where the O(n^4) generators cost more than they save.
-_VECH_MAX_N = 6
+_VECH_MAX_N = 7
 
 # The carried moment matrix is rescaled by an exact power of two whenever its
 # trace leaves [2^-332, 2^332] (about 1e-100 to 1e100), so no RK4 stage can
@@ -711,18 +714,18 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
     [k, node] otherwise.
 
     Up to n = ``_VECH_MAX_N`` each m is carried as vech m [d, 1], d =
-    n(n+1)/2, and a step is four stacked matvecs with the generators L
-    tabulated at the stage times (:class:`_VechSteps`): symmetric by
-    construction, so nothing is symmetrized. Above it m is carried whole and
-    stepped by :func:`_moment_rhs` (:class:`_MatrixSteps`). The two agree to
-    rounding.
+    n(n+1)/2, and a step is four stacked matvecs with the generators L at
+    the stage times (:class:`_VechSteps`): symmetric by construction, so
+    nothing is symmetrized. Above it m is carried whole and stepped by
+    :func:`_moment_rhs` (:class:`_MatrixSteps`). The two agree to rounding.
 
     Every product is stacked over the starts, so each start's row equals a
     pass of that start alone bit for bit. Each start keeps its own rescaling
     and exponent, its PSD check every 25 steps with its own tolerance, and
-    its clamp if it is singular. The tables (L, or A and G) are tabulated
-    once per distinct system and grid, a block of steps at a time that holds
-    about ``CHUNK_VALUES`` values. A start that fails ends the pass: when
+    its clamp if it is singular. A and G are tabulated once per distinct
+    system and grid, a block of steps at a time, and the vech route builds
+    L from them a stretch of steps at a time. A start that fails ends the
+    pass: when
     several fail, the one failing at the earliest step is reported, the
     lowest index at a tie. The traces and exponents, with the values a
     caller makes of them, are three numbers per start and node, four with
@@ -771,22 +774,22 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
     # One float when every start shares its step: the same products, fewer
     # broadcasts.
     h = hs[0] if len(set(hs)) == 1 else np.array(hs)[:, None, None]
-    route = (_VechSteps if n <= _VECH_MAX_N else _MatrixSteps)(n, h)
-    # The tables hold two stage times per step, t_from + j h / 2, and are
-    # tabulated for a block of steps at a time, once per distinct system and
-    # grid.
-    block = max(1, CHUNK_VALUES // (route.values_per_step * k))
+    route = (_VechSteps if n <= _VECH_MAX_N else _MatrixSteps)(n, h, k)
+    # A and G at the stage times t_from + j h / 2 are tabulated for a block
+    # of steps at a time, 4 n^2 values per step and start, once per distinct
+    # system and grid.
+    block = max(1, CHUNK_VALUES // (4 * n * n * k))
     keys = [(id(system), t_froms[j], hs[j]) for j, system in enumerate(systems)]
     distinct = {}               # key -> its first start
     for j, key in enumerate(keys):
         distinct.setdefault(key, j)
 
-    def tabulate(table, lo: int, hi: int) -> np.ndarray:
-        """``table(system, stage_times)`` once per distinct system and grid
-        at stage indices lo..hi, as [time, start, ...]: stacked over the
-        starts, or [time, 1, ...] to broadcast when all starts share one."""
+    def tabulate(coefficient, lo: int, hi: int) -> np.ndarray:
+        """``coefficient(system, stage_times)`` once per distinct system and
+        grid at stage indices lo..hi, as [time, start, n, n]: stacked over
+        the starts, or [time, 1, n, n] to broadcast when all share one."""
         index = np.arange(lo, hi + 1)
-        tables = {key: table(systems[j], t_froms[j] + (hs[j] / 2.0) * index)
+        tables = {key: coefficient(systems[j], t_froms[j] + (hs[j] / 2.0) * index)
                   for key, j in distinct.items()}
         if len(tables) == 1:
             return tables[keys[0]][:, None]
@@ -803,8 +806,10 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
         if step:
             i = 2 * ((step - 1) % block)
             if i == 0:
-                tables = route.tables(tabulate, 2 * step - 2, 2 * min(step - 1 + block, steps))
-            x = route.step(tables, i, x)
+                last = min(step - 1 + block, steps)
+                a_all = tabulate(lambda s, t: s.drift_at(t), 2 * step - 2, 2 * last)
+                g_all = tabulate(lambda s, t: s.diffusion_at(t), 2 * step - 2, 2 * last)
+            x = route.step(a_all, g_all, i, x)
         tr = route.traces(x)
         failed = {}             # start -> its error at this step
         if not all(_TRACE_LOW <= y <= _TRACE_HIGH for y in tr.tolist()):

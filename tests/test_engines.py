@@ -599,16 +599,19 @@ def test_a_stacked_call_reports_the_earliest_overflow_step():
         assert str(err.value) == want
 
 
-@pytest.mark.parametrize("chunk", [36, 126])
-def test_rk4_coefficients_are_tabulated_in_blocks(monkeypatch, chunk):
-    # A 2x2 system's generator on vech M is 3x3, 18 values per step at two
-    # stage times: CHUNK_VALUES 36 holds 2 steps of it, 126 holds 7, so
-    # blocks end inside the run; the results stay bit for bit.
+@pytest.mark.parametrize("chunk, generator", [(40, 18), (112, 36), (112, 2 ** 14)])
+def test_rk4_coefficients_are_tabulated_in_blocks(monkeypatch, chunk, generator):
+    # CHUNK_VALUES 40 holds 2 steps' stage coefficients on a 2x2 system, 112
+    # holds 7, so blocks end inside the run. The generator on vech M is 3x3,
+    # 18 values per step: _GENERATOR_VALUES 18 builds it a step at a time,
+    # 36 two steps at a time, so stretches end inside a block and at its
+    # end. The results stay bit for bit.
     sys_ = gallery("perron-sde")
     v = np.array([0.6, 0.8])
     ref_curve, ref_final = moment_ode(sys_, np.eye(2), 0.5, 1.7, dt=1e-2)
     ref_log = moment_log_trace(sys_, np.outer(v, v), 0.5, 1.7, dt=1e-2)
     monkeypatch.setattr(engines, "CHUNK_VALUES", chunk)
+    monkeypatch.setattr(engines, "_GENERATOR_VALUES", generator)
     curve, final = moment_ode(sys_, np.eye(2), 0.5, 1.7, dt=1e-2)
     assert np.array_equal(curve.values, ref_curve.values)
     assert np.array_equal(final, ref_final)
@@ -630,6 +633,21 @@ def test_rk4_memory_does_not_hold_every_stage_coefficient(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.0e6
+
+
+def test_the_generators_are_built_a_stretch_at_a_time():
+    # 10^4 steps of the ode benchmark's moments run: 2.1 MB peak, most of it
+    # the A and G tables; 7.8 MB when L and its build's buffers spanned the
+    # whole run.
+    sys_ = gallery("perron-sde")
+    moment_ode(sys_, np.eye(2), 0.001, 0.01, dt=1e-3)       # warm up
+    tracemalloc.start()
+    try:
+        moment_ode(sys_, np.eye(2), 0.001, 10.0, dt=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0e6
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +740,7 @@ def test_the_vech_route_clamps_what_the_matrix_loop_clamps(monkeypatch):
 def test_rk4_order_holds_on_both_sides_of_the_selection(monkeypatch, n):
     # Up to _VECH_MAX_N the loop steps vech M and never calls _moment_rhs;
     # above it, the matrix loop does. Each keeps fourth order against the
-    # exact oracle (about 2^4 per halving: 18.8 at n = 2, 19.3 at n = 7).
+    # exact oracle (about 2^4 per halving: 18.8 at n = 2, 15.4 at n = 8).
     system = COUPLED if n == 2 else _random_constant(n, 3)
     rhs = engines._moment_rhs
     calls = []
