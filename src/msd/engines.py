@@ -588,11 +588,10 @@ def _vech_maps(n: int) -> _VechMaps:
     x = np.where(j == q, i * n + p, at(i, q, off & (j == p)))
     # [i = p] A[j, q] + [i = q, p != q] A[j, p]: likewise.
     y = np.where(i == p, j * n + q, at(j, p, off & (i == q)))
-    maps = (rows, cols, full, x, y, at(i, p, True), at(j, q, True), at(i, q, off),
-            at(j, p, off))
-    for index in maps:
+    quadratic = ((at(i, p, True), at(j, q, True)), (at(i, q, off), at(j, p, off)))
+    for index in (rows, cols, full, x, y, *quadratic[0], *quadratic[1]):
         index.flags.writeable = False
-    return _VechMaps(rows, cols, full, maps[3:5], (maps[5:7], maps[7:9]))
+    return _VechMaps(rows, cols, full, (x, y), quadratic)
 
 
 def _vech_generator(a: np.ndarray, g: np.ndarray, maps: _VechMaps) -> np.ndarray:
@@ -659,7 +658,7 @@ class _MatrixSteps:
     """Each start carried as M [k, n, n] and stepped by :func:`_moment_rhs`
     on the tabulated A and G, symmetrized after each step."""
 
-    def __init__(self, n: int, h, k: int):
+    def __init__(self, h):
         self.h, self.half, self.sixth = h, h / 2.0, h / 6.0
 
     def step(self, a: np.ndarray, g: np.ndarray, i: int, p: np.ndarray) -> np.ndarray:
@@ -774,7 +773,7 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
     # One float when every start shares its step: the same products, fewer
     # broadcasts.
     h = hs[0] if len(set(hs)) == 1 else np.array(hs)[:, None, None]
-    route = (_VechSteps if n <= _VECH_MAX_N else _MatrixSteps)(n, h, k)
+    route = _VechSteps(n, h, k) if n <= _VECH_MAX_N else _MatrixSteps(h)
     # A and G at the stage times t_from + j h / 2 are tabulated for a block
     # of steps at a time, 4 n^2 values per step and start, once per distinct
     # system and grid.
