@@ -611,9 +611,10 @@ def _vech_generator(a: np.ndarray, g: np.ndarray, maps: _VechMaps) -> np.ndarray
 
 
 # The vech route builds L from a block's A and G tables a stretch of steps
-# at a time, at most this many values of L (128 KB), so it holds little
-# beside the tables it is built from.
-_GENERATOR_VALUES = 2 ** 14
+# at a time, at most this many values of L (32 KB), so that with its
+# build's buffers a pass holds no more than the matrix loop's did; stretches
+# of 2^14 values held 0.3-0.5 MB more on the ode benchmark's stacked runs.
+_GENERATOR_VALUES = 2 ** 12
 
 
 class _VechSteps:
@@ -682,7 +683,7 @@ class _MatrixSteps:
 
 # The moment loop steps vech M (:class:`_VechSteps`) up to this n, and M
 # itself above it, where the O(n^4) generators cost more than they save.
-_VECH_MAX_N = 7
+_VECH_MAX_N = 6
 
 # The carried moment matrix is rescaled by an exact power of two whenever its
 # trace leaves [2^-332, 2^332] (about 1e-100 to 1e100), so no RK4 stage can

@@ -599,7 +599,7 @@ def test_a_stacked_call_reports_the_earliest_overflow_step():
         assert str(err.value) == want
 
 
-@pytest.mark.parametrize("chunk, generator", [(40, 18), (112, 36), (112, 2 ** 14)])
+@pytest.mark.parametrize("chunk, generator", [(40, 18), (112, 36), (112, 2 ** 12)])
 def test_rk4_coefficients_are_tabulated_in_blocks(monkeypatch, chunk, generator):
     # CHUNK_VALUES 40 holds 2 steps' stage coefficients on a 2x2 system, 112
     # holds 7, so blocks end inside the run. The generator on vech M is 3x3,
@@ -636,7 +636,7 @@ def test_rk4_memory_does_not_hold_every_stage_coefficient(monkeypatch):
 
 
 def test_the_generators_are_built_a_stretch_at_a_time():
-    # 10^4 steps of the ode benchmark's moments run: 2.1 MB peak, most of it
+    # 10^4 steps of the ode benchmark's moments run: 1.8 MB peak, most of it
     # the A and G tables; 7.8 MB when L and its build's buffers spanned the
     # whole run.
     sys_ = gallery("perron-sde")
@@ -740,7 +740,7 @@ def test_the_vech_route_clamps_what_the_matrix_loop_clamps(monkeypatch):
 def test_rk4_order_holds_on_both_sides_of_the_selection(monkeypatch, n):
     # Up to _VECH_MAX_N the loop steps vech M and never calls _moment_rhs;
     # above it, the matrix loop does. Each keeps fourth order against the
-    # exact oracle (about 2^4 per halving: 18.8 at n = 2, 15.4 at n = 8).
+    # exact oracle (about 2^4 per halving: 18.8 at n = 2, 19.3 at n = 7).
     system = COUPLED if n == 2 else _random_constant(n, 3)
     rhs = engines._moment_rhs
     calls = []

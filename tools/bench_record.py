@@ -13,7 +13,7 @@ checkout (side ``parent``) it records:
   constant n x n system (k = 1, 2, 4; n = 1, 2, 4, 6, 8), the median of 7
   timed calls of ``moment_log_trace`` on a stack of the k starts, in a
   fresh interpreter on that checkout's sources. Per step means per grid
-  step, whatever k is. The loop steps vech M up to n = 7 and M itself
+  step, whatever k is. The loop steps vech M up to n = 6 and M itself
   above, so n = 8 times the matrix loop. A checkout whose
   ``moment_log_trace`` takes no stack fails the timing, and the tool with
   it.
