@@ -692,11 +692,10 @@ _TRACE_LOW, _TRACE_HIGH = 2.0 ** -332, 2.0 ** 332
 
 
 def _asymmetric(p: np.ndarray) -> bool:
-    """||P - P^T|| > 1e-12 (1 + ||P||) in the Frobenius norm, taken on P
-    scaled by a power of two near its largest entry, so no norm overflows."""
-    e = math.frexp(float(np.max(np.abs(p))))[1]
-    q = np.ldexp(p, -e)
-    return bool(np.linalg.norm(q - q.T) > 1e-12 * (math.ldexp(1.0, -e) + np.linalg.norm(q)))
+    """||P - P^T|| > 1e-12 (1 + ||P||) in the Frobenius norm, each norm by
+    ``math.hypot``, which scales its arguments and so overflows for no
+    finite P (np.linalg.norm squares the entries)."""
+    return math.hypot(*(p - p.T).flat) > 1e-12 * (1.0 + math.hypot(*p.flat))
 
 
 def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
