@@ -75,9 +75,10 @@ SEEDS = (1, 2, 3)
 KNOWN_FAULTS = (
     "perfbench/worker.py keeps every pass's stdout, so peak_rss_mb grows with the "
     "number of passes a run fits: a faster msd reads a higher ode peak "
-    "(ROADMAP item 1). Measured at f4fed53 on a 2-core x86-64 host, the ode "
-    "worker read 77.5 MB at 11 passes (a 25 s run) and 81.7 MB at 22 passes "
-    "(50 s): +5.4 %, what an ode pass about 2x faster reads at 25 s.",
+    "(ROADMAP item 1). At f4fed53, seed 1, on a 2-core x86-64 host, the ode "
+    "worker read 77.5 MB at 11 passes and 81.7 MB at 22 in one pair of runs, and "
+    "78.9 MB at 15 passes (a 25 s run) and 84.8 MB at 31 (50 s) in another: "
+    "about 0.37 MB per pass, so an ode pass 2x faster reads 5-8 % higher.",
     "setup_s and wall_s are scaled by a calibration kernel timed beside them; on a "
     "shared host the unscaled pass times of one side spread by tens of percent, "
     "so compare sides over several seeds and in alternating order.",
