@@ -724,12 +724,11 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
     its clamp if it is singular. A and G are tabulated once per distinct
     system and grid, a block of steps at a time, and the vech route builds
     L from them a stretch of steps at a time. A start that fails ends the
-    pass: when
-    several fail, the one failing at the earliest step is reported, the
-    lowest index at a tie. The traces and exponents, with the values a
-    caller makes of them, are three numbers per start and node, four with
-    per-start times; a stack whose pass would hold more than the store limit
-    is refused before it steps.
+    pass: when several fail, the one failing at the earliest step is
+    reported, the lowest index at a tie. The traces and exponents, with the
+    values a caller makes of them, are three numbers per start and node,
+    four with per-start times; a stack whose pass would hold more than the
+    store limit is refused before it steps.
     """
     if not systems:
         raise EngineError("need at least one initial moment matrix")
