@@ -6,7 +6,7 @@ Three routes to the same quantities, used to cross-check each other:
   propagated alongside by its own SDE on the same Brownian increments
   (never by numerical inversion).
 * Deterministic: the matrix ODE for E[u u^T], integrated with a classical
-  4th-order step, on vech M through tabulated generators for small n.
+  4th-order step, folded on vech M into one transfer matrix for small n.
   Exact up to discretization, no sampling error.
 * Closed forms: scalar variation-of-constants and the triangular recursion,
   evaluated with left-point Ito quadrature on a shared path.
@@ -610,17 +610,18 @@ def _vech_generator(a: np.ndarray, g: np.ndarray, maps: _VechMaps) -> np.ndarray
     return out
 
 
-# The vech route builds L from a block's A and G tables a stretch of steps
-# at a time, at most this many values of L (32 KB), so that with its
-# build's buffers a pass holds no more than the matrix loop's did; stretches
-# of 2^14 values held 0.3-0.5 MB more on the ode benchmark's stacked runs.
+# The vech route builds L and R a stretch of steps at a time, at most this
+# many values of L (32 KB), so that a pass holds no more than the matrix loop's;
+# stretches of 2^14 values held 0.3-0.5 MB more on the ode benchmark's runs.
 _GENERATOR_VALUES = 2 ** 12
 
 
 class _VechSteps:
-    """Each start carried as v = vech M [k, d, 1] and stepped by the
-    generators L at its stage times, built from the A and G tables a
-    stretch of steps at a time: four stacked matvecs a step."""
+    """Each start carried as v = vech M [k, d, 1] and stepped by one matvec
+    with a transfer matrix: RK4 on v' = L v folded into R = I + h/6 (K1 +
+    2 K2 + 2 K3 + K4), K1 = L0, K2 = L1 + h/2 L1 K1, K3 = L1 + h/2 L1 K2,
+    K4 = L2 + h L2 K3, with L at the step's stage times. L and R are built
+    from the A and G tables a stretch of steps at a time by stacked matmuls."""
 
     def __init__(self, n: int, h, k: int):
         self.n, self.maps = n, _vech_maps(n)
@@ -628,21 +629,20 @@ class _VechSteps:
         # Stage indices per stretch: two per step, 2 d^2 values per step and start.
         d = len(self.maps.rows)
         self.stretch = 2 * max(1, _GENERATOR_VALUES // (2 * d * d * k))
-        self.gen, self.lo = None, 0
+        self.eye, self.transfer, self.lo = np.eye(d), None, 0
 
     def step(self, a: np.ndarray, g: np.ndarray, i: int, v: np.ndarray) -> np.ndarray:
         """One step from stage index i of the tables a and g, which are new
         whenever i is 0."""
         if i == 0 or i - self.lo == self.stretch:
             end = i + self.stretch + 1
-            self.gen, self.lo = _vech_generator(a[i:end], g[i:end], self.maps), i
-        gen, j = self.gen, i - self.lo
-        mid = gen[j + 1]
-        k1 = gen[j] @ v
-        k2 = mid @ (v + self.half * k1)
-        k3 = mid @ (v + self.half * k2)
-        k4 = gen[j + 2] @ (v + self.h * k3)
-        return v + self.sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            gen = _vech_generator(a[i:end], g[i:end], self.maps)
+            l0, l1, l2 = gen[0:-1:2], gen[1::2], gen[2::2]
+            k2 = l1 + self.half * (l1 @ l0)
+            k3 = l1 + self.half * (l1 @ k2)
+            k4 = l2 + self.h * (l2 @ k3)
+            self.transfer, self.lo = self.eye + self.sixth * (l0 + 2.0 * (k2 + k3) + k4), i
+        return self.transfer[(i - self.lo) // 2] @ v
 
     def state(self, m: np.ndarray) -> np.ndarray:
         """vech of symmetric matrices [..., n, n], as [..., d, 1]."""
@@ -713,17 +713,17 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
     [k, node] otherwise.
 
     Up to n = ``_VECH_MAX_N`` each m is carried as vech m [d, 1], d =
-    n(n+1)/2, and a step is four stacked matvecs with the generators L at
-    the stage times (:class:`_VechSteps`): symmetric by construction, so
-    nothing is symmetrized. Above it m is carried whole and stepped by
-    :func:`_moment_rhs` (:class:`_MatrixSteps`). The two agree to rounding.
+    n(n+1)/2, and a step is one stacked matvec with the step's transfer
+    matrix (:class:`_VechSteps`): symmetric by construction. Above it m is
+    carried whole and stepped by :func:`_moment_rhs` (:class:`_MatrixSteps`),
+    and symmetrized. The two agree to rounding.
 
     Every product is stacked over the starts, so each start's row equals a
     pass of that start alone bit for bit. Each start keeps its own rescaling
     and exponent, its PSD check every 25 steps with its own tolerance, and
     its clamp if it is singular. A and G are tabulated once per distinct
-    system and grid, a block of steps at a time, and the vech route builds
-    L from them a stretch of steps at a time. A start that fails ends the
+    system and grid, a block of steps at a time, and the vech route builds L
+    and R from them a stretch of steps at a time. A start that fails ends the
     pass: when several fail, the one failing at the earliest step is
     reported, the lowest index at a tie. The traces and exponents, with the
     values a caller makes of them, are three numbers per start and node,

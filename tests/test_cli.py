@@ -948,4 +948,4 @@ class TestEntryPoint:
                 "--format", "csv"]
         result = subprocess.run(argv, capture_output=True, text=True)
         assert (result.returncode, result.stderr) == (0, "")
-        assert result.stdout.splitlines()[2] == "1,0,4.9112756249463544e+173,0"
+        assert result.stdout.splitlines()[2] == "1,0,4.9112756249464801e+173,0"

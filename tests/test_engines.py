@@ -769,6 +769,36 @@ def test_the_vech_generator_is_the_moment_right_side():
         assert np.array_equal(m[:, maps.rows, maps.cols][:, maps.full], m)
 
 
+def _four_stages(gen: np.ndarray, j: int, h, v: np.ndarray) -> np.ndarray:
+    """The RK4 step of v' = L v from stage index j of ``gen``, stage by stage."""
+    k1 = gen[j] @ v
+    k2 = gen[j + 1] @ (v + h / 2.0 * k1)
+    k3 = gen[j + 1] @ (v + h / 2.0 * k2)
+    k4 = gen[j + 2] @ (v + h * k3)
+    return v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_the_transfer_matrix_is_the_four_stage_step():
+    # One matvec with the folded transfer matrix R is the stage-by-stage RK4
+    # step to rounding: for n = 1..6, one start or three, a shared step or one
+    # per start, and generator tables shared by the starts or one per start.
+    rng = np.random.default_rng(11)
+    steps = 3
+    for n in range(1, 7):
+        d = n * (n + 1) // 2
+        for k in (1, 3):
+            for h in (0.1, rng.uniform(0.05, 0.2, (k, 1, 1))):
+                for width in sorted({1, k}):
+                    a, g = rng.standard_normal((2, 2 * steps + 1, width, n, n))
+                    gen = engines._vech_generator(a, g, engines._vech_maps(n))
+                    route = engines._VechSteps(n, h, k)
+                    v = rng.standard_normal((k, d, 1))
+                    for i in range(0, 2 * steps, 2):
+                        want = _four_stages(gen, i, h, v)
+                        _close(route.step(a, g, i, v), want, rel=1e-14)
+                        v = want
+
+
 def test_a_huge_start_is_checked_for_symmetry_without_overflow():
     # The norms of the check once squared entries of 1e200 and overflowed.
     with warnings.catch_warnings():

@@ -121,7 +121,7 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     data = json.loads(out.read_text())
     assert set(data) == {"format", "host", "known_faults", "sides"}
-    assert data["format"] == 4
+    assert data["format"] == 5
     assert set(data["host"]) == set(bench_record.HOST_KEYS)
     assert data["known_faults"] == list(bench_record.KNOWN_FAULTS)
     assert list(data["sides"]) == ["change"]
@@ -139,8 +139,9 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert set(side["surface"]) == set(bench_record.SURFACE_KEYS)
     assert side["surface"]["deltas"] == [0.0, 1.0, 2.0]
     assert side["surface"]["ms_per_call"] > 0.0
-    assert [row["operation"] for row in side["op_peaks"]] == [
-        "selftest", "fit", "regularity", "lyapunov", "moments"]
-    for row in side["op_peaks"]:
+    assert list(side["op_peaks"]) == ["mc"]
+    assert [row["operation"] for row in side["op_peaks"]["mc"]] == [
+        "moments", "fit", "triangularize", "lyapunov", "decoupling"]
+    for row in side["op_peaks"]["mc"]:
         assert set(row) == set(bench_record.OP_PEAK_KEYS)
         assert 0.0 < row["rss_after_import_mb"] <= row["rss_peak_mb"]

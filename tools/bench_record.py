@@ -1,6 +1,6 @@
 """Record the benchmark and the RK4 moment layer of one or two checkouts.
 
-    python3 tools/bench_record.py --out BENCH_23.json [--parent PARENT_CHECKOUT] [--quick]
+    python3 tools/bench_record.py --out BENCH_24.json [--parent PARENT_CHECKOUT] [--quick]
 
 For this checkout (side ``change``) and, given ``--parent``, for another
 checkout (side ``parent``) it records:
@@ -21,9 +21,9 @@ checkout (side ``parent``) it records:
   of the ode workload's ``fit`` operation (perron-ode, rank 1, s = 0.5 and
   4.5, gaps 0, 50 and 100, dt 0.02), the median of 7 timed calls in a
   fresh interpreter on that checkout's sources.
-* ``op_peaks``: one row per operation of the ode workload from
-  ``tools/op_peak.py ode`` run in that checkout, each operation in a fresh
-  process: its best wall time and its peak resident set after
+* ``op_peaks``: for each workload of the runs, one row per operation from
+  ``tools/op_peak.py WORKLOAD`` run in that checkout, each operation in a
+  fresh process: its best wall time and its peak resident set after
   ``import msd.cli`` and at the end, in MB. A run's ``peak_rss_mb`` that
   rises while these do not comes from the benchmark's worker, not from msd
   (the first known fault).
@@ -37,15 +37,16 @@ does not take them for msd's own. The file's layout::
     {"format", "host": {HOST_KEYS}, "known_faults": [...],
      "sides": {"change" | "parent": {SIDE_KEYS}}}
     runs: [{RUN_KEYS}]    rk4: [{RK4_KEYS}]    surface: {SURFACE_KEYS}
-    op_peaks: [{OP_PEAK_KEYS}]
+    op_peaks: {workload: [{OP_PEAK_KEYS}]}
 
 ``result`` of a run is its JSON line, or null when it exited non-zero (its
 last stderr line is kept in ``error``). An operation that ``op_peak.py``
 reports failed keeps null figures. ``--quick`` records one 1 s mc run at
 seed 1, the loop at (k, n) = (1, 1), (2, 2) and (1, 8) over 100 steps,
-the surface at gaps 0, 1 and 2, and the op peaks, to check the tool
-itself. Exits 1 if any run or operation fails. This is format 4; format 3
-(``BENCH_22.json``) has no ``op_peaks`` and no rk4 rows above n = 4,
+the surface at gaps 0, 1 and 2, and the op peaks of mc, to check the tool
+itself. Exits 1 if any run or operation fails. This is format 5; format 4
+(``BENCH_23.json``) keeps ``op_peaks`` as the one list of the ode workload,
+format 3 (``BENCH_22.json``) has no ``op_peaks`` and no rk4 rows above n = 4,
 format 2 has no ``surface``, and the rk4 rows of format 1
 (``BENCH_21.json``) also carry ``stacked``, false where a checkout without
 stacks was timed by k calls of one start each.
@@ -75,10 +76,12 @@ SEEDS = (1, 2, 3)
 KNOWN_FAULTS = (
     "perfbench/worker.py keeps every pass's stdout, so peak_rss_mb grows with the "
     "number of passes a run fits: a faster msd reads a higher ode peak "
-    "(ROADMAP item 1). At f4fed53, seed 1, on a 2-core x86-64 host, the ode "
-    "worker read 77.5 MB at 11 passes and 81.7 MB at 22 in one pair of runs, and "
-    "78.9 MB at 15 passes (a 25 s run) and 84.8 MB at 31 (50 s) in another: "
-    "about 0.37 MB per pass, so an ode pass 2x faster reads 5-8 % higher.",
+    "(ROADMAP item 1). In 25 s runs at seeds 1-3 on a 2-core x86-64 host, the "
+    "ode worker read 84.5/84.1/84.4 MB at 28/28/27 passes at 9c23543, and "
+    "91.9/92.2/91.6 MB at 48/48/47 passes with each RK4 moment step folded into "
+    "one transfer matrix: about 0.37 MB per pass, the 384 KB that the moments "
+    "operation prints. The rise grows with the host's speed: +9 % here, and "
+    "+5 to +8 % when the host was slower and 17-19 passes fit against 30-34.",
     "setup_s and wall_s are scaled by a calibration kernel timed beside them; on a "
     "shared host the unscaled pass times of one side spread by tens of percent, "
     "so compare sides over several seeds and in alternating order.",
@@ -221,13 +224,16 @@ def record(sides: dict[str, Path], workloads: list[str], seeds: list[int], secon
         out[name]["surface"] = time_surface(sides[name], surface, repeats)
         sys.stderr.write(f"{name} surface: {out[name]['surface']['ms_per_call']:.1f} ms\n")
     for name in names:
-        out[name]["op_peaks"] = op_peaks(sides[name], "ode")
-        for row in out[name]["op_peaks"]:
-            sys.stderr.write(f"{name} ode {row['operation']}: peak {row['rss_peak_mb']} MB\n")
+        out[name]["op_peaks"] = {workload: op_peaks(sides[name], workload)
+                                 for workload in workloads}
+        for workload, rows in out[name]["op_peaks"].items():
+            for row in rows:
+                sys.stderr.write(f"{name} {workload} {row['operation']}: "
+                                 f"peak {row['rss_peak_mb']} MB\n")
     for name in names:
         out[name]["head"], out[name]["dirty"] = git_state(sides[name])
         out[name] = {key: out[name][key] for key in SIDE_KEYS}
-    return {"format": 4, "host": host(), "known_faults": list(KNOWN_FAULTS), "sides": out}
+    return {"format": 5, "host": host(), "known_faults": list(KNOWN_FAULTS), "sides": out}
 
 
 def main(argv=None) -> int:
@@ -236,7 +242,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, help="checkout to record as the parent")
     parser.add_argument("--quick", action="store_true",
                         help="one 1 s mc run, a small loop, a small surface and the "
-                             "op peaks, to check the tool")
+                             "mc op peaks, to check the tool")
     args = parser.parse_args(argv)
     sides = {"change": ROOT}
     if args.parent is not None:
@@ -256,8 +262,8 @@ def main(argv=None) -> int:
     data = record(sides, workloads, seeds, seconds, rk4_sizes, steps, surface, repeats=7)
     args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     failed = any(run["exit"] != 0 for side in data["sides"].values() for run in side["runs"])
-    failed |= any(row["rss_peak_mb"] is None
-                  for side in data["sides"].values() for row in side["op_peaks"])
+    failed |= any(row["rss_peak_mb"] is None for side in data["sides"].values()
+                  for rows in side["op_peaks"].values() for row in rows)
     return 1 if failed else 0
 
 
