@@ -682,8 +682,8 @@ class _MatrixSteps:
 
 
 # The moment loop steps vech M (:class:`_VechSteps`) up to this n, and M
-# itself above it, where the O(n^4) generators cost more than they save.
-_VECH_MAX_N = 6
+# itself above it, where building L and R costs more than it saves.
+_VECH_MAX_N = 5
 
 # The carried moment matrix is rescaled by an exact power of two whenever its
 # trace leaves [2^-332, 2^332] (about 1e-100 to 1e100), so no RK4 stage can

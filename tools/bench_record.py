@@ -10,11 +10,11 @@ checkout (side ``parent``) it records:
   as it is for the ``run_seconds`` of that file. The two sides alternate
   which runs first, so a host that drifts drifts on both alike.
 * ``rk4``: microseconds per step of the RK4 moment loop for k starts on a
-  constant n x n system (k = 1, 2, 4; n = 1, 2, 4, 6, 8), the median of 7
+  constant n x n system (k = 1, 2, 4; n = 1, 2, 4, 5, 6, 8), the median of 7
   timed calls of ``moment_log_trace`` on a stack of the k starts, in a
   fresh interpreter on that checkout's sources. Per step means per grid
-  step, whatever k is. The loop steps vech M up to n = 6 and M itself
-  above, so n = 8 times the matrix loop. A checkout whose
+  step, whatever k is. The loop steps vech M up to n = 5 and M itself
+  above, so n = 6 and 8 time the matrix loop. A checkout whose
   ``moment_log_trace`` takes no stack fails the timing, and the tool with
   it.
 * ``surface``: milliseconds per ``dichotomy_surface`` call on the surface
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
         bench = json.loads((ROOT / "BENCHMARK.json").read_text())
         workloads = [workload["name"] for workload in bench["workloads"]]
         seeds, seconds = list(SEEDS), bench["run_seconds"]
-        rk4_sizes, steps = tuple((k, n) for n in (1, 2, 4, 6, 8) for k in (1, 2, 4)), 1000
+        rk4_sizes, steps = tuple((k, n) for n in (1, 2, 4, 5, 6, 8) for k in (1, 2, 4)), 1000
         surface = SURFACE
     data = record(sides, workloads, seeds, seconds, rk4_sizes, steps, surface, repeats=7)
     args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
