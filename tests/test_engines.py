@@ -740,7 +740,7 @@ def test_the_vech_route_clamps_what_the_matrix_loop_clamps(monkeypatch):
 def test_rk4_order_holds_on_both_sides_of_the_selection(monkeypatch, n):
     # Up to _VECH_MAX_N the loop steps vech M and never calls _moment_rhs;
     # above it, the matrix loop does. Each keeps fourth order against the
-    # exact oracle (about 2^4 per halving: 18.8 at n = 2, 19.3 at n = 7).
+    # exact oracle (about 2^4 per halving: 18.8 at n = 2, 16.0 at n = 6).
     system = COUPLED if n == 2 else _random_constant(n, 3)
     rhs = engines._moment_rhs
     calls = []
