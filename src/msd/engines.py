@@ -623,12 +623,13 @@ class _VechSteps:
     K4 = L2 + h L2 K3, with L at the step's stage times. L and R are built
     from the A and G tables a stretch of steps at a time by stacked matmuls."""
 
-    def __init__(self, n: int, h, k: int):
+    def __init__(self, n: int, h, width: int):
         self.n, self.maps = n, _vech_maps(n)
         self.h, self.half, self.sixth = h, h / 2.0, h / 6.0
-        # Stage indices per stretch: two per step, 2 d^2 values per step and start.
+        # Stage indices per stretch: two per step, 2 d^2 values per step and
+        # table row; ``width`` rows, 1 when every start shares the tables.
         d = len(self.maps.rows)
-        self.stretch = 2 * max(1, _GENERATOR_VALUES // (2 * d * d * k))
+        self.stretch = 2 * max(1, _GENERATOR_VALUES // (2 * d * d * width))
         self.eye, self.transfer, self.lo = np.eye(d), None, 0
 
     def step(self, a: np.ndarray, g: np.ndarray, i: int, v: np.ndarray) -> np.ndarray:
@@ -772,7 +773,6 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
     # One float when every start shares its step: the same products, fewer
     # broadcasts.
     h = hs[0] if len(set(hs)) == 1 else np.array(hs)[:, None, None]
-    route = _VechSteps(n, h, k) if n <= _VECH_MAX_N else _MatrixSteps(h)
     # A and G at the stage times t_from + j h / 2 are tabulated for a block
     # of steps at a time, 4 n^2 values per step and start, once per distinct
     # system and grid.
@@ -781,6 +781,10 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
     distinct = {}               # key -> its first start
     for j, key in enumerate(keys):
         distinct.setdefault(key, j)
+    # One key means one system, grid and step h: the tables, L and R are one
+    # row wide and broadcast over the starts.
+    width = 1 if len(distinct) == 1 else k
+    route = _VechSteps(n, h, width) if n <= _VECH_MAX_N else _MatrixSteps(h)
 
     def tabulate(coefficient, lo: int, hi: int) -> np.ndarray:
         """``coefficient(system, stage_times)`` once per distinct system and

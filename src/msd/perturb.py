@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dichotomy import DichotomyFit, fit_envelope, dichotomy_surface
 from .engines import (FundamentalEnsemble, TimeGrid, _check_state, _check_store, _compile_map,
@@ -38,6 +37,12 @@ class NonConvergenceError(PerturbError, NumericFailure):
 
 
 _PI = math.pi
+
+
+def _log_sum_exp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) without overflow: shifted by the largest entry."""
+    m = float(np.max(x))
+    return m + math.log(float(np.sum(np.exp(x - m))))
 
 
 @dataclass(frozen=True)
@@ -417,7 +422,7 @@ def perron_instability(a: float, b: float, lam: float,
     weights = np.full(tau.size, 0.05)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    log_integral = float(logsumexp(log_integrand + np.log(weights)))
+    log_integral = _log_sum_exp(log_integrand + np.log(weights))
     log_phi22 = (-a + b * math.sin(math.log(t_star))) * t_star
     chi_det = 2.0 * (log_phi22 + log_integral) / t_star
 

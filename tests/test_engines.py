@@ -799,6 +799,25 @@ def test_the_transfer_matrix_is_the_four_stage_step():
                         v = want
 
 
+def test_shared_starts_build_the_generators_of_one_start(monkeypatch):
+    # Four starts sharing one system and grid share one row of L and R, so
+    # they take the stretch of one start: at n = 6 a stretch of 4 steps, where
+    # sizing it by the 4 starts built L for every step.
+    monkeypatch.setattr(engines, "_VECH_MAX_N", 6)
+    system = _random_constant(6, 4)
+    build = engines._vech_generator
+    calls = []
+    monkeypatch.setattr(engines, "_vech_generator",
+                        lambda *args: calls.append(1) or build(*args))
+
+    def count(k):
+        calls.clear()
+        moment_log_trace([system] * k, np.stack([np.eye(6)] * k), 0.0, 1.0, dt=1e-2)
+        return len(calls)
+
+    assert count(4) == count(1) == 25
+
+
 def test_a_huge_start_is_checked_for_symmetry_without_overflow():
     # The norms of the check once squared entries of 1e200 and overflowed.
     with warnings.catch_warnings():

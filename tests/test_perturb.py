@@ -585,6 +585,20 @@ class TestPerronInstability:
         assert perron_report.t_star == pytest.approx(math.exp(math.pi / 2
                                                               + 2 * math.pi))
 
+    def test_log_sum_exp_matches_scipy(self):
+        # The quadrature's log-space sum, on the (1.05, 1, 1) integrand and on
+        # random arrays whose exponentials would overflow or underflow.
+        from scipy.special import logsumexp
+
+        t_star = math.exp(math.pi / 2 + 2.0 * math.pi)
+        tau = np.arange(1e-6, t_star, 0.05)
+        integrand = -1.05 * tau - 3.0 * tau * np.sin(np.log(tau)) + math.log(0.05)
+        rng = np.random.default_rng(7)
+        for x in [integrand, *rng.uniform(-700.0, 700.0, (5, 1000)),
+                  rng.uniform(-700.0, -600.0, 50), rng.uniform(600.0, 700.0, 50)]:
+            want = float(logsumexp(x))
+            assert perturb._log_sum_exp(x) == pytest.approx(want, rel=4e-16)
+
     def test_mc_leg_reports_estimate_with_stderr(self, perron_report):
         assert math.isfinite(perron_report.chi_mc)
         assert perron_report.chi_mc_stderr > 0.0

@@ -8,21 +8,21 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
 
 WALL = {"name": "wall_s", "better": "lower", "bound": 0.25}
 
 
 def test_quartiles_inclusive():
-    assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
-    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert bench_record.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert bench_record.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
 
 
 def test_summary_within_bound_counts_pairs():
-    row = bench_pairs.summarize(WALL, [2.0, 2.1, 2.2, 2.0, 2.1],
+    row = bench_record.summarize(WALL, [2.0, 2.1, 2.2, 2.0, 2.1],
                                 [2.1, 2.0, 2.2, 2.2, 2.0])
     assert row["parent"] == (2.0, 2.1, 2.1)
     assert row["change"] == (2.0, 2.1, 2.2)
@@ -32,21 +32,21 @@ def test_summary_within_bound_counts_pairs():
 
 
 def test_summary_worse_beyond_bound():
-    row = bench_pairs.summarize(WALL, [2.0, 2.0, 2.1], [2.6, 2.7, 2.8])
+    row = bench_record.summarize(WALL, [2.0, 2.0, 2.1], [2.6, 2.7, 2.8])
     assert row["worse_by"] == pytest.approx(0.35)
     assert (row["better"], row["worse"]) == (0, 3)
     assert row["verdict"] == "worse beyond bound"
 
 
 def test_summary_unresolved_when_the_parent_spreads_beyond_the_bound():
-    row = bench_pairs.summarize(WALL, [1.0, 2.0, 4.0], [1.0, 2.0, 4.0])
+    row = bench_record.summarize(WALL, [1.0, 2.0, 4.0], [1.0, 2.0, 4.0])
     assert row["spread"] == pytest.approx(0.75)
     assert row["verdict"] == "unresolved"
 
 
 def test_summary_follows_the_better_direction():
     higher = {"name": "rate", "better": "higher", "bound": 0.1}
-    row = bench_pairs.summarize(higher, [10.0, 10.0], [8.0, 8.5])
+    row = bench_record.summarize(higher, [10.0, 10.0], [8.0, 8.5])
     assert (row["better"], row["worse"]) == (0, 2)
     assert row["worse_by"] == pytest.approx(0.175)
     assert row["verdict"] == "worse beyond bound"
@@ -104,24 +104,56 @@ def test_output_digest_error_commands_each_end_in_one_error_line():
     assert sum(code == 2 for _, code, _ in lines) == 5
 
 
-def test_bench_pairs_reads_the_unscaled_times_from_stderr():
+def test_bench_record_reads_the_unscaled_times_from_stderr():
     stderr = ("failed: nothing\n"
               "as measured: setup 0.3812 s, pass 2.3405 s; kernel 0.01234 s and 0.01301 s\n")
-    assert bench_pairs.measured(stderr) == {"setup_unscaled_s": 0.3812,
-                                            "pass_unscaled_s": 2.3405}
-    with pytest.raises(bench_pairs.RunError, match="as measured"):
-        bench_pairs.measured("failed: nothing\n")
+    assert bench_record.measured(stderr) == {"setup_unscaled_s": 0.3812,
+                                             "pass_unscaled_s": 2.3405}
+    with pytest.raises(ValueError, match="as measured"):
+        bench_record.measured("failed: nothing\n")
+
+
+def _run_row(pair, wall, peak, pass_s):
+    metrics = {"setup_s": 0.4, "wall_s": wall, "peak_rss_mb": peak}
+    return {"workload": "ode", "pair": pair, "seed": pair % 3 + 1, "seconds": 25, "exit": 0,
+            "result": {"correct": True, "attempted": 10, "failed": 0,
+                       "metrics": {name: {"value": value, "unit": "s"}
+                                   for name, value in metrics.items()}},
+            "error": None, "setup_unscaled_s": 0.3, "pass_unscaled_s": pass_s}
+
+
+def test_bench_record_summarizes_canned_pairs():
+    metrics = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    parent = [_run_row(i, w, 80.0, p) for i, (w, p) in
+              enumerate(zip([2.0, 2.1, 2.2, 2.0, 2.1], [1.0, 1.2, 1.1, 1.3, 1.0]))]
+    change = [_run_row(i, w, m, 0.5) for i, (w, m) in
+              enumerate(zip([1.0, 1.1, 1.0, 1.2, 1.0], [90.0, 90.0, 89.0, 90.0, 91.0]))]
+    summary = bench_record.summarize_runs(metrics, parent, change)
+    rows = {row["name"]: row for row in summary["end_to_end"]}
+    assert [row["name"] for row in summary["end_to_end"]] == [m["name"] for m in metrics]
+    assert all(set(row) == set(bench_record.SUMMARY_KEYS) for row in rows.values())
+    assert (rows["setup_s"]["better"], rows["setup_s"]["worse"]) == (0, 0)
+    assert rows["setup_s"]["verdict"] == "within bound"
+    assert rows["wall_s"]["parent"] == (2.0, 2.1, 2.1)
+    assert rows["wall_s"]["change"] == (1.0, 1.0, 1.1)
+    assert (rows["wall_s"]["better"], rows["wall_s"]["worse"]) == (5, 0)
+    assert rows["wall_s"]["worse_by"] == pytest.approx(-1.1 / 2.1)
+    assert rows["peak_rss_mb"]["worse_by"] == pytest.approx(0.125)
+    assert rows["peak_rss_mb"]["verdict"] == "worse beyond bound"
+    assert summary["unscaled_medians"] == {
+        "setup_unscaled_s": {"parent": 0.3, "change": 0.3},
+        "pass_unscaled_s": {"parent": 1.1, "change": 0.5}}
 
 
 def test_bench_record_quick_writes_the_documented_layout(tmp_path):
-    bench_record = _load_tool("bench_record")
     out = tmp_path / "BENCH.json"
-    proc = subprocess.run([sys.executable, str(_PATH.parent / "bench_record.py"), "--quick",
-                           "--out", str(out)], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, str(_PATH), "--quick", "--out", str(out)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
     data = json.loads(out.read_text())
     assert set(data) == {"format", "host", "known_faults", "sides"}
-    assert data["format"] == 5
+    assert data["format"] == 6
     assert set(data["host"]) == set(bench_record.HOST_KEYS)
     assert data["known_faults"] == list(bench_record.KNOWN_FAULTS)
     assert list(data["sides"]) == ["change"]
@@ -129,7 +161,9 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert set(side) == set(bench_record.SIDE_KEYS)
     [run] = side["runs"]
     assert set(run) == set(bench_record.RUN_KEYS)
-    assert (run["workload"], run["seed"], run["exit"], run["error"]) == ("mc", 1, 0, None)
+    assert (run["workload"], run["pair"], run["seed"], run["exit"], run["error"]) == (
+        "mc", 0, 1, 0, None)
+    assert 0.0 < run["setup_unscaled_s"] and 0.0 < run["pass_unscaled_s"]
     assert run["result"]["correct"] is True
     assert set(run["result"]["metrics"]) == {"setup_s", "wall_s", "peak_rss_mb"}
     assert [(row["k"], row["n"]) for row in side["rk4"]] == [(1, 1), (2, 2), (1, 8)]

@@ -1,55 +1,45 @@
-"""Record the benchmark and the RK4 moment layer of one or two checkouts.
+"""Run the benchmark on a change and its parent in alternating pairs, time
+the RK4 moment layer of each, and record it all.
 
-    python3 tools/bench_record.py --out BENCH_24.json [--parent PARENT_CHECKOUT] [--quick]
+    python3 tools/bench_record.py --out BENCH_25.json [--parent PARENT_CHECKOUT] [--quick]
 
-For this checkout (side ``change``) and, given ``--parent``, for another
-checkout (side ``parent``) it records:
+For this checkout (side ``change``) and, given ``--parent``, another
+(side ``parent``) it records:
 
-* ``runs``: one ``perfbench/run.py --trace 0`` line per workload of this
-  checkout's ``BENCHMARK.json`` and seed 1, 2 and 3, run in that checkout
-  as it is for the ``run_seconds`` of that file. The two sides alternate
-  which runs first, so a host that drifts drifts on both alike.
-* ``rk4``: microseconds per step of the RK4 moment loop for k starts on a
-  constant n x n system (k = 1, 2, 4; n = 1, 2, 4, 5, 6, 8), the median of 7
-  timed calls of ``moment_log_trace`` on a stack of the k starts, in a
-  fresh interpreter on that checkout's sources. Per step means per grid
-  step, whatever k is. The loop steps vech M up to n = 5 and M itself
-  above, so n = 6 and 8 time the matrix loop. A checkout whose
-  ``moment_log_trace`` takes no stack fails the timing, and the tool with
-  it.
-* ``surface``: milliseconds per ``dichotomy_surface`` call on the surface
-  of the ode workload's ``fit`` operation (perron-ode, rank 1, s = 0.5 and
-  4.5, gaps 0, 50 and 100, dt 0.02), the median of 7 timed calls in a
-  fresh interpreter on that checkout's sources.
-* ``op_peaks``: for each workload of the runs, one row per operation from
-  ``tools/op_peak.py WORKLOAD`` run in that checkout, each operation in a
-  fresh process: its best wall time and its peak resident set after
-  ``import msd.cli`` and at the end, in MB. A run's ``peak_rss_mb`` that
-  rises while these do not comes from the benchmark's worker, not from msd
-  (the first known fault).
-* ``head`` and ``dirty``: ``git rev-parse HEAD`` of the checkout, and
-  whether its tree differs from that commit.
+* ``runs``: per workload of ``BENCHMARK.json``, ``PAIRS`` runs of its
+  ``command`` with ``--trace 0`` and its ``run_seconds``. Pair i runs at seed
+  ``SEEDS[i % 3]``, the parent first in even pairs and the change first in
+  odd ones, so a host that drifts drifts on both sides alike. A run keeps
+  its JSON line and the setup and pass times of its ``as measured`` stderr
+  line, before calibration scales them; ``error`` says why a run exited
+  non-zero, reported ``correct: false`` or failed an operation.
+* ``rk4``: microseconds per grid step of ``moment_log_trace`` on k stacked
+  starts of a constant n x n system (k = 1, 2, 4; n = 1, 2, 4, 5, 6, 8),
+  and ``surface``: milliseconds per ``dichotomy_surface`` call on the ode
+  workload's ``fit`` surface; each the median of 7 calls in a fresh
+  interpreter on the checkout's sources.
+* ``op_peaks``: per workload, the rows of ``tools/op_peak.py WORKLOAD``, so
+  that a ``peak_rss_mb`` rise they do not share shows as the worker's.
+* ``head`` and ``dirty``: the checkout's ``git rev-parse HEAD`` and whether
+  its tree differs from it.
 
-It also records the host (``nproc``, the CPU model, the Python, numpy and
-scipy versions) and the benchmark's known faults, so that a later reader
-does not take them for msd's own. The file's layout::
+With ``--parent`` and no failed run, ``summary`` holds per workload one
+:func:`summarize` row per end-to-end metric and each side's medians of the
+unscaled times, and stdout prints it. The host and the benchmark's known
+faults are kept so that no reader takes them for msd's own. Format 6::
 
     {"format", "host": {HOST_KEYS}, "known_faults": [...],
-     "sides": {"change" | "parent": {SIDE_KEYS}}}
+     "sides": {"change" | "parent": {SIDE_KEYS}},
+     "summary": {workload: {"end_to_end": [{SUMMARY_KEYS}],
+                            "unscaled_medians": {UNSCALED: {side: median}}}}}
     runs: [{RUN_KEYS}]    rk4: [{RK4_KEYS}]    surface: {SURFACE_KEYS}
     op_peaks: {workload: [{OP_PEAK_KEYS}]}
 
-``result`` of a run is its JSON line, or null when it exited non-zero (its
-last stderr line is kept in ``error``). An operation that ``op_peak.py``
-reports failed keeps null figures. ``--quick`` records one 1 s mc run at
-seed 1, the loop at (k, n) = (1, 1), (2, 2) and (1, 8) over 100 steps,
-the surface at gaps 0, 1 and 2, and the op peaks of mc, to check the tool
-itself. Exits 1 if any run or operation fails. This is format 5; format 4
-(``BENCH_23.json``) keeps ``op_peaks`` as the one list of the ode workload,
-format 3 (``BENCH_22.json``) has no ``op_peaks`` and no rk4 rows above n = 4,
-format 2 has no ``surface``, and the rk4 rows of format 1
-(``BENCH_21.json``) also carry ``stacked``, false where a checkout without
-stacks was timed by k calls of one start each.
+``--quick`` records one 1 s mc run at seed 1, three small rk4 rows, a small
+surface and the op peaks of mc, to check the tool. Exits 1 if any run or
+operation fails. Format 5 (``BENCH_24.json``) ran one pair per seed 1-3,
+with no unscaled times, summary or bytecode flag; the docstring of this
+tool at the commit of each older BENCH file describes that file's format.
 """
 
 from __future__ import annotations
@@ -58,33 +48,38 @@ import argparse
 import json
 import os
 import platform
+import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-HOST_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy")
+HOST_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy", "dont_write_bytecode")
 SIDE_KEYS = ("head", "dirty", "runs", "rk4", "surface", "op_peaks")
-RUN_KEYS = ("workload", "seed", "seconds", "exit", "result", "error")
+UNSCALED = ("setup_unscaled_s", "pass_unscaled_s")
+RUN_KEYS = ("workload", "pair", "seed", "seconds", "exit", "result", "error", *UNSCALED)
+SUMMARY_KEYS = ("name", "parent", "change", "better", "worse", "worse_by", "spread", "verdict")
 RK4_KEYS = ("k", "n", "steps", "repeats", "us_per_step")
 SURFACE_KEYS = ("system", "rank", "s_values", "deltas", "dt", "repeats", "ms_per_call")
 OP_PEAK_KEYS = ("operation", "wall_s", "rss_after_import_mb", "rss_peak_mb")
+# Ten pairs is the fewest on which a gain may be claimed.
+PAIRS = 10
 SEEDS = (1, 2, 3)
 
 # Benchmark faults that move its figures without any change in msd.
 KNOWN_FAULTS = (
-    "perfbench/worker.py keeps every pass's stdout, so peak_rss_mb grows with the "
-    "number of passes a run fits: a faster msd reads a higher ode peak "
-    "(ROADMAP item 1). In 25 s runs at seeds 1-3 on a 2-core x86-64 host, the "
-    "ode worker read 84.5/84.1/84.4 MB at 28/28/27 passes at 9c23543, and "
-    "91.9/92.2/91.6 MB at 48/48/47 passes with each RK4 moment step folded into "
-    "one transfer matrix: about 0.37 MB per pass, the 384 KB that the moments "
-    "operation prints. The rise grows with the host's speed: +9 % here, and "
-    "+5 to +8 % when the host was slower and 17-19 passes fit against 30-34.",
-    "setup_s and wall_s are scaled by a calibration kernel timed beside them; on a "
-    "shared host the unscaled pass times of one side spread by tens of percent, "
-    "so compare sides over several seeds and in alternating order.",
+    "perfbench/worker.py keeps every pass's stdout, so peak_rss_mb grows with the number "
+    "of passes a run fits: a faster msd reads a higher ode peak (ROADMAP item 1). In 25 s "
+    "runs on a 2-core x86-64 host the ode worker read 84.1-84.5 MB at 27-28 passes at "
+    "9c23543 and 91.6-92.2 MB at 47-48 passes with the RK4 step folded into one transfer "
+    "matrix: about 0.37 MB per pass, the 384 KB that the moments operation prints.",
+    "setup_s and wall_s are scaled by a calibration kernel timed beside them; on a shared "
+    "host one side's unscaled pass times spread by tens of percent from run to run.",
+    "With PYTHONDONTWRITEBYTECODE set (host dont_write_bytecode) each fresh interpreter "
+    "compiles msd on import, so setup_s, peak_rss_mb and rss_after_import_mb grow with "
+    "msd's source: +0.4-0.5 MB after import for 156 more lines of engines.py.",
 )
 
 # Timed in a fresh interpreter with the checkout's sources first on the path.
@@ -146,7 +141,8 @@ def host() -> dict:
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {"nproc": nproc, "cpu_model": model or platform.processor(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy.__version__,
+            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 
 def git_state(checkout: Path) -> tuple[str | None, bool | None]:
@@ -162,32 +158,92 @@ def git_state(checkout: Path) -> tuple[str | None, bool | None]:
     return head.stdout.strip(), bool(git("status", "--porcelain").stdout.strip())
 
 
-def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+# perfbench/run.py's stderr line with setup_s and wall_s before calibration scales them.
+_MEASURED = re.compile(r"^as measured: setup (\S+) s, pass (\S+) s;", re.MULTILINE)
+
+
+def measured(stderr: str) -> dict:
+    """The unscaled setup and pass times of a run's ``as measured`` line."""
+    found = _MEASURED.findall(stderr)
+    if not found:
+        raise ValueError("no 'as measured' line on stderr")
+    return dict(zip(UNSCALED, map(float, found[-1])))
+
+
+def run_benchmark(checkout: Path, command: list[str], workload: str, pair: int, seed: int,
+                  seconds: int) -> dict:
+    proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    ok = proc.returncode == 0 and bool(lines)
-    errors = proc.stderr.strip().splitlines()
-    return {"workload": workload, "seed": seed, "seconds": seconds, "exit": proc.returncode,
-            "result": json.loads(lines[-1]) if ok else None,
-            "error": None if ok else (errors[-1] if errors else "no output")}
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    error, unscaled = None, dict.fromkeys(UNSCALED)
+    if result is None:
+        error = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+    elif not result["correct"] or result["failed"]:
+        error = (f"correct {result['correct']}, {result['failed']} of "
+                 f"{result['attempted']} operations failed")
+    else:
+        unscaled = measured(proc.stderr)
+    return {"workload": workload, "pair": pair, "seed": seed, "seconds": seconds,
+            "exit": proc.returncode, "result": result, "error": error} | unscaled
 
 
-def time_rk4(checkout: Path, k: int, n: int, steps: int, repeats: int) -> dict:
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
+    """Each side's quartiles, the pairs the change read better and worse (by
+    the metric's ``better``), how much worse its median is and the parent's
+    quartile spread, both relative to the parent's median, and the verdict:
+    ``unresolved`` when that spread exceeds the metric's bound, else ``worse
+    beyond bound`` or ``within bound``. ``metric`` is an ``end_to_end`` entry
+    of ``BENCHMARK.json``; ``parent`` and ``change`` hold the same pairs' values."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    p_q, c_q = quartiles(parent), quartiles(change)
+    worse_by = sign * (c_q[1] - p_q[1]) / p_q[1]
+    spread = (p_q[2] - p_q[0]) / p_q[1]
+    if spread > metric["bound"]:
+        verdict = "unresolved"
+    elif worse_by > metric["bound"]:
+        verdict = "worse beyond bound"
+    else:
+        verdict = "within bound"
+    return {
+        "name": metric["name"],
+        "parent": p_q,
+        "change": c_q,
+        "better": sum(sign * (c - p) < 0.0 for p, c in zip(parent, change)),
+        "worse": sum(sign * (c - p) > 0.0 for p, c in zip(parent, change)),
+        "worse_by": worse_by,
+        "spread": spread,
+        "verdict": verdict,
+    }
+
+
+def summarize_runs(metrics: list[dict], parent: list[dict], change: list[dict]) -> dict:
+    """One workload's :func:`summarize` row per end-to-end metric and each side's
+    medians of the unscaled times, from the runs of each side in pair order."""
+    def values(runs: list[dict], name: str) -> list[float]:
+        return [run["result"]["metrics"][name]["value"] for run in runs]
+
+    return {"end_to_end": [summarize(m, values(parent, m["name"]), values(change, m["name"]))
+                           for m in metrics],
+            "unscaled_medians": {name: {"parent": statistics.median(r[name] for r in parent),
+                                        "change": statistics.median(r[name] for r in change)}
+                                 for name in UNSCALED}}
+
+
+def time_in_child(checkout: Path, code: str, *args: str) -> dict:
+    """The JSON line ``code`` prints in a fresh interpreter on the checkout's sources."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-c", _RK4_CHILD, str(k), str(n), str(steps),
-                           str(repeats)], env=env, stdout=subprocess.PIPE, text=True,
-                          check=True)
-    return {"k": k, "n": n, "steps": steps, "repeats": repeats} | json.loads(proc.stdout)
-
-
-def time_surface(checkout: Path, surface: dict, repeats: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-c", _SURFACE_CHILD, json.dumps(surface),
-                           str(repeats)], env=env, stdout=subprocess.PIPE, text=True,
-                          check=True)
-    return surface | {"repeats": repeats} | json.loads(proc.stdout)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def op_peaks(checkout: Path, workload: str) -> list[dict]:
@@ -205,35 +261,43 @@ def op_peaks(checkout: Path, workload: str) -> list[dict]:
     return rows
 
 
-def record(sides: dict[str, Path], workloads: list[str], seeds: list[int], seconds: int,
-           rk4_sizes: tuple, steps: int, surface: dict, repeats: int) -> dict:
+def record(sides: dict[str, Path], bench: dict, workloads: list[str], pairs: int,
+           seconds: int, rk4_sizes: tuple, steps: int, surface: dict, repeats: int) -> dict:
     names = list(sides)
     out = {name: {"runs": [], "rk4": []} for name in names}
-    for i, (workload, seed) in enumerate((w, s) for w in workloads for s in seeds):
-        for name in names if i % 2 == 0 else names[::-1]:
-            run = run_benchmark(sides[name], workload, seed, seconds)
-            out[name]["runs"].append(run)
-            sys.stderr.write(f"{name} {workload} seed {seed}: "
-                             f"{json.dumps(run['result'] or run['error'])}\n")
+    for workload in workloads:
+        for i in range(pairs):
+            seed = SEEDS[i % len(SEEDS)]
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for name in (name for name in order if name in sides):
+                run = run_benchmark(sides[name], bench["command"], workload, i, seed, seconds)
+                out[name]["runs"].append(run)
+                sys.stderr.write(f"{name} {workload} pair {i} seed {seed}: "
+                                 f"{json.dumps(run['result'] or run['error'])}\n")
     for k, n in rk4_sizes:
         for name in names:
-            row = time_rk4(sides[name], k, n, steps, repeats)
+            row = {"k": k, "n": n, "steps": steps, "repeats": repeats} | time_in_child(
+                sides[name], _RK4_CHILD, str(k), str(n), str(steps), str(repeats))
             out[name]["rk4"].append(row)
             sys.stderr.write(f"{name} rk4 k={k} n={n}: {row['us_per_step']:.1f} us/step\n")
     for name in names:
-        out[name]["surface"] = time_surface(sides[name], surface, repeats)
+        out[name]["surface"] = surface | {"repeats": repeats} | time_in_child(
+            sides[name], _SURFACE_CHILD, json.dumps(surface), str(repeats))
         sys.stderr.write(f"{name} surface: {out[name]['surface']['ms_per_call']:.1f} ms\n")
-    for name in names:
         out[name]["op_peaks"] = {workload: op_peaks(sides[name], workload)
                                  for workload in workloads}
-        for workload, rows in out[name]["op_peaks"].items():
-            for row in rows:
-                sys.stderr.write(f"{name} {workload} {row['operation']}: "
-                                 f"peak {row['rss_peak_mb']} MB\n")
-    for name in names:
+        sys.stderr.write(f"{name} op peaks: {json.dumps(out[name]['op_peaks'])}\n")
         out[name]["head"], out[name]["dirty"] = git_state(sides[name])
         out[name] = {key: out[name][key] for key in SIDE_KEYS}
-    return {"format": 5, "host": host(), "known_faults": list(KNOWN_FAULTS), "sides": out}
+    data = {"format": 6, "host": host(), "known_faults": list(KNOWN_FAULTS), "sides": out}
+    # A failed run leaves its pair without figures; the summary needs every pair.
+    if "parent" in sides and not any(run["error"] for side in out.values()
+                                     for run in side["runs"]):
+        data["summary"] = {workload: summarize_runs(
+            bench["end_to_end"], *([run for run in out[name]["runs"] if run["workload"] == workload]
+                                   for name in ("parent", "change")))
+            for workload in workloads}
+    return data
 
 
 def main(argv=None) -> int:
@@ -241,31 +305,33 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path, help="BENCH file to write")
     parser.add_argument("--parent", type=Path, help="checkout to record as the parent")
     parser.add_argument("--quick", action="store_true",
-                        help="one 1 s mc run, a small loop, a small surface and the "
-                             "mc op peaks, to check the tool")
+                        help="one 1 s mc run and small rk4, surface and op peak rows")
     args = parser.parse_args(argv)
     sides = {"change": ROOT}
     if args.parent is not None:
         if not (args.parent / "perfbench" / "run.py").is_file():
             parser.error(f"{args.parent} holds no perfbench/run.py")
         sides["parent"] = args.parent.resolve()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.quick:
-        workloads, seeds, seconds = ["mc"], [1], 1
+        workloads, pairs, seconds = ["mc"], 1, 1
         rk4_sizes, steps = ((1, 1), (2, 2), (1, 8)), 100
         surface = SURFACE | {"deltas": [0.0, 1.0, 2.0]}
     else:
-        bench = json.loads((ROOT / "BENCHMARK.json").read_text())
         workloads = [workload["name"] for workload in bench["workloads"]]
-        seeds, seconds = list(SEEDS), bench["run_seconds"]
+        pairs, seconds = PAIRS, bench["run_seconds"]
         rk4_sizes, steps = tuple((k, n) for n in (1, 2, 4, 5, 6, 8) for k in (1, 2, 4)), 1000
         surface = SURFACE
-    data = record(sides, workloads, seeds, seconds, rk4_sizes, steps, surface, repeats=7)
+    data = record(sides, bench, workloads, pairs, seconds, rk4_sizes, steps, surface,
+                  repeats=7)
     args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
-    failed = any(run["exit"] != 0 for side in data["sides"].values() for run in side["runs"])
+    for workload, summary in data.get("summary", {}).items():
+        print(workload, json.dumps(summary))
+    failed = any(run["error"] is not None for side in data["sides"].values()
+                 for run in side["runs"])
     failed |= any(row["rss_peak_mb"] is None for side in data["sides"].values()
                   for rows in side["op_peaks"].values() for row in rows)
     return 1 if failed else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

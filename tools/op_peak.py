@@ -9,7 +9,9 @@ process, so the peak belongs to that operation alone. Prints the best of
 the wall times of the operation, which is the steadiest figure on a host
 whose speed drifts, and the peak resident set size (``ru_maxrss``, in MB of
 2^20 bytes as the benchmark reports it) after ``import msd.cli`` and at the
-end. Exits 1 if a run exits non-zero or raises.
+end, the former after a first 3x3 stacked matmul, as in the worker's
+calibration kernel, so that no operation pays the BLAS's first-product memory.
+Exits 1 if a run exits non-zero or raises.
 
 Without OPERATION it runs every operation of the workload, each in a fresh
 process of its own, and prints one line per operation with the same three
@@ -27,6 +29,8 @@ import resource
 import subprocess
 import sys
 import time
+
+import numpy as np
 
 from output_digest import stdout_of   # puts src/ and perfbench/ on sys.path
 from workloads import WORKLOADS, operations
@@ -68,6 +72,7 @@ def main() -> int:
         return _every_operation(args.workload, list(ops), args.seed, args.repeat)
     if args.operation not in ops:
         parser.error(f"operation must be one of {', '.join(ops)}")
+    np.ones((2, 3, 3)) @ np.ones((2, 3, 3))
     after_import = _peak_mb()
     walls = []
     code = 0
