@@ -23,7 +23,7 @@ def test_quartiles_inclusive():
 
 def test_summary_within_bound_counts_pairs():
     row = bench_record.summarize(WALL, [2.0, 2.1, 2.2, 2.0, 2.1],
-                                [2.1, 2.0, 2.2, 2.2, 2.0])
+                                 [2.1, 2.0, 2.2, 2.2, 2.0])
     assert row["parent"] == (2.0, 2.1, 2.1)
     assert row["change"] == (2.0, 2.1, 2.2)
     assert (row["better"], row["worse"]) == (2, 2)
