@@ -684,7 +684,7 @@ class _MatrixSteps:
 
 # The moment loop steps vech M (:class:`_VechSteps`) up to this n, and M
 # itself above it, where building L and R costs more than it saves.
-_VECH_MAX_N = 5
+_VECH_MAX_N = 6
 
 # The carried moment matrix is rescaled by an exact power of two whenever its
 # trace leaves [2^-332, 2^332] (about 1e-100 to 1e100), so no RK4 stage can
@@ -1099,7 +1099,7 @@ def constant_moment(system: LinearSde, p0, t: float) -> np.ndarray:
     for matrix in (system.drift, system.diffusion):
         if any("t" in ex.free_names(entry) for row in matrix for entry in row):
             raise EngineError("the exact moment oracle needs coefficients constant in t")
-    # Imported here: msd's start-up does not load scipy.linalg otherwise.
+    # Imported here: msd's start-up loads only the bare scipy package.
     from scipy.linalg import expm
 
     n = system.dim

@@ -11,7 +11,10 @@ variates of the Brownian increments come from the inverse CDF applied to
 fixed-width uniforms, one draw per variate, never from rejection sampling, so
 path streams never diverge between runs. (Draws that drive no path, such as
 random probe directions and the smallness falsifier's samples, use the
-generator's own samplers, ``standard_normal`` among them.)
+generator's own samplers, ``standard_normal`` among them.) The inverse CDF is
+``scipy.special.ndtri``; the module imports only the bare scipy package, and
+SciPy loads ``scipy.special`` on its first use, so ``scipy.special`` loads at
+a process's first Monte Carlo draw and never in one that does not draw.
 
 Monte Carlo reductions use a fixed-shape pairwise tree so that results are
 bit-identical regardless of how work might be batched (Higham, "The accuracy
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+import scipy
 
 MAX_DIM = 16
 
@@ -80,7 +83,7 @@ class RngStream:
 def _normals(gen: np.random.Generator, count: int) -> np.ndarray:
     bits = gen.integers(0, 2**53, size=count, dtype=np.uint64)
     u = (bits.astype(np.float64) + 0.5) * _U53
-    return ndtri(u)
+    return scipy.special.ndtri(u)
 
 
 def normals(stream: RngStream, count: int) -> np.ndarray:
@@ -166,7 +169,7 @@ def brownian_batch(seed: int, n_paths: int, dt: float, steps: int,
         out[m] = raw[skip:]
     out += 0.5
     out *= _U53
-    ndtri(out, out=out)
+    scipy.special.ndtri(out, out=out)
     out *= np.sqrt(dt)
     return out
 

@@ -1,9 +1,15 @@
 """RNG streams, Brownian sampling, reductions, and matrix kernels."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special  # noqa: F401  (the draws below compare against this process's)
 
 from msd import numerics
 from msd.numerics import RngStream
@@ -129,6 +135,57 @@ def test_brownian_batch_memory():
         assert tracemalloc.get_traced_memory()[1] <= 1.25 * block.nbytes
     finally:
         tracemalloc.stop()
+
+
+# Run in a fresh interpreter: import msd.cli, run the ode route of fit,
+# regularity, lyapunov and moments, then draw; print which of scipy.special
+# and scipy.linalg were loaded after each stage, the exit codes and the
+# draws' bytes.
+_LAZY_SCIPY = r"""
+import contextlib, io, json, sys
+import msd.cli
+from msd import numerics
+
+def loaded():
+    return [name for name in ("scipy.special", "scipy.linalg") if name in sys.modules]
+
+report = {"import": loaded(), "codes": []}
+for argv in (["fit", "--system", "perron-ode", "--rank", "1", "--s-values", "0.5,1.5",
+              "--deltas", "0,1", "--dt", "0.05"],
+             ["regularity", "--system", "perron-sde", "--t-start", "0.001",
+              "--horizon", "2", "--bound-horizon", "10"],
+             ["lyapunov", "--system", "diag-2x2", "--horizon", "5"],
+             ["moments", "--system", "perron-sde", "--t0", "0.001", "--t1", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        report["codes"].append(msd.cli.dispatch([*argv, "--method", "ode"]))
+report["ode"] = loaded()
+report["normals"] = numerics.normals(numerics.RngStream(7, 3), 64).tobytes().hex()
+report["batch"] = numerics.brownian_batch(7, 3, 0.01, 13, 5).tobytes().hex()
+report["draw"] = loaded()
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def lazy_scipy():
+    src = Path(numerics.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_start_up_and_the_ode_routes_load_no_scipy_submodule(lazy_scipy):
+    assert lazy_scipy["import"] == []
+    assert lazy_scipy["codes"] == [0, 0, 0, 0]
+    assert lazy_scipy["ode"] == []
+
+
+def test_the_first_draw_loads_scipy_special_and_draws_the_same_bytes(lazy_scipy):
+    # This process imported scipy.special before its first draw.
+    assert lazy_scipy["draw"] == ["scipy.special"]
+    assert lazy_scipy["normals"] == numerics.normals(RngStream(7, 3), 64).tobytes().hex()
+    assert lazy_scipy["batch"] == numerics.brownian_batch(7, 3, 0.01, 13, 5).tobytes().hex()
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert proc.stdout == ""
     data = json.loads(out.read_text())
     assert set(data) == {"format", "host", "known_faults", "sides"}
-    assert data["format"] == 6
+    assert data["format"] == 7
     assert set(data["host"]) == set(bench_record.HOST_KEYS)
     assert data["known_faults"] == list(bench_record.KNOWN_FAULTS)
     assert list(data["sides"]) == ["change"]
@@ -173,9 +173,15 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert set(side["surface"]) == set(bench_record.SURFACE_KEYS)
     assert side["surface"]["deltas"] == [0.0, 1.0, 2.0]
     assert side["surface"]["ms_per_call"] > 0.0
+    assert set(side["startup"]) == set(bench_record.STARTUP_KEYS)
+    assert side["startup"]["repeats"] == 7
+    assert 0.0 < side["startup"]["import_unscaled_s"]
+    assert 0.0 < side["startup"]["rss_after_import_mb"]
+    assert side["startup"]["scipy_special"] is False
     assert list(side["op_peaks"]) == ["mc"]
     assert [row["operation"] for row in side["op_peaks"]["mc"]] == [
         "moments", "fit", "triangularize", "lyapunov", "decoupling"]
     for row in side["op_peaks"]["mc"]:
         assert set(row) == set(bench_record.OP_PEAK_KEYS)
+        assert row["repeat"] == 1
         assert 0.0 < row["rss_after_import_mb"] <= row["rss_peak_mb"]

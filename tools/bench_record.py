@@ -1,7 +1,7 @@
 """Run the benchmark on a change and its parent in alternating pairs, time
 the RK4 moment layer of each, and record it all.
 
-    python3 tools/bench_record.py --out BENCH_25.json [--parent PARENT_CHECKOUT] [--quick]
+    python3 tools/bench_record.py --out BENCH_26.json [--parent PARENT_CHECKOUT] [--quick]
 
 For this checkout (side ``change``) and, given ``--parent``, another
 (side ``parent``) it records:
@@ -18,28 +18,37 @@ For this checkout (side ``change``) and, given ``--parent``, another
   and ``surface``: milliseconds per ``dichotomy_surface`` call on the ode
   workload's ``fit`` surface; each the median of 7 calls in a fresh
   interpreter on the checkout's sources.
-* ``op_peaks``: per workload, the rows of ``tools/op_peak.py WORKLOAD``, so
-  that a ``peak_rss_mb`` rise they do not share shows as the worker's.
+* ``startup``: ``import msd.cli`` in a fresh interpreter on the checkout's
+  sources, 7 times: the medians of the unscaled import seconds and of
+  ``ru_maxrss`` after the import, and whether an import left
+  ``scipy.special`` in ``sys.modules``.
+* ``op_peaks``: per workload, the rows of ``tools/op_peak.py WORKLOAD
+  --repeat OP_REPEAT``, so that a ``peak_rss_mb`` rise they do not share
+  shows as the worker's. Each wall time is the best of ``OP_REPEAT`` calls
+  in one process: the first call of an operation that draws pays the
+  ``scipy.special`` import, which one sample would report as its cost.
 * ``head`` and ``dirty``: the checkout's ``git rev-parse HEAD`` and whether
   its tree differs from it.
 
 With ``--parent`` and no failed run, ``summary`` holds per workload one
 :func:`summarize` row per end-to-end metric and each side's medians of the
 unscaled times, and stdout prints it. The host and the benchmark's known
-faults are kept so that no reader takes them for msd's own. Format 6::
+faults are kept so that no reader takes them for msd's own. Format 7::
 
     {"format", "host": {HOST_KEYS}, "known_faults": [...],
      "sides": {"change" | "parent": {SIDE_KEYS}},
      "summary": {workload: {"end_to_end": [{SUMMARY_KEYS}],
                             "unscaled_medians": {UNSCALED: {side: median}}}}}
     runs: [{RUN_KEYS}]    rk4: [{RK4_KEYS}]    surface: {SURFACE_KEYS}
-    op_peaks: {workload: [{OP_PEAK_KEYS}]}
+    startup: {STARTUP_KEYS}    op_peaks: {workload: [{OP_PEAK_KEYS}]}
 
 ``--quick`` records one 1 s mc run at seed 1, three small rk4 rows, a small
-surface and the op peaks of mc, to check the tool. Exits 1 if any run or
-operation fails. Format 5 (``BENCH_24.json``) ran one pair per seed 1-3,
-with no unscaled times, summary or bytecode flag; the docstring of this
-tool at the commit of each older BENCH file describes that file's format.
+surface, the start-up row and the op peaks of mc at one call each, to check
+the tool. Exits 1 if any run or operation fails. Format 6 (``BENCH_25.json``)
+had no start-up row and one call per op peak; format 5 (``BENCH_24.json``)
+ran one pair per seed 1-3, with no unscaled times, summary or bytecode flag;
+the docstring of this tool at the commit of each older BENCH file describes
+that file's format.
 """
 
 from __future__ import annotations
@@ -57,16 +66,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 HOST_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy", "dont_write_bytecode")
-SIDE_KEYS = ("head", "dirty", "runs", "rk4", "surface", "op_peaks")
+SIDE_KEYS = ("head", "dirty", "runs", "rk4", "surface", "startup", "op_peaks")
 UNSCALED = ("setup_unscaled_s", "pass_unscaled_s")
 RUN_KEYS = ("workload", "pair", "seed", "seconds", "exit", "result", "error", *UNSCALED)
 SUMMARY_KEYS = ("name", "parent", "change", "better", "worse", "worse_by", "spread", "verdict")
 RK4_KEYS = ("k", "n", "steps", "repeats", "us_per_step")
 SURFACE_KEYS = ("system", "rank", "s_values", "deltas", "dt", "repeats", "ms_per_call")
-OP_PEAK_KEYS = ("operation", "wall_s", "rss_after_import_mb", "rss_peak_mb")
+STARTUP_KEYS = ("repeats", "import_unscaled_s", "rss_after_import_mb", "scipy_special")
+OP_PEAK_KEYS = ("operation", "repeat", "wall_s", "rss_after_import_mb", "rss_peak_mb")
 # Ten pairs is the fewest on which a gain may be claimed.
 PAIRS = 10
 SEEDS = (1, 2, 3)
+OP_REPEAT = 3
 
 # Benchmark faults that move its figures without any change in msd.
 KNOWN_FAULTS = (
@@ -124,6 +135,17 @@ for _ in range(repeats):
     dichotomy_surface(system, projector, pairs, dt=spec["dt"])
     times.append(time.perf_counter() - start)
 print(json.dumps({"ms_per_call": statistics.median(times) * 1e3}))
+"""
+
+
+_STARTUP_CHILD = r"""
+import json, resource, sys, time
+start = time.perf_counter()
+import msd.cli
+elapsed = time.perf_counter() - start
+print(json.dumps({"import_unscaled_s": elapsed,
+                  "rss_after_import_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                  "scipy_special": "scipy.special" in sys.modules}))
 """
 
 
@@ -246,23 +268,34 @@ def time_in_child(checkout: Path, code: str, *args: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def op_peaks(checkout: Path, workload: str) -> list[dict]:
-    """The rows ``tools/op_peak.py WORKLOAD`` prints in the checkout, one per
-    operation; figures of a failed operation are None."""
-    proc = subprocess.run([sys.executable, "tools/op_peak.py", workload], cwd=checkout,
-                          stdout=subprocess.PIPE, text=True)
+def startup(checkout: Path, repeats: int) -> dict:
+    """Medians of ``repeats`` imports of ``msd.cli``, each in a fresh
+    interpreter, and whether any of them loaded ``scipy.special``."""
+    rows = [time_in_child(checkout, _STARTUP_CHILD) for _ in range(repeats)]
+    return {"repeats": repeats,
+            "import_unscaled_s": statistics.median(row["import_unscaled_s"] for row in rows),
+            "rss_after_import_mb": statistics.median(row["rss_after_import_mb"] for row in rows),
+            "scipy_special": any(row["scipy_special"] for row in rows)}
+
+
+def op_peaks(checkout: Path, workload: str, repeat: int) -> list[dict]:
+    """The rows ``tools/op_peak.py WORKLOAD --repeat REPEAT`` prints in the
+    checkout, one per operation; figures of a failed operation are None."""
+    proc = subprocess.run([sys.executable, "tools/op_peak.py", workload, "--repeat", str(repeat)],
+                          cwd=checkout, stdout=subprocess.PIPE, text=True)
     rows = []
     for line in proc.stdout.splitlines():
         name, *rest = line.split()
         figures = dict(zip(rest[::2], rest[1::2]))
         failed = not rest or rest[0] == "failed"
-        rows.append({"operation": name} | {key: None if failed else float(figures[key])
-                                           for key in OP_PEAK_KEYS[1:]})
+        rows.append({"operation": name, "repeat": repeat} | {
+            key: None if failed else float(figures[key]) for key in OP_PEAK_KEYS[2:]})
     return rows
 
 
 def record(sides: dict[str, Path], bench: dict, workloads: list[str], pairs: int,
-           seconds: int, rk4_sizes: tuple, steps: int, surface: dict, repeats: int) -> dict:
+           seconds: int, rk4_sizes: tuple, steps: int, surface: dict, repeats: int,
+           op_repeat: int) -> dict:
     names = list(sides)
     out = {name: {"runs": [], "rk4": []} for name in names}
     for workload in workloads:
@@ -284,12 +317,14 @@ def record(sides: dict[str, Path], bench: dict, workloads: list[str], pairs: int
         out[name]["surface"] = surface | {"repeats": repeats} | time_in_child(
             sides[name], _SURFACE_CHILD, json.dumps(surface), str(repeats))
         sys.stderr.write(f"{name} surface: {out[name]['surface']['ms_per_call']:.1f} ms\n")
-        out[name]["op_peaks"] = {workload: op_peaks(sides[name], workload)
+        out[name]["startup"] = startup(sides[name], repeats)
+        sys.stderr.write(f"{name} startup: {json.dumps(out[name]['startup'])}\n")
+        out[name]["op_peaks"] = {workload: op_peaks(sides[name], workload, op_repeat)
                                  for workload in workloads}
         sys.stderr.write(f"{name} op peaks: {json.dumps(out[name]['op_peaks'])}\n")
         out[name]["head"], out[name]["dirty"] = git_state(sides[name])
         out[name] = {key: out[name][key] for key in SIDE_KEYS}
-    data = {"format": 6, "host": host(), "known_faults": list(KNOWN_FAULTS), "sides": out}
+    data = {"format": 7, "host": host(), "known_faults": list(KNOWN_FAULTS), "sides": out}
     # A failed run leaves its pair without figures; the summary needs every pair.
     if "parent" in sides and not any(run["error"] for side in out.values()
                                      for run in side["runs"]):
@@ -305,7 +340,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path, help="BENCH file to write")
     parser.add_argument("--parent", type=Path, help="checkout to record as the parent")
     parser.add_argument("--quick", action="store_true",
-                        help="one 1 s mc run and small rk4, surface and op peak rows")
+                        help="one 1 s mc run, small rk4 and surface rows, one-call op peaks")
     args = parser.parse_args(argv)
     sides = {"change": ROOT}
     if args.parent is not None:
@@ -314,16 +349,16 @@ def main(argv=None) -> int:
         sides["parent"] = args.parent.resolve()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.quick:
-        workloads, pairs, seconds = ["mc"], 1, 1
+        workloads, pairs, seconds, op_repeat = ["mc"], 1, 1, 1
         rk4_sizes, steps = ((1, 1), (2, 2), (1, 8)), 100
         surface = SURFACE | {"deltas": [0.0, 1.0, 2.0]}
     else:
         workloads = [workload["name"] for workload in bench["workloads"]]
-        pairs, seconds = PAIRS, bench["run_seconds"]
+        pairs, seconds, op_repeat = PAIRS, bench["run_seconds"], OP_REPEAT
         rk4_sizes, steps = tuple((k, n) for n in (1, 2, 4, 5, 6, 8) for k in (1, 2, 4)), 1000
         surface = SURFACE
     data = record(sides, bench, workloads, pairs, seconds, rk4_sizes, steps, surface,
-                  repeats=7)
+                  repeats=7, op_repeat=op_repeat)
     args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     for workload, summary in data.get("summary", {}).items():
         print(workload, json.dumps(summary))
