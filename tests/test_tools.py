@@ -166,7 +166,8 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert 0.0 < run["setup_unscaled_s"] and 0.0 < run["pass_unscaled_s"]
     assert run["result"]["correct"] is True
     assert set(run["result"]["metrics"]) == {"setup_s", "wall_s", "peak_rss_mb"}
-    assert [(row["k"], row["n"]) for row in side["rk4"]] == [(1, 1), (2, 2), (1, 8)]
+    assert [(row["k"], row["n"], row["per_start"]) for row in side["rk4"]] == [
+        (1, 1, False), (2, 2, True), (1, 8, False)]
     for row in side["rk4"]:
         assert set(row) == set(bench_record.RK4_KEYS)
         assert row["us_per_step"] > 0.0

@@ -15,9 +15,12 @@ For this checkout (side ``change``) and, given ``--parent``, another
   non-zero, reported ``correct: false`` or failed an operation.
 * ``rk4``: microseconds per grid step of ``moment_log_trace`` on k stacked
   starts of a constant n x n system (k = 1, 2, 4; n = 1, 2, 4, 5, 6, 8),
-  and ``surface``: milliseconds per ``dichotomy_surface`` call on the ode
-  workload's ``fit`` surface; each the median of 7 calls in a fresh
-  interpreter on the checkout's sources.
+  all from t = 0, and at n = 5 and 6 with k = 2 and 4 also with
+  ``per_start`` times, start j from t = j / 4, so that each start has its
+  own coefficient tables and L and R are k rows wide, as in
+  ``dichotomy_surface``; and ``surface``: milliseconds per
+  ``dichotomy_surface`` call on the ode workload's ``fit`` surface; each the
+  median of 7 calls in a fresh interpreter on the checkout's sources.
 * ``startup``: ``import msd.cli`` in a fresh interpreter on the checkout's
   sources, 7 times: the medians of the unscaled import seconds and of
   ``ru_maxrss`` after the import, and whether an import left
@@ -42,10 +45,11 @@ faults are kept so that no reader takes them for msd's own. Format 7::
     runs: [{RUN_KEYS}]    rk4: [{RK4_KEYS}]    surface: {SURFACE_KEYS}
     startup: {STARTUP_KEYS}    op_peaks: {workload: [{OP_PEAK_KEYS}]}
 
-``--quick`` records one 1 s mc run at seed 1, three small rk4 rows, a small
-surface, the start-up row and the op peaks of mc at one call each, to check
-the tool. Exits 1 if any run or operation fails. Format 6 (``BENCH_25.json``)
-had no start-up row and one call per op peak; format 5 (``BENCH_24.json``)
+``--quick`` records one 1 s mc run at seed 1, three small rk4 rows (the
+k = 2 one with ``per_start`` times), a small surface, the start-up row and
+the op peaks of mc at one call each, to check the tool. Exits 1 if any run
+or operation fails. Format 6 (``BENCH_25.json``) had no start-up row, no
+``per_start`` rk4 rows and one call per op peak; format 5 (``BENCH_24.json``)
 ran one pair per seed 1-3, with no unscaled times, summary or bytecode flag;
 the docstring of this tool at the commit of each older BENCH file describes
 that file's format.
@@ -70,7 +74,7 @@ SIDE_KEYS = ("head", "dirty", "runs", "rk4", "surface", "startup", "op_peaks")
 UNSCALED = ("setup_unscaled_s", "pass_unscaled_s")
 RUN_KEYS = ("workload", "pair", "seed", "seconds", "exit", "result", "error", *UNSCALED)
 SUMMARY_KEYS = ("name", "parent", "change", "better", "worse", "worse_by", "spread", "verdict")
-RK4_KEYS = ("k", "n", "steps", "repeats", "us_per_step")
+RK4_KEYS = ("k", "n", "per_start", "steps", "repeats", "us_per_step")
 SURFACE_KEYS = ("system", "rank", "s_values", "deltas", "dt", "repeats", "ms_per_call")
 STARTUP_KEYS = ("repeats", "import_unscaled_s", "rss_after_import_mb", "scipy_special")
 OP_PEAK_KEYS = ("operation", "repeat", "wall_s", "rss_after_import_mb", "rss_peak_mb")
@@ -100,17 +104,18 @@ import numpy as np
 from msd.engines import moment_log_trace
 from msd.model import LinearSde
 
-k, n, steps, repeats = (int(x) for x in sys.argv[1:5])
+k, n, per_start, steps, repeats = (int(x) for x in sys.argv[1:6])
 drift = [[str(-1.0 if i == j else 0.1 * (i - j)) for j in range(n)] for i in range(n)]
 noise = [[str(0.2 if i == j else 0.0) for j in range(n)] for i in range(n)]
 system = LinearSde.from_strings(n, drift, noise)
 starts = np.stack([np.eye(n)] * k)
+t_from = np.arange(k) / 4.0 if per_start else 0.0
 dt = 1.0 / steps
-moment_log_trace([system] * k, starts, 0.0, 1.0, dt=dt)
+moment_log_trace([system] * k, starts, t_from, t_from + 1.0, dt=dt)
 times = []
 for _ in range(repeats):
     start = time.perf_counter()
-    moment_log_trace([system] * k, starts, 0.0, 1.0, dt=dt)
+    moment_log_trace([system] * k, starts, t_from, t_from + 1.0, dt=dt)
     times.append(time.perf_counter() - start)
 print(json.dumps({"us_per_step": statistics.median(times) / steps * 1e6}))
 """
@@ -307,12 +312,15 @@ def record(sides: dict[str, Path], bench: dict, workloads: list[str], pairs: int
                 out[name]["runs"].append(run)
                 sys.stderr.write(f"{name} {workload} pair {i} seed {seed}: "
                                  f"{json.dumps(run['result'] or run['error'])}\n")
-    for k, n in rk4_sizes:
+    for k, n, per_start in rk4_sizes:
         for name in names:
-            row = {"k": k, "n": n, "steps": steps, "repeats": repeats} | time_in_child(
-                sides[name], _RK4_CHILD, str(k), str(n), str(steps), str(repeats))
+            row = {"k": k, "n": n, "per_start": per_start, "steps": steps,
+                   "repeats": repeats} | time_in_child(
+                sides[name], _RK4_CHILD, str(k), str(n), str(int(per_start)), str(steps),
+                str(repeats))
             out[name]["rk4"].append(row)
-            sys.stderr.write(f"{name} rk4 k={k} n={n}: {row['us_per_step']:.1f} us/step\n")
+            sys.stderr.write(f"{name} rk4 k={k} n={n} per_start={per_start}: "
+                             f"{row['us_per_step']:.1f} us/step\n")
     for name in names:
         out[name]["surface"] = surface | {"repeats": repeats} | time_in_child(
             sides[name], _SURFACE_CHILD, json.dumps(surface), str(repeats))
@@ -350,12 +358,14 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.quick:
         workloads, pairs, seconds, op_repeat = ["mc"], 1, 1, 1
-        rk4_sizes, steps = ((1, 1), (2, 2), (1, 8)), 100
+        rk4_sizes, steps = ((1, 1, False), (2, 2, True), (1, 8, False)), 100
         surface = SURFACE | {"deltas": [0.0, 1.0, 2.0]}
     else:
         workloads = [workload["name"] for workload in bench["workloads"]]
         pairs, seconds, op_repeat = PAIRS, bench["run_seconds"], OP_REPEAT
-        rk4_sizes, steps = tuple((k, n) for n in (1, 2, 4, 5, 6, 8) for k in (1, 2, 4)), 1000
+        rk4_sizes = (*((k, n, False) for n in (1, 2, 4, 5, 6, 8) for k in (1, 2, 4)),
+                     *((k, n, True) for n in (5, 6) for k in (2, 4)))
+        steps = 1000
         surface = SURFACE
     data = record(sides, bench, workloads, pairs, seconds, rk4_sizes, steps, surface,
                   repeats=7, op_repeat=op_repeat)
