@@ -122,6 +122,9 @@ def dichotomy_surface(system: LinearSde, projector: Projector | None, pairs,
     pairs = [(float(s), float(t)) for s, t in pairs]
     if not pairs:
         raise DichotomyError("need at least one (s, t) pair")
+    for s, t in pairs:
+        if not (math.isfinite(s) and math.isfinite(t)):
+            raise DichotomyError(f"time bounds must be finite, got s={s!r} and t={t!r}")
     if method not in ("auto", "ode", "mc"):
         raise DichotomyError(f"unknown method '{method}'")
     has_fwd = any(t > s for s, t in pairs)

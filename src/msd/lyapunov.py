@@ -31,11 +31,16 @@ from . import engines
 from .engines import (TimeGrid, _mean_squares, euler_maruyama, moment_log_trace,
                       simulate_vectors)
 from .model import LinearSde, adjoint
-from .numerics import MsdError, RngStream
+from .numerics import MsdError, NumericFailure, RngStream
 
 
 class LyapunovError(MsdError):
     """Estimation precondition failure or violated sanity bound."""
+
+
+class _DegenerateMeanSquareError(LyapunovError, NumericFailure):
+    """A Monte Carlo mean square that is zero or not finite has no log: a
+    numeric failure."""
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,9 @@ def chi_estimate(system: LinearSde | list[LinearSde], u0, horizon: float, method
             _, states = simulate_vectors(sys_j, grid, paths, seed_j, v, record_nodes=nodes)
             means, errs = _mean_squares(np.moveaxis(states, 1, -1), len(nodes), paths)
             del states          # freed before the next vector's run
-            runs.append((np.log(means / norm0_sq) / ts, means, errs))
+            # A zero mean square logs to -inf; refused below if it is chosen.
+            with np.errstate(divide="ignore"):
+                runs.append((np.log(means / norm0_sq) / ts, means, errs))
 
     window = (horizon / 2.0, horizon)
     mask = ts >= window[0]
@@ -157,6 +164,10 @@ def chi_estimate(system: LinearSde | list[LinearSde], u0, horizon: float, method
     estimates = []
     for vals, means, errs in runs:
         best = tail_idx[int(np.argmax(vals[mask]))]
+        if means is not None and not 0.0 < means[best] < math.inf:
+            raise _DegenerateMeanSquareError(
+                f"Monte Carlo mean square at t={ts[best]:.6g} is {float(means[best])!r}: "
+                "no finite exponent")
         stderr = None if method == "ode" else float(errs[best] / means[best] / ts[best])
         estimates.append(LyapunovEstimate(chi=float(vals[best]), ts=ts, values=vals,
                                           method=method, stderr=stderr, window=window))

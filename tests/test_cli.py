@@ -681,6 +681,31 @@ class TestExitCodes:
         assert err == ("error: numeric: fundamental matrix numerically rank-deficient "
                        "at node 1376 (t=13.76), path 0: column 1\n")
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_non_finite_fit_time_is_a_validation_error(self, capsys):
+        # Zero-gap pairs at s = inf once printed "K": NaN with exit 0.
+        code, out, err = run_cli(capsys, "fit", "--system", "gbm", "--s-values", "0,inf",
+                                 "--deltas", "0,1")
+        assert code == 1 and out == ""
+        assert err == "error: validation: time bounds must be finite, got s=inf and t=inf\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["lyapunov", "--vector", "1"],
+        ["regularity"],
+    ])
+    def test_a_zero_monte_carlo_mean_square_exits_2(self, capsys, tmp_path, argv):
+        # One EM step at dt 0.01 maps every path of du = -100 u dt to exactly
+        # 0; the exponent once printed as -Infinity with exit 0.
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"dim": 1, "params": {}, "A": [["-100"]], "G": [["0"]]}),
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, argv[0], "--system", str(path), "--method", "mc",
+                                 "--horizon", "1", "--dt", "0.01", "--paths", "10", *argv[1:])
+        assert code == 2 and out == ""
+        assert err == ("error: numeric: Monte Carlo mean square at t=0.52 is 0.0: "
+                       "no finite exponent\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["--system", "perron-sde-perturbed", "--mode", "stability", "--paths", "100000000",
           "--horizon", "5"], "the per-path state would take 4.47 GiB"),

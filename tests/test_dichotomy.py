@@ -118,6 +118,11 @@ class TestSurface:
         with pytest.raises(DichotomyError, match="pair"):
             dichotomy_surface(gallery("gbm"), None, [])
 
+    @pytest.mark.parametrize("pair", [(0.0, math.inf), (math.inf, math.inf), (0.0, math.nan)])
+    def test_non_finite_times_rejected(self, pair):
+        with pytest.raises(DichotomyError, match="finite"):
+            dichotomy_surface(gallery("gbm"), None, [(0.0, 1.0), pair])
+
     def test_unknown_method_rejected(self):
         with pytest.raises(DichotomyError, match="method"):
             dichotomy_surface(gallery("gbm"), None, [(0.0, 1.0)], method="exact")

@@ -14,6 +14,7 @@ NUMERIC = {
     "msd.engines.DivergenceError",
     "msd.engines.ExplosionError",
     "msd.engines.NonPsdError",
+    "msd.lyapunov._DegenerateMeanSquareError",
     "msd.perturb.NonConvergenceError",
 }
 

@@ -16,6 +16,7 @@ from msd.lyapunov import (
     spectrum,
 )
 from msd.model import LinearSde, adjoint, gallery
+from msd.numerics import NumericFailure
 
 
 def _diag_system(*entries, g=0.0):
@@ -254,6 +255,12 @@ def test_chi_mc_route_gbm():
                        dt=1e-2, paths=10_000, seed=6)
     assert est.method == "mc" and est.stderr is not None and est.stderr > 0.0
     assert abs(est.chi - (-1.75)) <= max(0.05, 3.0 * est.stderr)
+
+
+def test_chi_mc_refuses_a_zero_mean_square():
+    # 1 - 100 * 0.01 = 0: the first EM step ends every path at exactly 0.
+    with pytest.raises(NumericFailure, match="mean square at t=0.52 is 0.0"):
+        chi_estimate(_diag_system(-100), [1.0], horizon=1.0, method="mc", dt=0.01, paths=10)
 
 
 def test_chi_mc_agrees_with_ode():

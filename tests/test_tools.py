@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -101,7 +102,7 @@ def test_output_digest_error_commands_each_end_in_one_error_line():
         assert code in (1, 2) and err.endswith("\n"), command
         assert err.splitlines()[-1].startswith(f"error: {kind}: "), command
         assert err.count("error: ") == 1 and "Traceback" not in err, command
-    assert sum(code == 2 for _, code, _ in lines) == 5
+    assert sum(code == 2 for _, code, _ in lines) == 6
 
 
 def test_bench_record_reads_the_unscaled_times_from_stderr():
@@ -145,6 +146,42 @@ def test_bench_record_summarizes_canned_pairs():
         "pass_unscaled_s": {"parent": 1.1, "change": 0.5}}
 
 
+def test_bench_record_alternates_the_first_side_and_takes_medians_over_rounds(tmp_path):
+    sides = {"change": tmp_path / "change", "parent": tmp_path / "parent"}
+    rows = [{"kind": "rk4", "n": 1}, {"kind": "startup"}]
+    calls = []
+
+    def fake(checkout, row, r):
+        calls.append((r, row["kind"], checkout.name))
+        return {"x": float(r) if checkout.name == "change" else 10.0 * r, "flag": r == 1}
+
+    data = bench_record.record(sides, {"end_to_end": []}, rows, 4, sample=fake)
+    for r in range(4):
+        first, second = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+        assert calls[4 * r:4 * r + 4] == [(r, "rk4", first), (r, "rk4", second),
+                                          (r, "startup", first), (r, "startup", second)]
+    assert len(calls) == 16
+    for name, median in (("change", 1.5), ("parent", 15.0)):
+        side = data["sides"][name]
+        assert side["runs"] == []
+        assert side["rows"] == [row | {"x": median, "flag": True} for row in rows]
+    assert data["rounds"] == 4 and data["summary"] == {}
+
+
+def test_bench_record_children_import_the_sources_they_are_given(tmp_path):
+    # tools/output_digest.py puts this checkout's src first on sys.path, so
+    # an operation run through it would measure this checkout on both sides.
+    shutil.copytree(_PATH.parent.parent / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    row = {"kind": "op", "workload": "ode", "operation": "lyapunov", "seed": 1}
+    figures = bench_record.child(tmp_path, bench_record._OP_CHILD, row)
+    assert Path(figures["msd"]).is_relative_to(tmp_path / "src")
+    assert 0.0 < figures["wall_s"]
+    assert 0.0 < figures["rss_after_import_mb"] <= figures["rss_peak_mb"]
+    assert set(bench_record.sample(tmp_path, row, 0)) == {"wall_s", "rss_after_import_mb",
+                                                          "rss_peak_mb"}
+
+
 def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     out = tmp_path / "BENCH.json"
     proc = subprocess.run([sys.executable, str(_PATH), "--quick", "--out", str(out)],
@@ -152,8 +189,8 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     data = json.loads(out.read_text())
-    assert set(data) == {"format", "host", "known_faults", "sides"}
-    assert data["format"] == 7
+    assert set(data) == {"format", "rounds", "host", "known_faults", "sides"}
+    assert (data["format"], data["rounds"]) == (8, 1)
     assert set(data["host"]) == set(bench_record.HOST_KEYS)
     assert data["known_faults"] == list(bench_record.KNOWN_FAULTS)
     assert list(data["sides"]) == ["change"]
@@ -166,23 +203,22 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert 0.0 < run["setup_unscaled_s"] and 0.0 < run["pass_unscaled_s"]
     assert run["result"]["correct"] is True
     assert set(run["result"]["metrics"]) == {"setup_s", "wall_s", "peak_rss_mb"}
-    assert [(row["k"], row["n"], row["per_start"]) for row in side["rk4"]] == [
+    for row in side["rows"]:
+        assert list(row) == list(bench_record.ROW_KEYS[row["kind"]])
+    rk4, [surface], [startup], ops = (
+        [row for row in side["rows"] if row["kind"] == kind]
+        for kind in ("rk4", "surface", "startup", "op"))
+    assert [(row["k"], row["n"], row["per_start"]) for row in rk4] == [
         (1, 1, False), (2, 2, True), (1, 8, False)]
-    for row in side["rk4"]:
-        assert set(row) == set(bench_record.RK4_KEYS)
-        assert row["us_per_step"] > 0.0
-    assert set(side["surface"]) == set(bench_record.SURFACE_KEYS)
-    assert side["surface"]["deltas"] == [0.0, 1.0, 2.0]
-    assert side["surface"]["ms_per_call"] > 0.0
-    assert set(side["startup"]) == set(bench_record.STARTUP_KEYS)
-    assert side["startup"]["repeats"] == 7
-    assert 0.0 < side["startup"]["import_unscaled_s"]
-    assert 0.0 < side["startup"]["rss_after_import_mb"]
-    assert side["startup"]["scipy_special"] is False
-    assert list(side["op_peaks"]) == ["mc"]
-    assert [row["operation"] for row in side["op_peaks"]["mc"]] == [
-        "moments", "fit", "triangularize", "lyapunov", "decoupling"]
-    for row in side["op_peaks"]["mc"]:
-        assert set(row) == set(bench_record.OP_PEAK_KEYS)
-        assert row["repeat"] == 1
+    assert all(row["us_per_step"] > 0.0 for row in rk4)
+    assert surface["deltas"] == [0.0, 1.0, 2.0]
+    assert surface["ms_per_call"] > 0.0
+    assert 0.0 < startup["import_unscaled_s"]
+    assert 0.0 < startup["rss_after_import_mb"]
+    assert startup["scipy_special"] is False
+    assert [(row["workload"], row["operation"]) for row in ops] == [
+        ("mc", "moments"), ("mc", "fit"), ("mc", "triangularize"), ("mc", "lyapunov"),
+        ("mc", "decoupling")]
+    for row in ops:
+        assert 0.0 < row["wall_s"]
         assert 0.0 < row["rss_after_import_mb"] <= row["rss_peak_mb"]

@@ -1,58 +1,66 @@
-"""Run the benchmark on a change and its parent in alternating pairs, time
-the RK4 moment layer of each, and record it all.
+"""Run the benchmark and time msd's layers on a change and its parent in
+alternating rounds, and record it all.
 
-    python3 tools/bench_record.py --out BENCH_26.json [--parent PARENT_CHECKOUT] [--quick]
+    python3 tools/bench_record.py --out BENCH_27.json [--parent PARENT_CHECKOUT] [--quick]
 
-For this checkout (side ``change``) and, given ``--parent``, another
-(side ``parent``) it records:
+For this checkout (side ``change``) and, given ``--parent``, another (side
+``parent``) it samples a fixed list of rows in ``ROUNDS`` rounds. Round r
+samples every row once on each side, the parent first in even rounds and
+the change first in odd ones, so a host that drifts drifts on both sides
+alike. Each sample is a fresh process on the side's sources: a run of the
+side's ``perfbench/run.py``, or else one of this file's ``_CHILD``
+snippets, so that both sides of a row are measured by the same code. The
+rows, by ``kind``:
 
-* ``runs``: per workload of ``BENCHMARK.json``, ``PAIRS`` runs of its
-  ``command`` with ``--trace 0`` and its ``run_seconds``. Pair i runs at seed
-  ``SEEDS[i % 3]``, the parent first in even pairs and the change first in
-  odd ones, so a host that drifts drifts on both sides alike. A run keeps
-  its JSON line and the setup and pass times of its ``as measured`` stderr
-  line, before calibration scales them; ``error`` says why a run exited
-  non-zero, reported ``correct: false`` or failed an operation.
+* ``run``: per workload of ``BENCHMARK.json``, its ``command`` with
+  ``--trace 0`` and its ``run_seconds`` at seed ``SEEDS[r % 3]``. Every run
+  is kept, with its JSON line and the setup and pass times of its ``as
+  measured`` stderr line, before calibration scales them; ``error`` says
+  why a run exited non-zero, reported ``correct: false`` or failed an
+  operation.
 * ``rk4``: microseconds per grid step of ``moment_log_trace`` on k stacked
   starts of a constant n x n system (k = 1, 2, 4; n = 1, 2, 4, 5, 6, 8),
   all from t = 0, and at n = 5 and 6 with k = 2 and 4 also with
   ``per_start`` times, start j from t = j / 4, so that each start has its
   own coefficient tables and L and R are k rows wide, as in
-  ``dichotomy_surface``; and ``surface``: milliseconds per
-  ``dichotomy_surface`` call on the ode workload's ``fit`` surface; each the
-  median of 7 calls in a fresh interpreter on the checkout's sources.
-* ``startup``: ``import msd.cli`` in a fresh interpreter on the checkout's
-  sources, 7 times: the medians of the unscaled import seconds and of
-  ``ru_maxrss`` after the import, and whether an import left
-  ``scipy.special`` in ``sys.modules``.
-* ``op_peaks``: per workload, the rows of ``tools/op_peak.py WORKLOAD
-  --repeat OP_REPEAT``, so that a ``peak_rss_mb`` rise they do not share
-  shows as the worker's. Each wall time is the best of ``OP_REPEAT`` calls
-  in one process: the first call of an operation that draws pays the
-  ``scipy.special`` import, which one sample would report as its cost.
-* ``head`` and ``dirty``: the checkout's ``git rev-parse HEAD`` and whether
-  its tree differs from it.
+  ``dichotomy_surface``; the median of ``repeats`` calls after a first.
+* ``surface``: milliseconds per ``dichotomy_surface`` call on the ode
+  workload's ``fit`` surface, the median of ``repeats`` calls after a first.
+* ``startup``: the unscaled seconds of ``import msd.cli``, ``ru_maxrss``
+  after it and whether it left ``scipy.special`` in ``sys.modules``.
+* ``op``: per operation of each workload (``perfbench/workloads.py``) at
+  seed 1, run as the benchmark's worker runs it: the wall time of a second
+  call, so that the loads of the first (``scipy.special`` at the first
+  draw) fall outside it, and ``ru_maxrss`` after ``import msd.cli`` and a
+  first 3x3 stacked matmul (as the worker's calibration kernel makes one)
+  and at the end, so that a ``peak_rss_mb`` rise they do not share shows as
+  the worker's. The figures of a failed operation are None.
+
+Every row but a run reports the median over rounds of each of its figures
+(None if a round failed it; a flag is true if any round set it). Each side
+also records ``head`` and ``dirty``: its ``git rev-parse HEAD`` and whether
+its tree differs from it.
 
 With ``--parent`` and no failed run, ``summary`` holds per workload one
 :func:`summarize` row per end-to-end metric and each side's medians of the
 unscaled times, and stdout prints it. The host and the benchmark's known
-faults are kept so that no reader takes them for msd's own. Format 7::
+faults are kept so that no reader takes them for msd's own. Format 8::
 
-    {"format", "host": {HOST_KEYS}, "known_faults": [...],
-     "sides": {"change" | "parent": {SIDE_KEYS}},
+    {"format", "rounds", "host": {HOST_KEYS}, "known_faults": [...],
+     "sides": {"change" | "parent": {"head", "dirty", "runs": [{RUN_KEYS}],
+                                     "rows": [{ROW_KEYS[kind]}]}},
      "summary": {workload: {"end_to_end": [{SUMMARY_KEYS}],
                             "unscaled_medians": {UNSCALED: {side: median}}}}}
-    runs: [{RUN_KEYS}]    rk4: [{RK4_KEYS}]    surface: {SURFACE_KEYS}
-    startup: {STARTUP_KEYS}    op_peaks: {workload: [{OP_PEAK_KEYS}]}
 
-``--quick`` records one 1 s mc run at seed 1, three small rk4 rows (the
+``--quick`` records one round: a 1 s mc run, three small rk4 rows (the
 k = 2 one with ``per_start`` times), a small surface, the start-up row and
-the op peaks of mc at one call each, to check the tool. Exits 1 if any run
-or operation fails. Format 6 (``BENCH_25.json``) had no start-up row, no
-``per_start`` rk4 rows and one call per op peak; format 5 (``BENCH_24.json``)
-ran one pair per seed 1-3, with no unscaled times, summary or bytecode flag;
-the docstring of this tool at the commit of each older BENCH file describes
-that file's format.
+the mc operations, to check the tool. Exits 1 if any run or operation
+fails. Format 7 (``BENCH_26.json``) timed every row but the runs on one
+side and then the other, each rk4 and surface row in one process per side,
+the start-up row in 7, and the op rows with each side's own
+``tools/op_peak.py``, the best of 3 calls in one process; the docstring of
+this tool at the commit of each older BENCH file describes that file's
+format.
 """
 
 from __future__ import annotations
@@ -68,20 +76,27 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The operation names are read from this checkout; listing them imports msd.
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from workloads import operations  # noqa: E402
 
 HOST_KEYS = ("nproc", "cpu_model", "python", "numpy", "scipy", "dont_write_bytecode")
-SIDE_KEYS = ("head", "dirty", "runs", "rk4", "surface", "startup", "op_peaks")
+SIDE_KEYS = ("head", "dirty", "runs", "rows")
 UNSCALED = ("setup_unscaled_s", "pass_unscaled_s")
 RUN_KEYS = ("workload", "pair", "seed", "seconds", "exit", "result", "error", *UNSCALED)
 SUMMARY_KEYS = ("name", "parent", "change", "better", "worse", "worse_by", "spread", "verdict")
-RK4_KEYS = ("k", "n", "per_start", "steps", "repeats", "us_per_step")
-SURFACE_KEYS = ("system", "rank", "s_values", "deltas", "dt", "repeats", "ms_per_call")
-STARTUP_KEYS = ("repeats", "import_unscaled_s", "rss_after_import_mb", "scipy_special")
-OP_PEAK_KEYS = ("operation", "repeat", "wall_s", "rss_after_import_mb", "rss_peak_mb")
+ROW_KEYS = {
+    "rk4": ("kind", "k", "n", "per_start", "steps", "repeats", "us_per_step"),
+    "surface": ("kind", "system", "rank", "s_values", "deltas", "dt", "repeats", "ms_per_call"),
+    "startup": ("kind", "import_unscaled_s", "rss_after_import_mb", "scipy_special"),
+    "op": ("kind", "workload", "operation", "seed", "wall_s", "rss_after_import_mb",
+           "rss_peak_mb"),
+}
 # Ten pairs is the fewest on which a gain may be claimed.
-PAIRS = 10
+ROUNDS = 10
 SEEDS = (1, 2, 3)
-OP_REPEAT = 3
+REPEATS = 5
 
 # Benchmark faults that move its figures without any change in msd.
 KNOWN_FAULTS = (
@@ -97,27 +112,31 @@ KNOWN_FAULTS = (
     "msd's source: +0.4-0.5 MB after import for 156 more lines of engines.py.",
 )
 
-# Timed in a fresh interpreter with the checkout's sources first on the path.
+# The child snippets run after _HEAD, which reads the row, and end by setting
+# ``figures``; _TAIL prints them with the msd package the child imported.
+_HEAD = "import json, sys, time\nrow = json.loads(sys.argv[1])\n"
+_TAIL = '\nprint(json.dumps(figures | {"msd": sys.modules["msd"].__file__}))\n'
+
 _RK4_CHILD = r"""
-import json, statistics, sys, time
+import statistics
 import numpy as np
 from msd.engines import moment_log_trace
 from msd.model import LinearSde
 
-k, n, per_start, steps, repeats = (int(x) for x in sys.argv[1:6])
+k, n, steps = row["k"], row["n"], row["steps"]
 drift = [[str(-1.0 if i == j else 0.1 * (i - j)) for j in range(n)] for i in range(n)]
 noise = [[str(0.2 if i == j else 0.0) for j in range(n)] for i in range(n)]
 system = LinearSde.from_strings(n, drift, noise)
 starts = np.stack([np.eye(n)] * k)
-t_from = np.arange(k) / 4.0 if per_start else 0.0
+t_from = np.arange(k) / 4.0 if row["per_start"] else 0.0
 dt = 1.0 / steps
 moment_log_trace([system] * k, starts, t_from, t_from + 1.0, dt=dt)
 times = []
-for _ in range(repeats):
+for _ in range(row["repeats"]):
     start = time.perf_counter()
     moment_log_trace([system] * k, starts, t_from, t_from + 1.0, dt=dt)
     times.append(time.perf_counter() - start)
-print(json.dumps({"us_per_step": statistics.median(times) / steps * 1e6}))
+figures = {"us_per_step": statistics.median(times) / steps * 1e6}
 """
 
 # The surface of the ode workload's fit operation (perfbench/workloads.py).
@@ -125,33 +144,75 @@ SURFACE = {"system": "perron-ode", "rank": 1, "s_values": [0.5, 4.5],
            "deltas": [0.0, 50.0, 100.0], "dt": 0.02}
 
 _SURFACE_CHILD = r"""
-import json, statistics, sys, time
+import statistics
 from msd.dichotomy import dichotomy_surface, pair_grid
 from msd.model import gallery, make_projector
 
-spec, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
-system = gallery(spec["system"])
-projector = make_projector(system.dim, spec["rank"])
-pairs = pair_grid(spec["s_values"], spec["deltas"])
-dichotomy_surface(system, projector, pairs, dt=spec["dt"])
+system = gallery(row["system"])
+projector = make_projector(system.dim, row["rank"])
+pairs = pair_grid(row["s_values"], row["deltas"])
+dichotomy_surface(system, projector, pairs, dt=row["dt"])
 times = []
-for _ in range(repeats):
+for _ in range(row["repeats"]):
     start = time.perf_counter()
-    dichotomy_surface(system, projector, pairs, dt=spec["dt"])
+    dichotomy_surface(system, projector, pairs, dt=row["dt"])
     times.append(time.perf_counter() - start)
-print(json.dumps({"ms_per_call": statistics.median(times) * 1e3}))
+figures = {"ms_per_call": statistics.median(times) * 1e3}
 """
 
-
 _STARTUP_CHILD = r"""
-import json, resource, sys, time
+import resource
 start = time.perf_counter()
 import msd.cli
 elapsed = time.perf_counter() - start
-print(json.dumps({"import_unscaled_s": elapsed,
-                  "rss_after_import_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-                  "scipy_special": "scipy.special" in sys.modules}))
+figures = {"import_unscaled_s": elapsed,
+           "rss_after_import_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+           "scipy_special": "scipy.special" in sys.modules}
 """
+
+# sys.argv[2] is this checkout's perfbench directory, put after the side's
+# sources so that the operations run the side's msd.
+_OP_CHILD = r"""
+import contextlib, io, resource
+import numpy as np
+import msd.cli
+sys.path.append(sys.argv[2])
+from workloads import operations
+
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def call(op):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if op.argv is not None:
+            return msd.cli.dispatch(list(op.argv))
+        op.call()
+        return 0
+
+
+[op] = [op for op in operations(row["workload"], row["seed"]) if op.name == row["operation"]]
+np.ones((2, 3, 3)) @ np.ones((2, 3, 3))
+after_import = peak_mb()
+try:
+    if op.prepare is not None:
+        op.prepare()
+    code = call(op)
+    start = time.perf_counter()
+    code = code or call(op)
+    wall = time.perf_counter() - start
+except Exception as exc:   # reported; the figures say it failed
+    code = repr(exc)
+if code:
+    print(f"{row['workload']} {row['operation']} failed: {code}", file=sys.stderr)
+    figures = dict.fromkeys(("wall_s", "rss_after_import_mb", "rss_peak_mb"))
+else:
+    figures = {"wall_s": wall, "rss_after_import_mb": after_import, "rss_peak_mb": peak_mb()}
+"""
+
+_CHILDREN = {"rk4": _RK4_CHILD, "surface": _SURFACE_CHILD, "startup": _STARTUP_CHILD,
+             "op": _OP_CHILD}
 
 
 def host() -> dict:
@@ -265,81 +326,100 @@ def summarize_runs(metrics: list[dict], parent: list[dict], change: list[dict]) 
                                  for name in UNSCALED}}
 
 
-def time_in_child(checkout: Path, code: str, *args: str) -> dict:
-    """The JSON line ``code`` prints in a fresh interpreter on the checkout's sources."""
+def child(checkout: Path, code: str, row: dict) -> dict:
+    """The figures that the snippet ``code`` prints for ``row`` in a fresh
+    interpreter on the checkout's sources, and under ``msd`` the file of the
+    msd package it imported."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          stdout=subprocess.PIPE, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", _HEAD + code + _TAIL, json.dumps(row),
+                           str(ROOT / "perfbench")],
+                          env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 
 
-def startup(checkout: Path, repeats: int) -> dict:
-    """Medians of ``repeats`` imports of ``msd.cli``, each in a fresh
-    interpreter, and whether any of them loaded ``scipy.special``."""
-    rows = [time_in_child(checkout, _STARTUP_CHILD) for _ in range(repeats)]
-    return {"repeats": repeats,
-            "import_unscaled_s": statistics.median(row["import_unscaled_s"] for row in rows),
-            "rss_after_import_mb": statistics.median(row["rss_after_import_mb"] for row in rows),
-            "scipy_special": any(row["scipy_special"] for row in rows)}
+def sample(checkout: Path, row: dict, r: int) -> dict:
+    """One sample of ``row`` in round ``r`` on the checkout: a benchmark run,
+    or the figures of the row's child snippet."""
+    if row["kind"] == "run":
+        return run_benchmark(checkout, row["command"], row["workload"], r,
+                             SEEDS[r % len(SEEDS)], row["seconds"])
+    figures = child(checkout, _CHILDREN[row["kind"]], row)
+    imported = Path(figures.pop("msd"))
+    if not imported.is_relative_to(checkout / "src"):
+        raise RuntimeError(f"{row['kind']} child imported {imported}, not {checkout}'s msd")
+    return figures
 
 
-def op_peaks(checkout: Path, workload: str, repeat: int) -> list[dict]:
-    """The rows ``tools/op_peak.py WORKLOAD --repeat REPEAT`` prints in the
-    checkout, one per operation; figures of a failed operation are None."""
-    proc = subprocess.run([sys.executable, "tools/op_peak.py", workload, "--repeat", str(repeat)],
-                          cwd=checkout, stdout=subprocess.PIPE, text=True)
-    rows = []
-    for line in proc.stdout.splitlines():
-        name, *rest = line.split()
-        figures = dict(zip(rest[::2], rest[1::2]))
-        failed = not rest or rest[0] == "failed"
-        rows.append({"operation": name, "repeat": repeat} | {
-            key: None if failed else float(figures[key]) for key in OP_PEAK_KEYS[2:]})
-    return rows
-
-
-def record(sides: dict[str, Path], bench: dict, workloads: list[str], pairs: int,
-           seconds: int, rk4_sizes: tuple, steps: int, surface: dict, repeats: int,
-           op_repeat: int) -> dict:
-    names = list(sides)
-    out = {name: {"runs": [], "rk4": []} for name in names}
-    for workload in workloads:
-        for i in range(pairs):
-            seed = SEEDS[i % len(SEEDS)]
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+def alternate(sides: dict[str, Path], rows: list[dict], rounds: int, sample) -> dict:
+    """Per side and row, the ``sample(checkout, row, r)`` of each round r,
+    taking every row on each side in turn, the parent first in even rounds."""
+    out = {name: [[] for _ in rows] for name in sides}
+    for r in range(rounds):
+        order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+        for i, row in enumerate(rows):
             for name in (name for name in order if name in sides):
-                run = run_benchmark(sides[name], bench["command"], workload, i, seed, seconds)
-                out[name]["runs"].append(run)
-                sys.stderr.write(f"{name} {workload} pair {i} seed {seed}: "
-                                 f"{json.dumps(run['result'] or run['error'])}\n")
-    for k, n, per_start in rk4_sizes:
-        for name in names:
-            row = {"k": k, "n": n, "per_start": per_start, "steps": steps,
-                   "repeats": repeats} | time_in_child(
-                sides[name], _RK4_CHILD, str(k), str(n), str(int(per_start)), str(steps),
-                str(repeats))
-            out[name]["rk4"].append(row)
-            sys.stderr.write(f"{name} rk4 k={k} n={n} per_start={per_start}: "
-                             f"{row['us_per_step']:.1f} us/step\n")
-    for name in names:
-        out[name]["surface"] = surface | {"repeats": repeats} | time_in_child(
-            sides[name], _SURFACE_CHILD, json.dumps(surface), str(repeats))
-        sys.stderr.write(f"{name} surface: {out[name]['surface']['ms_per_call']:.1f} ms\n")
-        out[name]["startup"] = startup(sides[name], repeats)
-        sys.stderr.write(f"{name} startup: {json.dumps(out[name]['startup'])}\n")
-        out[name]["op_peaks"] = {workload: op_peaks(sides[name], workload, op_repeat)
-                                 for workload in workloads}
-        sys.stderr.write(f"{name} op peaks: {json.dumps(out[name]['op_peaks'])}\n")
-        out[name]["head"], out[name]["dirty"] = git_state(sides[name])
-        out[name] = {key: out[name][key] for key in SIDE_KEYS}
-    data = {"format": 7, "host": host(), "known_faults": list(KNOWN_FAULTS), "sides": out}
+                out[name][i].append(sample(sides[name], row, r))
+                sys.stderr.write(f"round {r} {name} {json.dumps(row)}: "
+                                 f"{json.dumps(out[name][i][-1])}\n")
+    return out
+
+
+def medians(samples: list[dict]) -> dict:
+    """Each figure's median over a row's samples: None if one lacks it, and
+    for a flag whether any sample set it."""
+    out = {}
+    for key in samples[0]:
+        values = [figures[key] for figures in samples]
+        out[key] = (None if None in values else any(values) if isinstance(values[0], bool)
+                    else statistics.median(values))
+    return out
+
+
+def plan(bench: dict, quick: bool) -> tuple[list[dict], int]:
+    """The rows of a full or quick record, and its number of rounds."""
+    if quick:
+        workloads, seconds, rounds, steps = ["mc"], 1, 1, 100
+        rk4_sizes = ((1, 1, False), (2, 2, True), (1, 8, False))
+        surface = SURFACE | {"deltas": [0.0, 1.0, 2.0]}
+    else:
+        workloads = [workload["name"] for workload in bench["workloads"]]
+        seconds, rounds, steps = bench["run_seconds"], ROUNDS, 1000
+        rk4_sizes = (*((k, n, False) for n in (1, 2, 4, 5, 6, 8) for k in (1, 2, 4)),
+                     *((k, n, True) for n in (5, 6) for k in (2, 4)))
+        surface = SURFACE
+    return [
+        *({"kind": "run", "workload": workload, "command": bench["command"],
+           "seconds": seconds} for workload in workloads),
+        *({"kind": "rk4", "k": k, "n": n, "per_start": per_start, "steps": steps,
+           "repeats": REPEATS} for k, n, per_start in rk4_sizes),
+        {"kind": "surface"} | surface | {"repeats": REPEATS},
+        {"kind": "startup"},
+        *({"kind": "op", "workload": workload, "operation": op.name, "seed": SEEDS[0]}
+          for workload in workloads for op in operations(workload, SEEDS[0])),
+    ], rounds
+
+
+def record(sides: dict[str, Path], bench: dict, rows: list[dict], rounds: int,
+           sample=sample) -> dict:
+    samples = alternate(sides, rows, rounds, sample)
+    out = {}
+    for name, checkout in sides.items():
+        head, dirty = git_state(checkout)
+        pairs = list(zip(rows, samples[name]))
+        out[name] = {"head": head, "dirty": dirty,
+                     "runs": [run for row, runs in pairs if row["kind"] == "run" for run in runs],
+                     "rows": [row | medians(figures) for row, figures in pairs
+                              if row["kind"] != "run"]}
+    data = {"format": 8, "rounds": rounds, "host": host(), "known_faults": list(KNOWN_FAULTS),
+            "sides": out}
     # A failed run leaves its pair without figures; the summary needs every pair.
     if "parent" in sides and not any(run["error"] for side in out.values()
                                      for run in side["runs"]):
-        data["summary"] = {workload: summarize_runs(
-            bench["end_to_end"], *([run for run in out[name]["runs"] if run["workload"] == workload]
+        data["summary"] = {row["workload"]: summarize_runs(
+            bench["end_to_end"], *([run for run in out[name]["runs"]
+                                    if run["workload"] == row["workload"]]
                                    for name in ("parent", "change")))
-            for workload in workloads}
+            for row in rows if row["kind"] == "run"}
     return data
 
 
@@ -348,7 +428,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path, help="BENCH file to write")
     parser.add_argument("--parent", type=Path, help="checkout to record as the parent")
     parser.add_argument("--quick", action="store_true",
-                        help="one 1 s mc run, small rk4 and surface rows, one-call op peaks")
+                        help="one round: a 1 s mc run, small rk4 and surface rows, mc operations")
     args = parser.parse_args(argv)
     sides = {"change": ROOT}
     if args.parent is not None:
@@ -356,27 +436,16 @@ def main(argv=None) -> int:
             parser.error(f"{args.parent} holds no perfbench/run.py")
         sides["parent"] = args.parent.resolve()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.quick:
-        workloads, pairs, seconds, op_repeat = ["mc"], 1, 1, 1
-        rk4_sizes, steps = ((1, 1, False), (2, 2, True), (1, 8, False)), 100
-        surface = SURFACE | {"deltas": [0.0, 1.0, 2.0]}
-    else:
-        workloads = [workload["name"] for workload in bench["workloads"]]
-        pairs, seconds, op_repeat = PAIRS, bench["run_seconds"], OP_REPEAT
-        rk4_sizes = (*((k, n, False) for n in (1, 2, 4, 5, 6, 8) for k in (1, 2, 4)),
-                     *((k, n, True) for n in (5, 6) for k in (2, 4)))
-        steps = 1000
-        surface = SURFACE
-    data = record(sides, bench, workloads, pairs, seconds, rk4_sizes, steps, surface,
-                  repeats=7, op_repeat=op_repeat)
+    data = record(sides, bench, *plan(bench, args.quick))
     args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     for workload, summary in data.get("summary", {}).items():
         print(workload, json.dumps(summary))
     failed = any(run["error"] is not None for side in data["sides"].values()
                  for run in side["runs"])
-    failed |= any(row["rss_peak_mb"] is None for side in data["sides"].values()
-                  for rows in side["op_peaks"].values() for row in rows)
+    failed |= any(row["kind"] == "op" and row["wall_s"] is None
+                  for side in data["sides"].values() for row in side["rows"])
     return 1 if failed else 0
+
 
 if __name__ == "__main__":
     sys.exit(main())

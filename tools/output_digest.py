@@ -83,6 +83,7 @@ FILES = {
                                     "parms": {"a": 3}, "B": [["9"]]}).encode(),
     "unparsable-f.json": _perturbed_gbm({"kind": "expr", "entries": ["u1+"]}),
     "unread-field.json": _perturbed_gbm({"kind": "expr", "entries": ["2*u1^3"], "coef": 50}),
+    "vanishing.json": _system([["-100"]], [["0"]]),
 }
 
 # Failing commands: one per error class the command line reports, then the
@@ -90,10 +91,11 @@ FILES = {
 # next six; perturbed.json is what `example show` prints for
 # perron-sde-perturbed, and it now loads), then flags, keys and values that
 # the parser, the system reader or a library check now refuses (the next
-# seven), and last an explosion that names a path after the first and an
-# entry off the diagonal, so the reported path and entry order are pinned. No command line
-# reaches NonConvergenceError, which only voc_solve raises, on a
-# perturbation the selftest never uses.
+# seven), then an explosion that names a path after the first and an
+# entry off the diagonal, so the reported path and entry order are pinned,
+# and last two inputs that once printed NaN and -Infinity with exit 0. No
+# command line reaches NonConvergenceError, which only voc_solve raises, on
+# a perturbation the selftest never uses.
 ERRORS = (
     "moments --system gbm",                                         # usage
     "example show",                                                 # CliError
@@ -125,6 +127,8 @@ ERRORS = (
     "perturb --system unread-field.json --mode condition --scale 0.5 --trials 100",
     "lyapunov --system gbm --t-start -1 --horizon 2",
     "moments --system hot-2x2.json --t1 2 --dt 0.01 --method mc --paths 4",
+    "fit --system gbm --s-values 0,inf --deltas 0,1",
+    "lyapunov --system vanishing.json --method mc --horizon 1 --dt 0.01 --paths 10 --vector 1",
 )
 
 
