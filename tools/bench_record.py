@@ -405,10 +405,11 @@ def record(sides: dict[str, Path], bench: dict, rows: list[dict], rounds: int,
     out = {}
     for name, checkout in sides.items():
         head, dirty = git_state(checkout)
-        pairs = list(zip(rows, samples[name]))
+        sampled = list(zip(rows, samples[name]))
         out[name] = {"head": head, "dirty": dirty,
-                     "runs": [run for row, runs in pairs if row["kind"] == "run" for run in runs],
-                     "rows": [row | medians(figures) for row, figures in pairs
+                     "runs": [run for row, runs in sampled if row["kind"] == "run"
+                              for run in runs],
+                     "rows": [row | medians(figures) for row, figures in sampled
                               if row["kind"] != "run"]}
     data = {"format": 8, "rounds": rounds, "host": host(), "known_faults": list(KNOWN_FAULTS),
             "sides": out}
