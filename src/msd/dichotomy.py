@@ -30,11 +30,16 @@ from .engines import (
 )
 from .lyapunov import RegularityEstimate, SpectrumEstimate
 from .model import LinearSde, Projector
-from .numerics import MsdError, spd_sqrt_commuting
+from .numerics import MsdError, NumericFailure, spd_sqrt_commuting
 
 
 class DichotomyError(MsdError):
     """Invalid surface, fit precondition failure, or sense mismatch."""
+
+
+class _DegenerateSurfaceError(DichotomyError, NumericFailure):
+    """A Monte Carlo mean square that is zero or not finite on a valid input,
+    which no envelope can fit: a numeric failure."""
 
 
 # Multiplicative distance from the envelope under which a sample counts as
@@ -146,7 +151,8 @@ def dichotomy_surface(system: LinearSde, projector: Projector | None, pairs,
 
 
 def _surface_mc(system, projector, pairs, sense, dt, paths, seed):
-    """Monte Carlo values and standard errors over the pairs."""
+    """Monte Carlo values and standard errors over the pairs; refuses the
+    first pair whose mean square is not positive and finite."""
     times = sorted({x for p in pairs for x in p})
     t0, t_end = times[0], times[-1]
     if t_end == t0:
@@ -156,7 +162,13 @@ def _surface_mc(system, projector, pairs, sense, dt, paths, seed):
     ens = fundamental_at(system, grid, paths, seed, list(nodes.values()))
     weight = (projector.complement_matrix if projector is not None and sense == "unstable"
               else projector)
-    return np.array([mc_second_moment(ens, nodes[s], nodes[t], weight) for s, t in pairs]).T
+    values = np.array([mc_second_moment(ens, nodes[s], nodes[t], weight) for s, t in pairs]).T
+    for (s, t), value in zip(pairs, values[0].tolist()):
+        if not 0.0 < value < math.inf:
+            raise _DegenerateSurfaceError(
+                f"Monte Carlo mean square at s={s:.6g}, t={t:.6g} is {value!r}: "
+                "no envelope fits it")
+    return values
 
 
 def _consecutive_slopes(keys, xs, values, sign: float) -> float:

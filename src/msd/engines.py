@@ -632,10 +632,12 @@ class _VechSteps:
         self.stretch = 2 * max(1, _GENERATOR_VALUES // (2 * d * d * width))
         self.eye, self.transfer, self.lo = np.eye(d), None, 0
 
-    def step(self, a: np.ndarray, g: np.ndarray, i: int, v: np.ndarray) -> np.ndarray:
+    def step(self, a: np.ndarray, g: np.ndarray, i: int, v: np.ndarray, out=None) -> np.ndarray:
         """One step from stage index i of the tables a and g, which are new
-        whenever i is 0."""
-        if i == 0 or i - self.lo == self.stretch:
+        whenever i is 0, into ``out``. The stretch is built from i then and
+        whenever i is outside it, as when the loop steps again from a node
+        behind it."""
+        if i == 0 or not self.lo <= i < self.lo + self.stretch:
             end = i + self.stretch + 1
             gen = _vech_generator(a[i:end], g[i:end], self.maps)
             l0, l1, l2 = gen[0:-1:2], gen[1::2], gen[2::2]
@@ -643,7 +645,7 @@ class _VechSteps:
             k3 = l1 + self.half * (l1 @ k2)
             k4 = l2 + self.h * (l2 @ k3)
             self.transfer, self.lo = self.eye + self.sixth * (l0 + 2.0 * (k2 + k3) + k4), i
-        return self.transfer[(i - self.lo) // 2] @ v
+        return np.matmul(self.transfer[(i - self.lo) // 2], v, out=out)
 
     def state(self, m: np.ndarray) -> np.ndarray:
         """vech of symmetric matrices [..., n, n], as [..., d, 1]."""
@@ -653,7 +655,7 @@ class _VechSteps:
         return v[:, self.maps.full, 0]
 
     def traces(self, v: np.ndarray) -> np.ndarray:
-        return np.add.reduce(v[:, :self.n, 0], axis=1)
+        return np.add.reduce(v[..., :self.n, 0], axis=-1)
 
 
 class _MatrixSteps:
@@ -663,14 +665,14 @@ class _MatrixSteps:
     def __init__(self, h):
         self.h, self.half, self.sixth = h, h / 2.0, h / 6.0
 
-    def step(self, a: np.ndarray, g: np.ndarray, i: int, p: np.ndarray) -> np.ndarray:
+    def step(self, a: np.ndarray, g: np.ndarray, i: int, p: np.ndarray, out=None) -> np.ndarray:
         a, g = a[i:i + 3], g[i:i + 3]
         k1 = _moment_rhs(a[0], g[0], p)
         k2 = _moment_rhs(a[1], g[1], p + self.half * k1)
         k3 = _moment_rhs(a[1], g[1], p + self.half * k2)
         k4 = _moment_rhs(a[2], g[2], p + self.h * k3)
         p = p + self.sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return (p + p.mT) / 2.0
+        return np.divide(p + p.mT, 2.0, out=out)
 
     def state(self, m: np.ndarray) -> np.ndarray:
         return m
@@ -685,6 +687,9 @@ class _MatrixSteps:
 # The moment loop steps vech M (:class:`_VechSteps`) up to this n, and M
 # itself above it, where building L and R costs more than it saves.
 _VECH_MAX_N = 5
+
+# The moment loop checks each moment matrix every this many steps and at the end.
+_CHECK_STEPS = 25
 
 # The carried moment matrix is rescaled by an exact power of two whenever its
 # trace leaves [2^-332, 2^332] (about 1e-100 to 1e100), so no RK4 stage can
@@ -720,16 +725,20 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
     and symmetrized. The two agree to rounding.
 
     Every product is stacked over the starts, so each start's row equals a
-    pass of that start alone bit for bit. Each start keeps its own rescaling
-    and exponent, its PSD check every 25 steps with its own tolerance, and
-    its clamp if it is singular. A and G are tabulated once per distinct
-    system and grid, a block of steps at a time, and the vech route builds L
-    and R from them a stretch of steps at a time. A start that fails ends the
-    pass: when several fail, the one failing at the earliest step is
-    reported, the lowest index at a tie. The traces and exponents, with the
-    values a caller makes of them, are three numbers per start and node,
-    four with per-start times; a stack whose pass would hold more than the
-    store limit is refused before it steps.
+    pass of that start alone bit for bit. The loop steps a chunk at a time up
+    to the next check (every ``_CHECK_STEPS`` steps and the last node) or the
+    end of a table block, then takes and range-tests the chunk's traces at
+    once. At the first node whose trace leaves [2^-332, 2^332] it stops,
+    rescales each start there by its own power of two or reports its
+    divergence, and steps on from that node. A check tests each start finite
+    and PSD with its own tolerance and clamps it if it is singular. A and G
+    are tabulated once per distinct system and grid, a block of steps at a
+    time, and the vech route builds L and R from them a stretch of steps at a
+    time. A start that fails ends the pass: when several fail, the one
+    failing at the earliest step is reported, the lowest index at a tie. The
+    traces and exponents, with the values a caller makes of them, are three
+    numbers per start and node, four with per-start times; a stack whose pass
+    would hold more than the store limit is refused before it steps.
     """
     if not systems:
         raise EngineError("need at least one initial moment matrix")
@@ -801,31 +810,25 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
         return t_froms[j] + step * hs[j]
 
     x = route.state((p + p.mT) / 2.0)
+    tr = route.traces(x)
     traces = np.empty((k, steps + 1))
     exps = np.empty((k, steps + 1), dtype=np.int64)
     e = np.zeros(k, dtype=np.int64)
-    for step in range(steps + 1):
-        if step:
-            i = 2 * ((step - 1) % block)
-            if i == 0:
-                last = min(step - 1 + block, steps)
-                a_all = tabulate(lambda s, t: s.drift_at(t), 2 * step - 2, 2 * last)
-                g_all = tabulate(lambda s, t: s.diffusion_at(t), 2 * step - 2, 2 * last)
-            x = route.step(a_all, g_all, i, x)
-        tr = route.traces(x)
-        failed = {}             # start -> its error at this step
-        if not all(_TRACE_LOW <= y <= _TRACE_HIGH for y in tr.tolist()):
-            for j in np.flatnonzero(~((tr >= _TRACE_LOW) & (tr <= _TRACE_HIGH))):
-                if not math.isfinite(tr[j]):
-                    failed[j] = DivergenceError(
-                        f"moment integration diverged at t={t_here(j):.6g}")
-                elif tr[j] > 0.0:
-                    shift = math.frexp(tr[j])[1]
-                    x[j] = np.ldexp(x[j], -shift)
-                    e[j] += shift
-                    tr[j] = route.traces(x[j:j + 1])[0]
+    chunk = np.empty((_CHECK_STEPS + 1, *x.shape))
+    step = 0                    # the node x and tr stand at
+    while True:
+        failed = {}             # start -> its error at this node
+        for j in np.flatnonzero(~((tr >= _TRACE_LOW) & (tr <= _TRACE_HIGH))):
+            if not math.isfinite(tr[j]):
+                failed[j] = DivergenceError(
+                    f"moment integration diverged at t={t_here(j):.6g}")
+            elif tr[j] > 0.0:
+                shift = math.frexp(tr[j])[1]
+                x[j] = np.ldexp(x[j], -shift)
+                e[j] += shift
+                tr[j] = route.traces(x[j:j + 1])[0]
         traces[:, step], exps[:, step] = tr, e
-        if step and (step % 25 == 0 or step == steps):
+        if step and (step % _CHECK_STEPS == 0 or step == steps):
             for j in range(k):
                 if j not in failed and not np.all(np.isfinite(x[j])):
                     failed[j] = DivergenceError(
@@ -840,6 +843,26 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
                     x[j] = route.state((evecs * np.maximum(evals, 0.0)) @ evecs.T)
         if failed:
             raise failed[min(failed)]
+        if step == steps:
+            break
+        # The first node whose trace leaves the range ends the chunk; the steps
+        # after it are dropped unseen, so none of them warns of an overflow.
+        i = step % block
+        if i == 0:
+            last = min(step + block, steps)
+            a_all = tabulate(lambda s, t: s.drift_at(t), 2 * step, 2 * last)
+            g_all = tabulate(lambda s, t: s.diffusion_at(t), 2 * step, 2 * last)
+        size = min(_CHECK_STEPS - step % _CHECK_STEPS, last - step)
+        chunk[0] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in range(size):
+                route.step(a_all, g_all, 2 * (i + c), chunk[c], out=chunk[c + 1])
+            trs = route.traces(chunk[1:size + 1])
+        inside = ((trs >= _TRACE_LOW) & (trs <= _TRACE_HIGH)).all(axis=1)
+        size = size if inside.all() else int(np.argmin(inside)) + 1
+        kept = slice(step + 1, step + size)
+        traces[:, kept], exps[:, kept] = trs[:size - 1].T, e[:, None]
+        x, tr, step = chunk[size], trs[size - 1], step + size
     ts = np.stack([grid.times() for grid in grids]) if per_start else grids[0].times()
     return ts, traces, exps, route.matrices(x)
 

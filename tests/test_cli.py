@@ -690,21 +690,25 @@ class TestExitCodes:
         assert err == "error: validation: time bounds must be finite, got s=inf and t=inf\n"
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("argv", [
-        ["lyapunov", "--vector", "1"],
-        ["regularity"],
+    @pytest.mark.parametrize("argv, message", [
+        (["lyapunov", "--horizon", "1", "--vector", "1"],
+         "Monte Carlo mean square at t=0.52 is 0.0: no finite exponent"),
+        (["regularity", "--horizon", "1"],
+         "Monte Carlo mean square at t=0.52 is 0.0: no finite exponent"),
+        # The surface once failed as bad input, exit 1, in the envelope fit.
+        (["fit", "--s-values", "0,0.5", "--deltas", "0,0.5"],
+         "Monte Carlo mean square at s=0, t=0.5 is 0.0: no envelope fits it"),
     ])
-    def test_a_zero_monte_carlo_mean_square_exits_2(self, capsys, tmp_path, argv):
+    def test_a_zero_monte_carlo_mean_square_exits_2(self, capsys, tmp_path, argv, message):
         # One EM step at dt 0.01 maps every path of du = -100 u dt to exactly
         # 0; the exponent once printed as -Infinity with exit 0.
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"dim": 1, "params": {}, "A": [["-100"]], "G": [["0"]]}),
                         encoding="utf-8")
         code, out, err = run_cli(capsys, argv[0], "--system", str(path), "--method", "mc",
-                                 "--horizon", "1", "--dt", "0.01", "--paths", "10", *argv[1:])
+                                 "--dt", "0.01", "--paths", "10", *argv[1:])
         assert code == 2 and out == ""
-        assert err == ("error: numeric: Monte Carlo mean square at t=0.52 is 0.0: "
-                       "no finite exponent\n")
+        assert err == f"error: numeric: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["--system", "perron-sde-perturbed", "--mode", "stability", "--paths", "100000000",

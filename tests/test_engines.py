@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -817,6 +818,101 @@ def test_shared_starts_build_the_generators_of_one_start(monkeypatch):
 
     assert count(4) == count(1) == 25
 
+
+
+# ---------------------------------------------------------------------------
+# The moment loop's chunk edges, pinned to the values of the loop that took
+# its traces one step at a time
+
+
+def _digest(*arrays) -> str:
+    out = hashlib.sha256()
+    for array in arrays:
+        out.update(np.ascontiguousarray(array).tobytes())
+    return out.hexdigest()[:16]
+
+
+def _hot(n: int, rate: str) -> LinearSde:
+    """M' = 2 rate M without noise: the trace leaves 2^332 every 115 / rate."""
+    return LinearSde.from_strings(n, [[rate if i == j else "0" for j in range(n)]
+                                      for i in range(n)], [["0"] * n] * n)
+
+
+def _rescaled_at(exps: np.ndarray) -> list[list[int]]:
+    return [(np.flatnonzero(np.diff(row)) + 1).tolist() for row in exps]
+
+
+def test_a_rescale_between_checks_keeps_every_node():
+    # Each rescale falls mid-chunk (not a multiple of 25) with more steps of
+    # that chunk after it; n = 1 is exact scalar arithmetic.
+    result = engines._moment_loop([gallery("gbm", a=200.0, b=0.0)], np.eye(1)[None],
+                                  0.0, 2.0, 1e-3)
+    assert _rescaled_at(result[2]) == [[576, 1153, 1730]]
+    assert result[1][0, -1] == 4.5021809628824393e+46 and result[2][0, -1] == 999
+    assert _digest(*result) == "ba951efe3eb10a12"
+
+
+def test_a_restart_behind_the_stretch_builds_it_again(monkeypatch):
+    # At n = 5 four starts with their own t_from take a stretch of 2 steps, so
+    # the chunk has passed several stretches when the rescale at node 1156
+    # sends the loop back to it.
+    step = engines._VechSteps.step
+    behind = []
+
+    def recording(self, a, g, i, v, out=None):
+        behind.append(i < self.lo)
+        return step(self, a, g, i, v, out)
+
+    monkeypatch.setattr(engines._VechSteps, "step", recording)
+    result = engines._moment_loop([_hot(5, "98.9")] * 4, np.stack([np.eye(5)] * 4),
+                                  [0.0, 0.25, 0.5, 0.75], [1.5, 1.75, 2.0, 2.25], 1e-3)
+    assert any(behind)
+    assert _rescaled_at(result[2]) == [[1156]] * 4
+    assert _digest(*result) == "ad2af519ceccb822"
+
+
+def test_a_clamped_start_steps_on_from_its_clamp(monkeypatch):
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+    systems, starts, t_from, t_to, dt = _VECH_CASES["rank-one clamp"]
+    result = engines._moment_loop(systems, np.stack(starts), t_from, t_to, dt)
+    assert len(calls) > 1
+    assert _digest(*result) == "49abd72a04cdbfc4"
+
+
+def test_a_divergence_between_checks_is_reported_without_a_warning():
+    # The step to t = 1.46 (node 146) overflows; the steps after it in its
+    # chunk are dropped, and none of them warns.
+    def blow_up(t_off):
+        return LinearSde.from_strings(2, [[f"exp(400*t - {400 * t_off})", "0"], ["0", "0"]],
+                                      [["0", "0"], ["0", "0"]])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="^moment integration diverged at t=1.46$"):
+            engines._moment_loop([blow_up(1.0)], np.eye(2)[None], 0.0, 2.0, 1e-2)
+        with pytest.raises(DivergenceError, match="^moment integration diverged at t=1.36$"):
+            engines._moment_loop([blow_up(1.0), blow_up(0.9)], np.stack([np.eye(2)] * 2),
+                                 0.0, 2.0, 1e-2)
+
+
+def test_each_start_of_a_stack_rescales_and_restarts_as_alone():
+    # Four starts with their own t_from rescale at nodes 980 and 983, 1966 and
+    # 1969, each mid-chunk, so each restart steps the others again too.
+    systems = [_hot(2, "117.1")] * 4
+    starts = np.stack([np.eye(2), _rank_one(0.6, 0.8), np.eye(2), _rank_one(0.0, 1.0)])
+    t_from = [0.0, 0.25, 0.5, 0.75]
+    t_to = [t + 2.0 for t in t_from]
+    result = engines._moment_loop(systems, starts, t_from, t_to, 1e-3)
+    assert _rescaled_at(result[2]) == [[980, 1966], [983, 1969]] * 2
+    assert _digest(*result) == "08e60c59e422a4ff"
+    for j in range(4):
+        ts, traces, exps, final = _solo(systems[j], starts[j], t_from[j], t_to[j], 1e-3)
+        assert np.array_equal(result[0][j], ts)
+        assert np.array_equal(result[1][j], traces)
+        assert np.array_equal(result[2][j], exps)
+        assert np.array_equal(result[3][j], final)
 
 def test_a_huge_start_is_checked_for_symmetry_without_overflow():
     # The norms of the check once squared entries of 1e200 and overflowed.

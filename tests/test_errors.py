@@ -11,6 +11,7 @@ from msd.numerics import MsdError, NumericFailure
 
 NUMERIC = {
     "msd.bounds._RankDeficientFlowError",
+    "msd.dichotomy._DegenerateSurfaceError",
     "msd.engines.DivergenceError",
     "msd.engines.ExplosionError",
     "msd.engines.NonPsdError",

@@ -1,7 +1,7 @@
 """Run the benchmark and time msd's layers on a change and its parent in
 alternating rounds, and record it all.
 
-    python3 tools/bench_record.py --out BENCH_27.json [--parent PARENT_CHECKOUT] [--quick]
+    python3 tools/bench_record.py --out BENCH_28.json [--parent PARENT_CHECKOUT] [--quick]
 
 For this checkout (side ``change``) and, given ``--parent``, another (side
 ``parent``) it samples a fixed list of rows in ``ROUNDS`` rounds. Round r
@@ -26,6 +26,10 @@ rows, by ``kind``:
   ``dichotomy_surface``; the median of ``repeats`` calls after a first.
 * ``surface``: milliseconds per ``dichotomy_surface`` call on the ode
   workload's ``fit`` surface, the median of ``repeats`` calls after a first.
+* ``draw``: nanoseconds per value of ``brownian_batch`` for ``paths`` paths
+  over ``steps`` steps (1000 x 4000, and 10^5 x 41 as the Lyapunov and
+  perturb runs draw), the median of ``repeats`` calls after a first, which
+  loads ``scipy.special``.
 * ``startup``: the unscaled seconds of ``import msd.cli``, ``ru_maxrss``
   after it and whether it left ``scipy.special`` in ``sys.modules``.
 * ``op``: per operation of each workload (``perfbench/workloads.py``) at
@@ -44,7 +48,7 @@ its tree differs from it.
 With ``--parent`` and no failed run, ``summary`` holds per workload one
 :func:`summarize` row per end-to-end metric and each side's medians of the
 unscaled times, and stdout prints it. The host and the benchmark's known
-faults are kept so that no reader takes them for msd's own. Format 8::
+faults are kept so that no reader takes them for msd's own. Format 9::
 
     {"format", "rounds", "host": {HOST_KEYS}, "known_faults": [...],
      "sides": {"change" | "parent": {"head", "dirty", "runs": [{RUN_KEYS}],
@@ -53,9 +57,10 @@ faults are kept so that no reader takes them for msd's own. Format 8::
                             "unscaled_medians": {UNSCALED: {side: median}}}}}
 
 ``--quick`` records one round: a 1 s mc run, three small rk4 rows (the
-k = 2 one with ``per_start`` times), a small surface, the start-up row and
-the mc operations, to check the tool. Exits 1 if any run or operation
-fails. Format 7 (``BENCH_26.json``) timed every row but the runs on one
+k = 2 one with ``per_start`` times), a small surface, a small draw, the
+start-up row and the mc operations, to check the tool. Exits 1 if any run
+or operation fails. Format 8 (``BENCH_27.json``) had no draw rows. Format
+7 (``BENCH_26.json``) timed every row but the runs on one
 side and then the other, each rk4 and surface row in one process per side,
 the start-up row in 7, and the op rows with each side's own
 ``tools/op_peak.py``, the best of 3 calls in one process; the docstring of
@@ -89,6 +94,7 @@ SUMMARY_KEYS = ("name", "parent", "change", "better", "worse", "worse_by", "spre
 ROW_KEYS = {
     "rk4": ("kind", "k", "n", "per_start", "steps", "repeats", "us_per_step"),
     "surface": ("kind", "system", "rank", "s_values", "deltas", "dt", "repeats", "ms_per_call"),
+    "draw": ("kind", "paths", "steps", "repeats", "ns_per_value"),
     "startup": ("kind", "import_unscaled_s", "rss_after_import_mb", "scipy_special"),
     "op": ("kind", "workload", "operation", "seed", "wall_s", "rss_after_import_mb",
            "rss_peak_mb"),
@@ -160,6 +166,20 @@ for _ in range(row["repeats"]):
 figures = {"ms_per_call": statistics.median(times) * 1e3}
 """
 
+_DRAW_CHILD = r"""
+import statistics
+from msd.numerics import brownian_batch
+
+paths, steps = row["paths"], row["steps"]
+brownian_batch(1, paths, 0.01, steps)
+times = []
+for _ in range(row["repeats"]):
+    start = time.perf_counter()
+    brownian_batch(1, paths, 0.01, steps)
+    times.append(time.perf_counter() - start)
+figures = {"ns_per_value": statistics.median(times) / (paths * steps) * 1e9}
+"""
+
 _STARTUP_CHILD = r"""
 import resource
 start = time.perf_counter()
@@ -211,8 +231,8 @@ else:
     figures = {"wall_s": wall, "rss_after_import_mb": after_import, "rss_peak_mb": peak_mb()}
 """
 
-_CHILDREN = {"rk4": _RK4_CHILD, "surface": _SURFACE_CHILD, "startup": _STARTUP_CHILD,
-             "op": _OP_CHILD}
+_CHILDREN = {"rk4": _RK4_CHILD, "surface": _SURFACE_CHILD, "draw": _DRAW_CHILD,
+             "startup": _STARTUP_CHILD, "op": _OP_CHILD}
 
 
 def host() -> dict:
@@ -381,18 +401,22 @@ def plan(bench: dict, quick: bool) -> tuple[list[dict], int]:
         workloads, seconds, rounds, steps = ["mc"], 1, 1, 100
         rk4_sizes = ((1, 1, False), (2, 2, True), (1, 8, False))
         surface = SURFACE | {"deltas": [0.0, 1.0, 2.0]}
+        draws = ((200, 50),)
     else:
         workloads = [workload["name"] for workload in bench["workloads"]]
         seconds, rounds, steps = bench["run_seconds"], ROUNDS, 1000
         rk4_sizes = (*((k, n, False) for n in (1, 2, 4, 5, 6, 8) for k in (1, 2, 4)),
                      *((k, n, True) for n in (5, 6) for k in (2, 4)))
         surface = SURFACE
+        draws = ((1000, 4000), (100_000, 41))
     return [
         *({"kind": "run", "workload": workload, "command": bench["command"],
            "seconds": seconds} for workload in workloads),
         *({"kind": "rk4", "k": k, "n": n, "per_start": per_start, "steps": steps,
            "repeats": REPEATS} for k, n, per_start in rk4_sizes),
         {"kind": "surface"} | surface | {"repeats": REPEATS},
+        *({"kind": "draw", "paths": paths, "steps": steps, "repeats": REPEATS}
+          for paths, steps in draws),
         {"kind": "startup"},
         *({"kind": "op", "workload": workload, "operation": op.name, "seed": SEEDS[0]}
           for workload in workloads for op in operations(workload, SEEDS[0])),
@@ -411,7 +435,7 @@ def record(sides: dict[str, Path], bench: dict, rows: list[dict], rounds: int,
                               for run in runs],
                      "rows": [row | medians(figures) for row, figures in sampled
                               if row["kind"] != "run"]}
-    data = {"format": 8, "rounds": rounds, "host": host(), "known_faults": list(KNOWN_FAULTS),
+    data = {"format": 9, "rounds": rounds, "host": host(), "known_faults": list(KNOWN_FAULTS),
             "sides": out}
     # A failed run leaves its pair without figures; the summary needs every pair.
     if "parent" in sides and not any(run["error"] for side in out.values()
@@ -429,7 +453,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path, help="BENCH file to write")
     parser.add_argument("--parent", type=Path, help="checkout to record as the parent")
     parser.add_argument("--quick", action="store_true",
-                        help="one round: a 1 s mc run, small rk4 and surface rows, mc operations")
+                        help="one round: a 1 s mc run, small rk4, surface and draw rows, "
+                             "mc operations")
     args = parser.parse_args(argv)
     sides = {"change": ROOT}
     if args.parent is not None:

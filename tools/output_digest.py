@@ -93,7 +93,8 @@ FILES = {
 # the parser, the system reader or a library check now refuses (the next
 # seven), then an explosion that names a path after the first and an
 # entry off the diagonal, so the reported path and entry order are pinned,
-# and last two inputs that once printed NaN and -Infinity with exit 0. No
+# then two inputs that once printed NaN and -Infinity with exit 0, and last
+# a Monte Carlo surface that vanishes, once refused as bad input. No
 # command line reaches NonConvergenceError, which only voc_solve raises, on
 # a perturbation the selftest never uses.
 ERRORS = (
@@ -129,6 +130,7 @@ ERRORS = (
     "moments --system hot-2x2.json --t1 2 --dt 0.01 --method mc --paths 4",
     "fit --system gbm --s-values 0,inf --deltas 0,1",
     "lyapunov --system vanishing.json --method mc --horizon 1 --dt 0.01 --paths 10 --vector 1",
+    "fit --system vanishing.json --method mc --s-values 0,0.5 --deltas 0,0.5 --dt 0.01 --paths 10",
 )
 
 
