@@ -200,10 +200,13 @@ def _scan_explosion(state: np.ndarray, order: tuple, which: str, node: int, t: f
 
 
 # Increments are drawn, and coefficients tabulated, for about this many values
-# at a time (32 MB of float64), so an Euler-Maruyama run holds
-# O(paths x (n^2 + CHUNK_VALUES / paths)) numbers whatever its horizon. Fewer
-# values per draw would re-key every path's Philox stream more often.
-CHUNK_VALUES = 2 ** 22
+# at a time (16 MB of float64), so an Euler-Maruyama run holds
+# O(paths x (n^2 + CHUNK_VALUES / paths)) numbers whatever its horizon. Each
+# draw re-keys every path's Philox stream once, about 1.7 us a path (2-core
+# x86-64 host) against about 25 ns a value: 1.7 ms, some 3 %, of a block of
+# 1000 paths. Fewer values per draw would re-key more often, and at 10^4
+# paths or more would draw blocks short enough to cost more per value.
+CHUNK_VALUES = 2 ** 21
 
 # Per-path sums of squares are held, and reduced over paths, in node blocks of
 # about this many values (2 MB of float64): the pairwise tree reads a block

@@ -6,7 +6,10 @@ same increments no matter how many other paths run or in what order. Value j
 of a stream is a pure function of its key and j (Philox; Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so any block of
 steps of a batch of streams is drawn alone, from one bit generator re-keyed
-per stream at the block's counter (:func:`brownian_batch`). Normal
+per stream at the block's counter (:func:`brownian_batch`). A block's raw
+values are gathered a tile of paths at a time and turned into increments
+in cache-sized slices, so a draw needs little memory beyond its block and
+the block's size changes no byte. Normal
 variates of the Brownian increments come from the inverse CDF applied to
 fixed-width uniforms, one draw per variate, never from rejection sampling, so
 path streams never diverge between runs. (Draws that drive no path, such as
@@ -126,6 +129,12 @@ def brownian(t0: float, dt: float, steps: int, stream: RngStream) -> BrownianPat
     return BrownianPath(t0, dt, normals(stream, steps) * np.sqrt(dt))
 
 
+# Values per tile and per slice of brownian_batch (256 KB of uint64 or
+# float64, so a cache holds either): a tile holds the raw values of about
+# this many path-steps, and the arithmetic runs over slices of this size.
+_TILE_VALUES = 2 ** 15
+
+
 def brownian_batch(seed: int, n_paths: int, dt: float, steps: int,
                    start: int = 0) -> np.ndarray:
     """Increments ``start .. start + steps - 1`` of paths 0..n_paths-1;
@@ -135,43 +144,57 @@ def brownian_batch(seed: int, n_paths: int, dt: float, steps: int,
     sqrt(dt), a pure function of (seed, m, j): blocks laid side by side
     are bit-identical to :func:`normals` on each path's stream, whatever
     the block sizes. Each call re-keys one bit generator per path at the
-    block's Philox counter and keeps no state.
+    block's Philox counter and keeps no state. The re-key sets a state
+    dict of plain ints, which numpy reads faster than uint64 arrays.
 
     The values are held step-major: the result is the transposed view of
     a C-ordered (steps, n_paths) buffer, so the increments of one step,
     ``brownian_batch(...)[:, i]``, are one contiguous row, as an
-    Euler-Maruyama step reads them.
+    Euler-Maruyama step reads them. Raw values are gathered a tile of
+    paths at a time, one row per path, and written into the buffer's
+    columns at once; the uniform and inverse-CDF arithmetic then runs in
+    place over the buffer in slices. Tile and slice hold about
+    ``_TILE_VALUES`` values each, so the call needs little beyond the
+    buffer and each pass over a slice stays in cache.
     """
     _check_dt(dt)
-    if start < 0:
-        raise NumericsError(f"start must be non-negative, got {start}")
+    for name, value in (("n_paths", n_paths), ("steps", steps), ("start", start)):
+        if value < 0:
+            raise NumericsError(f"{name} must be non-negative, got {value}")
     # Philox makes 4 values per counter step and steps the counter before it
     # fills its buffer, so value j comes from counter j // 4 + 1: start one
     # counter back with an empty buffer and drop the values of the current
     # counter that come before ``start``.
     block, skip = divmod(start, 4)
-    key = np.array([seed % 2**64, 0], dtype=np.uint64)
+    key = [seed % 2**64, 0]
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.array([block, 0, 0, 0], dtype=np.uint64),
-                       "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "state": {"counter": [block, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     bits = np.random.Philox(key=0)      # re-keyed for every path
+    out = np.empty((steps, n_paths))
     # Generator.integers(0, 2**53) maps a raw value r to r >> 11 (Lemire's
-    # method never rejects on a power-of-two range); the rest of _normals'
-    # arithmetic runs in place on the one output buffer.
-    out = np.empty((steps, n_paths)).T
-    for m in range(n_paths):
-        key[1] = m
-        bits.state = state
-        raw = bits.random_raw(skip + steps)
-        raw >>= np.uint64(11)
-        out[m] = raw[skip:]
-    out += 0.5
-    out *= _U53
-    scipy.special.ndtri(out, out=out)
-    out *= np.sqrt(dt)
-    return out
+    # method never rejects on a power-of-two range).
+    height = max(1, _TILE_VALUES // max(steps, 1))
+    tile = np.empty((min(height, n_paths), steps), dtype=np.uint64)
+    for m0 in range(0, n_paths, height):
+        rows = tile[:n_paths - m0]
+        for m, row in enumerate(rows, m0):
+            key[1] = m
+            bits.state = state
+            row[:] = bits.random_raw(skip + steps)[skip:]
+        rows >>= np.uint64(11)
+        out[:, m0:m0 + len(rows)] = rows.T
+    # The rest of _normals' arithmetic, in place, a slice at a time.
+    flat = out.reshape(-1)
+    scale = np.sqrt(dt)
+    for lo in range(0, flat.size, _TILE_VALUES):
+        part = flat[lo:lo + _TILE_VALUES]
+        part += 0.5
+        part *= _U53
+        scipy.special.ndtri(part, out=part)
+        part *= scale
+    return out.T
 
 
 # ---------------------------------------------------------------------------

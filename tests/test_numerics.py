@@ -97,6 +97,41 @@ def test_brownian_batch_blocks_equal_the_whole_batch(block):
 def test_brownian_batch_refuses_a_negative_start():
     with pytest.raises(numerics.NumericsError, match="start must be non-negative, got -1"):
         numerics.brownian_batch(1, 2, 0.01, 10, -1)
+    # and negative sizes, which numpy would refuse with a bare ValueError
+    with pytest.raises(numerics.NumericsError, match="n_paths must be non-negative, got -1"):
+        numerics.brownian_batch(1, -1, 0.1, 5)
+    with pytest.raises(numerics.NumericsError, match="steps must be non-negative, got -1"):
+        numerics.brownian_batch(1, 1, 0.1, -1)
+
+
+@pytest.mark.parametrize("steps", [1003, 4999])
+@pytest.mark.parametrize("start", [0, 1, 2, 3])
+def test_brownian_batch_tiles_and_slices_equal_single_streams(steps, start):
+    # Paths are drawn a tile of T at a time: one tile short of full, full,
+    # one over, and two full tiles and a ragged third. 67 x 1003 values fill
+    # two slices of the arithmetic and part of a third.
+    tile = numerics._TILE_VALUES // steps
+    for seed in SEEDS:
+        every = _oracle(seed, 2 * tile + 3, 0.01, start + steps)[:, start:]
+        for n_paths in (1, tile - 1, tile, tile + 1, 2 * tile + 3):
+            batch = numerics.brownian_batch(seed, n_paths, 0.01, steps, start)
+            assert np.array_equal(batch, every[:n_paths])
+
+
+@pytest.mark.parametrize("key", [[2**64 - 1, 2**64 - 1], [2**64 - 5, 17], [3, 2**63 + 1]])
+def test_plain_int_philox_state_gives_the_array_states_stream(key):
+    # brownian_batch re-keys with a state of plain ints; keys near 2^64 must
+    # give the stream that uint64 arrays give.
+    def raw(as_array):
+        kind = (lambda v: np.array(v, dtype=np.uint64)) if as_array else list
+        bits = np.random.Philox(key=0)
+        bits.state = {"bit_generator": "Philox",
+                      "state": {"counter": kind([2**64 - 2, 5, 0, 0]), "key": kind(key)},
+                      "buffer": kind([0, 0, 0, 0]), "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
+        return bits.random_raw(11)
+
+    assert np.array_equal(raw(False), raw(True))
 
 
 @pytest.mark.parametrize("steps", [1, 6, 13])
@@ -123,13 +158,14 @@ def test_bounded_integers_are_shifted_raw_values(key):
     assert np.array_equal(bounded, raw >> np.uint64(11))
 
 
-def test_brownian_batch_memory():
+@pytest.mark.parametrize("n_paths, steps", [(10**4, 50), (64, 5000)])
+def test_brownian_batch_memory(n_paths, steps):
     # A block past the start of the streams takes little beyond its own
-    # buffer: one path's raw values at a time.
+    # buffer: one tile of raw values at a time.
     numerics.brownian_batch(1, 2, 0.01, 50, 7)      # warm up
     tracemalloc.start()
     try:
-        block = numerics.brownian_batch(1, 10**4, 0.01, 50, 7)
+        block = numerics.brownian_batch(1, n_paths, 0.01, steps, 7)
         assert tracemalloc.get_traced_memory()[1] <= 1.25 * block.nbytes
     finally:
         tracemalloc.stop()

@@ -190,7 +190,7 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert proc.stdout == ""
     data = json.loads(out.read_text())
     assert set(data) == {"format", "rounds", "host", "known_faults", "sides"}
-    assert (data["format"], data["rounds"]) == (9, 1)
+    assert (data["format"], data["rounds"]) == (10, 1)
     assert set(data["host"]) == set(bench_record.HOST_KEYS)
     assert data["known_faults"] == list(bench_record.KNOWN_FAULTS)
     assert list(data["sides"]) == ["change"]
@@ -205,15 +205,18 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert set(run["result"]["metrics"]) == {"setup_s", "wall_s", "peak_rss_mb"}
     for row in side["rows"]:
         assert list(row) == list(bench_record.ROW_KEYS[row["kind"]])
-    rk4, [surface], [draw], [startup], ops = (
+    rk4, [surface], [draw], [em], [startup], ops = (
         [row for row in side["rows"] if row["kind"] == kind]
-        for kind in ("rk4", "surface", "draw", "startup", "op"))
+        for kind in ("rk4", "surface", "draw", "em", "startup", "op"))
     assert [(row["k"], row["n"], row["per_start"]) for row in rk4] == [
         (1, 1, False), (2, 2, True), (1, 8, False)]
     assert all(row["us_per_step"] > 0.0 for row in rk4)
     assert surface["deltas"] == [0.0, 1.0, 2.0]
     assert surface["ms_per_call"] > 0.0
     assert (draw["paths"], draw["steps"]) == (200, 50) and draw["ns_per_value"] > 0.0
+    assert (em["system"], em["paths"], em["steps"], em["inverse"]) == (
+        "perron-sde", 200, 50, True)
+    assert em["ns_per_path_step"] > 0.0
     assert 0.0 < startup["import_unscaled_s"]
     assert 0.0 < startup["rss_after_import_mb"]
     assert startup["scipy_special"] is False

@@ -1,7 +1,7 @@
 """Run the benchmark and time msd's layers on a change and its parent in
 alternating rounds, and record it all.
 
-    python3 tools/bench_record.py --out BENCH_28.json [--parent PARENT_CHECKOUT] [--quick]
+    python3 tools/bench_record.py --out BENCH_29.json [--parent PARENT_CHECKOUT] [--quick]
 
 For this checkout (side ``change``) and, given ``--parent``, another (side
 ``parent``) it samples a fixed list of rows in ``ROUNDS`` rounds. Round r
@@ -27,9 +27,18 @@ rows, by ``kind``:
 * ``surface``: milliseconds per ``dichotomy_surface`` call on the ode
   workload's ``fit`` surface, the median of ``repeats`` calls after a first.
 * ``draw``: nanoseconds per value of ``brownian_batch`` for ``paths`` paths
-  over ``steps`` steps (1000 x 4000, and 10^5 x 41 as the Lyapunov and
-  perturb runs draw), the median of ``repeats`` calls after a first, which
-  loads ``scipy.special``.
+  over ``steps`` steps, the median of ``repeats`` calls after a first, which
+  loads ``scipy.special``. 1000 x 4000 stands for the long blocks of the
+  benchmark's Monte Carlo runs (mc's lyapunov draws 2000 x 1000, perturb's
+  stability run blocks of 1000 x 2097); 10^5 x 41 for many paths over
+  short blocks, where the per-path re-key weighs most (the block of a
+  10^5-path run when ``CHUNK_VALUES`` was 2^22; it is 20 steps at 2^21).
+* ``em``: nanoseconds per path-step of ``engines.euler_maruyama`` on
+  ``system`` for ``paths`` paths over ``steps`` steps of 0.001 from
+  t = 0.001, yielding the last node only, with or without the coupled
+  ``inverse``; the median of ``repeats`` calls after a first. Each side
+  draws its own blocks, so a block rule that slows a run of the CLI's
+  default 10^4 paths shows here.
 * ``startup``: the unscaled seconds of ``import msd.cli``, ``ru_maxrss``
   after it and whether it left ``scipy.special`` in ``sys.modules``.
 * ``op``: per operation of each workload (``perfbench/workloads.py``) at
@@ -48,7 +57,7 @@ its tree differs from it.
 With ``--parent`` and no failed run, ``summary`` holds per workload one
 :func:`summarize` row per end-to-end metric and each side's medians of the
 unscaled times, and stdout prints it. The host and the benchmark's known
-faults are kept so that no reader takes them for msd's own. Format 9::
+faults are kept so that no reader takes them for msd's own. Format 10::
 
     {"format", "rounds", "host": {HOST_KEYS}, "known_faults": [...],
      "sides": {"change" | "parent": {"head", "dirty", "runs": [{RUN_KEYS}],
@@ -57,10 +66,10 @@ faults are kept so that no reader takes them for msd's own. Format 9::
                             "unscaled_medians": {UNSCALED: {side: median}}}}}
 
 ``--quick`` records one round: a 1 s mc run, three small rk4 rows (the
-k = 2 one with ``per_start`` times), a small surface, a small draw, the
-start-up row and the mc operations, to check the tool. Exits 1 if any run
-or operation fails. Format 8 (``BENCH_27.json``) had no draw rows. Format
-7 (``BENCH_26.json``) timed every row but the runs on one
+k = 2 one with ``per_start`` times), a small surface, a small draw, a small
+em row, the start-up row and the mc operations, to check the tool. Exits 1
+if any run or operation fails. Format 9 (``BENCH_28.json``) had no em rows,
+format 8 (``BENCH_27.json``) no draw rows either. Format 7 (``BENCH_26.json``) timed every row but the runs on one
 side and then the other, each rk4 and surface row in one process per side,
 the start-up row in 7, and the op rows with each side's own
 ``tools/op_peak.py``, the best of 3 calls in one process; the docstring of
@@ -95,6 +104,7 @@ ROW_KEYS = {
     "rk4": ("kind", "k", "n", "per_start", "steps", "repeats", "us_per_step"),
     "surface": ("kind", "system", "rank", "s_values", "deltas", "dt", "repeats", "ms_per_call"),
     "draw": ("kind", "paths", "steps", "repeats", "ns_per_value"),
+    "em": ("kind", "system", "paths", "steps", "inverse", "repeats", "ns_per_path_step"),
     "startup": ("kind", "import_unscaled_s", "rss_after_import_mb", "scipy_special"),
     "op": ("kind", "workload", "operation", "seed", "wall_s", "rss_after_import_mb",
            "rss_peak_mb"),
@@ -180,6 +190,29 @@ for _ in range(row["repeats"]):
 figures = {"ns_per_value": statistics.median(times) / (paths * steps) * 1e9}
 """
 
+_EM_CHILD = r"""
+import statistics
+from msd.engines import TimeGrid, euler_maruyama
+from msd.model import gallery
+
+system, paths, steps = gallery(row["system"]), row["paths"], row["steps"]
+grid = TimeGrid(0.001, 0.001, steps + 1)
+
+
+def last_node():
+    for _ in euler_maruyama(system, grid, paths, 1, [steps], inverse=row["inverse"]):
+        pass
+
+
+last_node()
+times = []
+for _ in range(row["repeats"]):
+    start = time.perf_counter()
+    last_node()
+    times.append(time.perf_counter() - start)
+figures = {"ns_per_path_step": statistics.median(times) / (paths * steps) * 1e9}
+"""
+
 _STARTUP_CHILD = r"""
 import resource
 start = time.perf_counter()
@@ -232,7 +265,7 @@ else:
 """
 
 _CHILDREN = {"rk4": _RK4_CHILD, "surface": _SURFACE_CHILD, "draw": _DRAW_CHILD,
-             "startup": _STARTUP_CHILD, "op": _OP_CHILD}
+             "em": _EM_CHILD, "startup": _STARTUP_CHILD, "op": _OP_CHILD}
 
 
 def host() -> dict:
@@ -402,6 +435,7 @@ def plan(bench: dict, quick: bool) -> tuple[list[dict], int]:
         rk4_sizes = ((1, 1, False), (2, 2, True), (1, 8, False))
         surface = SURFACE | {"deltas": [0.0, 1.0, 2.0]}
         draws = ((200, 50),)
+        ems = ((200, 50, True),)
     else:
         workloads = [workload["name"] for workload in bench["workloads"]]
         seconds, rounds, steps = bench["run_seconds"], ROUNDS, 1000
@@ -409,6 +443,7 @@ def plan(bench: dict, quick: bool) -> tuple[list[dict], int]:
                      *((k, n, True) for n in (5, 6) for k in (2, 4)))
         surface = SURFACE
         draws = ((1000, 4000), (100_000, 41))
+        ems = ((10_000, 1000, False), (10_000, 1000, True))
     return [
         *({"kind": "run", "workload": workload, "command": bench["command"],
            "seconds": seconds} for workload in workloads),
@@ -417,6 +452,8 @@ def plan(bench: dict, quick: bool) -> tuple[list[dict], int]:
         {"kind": "surface"} | surface | {"repeats": REPEATS},
         *({"kind": "draw", "paths": paths, "steps": steps, "repeats": REPEATS}
           for paths, steps in draws),
+        *({"kind": "em", "system": "perron-sde", "paths": paths, "steps": steps,
+           "inverse": inverse, "repeats": REPEATS} for paths, steps, inverse in ems),
         {"kind": "startup"},
         *({"kind": "op", "workload": workload, "operation": op.name, "seed": SEEDS[0]}
           for workload in workloads for op in operations(workload, SEEDS[0])),
@@ -435,7 +472,7 @@ def record(sides: dict[str, Path], bench: dict, rows: list[dict], rounds: int,
                               for run in runs],
                      "rows": [row | medians(figures) for row, figures in sampled
                               if row["kind"] != "run"]}
-    data = {"format": 9, "rounds": rounds, "host": host(), "known_faults": list(KNOWN_FAULTS),
+    data = {"format": 10, "rounds": rounds, "host": host(), "known_faults": list(KNOWN_FAULTS),
             "sides": out}
     # A failed run leaves its pair without figures; the summary needs every pair.
     if "parent" in sides and not any(run["error"] for side in out.values()
@@ -453,8 +490,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path, help="BENCH file to write")
     parser.add_argument("--parent", type=Path, help="checkout to record as the parent")
     parser.add_argument("--quick", action="store_true",
-                        help="one round: a 1 s mc run, small rk4, surface and draw rows, "
-                             "mc operations")
+                        help="one round: a 1 s mc run, small rk4, surface, draw and em "
+                             "rows, mc operations")
     args = parser.parse_args(argv)
     sides = {"change": ROOT}
     if args.parent is not None:
