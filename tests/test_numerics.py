@@ -158,17 +158,17 @@ def test_bounded_integers_are_shifted_raw_values(key):
     assert np.array_equal(bounded, raw >> np.uint64(11))
 
 
-@pytest.mark.parametrize("n_paths, steps", [(10**4, 50), (64, 5000)])
-def test_brownian_batch_memory(n_paths, steps):
+def test_brownian_batch_memory():
     # A block past the start of the streams takes little beyond its own
-    # buffer: one tile of raw values at a time.
+    # buffer: one tile of raw values at a time, for short and long rows.
     numerics.brownian_batch(1, 2, 0.01, 50, 7)      # warm up
-    tracemalloc.start()
-    try:
-        block = numerics.brownian_batch(1, n_paths, 0.01, steps, 7)
-        assert tracemalloc.get_traced_memory()[1] <= 1.25 * block.nbytes
-    finally:
-        tracemalloc.stop()
+    for n_paths, steps in ((10**4, 50), (64, 5000)):
+        tracemalloc.start()
+        try:
+            block = numerics.brownian_batch(1, n_paths, 0.01, steps, 7)
+            assert tracemalloc.get_traced_memory()[1] <= 1.25 * block.nbytes
+        finally:
+            tracemalloc.stop()
 
 
 # Run in a fresh interpreter: import msd.cli, run the ode route of fit,

@@ -69,12 +69,12 @@ faults are kept so that no reader takes them for msd's own. Format 10::
 k = 2 one with ``per_start`` times), a small surface, a small draw, a small
 em row, the start-up row and the mc operations, to check the tool. Exits 1
 if any run or operation fails. Format 9 (``BENCH_28.json``) had no em rows,
-format 8 (``BENCH_27.json``) no draw rows either. Format 7 (``BENCH_26.json``) timed every row but the runs on one
-side and then the other, each rk4 and surface row in one process per side,
-the start-up row in 7, and the op rows with each side's own
-``tools/op_peak.py``, the best of 3 calls in one process; the docstring of
-this tool at the commit of each older BENCH file describes that file's
-format.
+format 8 (``BENCH_27.json``) no draw rows either. Format 7
+(``BENCH_26.json``) timed every row but the runs on one side and then the
+other, each rk4 and surface row in one process per side, the start-up row
+in 7, and the op rows with each side's own ``tools/op_peak.py``, the best
+of 3 calls in one process; the docstring of this tool at the commit of
+each older BENCH file describes that file's format.
 """
 
 from __future__ import annotations
