@@ -188,13 +188,18 @@ def _beyond_threshold(x: np.ndarray) -> np.ndarray:
     return ~(np.abs(x) <= EXPLOSION_THRESHOLD)
 
 
+def _within_threshold(x: np.ndarray) -> bool:
+    """Whether no entry of ``x`` has exploded: one reduction, through which
+    a NaN propagates and fails the test, and no mask."""
+    return bool(np.abs(x).max() <= EXPLOSION_THRESHOLD)
+
+
 def _scan_explosion(state: np.ndarray, order: tuple, which: str, node: int, t: float) -> None:
     """Raise for the first exploded entry of the paths-last ``state``, first
     in C order of its [path, ...] transpose ``state.transpose(order)``."""
-    bad = _beyond_threshold(state)
-    if not bad.any():
+    if _within_threshold(state):
         return
-    where = np.argwhere(bad.transpose(order))[0]
+    where = np.argwhere(_beyond_threshold(state).transpose(order))[0]
     path, entry = int(where[0]), tuple(int(i) for i in where[1:])
     raise ExplosionError(which, node, t, path, entry)
 
@@ -403,13 +408,13 @@ def euler_maruyama(system: LinearSde | PerturbedSde, grid: TimeGrid, paths: int,
                     f = fmap and fmap(times[i], state, fval)
                     h = hmap and hmap(times[i], state, hval)
                     nxt = _em_update(state, a[i], g[i], dt, incr[:, i], f, h)
-                beyond = _beyond_threshold(nxt)
-                if all_alive and not beyond.any():
+                if all_alive and _within_threshold(nxt):
                     state = nxt
                 else:
                     all_alive = False
                     t_next = grid.t0 + dt * (k0 + i + 1)
-                    escape[np.isnan(escape) & np.any(beyond, axis=0)] = t_next
+                    beyond = np.any(_beyond_threshold(nxt), axis=0)
+                    escape[np.isnan(escape) & beyond] = t_next
                     state = np.where(np.isnan(escape), nxt, state)
             if inverse:
                 psi_t = _em_update(psi_t, b_t[i], neg_g_t[i], dt, incr[:, i])
@@ -624,7 +629,8 @@ class _VechSteps:
     with a transfer matrix: RK4 on v' = L v folded into R = I + h/6 (K1 +
     2 K2 + 2 K3 + K4), K1 = L0, K2 = L1 + h/2 L1 K1, K3 = L1 + h/2 L1 K2,
     K4 = L2 + h L2 K3, with L at the step's stage times. L and R are built
-    from the A and G tables a stretch of steps at a time by stacked matmuls."""
+    from the A and G tables a stretch of steps at a time by stacked matmuls,
+    and the steps of a chunk run through each stretch's slice of R."""
 
     def __init__(self, n: int, h, width: int):
         self.n, self.maps = n, _vech_maps(n)
@@ -635,11 +641,11 @@ class _VechSteps:
         self.stretch = 2 * max(1, _GENERATOR_VALUES // (2 * d * d * width))
         self.eye, self.transfer, self.lo = np.eye(d), None, 0
 
-    def step(self, a: np.ndarray, g: np.ndarray, i: int, v: np.ndarray, out=None) -> np.ndarray:
-        """One step from stage index i of the tables a and g, which are new
-        whenever i is 0, into ``out``. The stretch is built from i then and
-        whenever i is outside it, as when the loop steps again from a node
-        behind it."""
+    def transfers(self, a: np.ndarray, g: np.ndarray, i: int) -> np.ndarray:
+        """The transfer matrices [step, width, d, d] from stage index i of the
+        tables a and g, which are new whenever i is 0, to the end of its
+        stretch. The stretch is built from i then and whenever i is outside
+        it, as when the loop steps again from a node behind it."""
         if i == 0 or not self.lo <= i < self.lo + self.stretch:
             end = i + self.stretch + 1
             gen = _vech_generator(a[i:end], g[i:end], self.maps)
@@ -648,7 +654,24 @@ class _VechSteps:
             k3 = l1 + self.half * (l1 @ k2)
             k4 = l2 + self.h * (l2 @ k3)
             self.transfer, self.lo = self.eye + self.sixth * (l0 + 2.0 * (k2 + k3) + k4), i
-        return np.matmul(self.transfer[(i - self.lo) // 2], v, out=out)
+        return self.transfer[(i - self.lo) // 2:]
+
+    def steps(self, a: np.ndarray, g: np.ndarray, i: int, chunk: np.ndarray, size: int) -> None:
+        """chunk[1..size] from chunk[0], stepping from stage index i of the
+        tables a and g through one stretch's transfer matrices at a time. A
+        single start steps 2-D views by ``ndarray.dot``, a stack each step
+        by one broadcast ``np.matmul``: both call the same BLAS matvec, so a
+        start's row is the same bit for bit either way."""
+        c = 0
+        while c < size:
+            rs = self.transfers(a, g, i + 2 * c)[:size - c]
+            if chunk.shape[1] == 1:
+                for r, v, out in zip(rs[:, 0], chunk[c:, 0], chunk[c + 1:, 0]):
+                    r.dot(v, out=out)
+            else:
+                for r, v, out in zip(rs, chunk[c:], chunk[c + 1:]):
+                    np.matmul(r, v, out=out)
+            c += len(rs)
 
     def state(self, m: np.ndarray) -> np.ndarray:
         """vech of symmetric matrices [..., n, n], as [..., d, 1]."""
@@ -676,6 +699,11 @@ class _MatrixSteps:
         k4 = _moment_rhs(a[2], g[2], p + self.h * k3)
         p = p + self.sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return np.divide(p + p.mT, 2.0, out=out)
+
+    def steps(self, a: np.ndarray, g: np.ndarray, i: int, chunk: np.ndarray, size: int) -> None:
+        """chunk[1..size] from chunk[0], one :meth:`step` at a time."""
+        for c in range(size):
+            self.step(a, g, i + 2 * c, chunk[c], out=chunk[c + 1])
 
     def state(self, m: np.ndarray) -> np.ndarray:
         return m
@@ -728,20 +756,23 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
     and symmetrized. The two agree to rounding.
 
     Every product is stacked over the starts, so each start's row equals a
-    pass of that start alone bit for bit. The loop steps a chunk at a time up
-    to the next check (every ``_CHECK_STEPS`` steps and the last node) or the
-    end of a table block, then takes and range-tests the chunk's traces at
-    once. At the first node whose trace leaves [2^-332, 2^332] it stops,
+    pass of that start alone bit for bit; a single start steps by
+    ``ndarray.dot``, the same BLAS matvec. The loop steps a chunk at a time
+    up to the next check (every ``_CHECK_STEPS`` steps and the last node) or
+    the end of a table block, the vech route through each stretch's transfer
+    matrices in turn, then takes, range-tests and stores the chunk's traces
+    at once. At the first node whose trace leaves [2^-332, 2^332] it stops,
     rescales each start there by its own power of two or reports its
-    divergence, and steps on from that node. A check tests each start finite
-    and PSD with its own tolerance and clamps it if it is singular. A and G
-    are tabulated once per distinct system and grid, a block of steps at a
-    time, and the vech route builds L and R from them a stretch of steps at a
-    time. A start that fails ends the pass: when several fail, the one
-    failing at the earliest step is reported, the lowest index at a tie. The
-    traces and exponents, with the values a caller makes of them, are three
-    numbers per start and node, four with per-start times; a stack whose pass
-    would hold more than the store limit is refused before it steps.
+    divergence, stores that node, and steps on from it. A check tests the
+    starts finite by one ``isfinite`` over the stack, and each PSD with its
+    own tolerance, and clamps it if it is singular. A and G are tabulated
+    once per distinct system and grid, a block of steps at a time, and the
+    vech route builds L and R from them a stretch of steps at a time. A
+    start that fails ends the pass: when several fail, the one failing at
+    the earliest step is reported, the lowest index at a tie. The traces and
+    exponents, with the values a caller makes of them, are three numbers per
+    start and node, four with per-start times; a stack whose pass would hold
+    more than the store limit is refused before it steps.
     """
     if not systems:
         raise EngineError("need at least one initial moment matrix")
@@ -819,21 +850,24 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
     e = np.zeros(k, dtype=np.int64)
     chunk = np.empty((_CHECK_STEPS + 1, *x.shape))
     step = 0                    # the node x and tr stand at
+    stored = False              # whether that node is range-tested and stored
     while True:
         failed = {}             # start -> its error at this node
-        for j in np.flatnonzero(~((tr >= _TRACE_LOW) & (tr <= _TRACE_HIGH))):
-            if not math.isfinite(tr[j]):
-                failed[j] = DivergenceError(
-                    f"moment integration diverged at t={t_here(j):.6g}")
-            elif tr[j] > 0.0:
-                shift = math.frexp(tr[j])[1]
-                x[j] = np.ldexp(x[j], -shift)
-                e[j] += shift
-                tr[j] = route.traces(x[j:j + 1])[0]
-        traces[:, step], exps[:, step] = tr, e
+        if not stored:
+            for j in np.flatnonzero(~((tr >= _TRACE_LOW) & (tr <= _TRACE_HIGH))):
+                if not math.isfinite(tr[j]):
+                    failed[j] = DivergenceError(
+                        f"moment integration diverged at t={t_here(j):.6g}")
+                elif tr[j] > 0.0:
+                    shift = math.frexp(tr[j])[1]
+                    x[j] = np.ldexp(x[j], -shift)
+                    e[j] += shift
+                    tr[j] = route.traces(x[j:j + 1])[0]
+            traces[:, step], exps[:, step] = tr, e
         if step and (step % _CHECK_STEPS == 0 or step == steps):
-            for j in range(k):
-                if j not in failed and not np.all(np.isfinite(x[j])):
+            finite = np.isfinite(x).reshape(k, -1).all(axis=1)
+            for j in np.flatnonzero(~finite):
+                if j not in failed:
                     failed[j] = DivergenceError(
                         f"moment integration diverged at t={t_here(j):.6g}")
             live = [j for j in range(k) if j not in failed]
@@ -858,13 +892,16 @@ def _moment_loop(systems, p0: np.ndarray, t_from, t_to,
         size = min(_CHECK_STEPS - step % _CHECK_STEPS, last - step)
         chunk[0] = x
         with np.errstate(over="ignore", invalid="ignore"):
-            for c in range(size):
-                route.step(a_all, g_all, 2 * (i + c), chunk[c], out=chunk[c + 1])
+            route.steps(a_all, g_all, 2 * i, chunk, size)
             trs = route.traces(chunk[1:size + 1])
         inside = ((trs >= _TRACE_LOW) & (trs <= _TRACE_HIGH)).all(axis=1)
-        size = size if inside.all() else int(np.argmin(inside)) + 1
-        kept = slice(step + 1, step + size)
-        traces[:, kept], exps[:, kept] = trs[:size - 1].T, e[:, None]
+        stored = bool(inside.all())
+        if not stored:
+            size = int(np.argmin(inside)) + 1
+        # A node out of range is rescaled or reported, and stored, at the top.
+        kept = size if stored else size - 1
+        nodes = slice(step + 1, step + 1 + kept)
+        traces[:, nodes], exps[:, nodes] = trs[:kept].T, e[:, None]
         x, tr, step = chunk[size], trs[size - 1], step + size
     ts = np.stack([grid.times() for grid in grids]) if per_start else grids[0].times()
     return ts, traces, exps, route.matrices(x)

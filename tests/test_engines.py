@@ -796,7 +796,7 @@ def test_the_transfer_matrix_is_the_four_stage_step():
                     v = rng.standard_normal((k, d, 1))
                     for i in range(0, 2 * steps, 2):
                         want = _four_stages(gen, i, h, v)
-                        _close(route.step(a, g, i, v), want, rel=1e-14)
+                        _close(route.transfers(a, g, i)[0] @ v, want, rel=1e-14)
                         v = want
 
 
@@ -856,14 +856,14 @@ def test_a_restart_behind_the_stretch_builds_it_again(monkeypatch):
     # At n = 5 four starts with their own t_from take a stretch of 2 steps, so
     # the chunk has passed several stretches when the rescale at node 1156
     # sends the loop back to it.
-    step = engines._VechSteps.step
+    transfers = engines._VechSteps.transfers
     behind = []
 
-    def recording(self, a, g, i, v, out=None):
+    def recording(self, a, g, i):
         behind.append(i < self.lo)
-        return step(self, a, g, i, v, out)
+        return transfers(self, a, g, i)
 
-    monkeypatch.setattr(engines._VechSteps, "step", recording)
+    monkeypatch.setattr(engines._VechSteps, "transfers", recording)
     result = engines._moment_loop([_hot(5, "98.9")] * 4, np.stack([np.eye(5)] * 4),
                                   [0.0, 0.25, 0.5, 0.75], [1.5, 1.75, 2.0, 2.25], 1e-3)
     assert any(behind)
@@ -913,6 +913,54 @@ def test_each_start_of_a_stack_rescales_and_restarts_as_alone():
         assert np.array_equal(result[1][j], traces)
         assert np.array_equal(result[2][j], exps)
         assert np.array_equal(result[3][j], final)
+
+
+_SINGLE_CASES = {
+    # name: system, start, t_from, t_to, dt, engine constants to patch, and
+    # the divergence message, if any.
+    "a rescale mid-chunk": (_hot(2, "117.1"), np.eye(2), 0.0, 2.0, 1e-3, {}, None),
+    "a clamped rank-one start": (_SINGULAR_DRIFT, _rank_one(0.6, 0.8), 0.0, 10.0, 1e-2,
+                                 {}, None),
+    # 16 values per step and start: blocks of 21 steps alone and 7 in the stack.
+    "a block ending off the check": (gallery("perron-sde"), np.eye(2), 0.5, 3.0, 1e-2,
+                                     {"CHUNK_VALUES": 336}, None),
+    # 18 values of L per step: stretches of 2 steps.
+    "a stretch shorter than a chunk": (gallery("perron-sde"), _rank_one(0.6, 0.8), 0.5, 3.0,
+                                       1e-2, {"_GENERATOR_VALUES": 36}, None),
+    "a divergence": (LinearSde.from_strings(2, [["exp(400*t - 400)", "0"], ["0", "0"]],
+                                            [["0", "0"], ["0", "0"]]),
+                     np.eye(2), 0.0, 2.0, 1e-2, {},
+                     "moment integration diverged at t=1.46"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SINGLE_CASES))
+def test_a_single_start_steps_as_its_row_of_a_stack(monkeypatch, case):
+    # A single start steps by ndarray.dot on 2-D views, a stack of three
+    # copies of it by a broadcast np.matmul: row 0 of the stack equals the
+    # start alone bit for bit, and a divergence reads the same.
+    system, p0, t_from, t_to, dt, patches, diverged = _SINGLE_CASES[case]
+    for name, value in patches.items():
+        monkeypatch.setattr(engines, name, value)
+
+    def run(k):
+        try:
+            return engines._moment_loop([system] * k, np.stack([p0] * k), t_from, t_to, dt)
+        except DivergenceError as err:
+            return str(err)
+
+    alone, stack = run(1), run(3)
+    if diverged is not None:
+        assert alone == stack == diverged
+        return
+    ts, traces, exps, final = alone
+    assert np.array_equal(stack[0], ts)
+    assert np.array_equal(stack[1][0], traces[0])
+    assert np.array_equal(stack[2][0], exps[0])
+    assert np.array_equal(stack[3][0], final[0])
+    if case == "a rescale mid-chunk":
+        assert _rescaled_at(exps) == [[980, 1966]]
+
 
 def test_a_huge_start_is_checked_for_symmetry_without_overflow():
     # The norms of the check once squared entries of 1e200 and overflowed.

@@ -168,6 +168,41 @@ def test_bench_record_alternates_the_first_side_and_takes_medians_over_rounds(tm
     assert data["rounds"] == 4 and data["summary"] == {}
 
 
+def test_bench_record_files_the_git_state_read_before_the_first_round(tmp_path):
+    # The tree turns dirty while the rows are sampled: the record keeps the
+    # state the samples were taken from. A HEAD that moves refuses the record.
+    sides = {"change": tmp_path / "change", "parent": tmp_path / "parent"}
+    rows = [{"kind": "startup"}]
+    events = []
+
+    def fake_sample(checkout, row, r):
+        events.append(("sample", checkout.name))
+        return {"x": 1.0}
+
+    def fake_state(checkout):
+        events.append(("state", checkout.name))
+        return f"{checkout.name}-head", ("sample", checkout.name) in events
+
+    data = bench_record.record(sides, {"end_to_end": []}, rows, 2, sample=fake_sample,
+                               state=fake_state)
+    assert events[:2] == [("state", "change"), ("state", "parent")]
+    assert events[-2:] == [("state", "change"), ("state", "parent")]
+    assert {name: (side["head"], side["dirty"]) for name, side in data["sides"].items()} == {
+        "change": ("change-head", False), "parent": ("parent-head", False)}
+
+    def moving_state(checkout):
+        moved = any(event[0] == "sample" for event in events)
+        return f"{checkout.name}-{'new' if moved and checkout.name == 'change' else 'old'}", False
+
+    events.clear()
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record.record(sides, {"end_to_end": []}, rows, 2, sample=fake_sample,
+                            state=moving_state)
+    # A string code exits with status 1.
+    assert isinstance(exit_info.value.code, str)
+    assert "change-old to change-new" in exit_info.value.code
+
+
 def test_bench_record_children_import_the_sources_they_are_given(tmp_path):
     # tools/output_digest.py puts this checkout's src first on sys.path, so
     # an operation run through it would measure this checkout on both sides.

@@ -52,7 +52,9 @@ rows, by ``kind``:
 Every row but a run reports the median over rounds of each of its figures
 (None if a round failed it; a flag is true if any round set it). Each side
 also records ``head`` and ``dirty``: its ``git rev-parse HEAD`` and whether
-its tree differs from it.
+its tree differs from it, read before the first round. A side whose HEAD
+differs after the last round was not measured at one commit: the tool then
+exits 1, names both heads and writes nothing.
 
 With ``--parent`` and no failed run, ``summary`` holds per workload one
 :func:`summarize` row per end-to-end metric and each side's medians of the
@@ -461,11 +463,21 @@ def plan(bench: dict, quick: bool) -> tuple[list[dict], int]:
 
 
 def record(sides: dict[str, Path], bench: dict, rows: list[dict], rounds: int,
-           sample=sample) -> dict:
+           sample=sample, state=git_state) -> dict:
+    """The record of ``rows`` sampled in ``rounds`` rounds on each side, with
+    each side's ``state(checkout)`` (head, dirty) as it stood before the
+    first; raises SystemExit, exit status 1, if a side's head moved by the
+    last round."""
+    before = {name: state(checkout) for name, checkout in sides.items()}
     samples = alternate(sides, rows, rounds, sample)
-    out = {}
     for name, checkout in sides.items():
-        head, dirty = git_state(checkout)
+        head = state(checkout)[0]
+        if head != before[name][0]:
+            raise SystemExit(f"error: the {name} side's HEAD moved from {before[name][0]} "
+                             f"to {head} while it was sampled; nothing recorded")
+    out = {}
+    for name in sides:
+        head, dirty = before[name]
         sampled = list(zip(rows, samples[name]))
         out[name] = {"head": head, "dirty": dirty,
                      "runs": [run for row, runs in sampled if row["kind"] == "run"
