@@ -181,7 +181,10 @@ def spectrum(system: LinearSde, horizon: float, trials: int, method: str = "ode"
 
     ``trials`` counts all probe vectors; the first n are the canonical
     basis, the rest are seeded random directions. Multiplicities count
-    canonical members only, so they always sum to n.
+    canonical members only, so they always sum to n. A cluster with no
+    canonical member holds only random probes, whose finite-horizon offset
+    log(u_i^2)/t parts them from the exponent they tend to, and is dropped;
+    ``per_vector`` keeps every probe's chi.
     """
     est, _ = _spectrum_and_chis(system, [], horizon, trials, method=method, dt=dt,
                                 paths=paths, seed=seed, t_start=t_start, tolerance=tolerance)
@@ -223,6 +226,7 @@ def _spectrum_and_chis(system: LinearSde, vectors, horizon: float, trials: int, 
             clusters[-1].append(int(pos))
         else:
             clusters.append([int(pos)])
+    clusters = [members for members in clusters if min(members) < n]
     values = tuple(float(np.mean([chis[i] for i in members])) for members in clusters)
     mults = tuple(sum(1 for i in members if i < n) for members in clusters)
     # Strictly negative, with headroom for float dust around a zero exponent.

@@ -1,7 +1,9 @@
 import json
 import math
 import tracemalloc
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -282,6 +284,26 @@ def test_spectrum_two_blocks():
     assert est.multiplicities == (1, 1)
     assert est.split_index == 2
     assert len(est.per_vector) == 4
+
+
+def test_a_cluster_of_random_probes_only_is_dropped(capsys):
+    # At horizon 20 the random probes' offsets log(u_i^2)/t still part some
+    # of them from the exponent they tend to, in clusters of their own.
+    est = spectrum(gallery("diag-2x2"), horizon=20.0, trials=8)
+    assert est.values[0] == pytest.approx(-3.91, abs=1e-6)
+    assert est.values[1] == pytest.approx(-1.96, abs=0.05)
+    assert (est.multiplicities, est.split_index) == ((1, 1), 2)
+    assert len(est.per_vector) == 8
+    # The forecast reads the canonical cluster, not a probe's offset, and
+    # every multiplicity is at least 1, as the payload's schema says.
+    assert dispatch(["lyapunov", "--system", "perron-sde", "--t-start", "0.001",
+                     "--horizon", "20", "--trials", "8", "--epsilon", "0.05"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    schema = resources.files("msd").joinpath("schemas/lyapunov.schema.json")
+    jsonschema.validate(payload, json.loads(schema.read_text(encoding="utf-8")))
+    assert payload["spectrum"]["multiplicities"] == [1, 1]
+    assert payload["spectrum"]["values"][1] == pytest.approx(0.313, abs=1e-3)
+    assert payload["predicted"]["unstable_rate"] == payload["spectrum"]["values"][1] + 0.05
 
 
 def test_spectrum_scalar():

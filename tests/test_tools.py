@@ -77,34 +77,6 @@ def test_every_name_the_tracer_pins_is_an_msd_callable():
         assert set(expected) <= entries, workload
 
 
-def test_output_digest_reads_every_readme_command_once():
-    from msd.cli import build_parser
-
-    commands = _load_tool("output_digest").readme_commands()
-    assert ["example", "list"] in commands
-    assert ["lyapunov", "--system", "gbm", "--vector", "1", "--epsilon", "0.05"] in commands
-    # The fit example appears twice in the README and three fits are extras.
-    assert sum(argv[0] == "fit" for argv in commands) == 4
-    assert len(commands) == len({tuple(argv) for argv in commands})
-    for argv in commands:
-        build_parser().parse_args(argv)
-
-
-def test_output_digest_error_commands_each_end_in_one_error_line():
-    lines = _load_tool("output_digest").error_lines()
-    loads = "perturb --system perturbed.json --mode condition --scale 0.5 --trials 100"
-    for command, code, err in lines:
-        if command == loads:
-            # The perturbed file `example show` prints now loads.
-            assert (code, err) == (0, "")
-            continue
-        kind = "numeric" if code == 2 else "validation"
-        assert code in (1, 2) and err.endswith("\n"), command
-        assert err.splitlines()[-1].startswith(f"error: {kind}: "), command
-        assert err.count("error: ") == 1 and "Traceback" not in err, command
-    assert sum(code == 2 for _, code, _ in lines) == 7
-
-
 def test_bench_record_reads_the_unscaled_times_from_stderr():
     stderr = ("failed: nothing\n"
               "as measured: setup 0.3812 s, pass 2.3405 s; kernel 0.01234 s and 0.01301 s\n")
@@ -161,10 +133,11 @@ def test_bench_record_alternates_the_first_side_and_takes_medians_over_rounds(tm
         assert calls[4 * r:4 * r + 4] == [(r, "rk4", first), (r, "rk4", second),
                                           (r, "startup", first), (r, "startup", second)]
     assert len(calls) == 16
-    for name, median in (("change", 1.5), ("parent", 15.0)):
+    # Rounds 0-3 read x = r on the change and 10 r on the parent.
+    for name, spread in (("change", (0.75, 1.5, 2.25)), ("parent", (7.5, 15.0, 22.5))):
         side = data["sides"][name]
         assert side["runs"] == []
-        assert side["rows"] == [row | {"x": median, "flag": True} for row in rows]
+        assert side["rows"] == [row | {"x": spread, "flag": True} for row in rows]
     assert data["rounds"] == 4 and data["summary"] == {}
 
 
@@ -204,8 +177,9 @@ def test_bench_record_files_the_git_state_read_before_the_first_round(tmp_path):
 
 
 def test_bench_record_children_import_the_sources_they_are_given(tmp_path):
-    # tools/output_digest.py puts this checkout's src first on sys.path, so
-    # an operation run through it would measure this checkout on both sides.
+    # The op child imports this checkout's perfbench/workloads.py after the
+    # side's sources; one that put this checkout's src first on sys.path
+    # would measure this checkout on both sides.
     shutil.copytree(_PATH.parent.parent / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     row = {"kind": "op", "workload": "ode", "operation": "lyapunov", "seed": 1}
@@ -225,7 +199,7 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     assert proc.stdout == ""
     data = json.loads(out.read_text())
     assert set(data) == {"format", "rounds", "host", "known_faults", "sides"}
-    assert (data["format"], data["rounds"]) == (10, 1)
+    assert (data["format"], data["rounds"]) == (11, 1)
     assert set(data["host"]) == set(bench_record.HOST_KEYS)
     assert data["known_faults"] == list(bench_record.KNOWN_FAULTS)
     assert list(data["sides"]) == ["change"]
@@ -243,21 +217,23 @@ def test_bench_record_quick_writes_the_documented_layout(tmp_path):
     rk4, [surface], [draw], [em], [startup], ops = (
         [row for row in side["rows"] if row["kind"] == kind]
         for kind in ("rk4", "surface", "draw", "em", "startup", "op"))
+    # One round: each figure's quartiles are that round's figure three times.
+    figures = [*(row["us_per_step"] for row in rk4), surface["ms_per_call"],
+               draw["ns_per_value"], em["ns_per_path_step"], startup["import_unscaled_s"],
+               startup["rss_after_import_mb"],
+               *(row[key] for row in ops for key in ("wall_s", "rss_after_import_mb",
+                                                     "rss_peak_mb"))]
+    for low, median, high in figures:
+        assert 0.0 < low == median == high
     assert [(row["k"], row["n"], row["per_start"]) for row in rk4] == [
         (1, 1, False), (2, 2, True), (1, 8, False)]
-    assert all(row["us_per_step"] > 0.0 for row in rk4)
     assert surface["deltas"] == [0.0, 1.0, 2.0]
-    assert surface["ms_per_call"] > 0.0
-    assert (draw["paths"], draw["steps"]) == (200, 50) and draw["ns_per_value"] > 0.0
+    assert (draw["paths"], draw["steps"]) == (200, 50)
     assert (em["system"], em["paths"], em["steps"], em["inverse"]) == (
         "perron-sde", 200, 50, True)
-    assert em["ns_per_path_step"] > 0.0
-    assert 0.0 < startup["import_unscaled_s"]
-    assert 0.0 < startup["rss_after_import_mb"]
     assert startup["scipy_special"] is False
     assert [(row["workload"], row["operation"]) for row in ops] == [
         ("mc", "moments"), ("mc", "fit"), ("mc", "triangularize"), ("mc", "lyapunov"),
         ("mc", "decoupling")]
     for row in ops:
-        assert 0.0 < row["wall_s"]
-        assert 0.0 < row["rss_after_import_mb"] <= row["rss_peak_mb"]
+        assert row["rss_after_import_mb"][1] <= row["rss_peak_mb"][1]

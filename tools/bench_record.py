@@ -49,17 +49,19 @@ rows, by ``kind``:
   and at the end, so that a ``peak_rss_mb`` rise they do not share shows as
   the worker's. The figures of a failed operation are None.
 
-Every row but a run reports the median over rounds of each of its figures
-(None if a round failed it; a flag is true if any round set it). Each side
-also records ``head`` and ``dirty``: its ``git rev-parse HEAD`` and whether
-its tree differs from it, read before the first round. A side whose HEAD
-differs after the last round was not measured at one commit: the tool then
-exits 1, names both heads and writes nothing.
+Every row but a run reports each of its figures as its :func:`quartiles`
+over rounds, (first quartile, median, third quartile), so that a reader can
+tell a row's move from its spread (None if a round failed it; a flag is
+true if any round set it). Each side also records ``head`` and ``dirty``:
+its ``git rev-parse HEAD`` and whether its tree differs from it, read
+before the first round. A side whose HEAD differs after the last round was
+not measured at one commit: the tool then exits 1, names both heads and
+writes nothing.
 
 With ``--parent`` and no failed run, ``summary`` holds per workload one
 :func:`summarize` row per end-to-end metric and each side's medians of the
 unscaled times, and stdout prints it. The host and the benchmark's known
-faults are kept so that no reader takes them for msd's own. Format 10::
+faults are kept so that no reader takes them for msd's own. Format 11::
 
     {"format", "rounds", "host": {HOST_KEYS}, "known_faults": [...],
      "sides": {"change" | "parent": {"head", "dirty", "runs": [{RUN_KEYS}],
@@ -70,13 +72,15 @@ faults are kept so that no reader takes them for msd's own. Format 10::
 ``--quick`` records one round: a 1 s mc run, three small rk4 rows (the
 k = 2 one with ``per_start`` times), a small surface, a small draw, a small
 em row, the start-up row and the mc operations, to check the tool. Exits 1
-if any run or operation fails. Format 9 (``BENCH_28.json``) had no em rows,
-format 8 (``BENCH_27.json``) no draw rows either. Format 7
-(``BENCH_26.json``) timed every row but the runs on one side and then the
-other, each rk4 and surface row in one process per side, the start-up row
-in 7, and the op rows with each side's own ``tools/op_peak.py``, the best
-of 3 calls in one process; the docstring of this tool at the commit of
-each older BENCH file describes that file's format.
+if any run or operation fails. Format 10 (``BENCH_29.json`` and
+``BENCH_30.json``) kept only each row figure's median over rounds, format 9
+(``BENCH_28.json``) had no em rows, format 8 (``BENCH_27.json``) no draw
+rows either. Format 7 (``BENCH_26.json``) timed every row but the runs on
+one side and then the other, each rk4 and surface row in one process per
+side, the start-up row in 7, and the op rows with each side's own
+``tools/op_peak.py``, the best of 3 calls in one process; the docstring of
+this tool at the commit of each older BENCH file describes that file's
+format.
 """
 
 from __future__ import annotations
@@ -135,8 +139,22 @@ KNOWN_FAULTS = (
 _HEAD = "import json, sys, time\nrow = json.loads(sys.argv[1])\n"
 _TAIL = '\nprint(json.dumps(figures | {"msd": sys.modules["msd"].__file__}))\n'
 
-_RK4_CHILD = r"""
+# The end of a timed child, which defines ``once()``, one call of what it
+# times, and ``unit``: its figure's name and the factor that turns the
+# median seconds of ``repeats`` calls after a first into that figure.
+_TIMED = r"""
 import statistics
+once()
+times = []
+for _ in range(row["repeats"]):
+    start = time.perf_counter()
+    once()
+    times.append(time.perf_counter() - start)
+name, scale = unit
+figures = {name: statistics.median(times) * scale}
+"""
+
+_RK4_CHILD = r"""
 import numpy as np
 from msd.engines import moment_log_trace
 from msd.model import LinearSde
@@ -147,14 +165,13 @@ noise = [[str(0.2 if i == j else 0.0) for j in range(n)] for i in range(n)]
 system = LinearSde.from_strings(n, drift, noise)
 starts = np.stack([np.eye(n)] * k)
 t_from = np.arange(k) / 4.0 if row["per_start"] else 0.0
-dt = 1.0 / steps
-moment_log_trace([system] * k, starts, t_from, t_from + 1.0, dt=dt)
-times = []
-for _ in range(row["repeats"]):
-    start = time.perf_counter()
-    moment_log_trace([system] * k, starts, t_from, t_from + 1.0, dt=dt)
-    times.append(time.perf_counter() - start)
-figures = {"us_per_step": statistics.median(times) / steps * 1e6}
+
+
+def once():
+    moment_log_trace([system] * k, starts, t_from, t_from + 1.0, dt=1.0 / steps)
+
+
+unit = ("us_per_step", 1e6 / steps)
 """
 
 # The surface of the ode workload's fit operation (perfbench/workloads.py).
@@ -162,38 +179,35 @@ SURFACE = {"system": "perron-ode", "rank": 1, "s_values": [0.5, 4.5],
            "deltas": [0.0, 50.0, 100.0], "dt": 0.02}
 
 _SURFACE_CHILD = r"""
-import statistics
 from msd.dichotomy import dichotomy_surface, pair_grid
 from msd.model import gallery, make_projector
 
 system = gallery(row["system"])
 projector = make_projector(system.dim, row["rank"])
 pairs = pair_grid(row["s_values"], row["deltas"])
-dichotomy_surface(system, projector, pairs, dt=row["dt"])
-times = []
-for _ in range(row["repeats"]):
-    start = time.perf_counter()
+
+
+def once():
     dichotomy_surface(system, projector, pairs, dt=row["dt"])
-    times.append(time.perf_counter() - start)
-figures = {"ms_per_call": statistics.median(times) * 1e3}
+
+
+unit = ("ms_per_call", 1e3)
 """
 
 _DRAW_CHILD = r"""
-import statistics
 from msd.numerics import brownian_batch
 
 paths, steps = row["paths"], row["steps"]
-brownian_batch(1, paths, 0.01, steps)
-times = []
-for _ in range(row["repeats"]):
-    start = time.perf_counter()
+
+
+def once():
     brownian_batch(1, paths, 0.01, steps)
-    times.append(time.perf_counter() - start)
-figures = {"ns_per_value": statistics.median(times) / (paths * steps) * 1e9}
+
+
+unit = ("ns_per_value", 1e9 / (paths * steps))
 """
 
 _EM_CHILD = r"""
-import statistics
 from msd.engines import TimeGrid, euler_maruyama
 from msd.model import gallery
 
@@ -201,18 +215,12 @@ system, paths, steps = gallery(row["system"]), row["paths"], row["steps"]
 grid = TimeGrid(0.001, 0.001, steps + 1)
 
 
-def last_node():
+def once():
     for _ in euler_maruyama(system, grid, paths, 1, [steps], inverse=row["inverse"]):
         pass
 
 
-last_node()
-times = []
-for _ in range(row["repeats"]):
-    start = time.perf_counter()
-    last_node()
-    times.append(time.perf_counter() - start)
-figures = {"ns_per_path_step": statistics.median(times) / (paths * steps) * 1e9}
+unit = ("ns_per_path_step", 1e9 / (paths * steps))
 """
 
 _STARTUP_CHILD = r"""
@@ -266,8 +274,9 @@ else:
     figures = {"wall_s": wall, "rss_after_import_mb": after_import, "rss_peak_mb": peak_mb()}
 """
 
-_CHILDREN = {"rk4": _RK4_CHILD, "surface": _SURFACE_CHILD, "draw": _DRAW_CHILD,
-             "em": _EM_CHILD, "startup": _STARTUP_CHILD, "op": _OP_CHILD}
+_CHILDREN = {"rk4": _RK4_CHILD + _TIMED, "surface": _SURFACE_CHILD + _TIMED,
+             "draw": _DRAW_CHILD + _TIMED, "em": _EM_CHILD + _TIMED,
+             "startup": _STARTUP_CHILD, "op": _OP_CHILD}
 
 
 def host() -> dict:
@@ -419,14 +428,14 @@ def alternate(sides: dict[str, Path], rows: list[dict], rounds: int, sample) -> 
     return out
 
 
-def medians(samples: list[dict]) -> dict:
-    """Each figure's median over a row's samples: None if one lacks it, and
-    for a flag whether any sample set it."""
+def figure_quartiles(samples: list[dict]) -> dict:
+    """Each figure's :func:`quartiles` over a row's samples: None if one
+    lacks it, and for a flag whether any sample set it."""
     out = {}
     for key in samples[0]:
         values = [figures[key] for figures in samples]
         out[key] = (None if None in values else any(values) if isinstance(values[0], bool)
-                    else statistics.median(values))
+                    else quartiles(values))
     return out
 
 
@@ -482,9 +491,9 @@ def record(sides: dict[str, Path], bench: dict, rows: list[dict], rounds: int,
         out[name] = {"head": head, "dirty": dirty,
                      "runs": [run for row, runs in sampled if row["kind"] == "run"
                               for run in runs],
-                     "rows": [row | medians(figures) for row, figures in sampled
+                     "rows": [row | figure_quartiles(figures) for row, figures in sampled
                               if row["kind"] != "run"]}
-    data = {"format": 10, "rounds": rounds, "host": host(), "known_faults": list(KNOWN_FAULTS),
+    data = {"format": 11, "rounds": rounds, "host": host(), "known_faults": list(KNOWN_FAULTS),
             "sides": out}
     # A failed run leaves its pair without figures; the summary needs every pair.
     if "parent" in sides and not any(run["error"] for side in out.values()
